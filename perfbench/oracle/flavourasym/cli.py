@@ -1,0 +1,357 @@
+"""Command-line pipeline driver.
+
+Subcommands: curves, generate, analyze, unfold, fit, reproduce.
+Exit codes: 0 success, 2 validation error, 3 numerical failure.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.resources
+import json
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+from . import __version__
+from .analysis import (AsymmetrySpectrum, BinnedCounts, Binning,
+                       read_spectrum, write_spectrum)
+from .config import ConfigError, default_config_text, load_config
+from .fitkit import BinPredictor, Constraint, fit_model, fit_zeta, significance
+from .models import ModelParams, curve_rows
+from .pipeline import analyze_counts, build_training_responses
+from .toygen import (BETA_GAMMA, C_UM_PER_PS, generate_ensemble, read_events,
+                     write_events)
+from .unfold import dsvd_unfold, read_response, unfolded_asymmetry, write_response
+
+EXIT_OK = 0
+EXIT_VALIDATION = 2
+EXIT_NUMERICAL = 3
+
+
+def _sha256(path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 16), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def _write_log(out_path, inputs: dict, extra: dict | None = None) -> None:
+    log = {
+        "version": __version__,
+        "constants": {"c_um_per_ps": C_UM_PER_PS, "beta_gamma": BETA_GAMMA},
+        "inputs": inputs,
+    }
+    if extra:
+        log.update(extra)
+    with open(str(out_path) + ".log", "w") as f:
+        json.dump(log, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def _load_run(args):
+    if args.config is None:
+        raise ConfigError("this command needs --config")
+    run = load_config(args.config)
+    if args.seed is not None:
+        run = replace(run, pipeline=replace(run.pipeline, seed=args.seed))
+    if args.replicas is not None:
+        run = replace(run, replicas=args.replicas)
+    return run
+
+
+def cmd_init_config(args):
+    out = Path(args.out or "run.cfg")
+    out.write_text(default_config_text(seed=args.seed or 1))
+    print(f"wrote {out}")
+    return EXIT_OK
+
+
+def cmd_curves(args):
+    if args.step <= 0:
+        raise ConfigError(f"grid step must be positive, got {args.step}")
+    if args.max <= 0:
+        raise ConfigError(f"grid maximum must be positive, got {args.max}")
+    p = ModelParams(dm=args.dm, tau=args.tau)
+    grid = np.arange(0.0, args.max + 0.5 * args.step, args.step)
+    rows = curve_rows(grid, p)
+    out = Path(args.out or "curves.csv")
+    with open(out, "w") as f:
+        f.write("dt,A_QM,A_SD,PS_min,PS_max\n")
+        for r in rows:
+            f.write(",".join("%.9g" % v for v in r) + "\n")
+    _write_log(out, {"dm": p.dm, "tau": p.tau, "step": args.step,
+                     "max": args.max})
+    print(f"wrote {len(rows)} rows to {out}")
+    return EXIT_OK
+
+
+def cmd_generate(args):
+    run = _load_run(args)
+    cfg = run.pipeline
+    events = generate_ensemble(run.model, cfg.params, cfg.detector,
+                               cfg.backgrounds, cfg.n_signal,
+                               master_seed=cfg.seed, n_streams=run.n_streams)
+    out = Path(args.out or "events.csv")
+    write_events(events, out)
+    _write_log(out, {"config": _sha256(args.config), "seed": cfg.seed,
+                     "model": run.model.value, "n_events": len(events)})
+    print(f"wrote {len(events)} events to {out}")
+    return EXIT_OK
+
+
+_COUNTS_HEADER = "bin,lo_ps,hi_ps,n_of,var_of,n_sf,var_sf"
+
+
+def write_counts(c: BinnedCounts, path) -> None:
+    edges = c.binning.array
+    with open(path, "w") as f:
+        f.write(_COUNTS_HEADER + "\n")
+        for i in range(c.binning.n_bins):
+            f.write(f"{i + 1},{edges[i]:.9g},{edges[i + 1]:.9g},"
+                    f"{c.n_of[i]:.9g},{c.var_of[i]:.9g},"
+                    f"{c.n_sf[i]:.9g},{c.var_sf[i]:.9g}\n")
+
+
+def read_counts(path) -> BinnedCounts:
+    with open(path) as f:
+        if f.readline().strip() != _COUNTS_HEADER:
+            raise ConfigError(f"unexpected counts header in {path}")
+        rows = [line.strip().split(",") for line in f if line.strip()]
+    lo = [float(r[1]) for r in rows]
+    hi = [float(r[2]) for r in rows]
+    edges = tuple(lo + [hi[-1]])
+    return BinnedCounts(
+        Binning(edges),
+        n_of=np.array([float(r[3]) for r in rows]),
+        n_sf=np.array([float(r[5]) for r in rows]),
+        var_of=np.array([float(r[4]) for r in rows]),
+        var_sf=np.array([float(r[6]) for r in rows]),
+    )
+
+
+def cmd_analyze(args):
+    run = _load_run(args)
+    events = read_events(args.events)
+    counts, spec = analyze_counts(events, run.pipeline)
+    out = Path(args.out or "spectrum.csv")
+    write_spectrum(spec, out)
+    counts_out = out.with_suffix(".counts.csv")
+    write_counts(counts, counts_out)
+    _write_log(out, {"config": _sha256(args.config),
+                     "events": _sha256(args.events),
+                     "n_events": len(events)},
+               {"counts_file": str(counts_out)})
+    print(f"wrote spectrum to {out} and corrected counts to {counts_out}")
+    return EXIT_OK
+
+
+def cmd_unfold(args):
+    run = _load_run(args)
+    cfg = run.pipeline
+    counts = read_counts(args.counts)
+    if args.response_of and args.response_sf:
+        r_of = read_response(args.response_of)
+        r_sf = read_response(args.response_sf)
+        inputs = {"response_of": _sha256(args.response_of),
+                  "response_sf": _sha256(args.response_sf)}
+    else:
+        r_of, r_sf = build_training_responses(cfg)
+        inputs = {"response": "trained", "seed": cfg.seed,
+                  "n_response_mc": cfg.n_response_mc}
+        if args.out:
+            base = Path(args.out)
+            write_response(r_of, base.with_suffix(".resp_of.csv"))
+            write_response(r_sf, base.with_suffix(".resp_sf.csv"))
+    x, cov_of, cov_sf, cov_x = dsvd_unfold(counts, r_of, r_sf, cfg.unfold)
+    a, cov_a = unfolded_asymmetry(x, cov_of, cov_sf, cov_x)
+    spec = AsymmetrySpectrum(counts.binning, a, np.sqrt(np.diag(cov_a)))
+    out = Path(args.out or "unfolded.csv")
+    write_spectrum(spec, out)
+    inputs["counts"] = _sha256(args.counts)
+    inputs["config"] = _sha256(args.config)
+    _write_log(out, inputs, {"rank_of": cfg.unfold.rank_of,
+                             "rank_sf": cfg.unfold.rank_sf})
+    print(f"wrote unfolded spectrum to {out}")
+    return EXIT_OK
+
+
+def _fit_report(spectrum, models, constraint, tau):
+    pred = BinPredictor(spectrum.binning, tau=tau)
+    fits = {}
+    lines = []
+    for m in models:
+        if m == "DECOHERED":
+            fits[m] = fit_zeta(spectrum, constraint, pred)
+        else:
+            fits[m] = fit_model(spectrum, m, constraint, pred)
+    for m, f in fits.items():
+        theta = "zeta" if m == "DECOHERED" else "dm"
+        lines.append(f"{m}: {theta} = {f.theta_hat:.4f} +- {f.theta_err:.4f}  "
+                     f"chi2 = {f.chi2:.2f}  dof = {f.dof}")
+        if f.flags:
+            lines.append(f"  flags: {'; '.join(f.flags)}")
+        if len(f.residuals):
+            lines.append("  residuals/sigma: "
+                         + " ".join(f"{r:+.2f}" for r in f.residuals))
+    point = [m for m in fits if m != "DECOHERED"]
+    if len(point) > 1:
+        lines.append("significance matrix [sigma, row favoured over column]:")
+        lines.append("        " + "  ".join(f"{m:>9s}" for m in point))
+        for a in point:
+            row = [f"{significance(fits[a], fits[b]):9.2f}" for b in point]
+            lines.append(f"{a:>7s} " + "  ".join(row))
+    return fits, "\n".join(lines)
+
+
+def cmd_fit(args):
+    spectrum = read_spectrum(args.spectrum)
+    constraint = Constraint()
+    tau = 1.53
+    if args.config:
+        run = load_config(args.config)
+        constraint = run.pipeline.constraint
+        tau = run.pipeline.params.tau
+    models = [m.strip().upper() for m in args.models.split(",")]
+    for m in models:
+        if m not in ("QM", "SD", "PS", "DECOHERED"):
+            raise ConfigError(f"unknown fit model {m!r}")
+    fits, report = _fit_report(spectrum, models, constraint, tau)
+    print(report)
+    if args.out:
+        Path(args.out).write_text(report + "\n")
+        _write_log(args.out, {"spectrum": _sha256(args.spectrum)})
+    return EXIT_OK
+
+
+def fixture_path() -> Path:
+    return Path(importlib.resources.files("flavourasym") / "fixtures"
+                / "table1_asymmetry")
+
+
+REPRODUCTION_TARGETS = [
+    # label, attribute, published value, tolerance
+    ("QM dm", ("QM", "theta_hat"), 0.501, 0.005),
+    ("QM dm error", ("QM", "theta_err"), 0.009, 0.002),
+    ("QM chi2", ("QM", "chi2"), 5.2, 1.0),
+    ("SD dm", ("SD", "theta_hat"), 0.419, 0.010),
+    ("SD chi2", ("SD", "chi2"), 174.0, 10.0),
+    ("PS dm", ("PS", "theta_hat"), 0.447, 0.015),
+    ("PS chi2", ("PS", "chi2"), 31.3, 5.0),
+    ("QM over SD [sigma]", ("SIG", "SD"), 13.0, 0.5),
+    ("QM over PS [sigma]", ("SIG", "PS"), 5.1, 0.3),
+    ("zeta", ("DECOHERED", "theta_hat"), 0.029, 0.02),
+    ("zeta error", ("DECOHERED", "theta_err"), 0.057, 0.01),
+]
+
+
+def reproduce_fixture(spectrum=None, constraint=None):
+    """Fit the shipped published-spectrum fixture; values keyed for reporting."""
+    if spectrum is None:
+        spectrum = read_spectrum(fixture_path())
+    constraint = constraint or Constraint()
+    pred = BinPredictor(spectrum.binning)
+    fits = {m: fit_model(spectrum, m, constraint, pred)
+            for m in ("QM", "SD", "PS")}
+    fits["DECOHERED"] = fit_zeta(spectrum, constraint, pred)
+    values = {}
+    for m, f in fits.items():
+        values[(m, "theta_hat")] = f.theta_hat
+        values[(m, "theta_err")] = f.theta_err
+        values[(m, "chi2")] = f.chi2
+    values[("SIG", "SD")] = significance(fits["QM"], fits["SD"])
+    values[("SIG", "PS")] = significance(fits["QM"], fits["PS"])
+    return fits, values
+
+
+def cmd_reproduce(args):
+    path = fixture_path()
+    if not path.is_file():
+        print(f"fixture not found: {path}", file=sys.stderr)
+        return EXIT_VALIDATION
+    _, values = reproduce_fixture()
+    n_fail = 0
+    print(f"{'quantity':>22s} {'published':>10s} {'computed':>10s} "
+          f"{'tolerance':>10s}  status")
+    for label, key, target, tol in REPRODUCTION_TARGETS:
+        got = values[key]
+        ok = abs(got - target) <= tol
+        n_fail += not ok
+        print(f"{label:>22s} {target:10.3f} {got:10.3f} {tol:10.3f}  "
+              f"{'PASS' if ok else 'FAIL'}")
+    if n_fail:
+        print(f"{n_fail} of {len(REPRODUCTION_TARGETS)} targets out of tolerance")
+    else:
+        print("all reproduction targets within tolerance")
+    return EXIT_OK
+
+
+def build_parser():
+    ap = argparse.ArgumentParser(
+        prog="flavourasym",
+        description="Time-dependent flavour-asymmetry simulation, "
+                    "unfolding and model fits")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="run configuration file (INI)")
+    common.add_argument("--seed", type=int, help="override the master seed")
+    common.add_argument("--out", help="output path")
+    common.add_argument("--replicas", type=int,
+                        help="override the pseudo-experiment replica count")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    def add(name, **kw):
+        return sub.add_parser(name, parents=[common], **kw)
+
+    c = add("curves", help="export model asymmetry curves")
+    c.add_argument("--dm", type=float, default=0.507)
+    c.add_argument("--tau", type=float, default=1.53)
+    c.add_argument("--step", type=float, default=0.1)
+    c.add_argument("--max", type=float, default=20.0)
+    c.set_defaults(func=cmd_curves)
+
+    g = add("generate", help="generate a toy event file")
+    g.set_defaults(func=cmd_generate)
+
+    a = add("analyze", help="bin, subtract, and tag-correct events")
+    a.add_argument("events", help="event file from 'generate'")
+    a.set_defaults(func=cmd_analyze)
+
+    u = add("unfold", help="unfold corrected counts to truth level")
+    u.add_argument("counts", help="counts file from 'analyze'")
+    u.add_argument("--response-of", help="serialized OF response matrix")
+    u.add_argument("--response-sf", help="serialized SF response matrix")
+    u.set_defaults(func=cmd_unfold)
+
+    f = add("fit", help="fit models to a spectrum file")
+    f.add_argument("spectrum")
+    f.add_argument("--models", default="QM,SD,PS")
+    f.set_defaults(func=cmd_fit)
+
+    r = add("reproduce",
+                       help="fit the shipped published spectrum and compare")
+    r.set_defaults(func=cmd_reproduce)
+
+    i = add("init-config", help="write a configuration template")
+    i.set_defaults(func=cmd_init_config)
+    return ap
+
+
+def main(argv=None) -> int:
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    try:
+        return args.func(args)
+    except (ConfigError, ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ArithmeticError as e:
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,324 @@
+"""Seeded toy generation of B-pair decays with detector response and backgrounds.
+
+Events are kept in a numpy structured array whose fields match the event-file
+columns, so writing and reading are trivial and byte-reproducible.
+"""
+
+from __future__ import annotations
+
+import enum
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .models import FlavourClass, ModelParams, _ps_lower_joint, _ps_upper_joint
+
+__all__ = [
+    "C_UM_PER_PS",
+    "BETA_GAMMA",
+    "GenModel",
+    "EventCategory",
+    "DetectorConfig",
+    "BackgroundShape",
+    "BackgroundConfig",
+    "sample_pair",
+    "apply_detector",
+    "inject_backgrounds",
+    "make_signal_events",
+    "generate_ensemble",
+    "write_events",
+    "read_events",
+]
+
+C_UM_PER_PS = 299.792458  # speed of light in micrometres per picosecond
+BETA_GAMMA = 0.425        # boost of the producing resonance along z
+DT_RANGE = (0.0, 20.0)    # analysis window in ps
+
+
+class GenModel(enum.Enum):
+    QM = "QM"
+    SD = "SD"
+    PS_BOUNDARY_MAX = "PS_BOUNDARY_MAX"
+    PS_BOUNDARY_MIN = "PS_BOUNDARY_MIN"
+    DECOHERED = "DECOHERED"
+
+
+class EventCategory(enum.Enum):
+    SIGNAL = "signal"
+    DSTAR_FAKE = "dstar_fake"
+    WRONG_COMBINATION = "wrong_combination"
+    DSS_CHARGED = "dss_charged"
+
+
+EVENT_DTYPE = np.dtype([
+    ("t1_ps", "f8"),
+    ("t2_ps", "f8"),
+    ("dt_true_ps", "f8"),
+    ("cls_true", "U2"),
+    ("dz_rec_um", "f8"),
+    ("dt_rec_ps", "f8"),
+    ("cls_assigned", "U2"),
+    ("category", "U20"),
+    ("stream", "i4"),
+    ("index", "i4"),
+])
+
+
+@dataclass(frozen=True)
+class DetectorConfig:
+    """Gaussian dz response and an effective flavour mistag probability."""
+
+    resolution_sigma: float = 100.0   # um
+    extra_smear_sigma: float = 46.0   # um, MC-to-data tuning term
+    mistag_fraction: float = 0.015
+
+    def __post_init__(self):
+        if self.resolution_sigma < 0 or self.extra_smear_sigma < 0:
+            raise ValueError("smearing sigmas must be non-negative")
+        if not 0.0 <= self.mistag_fraction < 0.5:
+            raise ValueError("mistag fraction must lie in [0, 0.5)")
+
+    @property
+    def total_sigma(self) -> float:
+        return float(np.hypot(self.resolution_sigma, self.extra_smear_sigma))
+
+
+@dataclass(frozen=True)
+class BackgroundShape:
+    """dt shape of one background category, normalized over the analysis window."""
+
+    kind: str = "exp"       # "exp" or "flat"
+    tau_eff: float = 1.53   # ps, used by the "exp" kind
+
+    def __post_init__(self):
+        if self.kind not in ("exp", "flat"):
+            raise ValueError(f"unknown shape kind {self.kind!r}")
+        if self.kind == "exp" and self.tau_eff <= 0:
+            raise ValueError("tau_eff must be positive")
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        lo, hi = DT_RANGE
+        if self.kind == "flat":
+            return rng.uniform(lo, hi, size=n)
+        # inverse CDF of the exponential truncated to the window
+        u = rng.random(n)
+        z = 1.0 - np.exp(-(hi - lo) / self.tau_eff)
+        return lo - self.tau_eff * np.log1p(-u * z)
+
+    def bin_fractions(self, edges: np.ndarray) -> np.ndarray:
+        """Probability content of each bin of `edges` within the window."""
+        lo, hi = DT_RANGE
+        e = np.clip(np.asarray(edges, dtype=float), lo, hi)
+        if self.kind == "flat":
+            cdf = (e - lo) / (hi - lo)
+        else:
+            z = 1.0 - np.exp(-(hi - lo) / self.tau_eff)
+            cdf = (1.0 - np.exp(-(e - lo) / self.tau_eff)) / z
+        return np.diff(cdf)
+
+
+@dataclass(frozen=True)
+class CategoryYield:
+    n_of: float
+    n_sf: float
+    n_of_err: float = 0.0
+    n_sf_err: float = 0.0
+    shape: BackgroundShape = field(default_factory=BackgroundShape)
+
+    def __post_init__(self):
+        if self.n_of < 0 or self.n_sf < 0:
+            raise ValueError("background yields must be non-negative")
+
+
+@dataclass(frozen=True)
+class BackgroundConfig:
+    """Expected OF/SF yields and dt shapes for the background categories."""
+
+    yields: dict = field(default_factory=dict)  # EventCategory -> CategoryYield
+    fixed_counts: bool = False                  # skip the Poisson fluctuation
+
+    @classmethod
+    def paper_scale(cls, tau: float = 1.53, fixed_counts: bool = False):
+        """Default yields at the scale of the published event sample."""
+        return cls(yields={
+            EventCategory.DSTAR_FAKE: CategoryYield(
+                126.0, 54.0, 6.0, 4.0, BackgroundShape("exp", tau)),
+            EventCategory.WRONG_COMBINATION: CategoryYield(
+                78.0, 237.0, 9.0, 15.0, BackgroundShape("exp", tau)),
+            EventCategory.DSS_CHARGED: CategoryYield(
+                254.0, 1.5, 16.0, 0.5, BackgroundShape("exp", tau)),
+        }, fixed_counts=fixed_counts)
+
+    def total(self) -> float:
+        return sum(y.n_of + y.n_sf for y in self.yields.values())
+
+
+def _joint_asymmetry(model: GenModel, t1, t2, p: ModelParams,
+                     rng: np.random.Generator):
+    dt = np.abs(t1 - t2)
+    t_min = np.minimum(t1, t2)
+    if model is GenModel.QM:
+        return np.cos(p.dm * dt)
+    if model is GenModel.SD:
+        return np.cos(p.dm * t1) * np.cos(p.dm * t2)
+    if model is GenModel.PS_BOUNDARY_MAX:
+        return _ps_upper_joint(t_min, dt, p.dm)
+    if model is GenModel.PS_BOUNDARY_MIN:
+        return _ps_lower_joint(t_min, dt, p.dm)
+    if model is GenModel.DECOHERED:
+        a_qm = np.cos(p.dm * dt)
+        a_sd = np.cos(p.dm * t1) * np.cos(p.dm * t2)
+        pick_sd = rng.random(np.shape(dt)) < p.zeta
+        return np.where(pick_sd, a_sd, a_qm)
+    raise ValueError(f"unknown generation model {model}")
+
+
+def sample_pair(model: GenModel, p: ModelParams, rng: np.random.Generator,
+                size: int = 1):
+    """Draw (t1, t2, cls_true) for `size` pairs under the given model.
+
+    The pair time density factorizes as exp(-(t1+t2)/tau)/tau^2; the flavour
+    class is Bernoulli with OF probability (1 + A_model(t1, t2)) / 2.
+    """
+    t1 = rng.exponential(p.tau, size)
+    t2 = rng.exponential(p.tau, size)
+    a = _joint_asymmetry(model, t1, t2, p, rng)
+    if np.any(np.abs(a) > 1.0 + 1e-9):
+        raise ArithmeticError(
+            "model asymmetry escaped [-1, 1]; generation envelope violated")
+    is_of = rng.random(size) < (1.0 + a) / 2.0
+    return t1, t2, is_of
+
+
+def apply_detector(events: np.ndarray, d: DetectorConfig,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Fill dz_rec/dt_rec and the assigned class from the truth fields.
+
+    dz is smeared with the combined Gaussian resolution, then folded:
+    the measured observable is |t1 - t2|, so negative dz maps to small dt.
+    """
+    out = events.copy()
+    n = len(out)
+    dz = BETA_GAMMA * C_UM_PER_PS * out["dt_true_ps"]
+    if d.total_sigma > 0:
+        dz = dz + rng.normal(0.0, d.total_sigma, n)
+    out["dz_rec_um"] = dz
+    out["dt_rec_ps"] = np.abs(dz) / (BETA_GAMMA * C_UM_PER_PS)
+    flip = rng.random(n) < d.mistag_fraction
+    assigned = out["cls_true"].copy()
+    assigned[flip] = np.where(assigned[flip] == "OF", "SF", "OF")
+    out["cls_assigned"] = assigned
+    return out
+
+
+def _empty_events(n: int) -> np.ndarray:
+    ev = np.zeros(n, dtype=EVENT_DTYPE)
+    ev["cls_true"] = "OF"
+    ev["cls_assigned"] = "OF"
+    ev["category"] = EventCategory.SIGNAL.value
+    return ev
+
+
+def make_signal_events(model: GenModel, p: ModelParams, n: int,
+                       d: DetectorConfig, rng: np.random.Generator,
+                       stream: int = 0) -> np.ndarray:
+    """Generate `n` signal pairs and run them through the detector model."""
+    ev = _empty_events(n)
+    t1, t2, is_of = sample_pair(model, p, rng, n)
+    ev["t1_ps"] = t1
+    ev["t2_ps"] = t2
+    ev["dt_true_ps"] = np.abs(t1 - t2)
+    ev["cls_true"] = np.where(is_of, "OF", "SF")
+    ev["stream"] = stream
+    ev["index"] = np.arange(n)
+    return apply_detector(ev, d, rng)
+
+
+def inject_backgrounds(signal: np.ndarray, b: BackgroundConfig,
+                       d: DetectorConfig, rng: np.random.Generator,
+                       stream: int = 0) -> np.ndarray:
+    """Append background events with configured yields, shapes and OF/SF split."""
+    parts = [signal]
+    next_index = int(signal["index"].max()) + 1 if len(signal) else 0
+    for cat in (EventCategory.DSTAR_FAKE, EventCategory.WRONG_COMBINATION,
+                EventCategory.DSS_CHARGED):
+        y = b.yields.get(cat)
+        if y is None or (y.n_of + y.n_sf) == 0:
+            continue
+        mean = y.n_of + y.n_sf
+        n = int(round(mean)) if b.fixed_counts else int(rng.poisson(mean))
+        if n == 0:
+            continue
+        ev = _empty_events(n)
+        dt = y.shape.sample(n, rng)
+        ev["t1_ps"] = dt
+        ev["t2_ps"] = 0.0
+        ev["dt_true_ps"] = dt
+        is_of = rng.random(n) < y.n_of / mean
+        ev["cls_true"] = np.where(is_of, "OF", "SF")
+        ev["category"] = cat.value
+        ev["stream"] = stream
+        ev["index"] = np.arange(next_index, next_index + n)
+        next_index += n
+        # backgrounds see the same vertex resolution but are never retagged
+        ev = apply_detector(ev, DetectorConfig(d.resolution_sigma,
+                                               d.extra_smear_sigma, 0.0), rng)
+        parts.append(ev)
+    return np.concatenate(parts) if len(parts) > 1 else signal
+
+
+def stream_rng(master_seed: int, stream: int) -> np.random.Generator:
+    """Independent deterministic sub-stream of the master seed."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence([int(master_seed), int(stream)])))
+
+
+def generate_ensemble(model: GenModel, p: ModelParams, d: DetectorConfig,
+                      b: BackgroundConfig, n_signal: int, master_seed: int,
+                      n_streams: int = 1) -> np.ndarray:
+    """Deterministic multi-stream generation; identical inputs give identical events."""
+    if n_streams < 1:
+        raise ValueError("need at least one stream")
+    chunks = []
+    per = [n_signal // n_streams] * n_streams
+    per[-1] += n_signal - sum(per)
+    for s in range(n_streams):
+        rng = stream_rng(master_seed, s)
+        chunks.append(make_signal_events(model, p, per[s], d, rng, stream=s))
+    signal = np.concatenate(chunks)
+    # backgrounds draw from their own stream so signal events do not move
+    # when the background configuration changes
+    bkg_rng = stream_rng(master_seed, n_streams)
+    return inject_backgrounds(signal, b, d, bkg_rng, stream=n_streams)
+
+
+_COLUMNS = [name for name in EVENT_DTYPE.names]
+_FMT = {"f8": "%.9g", "U2": "%s", "U20": "%s", "i4": "%d"}
+
+
+def write_events(events: np.ndarray, path) -> None:
+    with open(path, "w") as f:
+        f.write(",".join(_COLUMNS) + "\n")
+        for row in events:
+            f.write(",".join(
+                _FMT[EVENT_DTYPE[c].str.lstrip("<|>")] % row[c]
+                for c in _COLUMNS) + "\n")
+
+
+def read_events(path) -> np.ndarray:
+    with open(path) as f:
+        header = f.readline().strip().split(",")
+        if header != _COLUMNS:
+            raise ValueError(f"unexpected event-file header in {path}: {header}")
+        rows = [line.rstrip("\n").split(",") for line in f if line.strip()]
+    ev = _empty_events(len(rows))
+    for j, col in enumerate(_COLUMNS):
+        kind = EVENT_DTYPE[col].kind
+        vals = [r[j] for r in rows]
+        if kind == "f":
+            ev[col] = np.array(vals, dtype=float)
+        elif kind == "i":
+            ev[col] = np.array(vals, dtype=int)
+        else:
+            ev[col] = vals
+    return ev
