@@ -1,70 +1,41 @@
 #!/usr/bin/env python3
-"""Pseudo-experiment calibration of the unfolding chain.
+"""Pseudo-experiment calibration of the unfolding chain, at the settings of
+the acceptance test: 200 replicas per model (QM, SD, PS upper boundary),
+master seed 7, 2M response events.
 
-Runs N replicas per model (QM, SD, PS upper boundary) through the full
-generate/analyze/unfold chain, applies the model-averaged bias correction,
-and reports per-bin pull means and widths pooled over the three models,
-the residual per-model biases, and the deconvolution systematic. Also
-fits each bias-corrected QM replica with the QM and SD curves and reports
-the fraction preferring QM at more than 5 sigma.
+Prints the model-averaged bias correction, the deconvolution systematic,
+the residual per-model biases, the pooled pull means and widths (with and
+without the systematic), and the fraction of bias-corrected QM replicas
+that prefer QM over SD at more than 5 sigma.
 """
-
-import argparse
 
 import numpy as np
 
-from flavourasym.analysis import AsymmetrySpectrum
-from flavourasym.fitkit import BinPredictor, Constraint, fit_model, significance
-from flavourasym.pipeline import PipelineConfig, ensemble_pulls, run_ensemble
+from flavourasym.pipeline import (PipelineConfig, ensemble_pulls,
+                                  qm_over_sd_significances, run_ensemble)
 from flavourasym.toygen import GenModel
 
 MODELS = (GenModel.QM, GenModel.SD, GenModel.PS_BOUNDARY_MAX)
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--replicas", type=int, default=200)
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--response-mc", type=int, default=2000000)
-    ap.add_argument("--no-syst-in-pulls", action="store_true",
-                    help="use statistical errors only in the pulls")
-    args = ap.parse_args()
-
     np.set_printoptions(precision=3, suppress=True, linewidth=150)
-    cfg = PipelineConfig.paper_scale(seed=args.seed,
-                                     n_response_mc=args.response_mc)
-    res = run_ensemble(MODELS, args.replicas, cfg)
-
+    cfg = PipelineConfig.paper_scale(seed=7, n_response_mc=2_000_000)
+    res = run_ensemble(MODELS, 200, cfg)
     print("bias correction      ", res["correction"])
     print("deconvolution syst   ", res["deconvolution_systematic"])
     for m in MODELS:
         bias = res["unfolded"][m.value].mean(axis=0) - res["truth"][m.value]
         print(f"residual bias {m.value:16s}", bias - res["correction"])
-
-    pulls = np.concatenate(
-        [ensemble_pulls(res, m, include_systematic=not args.no_syst_in_pulls)
-         for m in MODELS], axis=0)
-    print("pooled pull mean     ", pulls.mean(axis=0))
-    print("pooled pull width    ", pulls.std(axis=0))
-
-    pred = BinPredictor(cfg.binning, tau=cfg.params.tau)
-    c = Constraint()
-    syst = res["deconvolution_systematic"]
-    n_pref = 0
-    sigs = []
-    for a, err in zip(res["unfolded"][GenModel.QM.value],
-                      res["errors"][GenModel.QM.value]):
-        spec = AsymmetrySpectrum(cfg.binning, a - res["correction"], err)
-        spec = spec.with_syst("deconvolution", syst)
-        s = significance(fit_model(spec, "QM", c, pred),
-                         fit_model(spec, "SD", c, pred))
-        sigs.append(s)
-        n_pref += s > 5.0
-    sigs = np.array(sigs)
+    for label, syst in (("", True), (" (stat only)", False)):
+        pulls = np.concatenate([ensemble_pulls(res, m, syst) for m in MODELS])
+        print(f"pooled pull mean{label:12s}", pulls.mean(axis=0))
+        print(f"pooled pull width{label:11s}", pulls.std(axis=0))
+    sigs = qm_over_sd_significances(res, cfg)
+    n_pref = int(np.sum(sigs > 5.0))
     print(f"QM-over-SD significance: median {np.median(sigs):.2f}, "
-          f"min {sigs.min():.2f}; > 5 sigma in "
-          f"{n_pref}/{len(sigs)} replicas "
-          f"({100.0 * n_pref / len(sigs):.1f}%)")
+          f"min {sigs.min():.2f}; > 5 sigma in {n_pref}/{len(sigs)} "
+          f"replicas ({100.0 * n_pref / len(sigs):.1f}%)")
 
 
 if __name__ == "__main__":

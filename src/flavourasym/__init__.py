@@ -9,7 +9,7 @@ fits with chi-square discrimination.
 __version__ = "0.1.0"
 
 from .analysis import (AsymmetrySpectrum, BinnedCounts, Binning, asymmetry,
-                       bin_events, correct_mistag, read_spectrum,
+                       bin_events, mistag_correct_counts, read_spectrum,
                        subtract_background, write_spectrum)
 from .fitkit import (BinPredictor, Constraint, FitResult, chi2, fit_lifetime,
                      fit_model, fit_zeta, significance)
@@ -17,8 +17,7 @@ from .models import (AsymmetryBand, FlavourClass, MarginalGrid, ModelParams,
                      asym_decohered, asym_qm, asym_sd_joint, asym_sd_marginal,
                      curve_rows, marginalize, ps_bounds_joint,
                      ps_bounds_marginal, rate_qm)
-from .pipeline import (PipelineConfig, analyze_counts, model_comparison,
-                       run_ensemble, truth_asymmetry)
+from .pipeline import PipelineConfig, analyze_counts, run_ensemble
 from .toygen import (BackgroundConfig, BackgroundShape, CategoryYield,
                      DetectorConfig, EventCategory, GenModel,
                      generate_ensemble, read_events, write_events)
@@ -35,12 +34,11 @@ __all__ = [
     "CategoryYield", "BackgroundConfig", "generate_ensemble",
     "write_events", "read_events",
     "Binning", "BinnedCounts", "AsymmetrySpectrum", "bin_events",
-    "subtract_background", "asymmetry", "correct_mistag",
+    "subtract_background", "asymmetry", "mistag_correct_counts",
     "write_spectrum", "read_spectrum",
     "ResponseMatrix", "UnfoldConfig", "build_response", "dsvd_unfold",
     "unfolded_asymmetry", "bias_correct", "write_response", "read_response",
     "Constraint", "FitResult", "BinPredictor", "chi2", "fit_model",
     "fit_zeta", "significance", "fit_lifetime",
-    "PipelineConfig", "analyze_counts", "truth_asymmetry", "run_ensemble",
-    "model_comparison",
+    "PipelineConfig", "analyze_counts", "run_ensemble",
 ]

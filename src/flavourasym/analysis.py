@@ -3,10 +3,11 @@ mistag correction, and error propagation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._table import read_table, write_table
 from .toygen import BackgroundConfig, EventCategory
 
 __all__ = [
@@ -18,12 +19,17 @@ __all__ = [
     "expected_background_counts",
     "subtract_background",
     "asymmetry",
-    "correct_mistag",
+    "WRONG_TAG_ERROR",
+    "mistag_correct_counts",
+    "mistag_systematic",
     "write_spectrum",
     "read_spectrum",
+    "write_counts",
+    "read_counts",
 ]
 
 DEFAULT_EDGES = (0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 9.0, 13.0, 20.0)
+WRONG_TAG_ERROR = 0.005   # uncertainty on the mistag fraction
 
 
 @dataclass(frozen=True)
@@ -199,56 +205,74 @@ def asymmetry(c: BinnedCounts, bootstrap_rng: np.random.Generator | None = None,
     return AsymmetrySpectrum(c.binning, a, err)
 
 
-def correct_mistag(a_obs: AsymmetrySpectrum, w: float,
-                   w_err: float = 0.0) -> AsymmetrySpectrum:
-    """Undo the (1 - 2w) dilution from wrong flavour assignments."""
+def _dilution(w: float) -> float:
     if not 0.0 <= w < 0.5:
         raise ValueError("mistag fraction must lie in [0, 0.5)")
-    scale = 1.0 / (1.0 - 2.0 * w)
-    out = AsymmetrySpectrum(a_obs.binning, a_obs.a * scale,
-                            a_obs.stat_err * scale,
-                            dict(a_obs.syst_breakdown))
-    if w_err > 0:
-        up = a_obs.a / (1.0 - 2.0 * min(w + w_err, 0.499999))
-        dn = a_obs.a / (1.0 - 2.0 * max(w - w_err, 0.0))
-        syst = np.maximum(np.abs(up - out.a), np.abs(dn - out.a))
-        out = out.with_syst("wrong_tags", syst)
-    return out
+    return 1.0 - 2.0 * w
 
 
-_SPECTRUM_HEADER = ["bin", "lo_ps", "hi_ps", "a", "stat"]
+def mistag_correct_counts(c: BinnedCounts, w: float) -> BinnedCounts:
+    """Invert the per-event flip probability at the count level.
+
+    The corrected asymmetry equals the observed one divided by (1 - 2w);
+    the OF+SF sum is preserved.
+    """
+    d = _dilution(w)
+    if w == 0.0:
+        return c
+    n_of = ((1.0 - w) * c.n_of - w * c.n_sf) / d
+    n_sf = ((1.0 - w) * c.n_sf - w * c.n_of) / d
+    var_of = ((1.0 - w) ** 2 * c.var_of + w ** 2 * c.var_sf) / d ** 2
+    var_sf = ((1.0 - w) ** 2 * c.var_sf + w ** 2 * c.var_of) / d ** 2
+    return BinnedCounts(c.binning, n_of, n_sf, var_of=var_of, var_sf=var_sf,
+                        overflow_of=c.overflow_of, overflow_sf=c.overflow_sf)
+
+
+def mistag_systematic(spectrum: AsymmetrySpectrum, w: float,
+                      w_err: float = WRONG_TAG_ERROR) -> np.ndarray:
+    """Per-bin shift of a mistag-corrected asymmetry under w -> w +/- w_err,
+    with the shifted fractions clamped to [0, 0.499999]."""
+    a_obs = spectrum.a * _dilution(w)
+    up = a_obs / (1.0 - 2.0 * min(w + w_err, 0.499999))
+    dn = a_obs / (1.0 - 2.0 * max(w - w_err, 0.0))
+    return np.maximum(np.abs(up - spectrum.a), np.abs(dn - spectrum.a))
+
+
+_SPECTRUM_HEADER = ["bin", "lo_ps", "hi_ps", "a", "stat", "syst_total"]
+_COUNTS_HEADER = ["bin", "lo_ps", "hi_ps", "n_of", "var_of", "n_sf", "var_sf"]
+
+
+def _bin_columns(binning: Binning) -> list:
+    edges = binning.array
+    return [np.arange(1, binning.n_bins + 1), edges[:-1], edges[1:]]
 
 
 def write_spectrum(s: AsymmetrySpectrum, path) -> None:
     """Table-layout delimited text: bin, window, a, stat, syst_total, sources."""
     sources = sorted(s.syst_breakdown)
-    syst = s.syst_err
-    edges = s.binning.array
-    with open(path, "w") as f:
-        f.write(",".join(_SPECTRUM_HEADER + ["syst_total"] + sources) + "\n")
-        for i in range(s.binning.n_bins):
-            row = [str(i + 1), "%.9g" % edges[i], "%.9g" % edges[i + 1],
-                   "%.9g" % s.a[i], "%.9g" % s.stat_err[i], "%.9g" % syst[i]]
-            row += ["%.9g" % s.syst_breakdown[src][i] for src in sources]
-            f.write(",".join(row) + "\n")
+    columns = _bin_columns(s.binning) + [s.a, s.stat_err, s.syst_err] + [
+        s.syst_breakdown[src] for src in sources]
+    write_table(path, columns, ["%d"] + ["%.9g"] * (len(columns) - 1),
+                _SPECTRUM_HEADER + sources)
 
 
 def read_spectrum(path) -> AsymmetrySpectrum:
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        if header[:6] != _SPECTRUM_HEADER + ["syst_total"]:
-            raise ValueError(f"unexpected spectrum header in {path}")
-        sources = header[6:]
-        rows = [line.strip().split(",") for line in f if line.strip()]
-    lo = np.array([float(r[1]) for r in rows])
-    hi = np.array([float(r[2]) for r in rows])
-    edges = tuple(np.append(lo, hi[-1]))
-    a = np.array([float(r[3]) for r in rows])
-    stat = np.array([float(r[4]) for r in rows])
-    syst_total = np.array([float(r[5]) for r in rows])
-    if sources:
-        breakdown = {src: np.array([float(r[6 + j]) for r in rows])
-                     for j, src in enumerate(sources)}
-    else:
-        breakdown = {"total": syst_total} if syst_total.any() else {}
-    return AsymmetrySpectrum(Binning(edges), a, stat, breakdown)
+    t = read_table(path, _SPECTRUM_HEADER, extra=True)
+    syst_total = t.numbers(5)
+    breakdown = {src: t.numbers(j) for j, src in enumerate(t.header[6:], 6)}
+    if not breakdown and syst_total.any():
+        breakdown = {"total": syst_total}
+    return AsymmetrySpectrum(Binning(t.edges()), t.numbers(3), t.numbers(4),
+                             breakdown)
+
+
+def write_counts(c: BinnedCounts, path) -> None:
+    columns = _bin_columns(c.binning) + [c.n_of, c.var_of, c.n_sf, c.var_sf]
+    write_table(path, columns, ["%d"] + ["%.9g"] * 6, _COUNTS_HEADER)
+
+
+def read_counts(path) -> BinnedCounts:
+    t = read_table(path, _COUNTS_HEADER)
+    return BinnedCounts(Binning(t.edges()), n_of=t.numbers(3),
+                        n_sf=t.numbers(5), var_of=t.numbers(4),
+                        var_sf=t.numbers(6))

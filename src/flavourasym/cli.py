@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (AsymmetrySpectrum, BinnedCounts, Binning,
-                       read_spectrum, write_spectrum)
+from ._table import write_table
+from .analysis import (AsymmetrySpectrum, read_counts, read_spectrum,
+                       write_counts, write_spectrum)
 from .config import ConfigError, default_config_text, load_config
 from .fitkit import BinPredictor, Constraint, fit_model, fit_zeta, significance
 from .models import ModelParams, curve_rows
@@ -41,6 +42,10 @@ def _sha256(path) -> str:
 
 
 def _write_log(out_path, inputs: dict, extra: dict | None = None) -> None:
+    """JSON sidecar `<out>.log`, written only next to a regular file, so an
+    output sent to a device such as /dev/null leaves no sidecar."""
+    if not Path(out_path).is_file():
+        return
     log = {
         "version": __version__,
         "constants": {"c_um_per_ps": C_UM_PER_PS, "beta_gamma": BETA_GAMMA},
@@ -57,16 +62,16 @@ def _load_run(args):
     if args.config is None:
         raise ConfigError("this command needs --config")
     run = load_config(args.config)
-    if args.seed is not None:
-        run = replace(run, pipeline=replace(run.pipeline, seed=args.seed))
-    if args.replicas is not None:
-        run = replace(run, replicas=args.replicas)
+    seed = getattr(args, "seed", None)
+    if seed is not None:
+        run = replace(run, pipeline=replace(run.pipeline, seed=seed))
     return run
 
 
 def cmd_init_config(args):
     out = Path(args.out or "run.cfg")
-    out.write_text(default_config_text(seed=args.seed or 1))
+    out.write_text(default_config_text(seed=1 if args.seed is None
+                                       else args.seed))
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -80,10 +85,8 @@ def cmd_curves(args):
     grid = np.arange(0.0, args.max + 0.5 * args.step, args.step)
     rows = curve_rows(grid, p)
     out = Path(args.out or "curves.csv")
-    with open(out, "w") as f:
-        f.write("dt,A_QM,A_SD,PS_min,PS_max\n")
-        for r in rows:
-            f.write(",".join("%.9g" % v for v in r) + "\n")
+    write_table(out, list(rows.T), ["%.9g"] * 5,
+                ["dt", "A_QM", "A_SD", "PS_min", "PS_max"])
     _write_log(out, {"dm": p.dm, "tau": p.tau, "step": args.step,
                      "max": args.max})
     print(f"wrote {len(rows)} rows to {out}")
@@ -102,36 +105,6 @@ def cmd_generate(args):
                      "model": run.model.value, "n_events": len(events)})
     print(f"wrote {len(events)} events to {out}")
     return EXIT_OK
-
-
-_COUNTS_HEADER = "bin,lo_ps,hi_ps,n_of,var_of,n_sf,var_sf"
-
-
-def write_counts(c: BinnedCounts, path) -> None:
-    edges = c.binning.array
-    with open(path, "w") as f:
-        f.write(_COUNTS_HEADER + "\n")
-        for i in range(c.binning.n_bins):
-            f.write(f"{i + 1},{edges[i]:.9g},{edges[i + 1]:.9g},"
-                    f"{c.n_of[i]:.9g},{c.var_of[i]:.9g},"
-                    f"{c.n_sf[i]:.9g},{c.var_sf[i]:.9g}\n")
-
-
-def read_counts(path) -> BinnedCounts:
-    with open(path) as f:
-        if f.readline().strip() != _COUNTS_HEADER:
-            raise ConfigError(f"unexpected counts header in {path}")
-        rows = [line.strip().split(",") for line in f if line.strip()]
-    lo = [float(r[1]) for r in rows]
-    hi = [float(r[2]) for r in rows]
-    edges = tuple(lo + [hi[-1]])
-    return BinnedCounts(
-        Binning(edges),
-        n_of=np.array([float(r[3]) for r in rows]),
-        n_sf=np.array([float(r[5]) for r in rows]),
-        var_of=np.array([float(r[4]) for r in rows]),
-        var_sf=np.array([float(r[6]) for r in rows]),
-    )
 
 
 def cmd_analyze(args):
@@ -180,15 +153,16 @@ def cmd_unfold(args):
     return EXIT_OK
 
 
-def _fit_report(spectrum, models, constraint, tau):
+def _fit_all(spectrum, models, constraint, tau=1.53) -> dict:
+    """Fits of the named models in order, sharing one predictor."""
     pred = BinPredictor(spectrum.binning, tau=tau)
-    fits = {}
+    return {m: fit_zeta(spectrum, constraint, pred) if m == "DECOHERED"
+            else fit_model(spectrum, m, constraint, pred) for m in models}
+
+
+def _fit_report(spectrum, models, constraint, tau):
+    fits = _fit_all(spectrum, models, constraint, tau)
     lines = []
-    for m in models:
-        if m == "DECOHERED":
-            fits[m] = fit_zeta(spectrum, constraint, pred)
-        else:
-            fits[m] = fit_model(spectrum, m, constraint, pred)
     for m, f in fits.items():
         theta = "zeta" if m == "DECOHERED" else "dm"
         lines.append(f"{m}: {theta} = {f.theta_hat:.4f} +- {f.theta_err:.4f}  "
@@ -253,11 +227,8 @@ def reproduce_fixture(spectrum=None, constraint=None):
     """Fit the shipped published-spectrum fixture; values keyed for reporting."""
     if spectrum is None:
         spectrum = read_spectrum(fixture_path())
-    constraint = constraint or Constraint()
-    pred = BinPredictor(spectrum.binning)
-    fits = {m: fit_model(spectrum, m, constraint, pred)
-            for m in ("QM", "SD", "PS")}
-    fits["DECOHERED"] = fit_zeta(spectrum, constraint, pred)
+    fits = _fit_all(spectrum, ("QM", "SD", "PS", "DECOHERED"),
+                    constraint or Constraint())
     values = {}
     for m, f in fits.items():
         values[(m, "theta_hat")] = f.theta_hat
@@ -295,48 +266,48 @@ def build_parser():
         prog="flavourasym",
         description="Time-dependent flavour-asymmetry simulation, "
                     "unfolding and model fits")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="run configuration file (INI)")
-    common.add_argument("--seed", type=int, help="override the master seed")
-    common.add_argument("--out", help="output path")
-    common.add_argument("--replicas", type=int,
-                        help="override the pseudo-experiment replica count")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add(name, func, config=False, seed=False, out=False, **kw):
+        p = sub.add_parser(name, **kw)
+        if config:
+            p.add_argument("--config", help="run configuration file (INI)")
+        if seed:
+            p.add_argument("--seed", type=int, help="override the master seed")
+        if out:
+            p.add_argument("--out", help="output path")
+        p.set_defaults(func=func)
+        return p
 
-    c = add("curves", help="export model asymmetry curves")
+    c = add("curves", cmd_curves, out=True,
+            help="export model asymmetry curves")
     c.add_argument("--dm", type=float, default=0.507)
     c.add_argument("--tau", type=float, default=1.53)
     c.add_argument("--step", type=float, default=0.1)
     c.add_argument("--max", type=float, default=20.0)
-    c.set_defaults(func=cmd_curves)
 
-    g = add("generate", help="generate a toy event file")
-    g.set_defaults(func=cmd_generate)
+    add("generate", cmd_generate, config=True, seed=True, out=True,
+        help="generate a toy event file")
 
-    a = add("analyze", help="bin, subtract, and tag-correct events")
+    a = add("analyze", cmd_analyze, config=True, out=True,
+            help="bin, subtract, and tag-correct events")
     a.add_argument("events", help="event file from 'generate'")
-    a.set_defaults(func=cmd_analyze)
 
-    u = add("unfold", help="unfold corrected counts to truth level")
+    u = add("unfold", cmd_unfold, config=True, seed=True, out=True,
+            help="unfold corrected counts to truth level")
     u.add_argument("counts", help="counts file from 'analyze'")
     u.add_argument("--response-of", help="serialized OF response matrix")
     u.add_argument("--response-sf", help="serialized SF response matrix")
-    u.set_defaults(func=cmd_unfold)
 
-    f = add("fit", help="fit models to a spectrum file")
+    f = add("fit", cmd_fit, config=True, out=True,
+            help="fit models to a spectrum file")
     f.add_argument("spectrum")
     f.add_argument("--models", default="QM,SD,PS")
-    f.set_defaults(func=cmd_fit)
 
-    r = add("reproduce",
-                       help="fit the shipped published spectrum and compare")
-    r.set_defaults(func=cmd_reproduce)
-
-    i = add("init-config", help="write a configuration template")
-    i.set_defaults(func=cmd_init_config)
+    add("reproduce", cmd_reproduce,
+        help="fit the shipped published spectrum and compare")
+    add("init-config", cmd_init_config, seed=True, out=True,
+        help="write a configuration template")
     return ap
 
 

@@ -13,6 +13,7 @@ from .models import ModelParams
 from .pipeline import PipelineConfig
 from .toygen import (BackgroundConfig, BackgroundShape, CategoryYield,
                      DetectorConfig, EventCategory, GenModel)
+from .unfold import UnfoldConfig
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "default_config_text"]
 
@@ -28,7 +29,6 @@ class RunConfig:
     model: GenModel
     pipeline: PipelineConfig
     n_streams: int = 1
-    replicas: int = 300
 
 
 def _get(cp, section, key, conv, default=None, required=False):
@@ -106,20 +106,18 @@ def load_config(path) -> RunConfig:
         yields=yields,
         fixed_counts=_get(cp, "backgrounds", "fixed_counts", _parse_bool, False),
     )
-    binning = Binning()
-    if cp.has_section("binning") and cp.has_option("binning", "edges"):
-        edges = tuple(float(x) for x in cp.get("binning", "edges").split())
-        binning = Binning(edges)
-    from .unfold import UnfoldConfig
+    binning = _get(cp, "binning", "edges",
+                   lambda raw: Binning(tuple(float(x) for x in raw.split())),
+                   Binning())
     unfold = UnfoldConfig(
-        rank_of=_get(cp, "unfold", "rank_of", int, 5) if cp.has_section("unfold") else 5,
-        rank_sf=_get(cp, "unfold", "rank_sf", int, 6) if cp.has_section("unfold") else 6,
-        mix_s=_get(cp, "unfold", "mix_s", float, 0.2) if cp.has_section("unfold") else 0.2,
-        mix_o=_get(cp, "unfold", "mix_o", float, 0.2) if cp.has_section("unfold") else 0.2,
+        rank_of=_get(cp, "unfold", "rank_of", int, 5),
+        rank_sf=_get(cp, "unfold", "rank_sf", int, 6),
+        mix_s=_get(cp, "unfold", "mix_s", float, 0.2),
+        mix_o=_get(cp, "unfold", "mix_o", float, 0.2),
     )
     constraint = Constraint(
-        mean=_get(cp, "fit", "constraint_mean", float, 0.496) if cp.has_section("fit") else 0.496,
-        sigma=_get(cp, "fit", "constraint_sigma", float, 0.014) if cp.has_section("fit") else 0.014,
+        mean=_get(cp, "fit", "constraint_mean", float, 0.496),
+        sigma=_get(cp, "fit", "constraint_sigma", float, 0.014),
     )
     seed = _get(cp, "run", "seed", int, required=True)
     pipeline = PipelineConfig(
@@ -132,7 +130,6 @@ def load_config(path) -> RunConfig:
     return RunConfig(
         model=model, pipeline=pipeline,
         n_streams=_get(cp, "run", "streams", int, 1),
-        replicas=_get(cp, "run", "replicas", int, 300),
     )
 
 
@@ -162,7 +159,6 @@ n_signal = 7815
 seed = {seed}
 streams = 1
 n_response_mc = 400000
-replicas = 300
 
 [unfold]
 rank_of = 5

@@ -26,6 +26,7 @@ __all__ = [
 DM_SEARCH = (0.2, 0.9)      # 1/ps bracket for the oscillation frequency
 DM_XTOL = 1e-5
 ZETA_XTOL = 1e-4
+BIN_NODES = 64              # Gauss-Legendre nodes per analysis bin
 
 
 @dataclass(frozen=True)
@@ -59,48 +60,43 @@ class FitResult:
             raise ValueError("theta_err must be positive")
         if self.chi2 < 0:
             raise ValueError("chi2 must be non-negative")
+        if not np.isfinite(self.chi2):
+            raise ArithmeticError(f"{self.model} fit: chi-square is not finite")
 
 
 class BinPredictor:
     """Rate-weighted bin averages of the model curves over an analysis binning.
 
     The within-bin weight is the total pair rate exp(-dt/tau), which is
-    common to all models considered. A midpoint mode exists for
-    sensitivity studies; wide bins make it a poor default.
+    common to all models considered.
     """
 
-    def __init__(self, binning: Binning, tau: float = 1.53,
-                 n_nodes: int = 64, n_tmin_nodes: int = 400,
-                 midpoint: bool = False):
+    def __init__(self, binning: Binning, tau: float = 1.53):
         self.binning = binning
         self.tau = tau
-        self.midpoint = midpoint
         edges = binning.array
-        x, w = np.polynomial.legendre.leggauss(n_nodes)
+        x, w = np.polynomial.legendre.leggauss(BIN_NODES)
         half = 0.5 * (edges[1:, None] - edges[:-1, None])
         mid = 0.5 * (edges[1:, None] + edges[:-1, None])
         self._t = mid + half * x                       # (bins, nodes)
         wn = half * w * np.exp(-self._t / tau)
         self._w = wn / wn.sum(axis=1, keepdims=True)
-        self._mid = 0.5 * (edges[1:] + edges[:-1])
-        self._n_tmin_nodes = n_tmin_nodes
         self._grids = {}
 
     def _grid(self, dm: float) -> MarginalGrid:
         if dm not in self._grids:
             if len(self._grids) > 512:
                 self._grids.clear()
-            self._grids[dm] = MarginalGrid(
-                ModelParams(dm=dm, tau=self.tau), self._n_tmin_nodes)
+            self._grids[dm] = MarginalGrid(ModelParams(dm=dm, tau=self.tau))
         return self._grids[dm]
 
     def average(self, f) -> np.ndarray:
         """Rate-weighted bin average of a curve f(dt)."""
-        if self.midpoint:
-            return np.asarray(f(self._mid), dtype=float)
         return (f(self._t) * self._w).sum(axis=1)
 
     def predict(self, model: str, dm: float, zeta: float = 0.0) -> np.ndarray:
+        """Bin averages of a point model, or of one edge of the
+        local-realistic band (the generation models PS_BOUNDARY_MAX/MIN)."""
         p = ModelParams(dm=dm, tau=self.tau)
         if model == "QM":
             return self.average(lambda t: np.cos(dm * t))
@@ -110,6 +106,10 @@ class BinPredictor:
             return self.average(
                 lambda t: (1 - zeta) * np.cos(dm * t)
                 + zeta * asym_sd_marginal(t, p))
+        if model == "PS_BOUNDARY_MAX":
+            return self.average(self._grid(dm).ps_upper)
+        if model == "PS_BOUNDARY_MIN":
+            return self.average(self._grid(dm).ps_lower)
         raise ValueError(f"no point prediction for model {model!r}")
 
     def band(self, dm: float):

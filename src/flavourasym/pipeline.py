@@ -10,10 +10,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analysis import (AsymmetrySpectrum, BinnedCounts, Binning, asymmetry,
-                       bin_events, subtract_background)
+from .analysis import (AsymmetrySpectrum, Binning, asymmetry, bin_events,
+                       mistag_correct_counts, mistag_systematic,
+                       subtract_background)
 from .fitkit import BinPredictor, Constraint, fit_model, significance
-from .models import MarginalGrid, ModelParams, asym_sd_marginal
+from .models import ModelParams
 from .toygen import (BackgroundConfig, DetectorConfig, GenModel,
                      generate_ensemble, make_signal_events, stream_rng)
 from .unfold import (ResponseMatrix, UnfoldConfig, bias_correct,
@@ -21,17 +22,14 @@ from .unfold import (ResponseMatrix, UnfoldConfig, bias_correct,
 
 __all__ = [
     "PipelineConfig",
-    "mistag_correct_counts",
     "corrected_counts",
     "analyze_counts",
-    "truth_asymmetry",
     "build_training_responses",
     "run_replica",
     "run_ensemble",
     "ensemble_pulls",
-    "model_comparison",
+    "qm_over_sd_significances",
     "smear_systematic",
-    "mistag_systematic",
 ]
 
 
@@ -55,25 +53,6 @@ class PipelineConfig:
                    seed=seed, **over)
 
 
-def mistag_correct_counts(c: BinnedCounts, w: float) -> BinnedCounts:
-    """Invert the per-event flip probability at the count level.
-
-    The corrected asymmetry equals the observed one divided by (1 - 2w);
-    the OF+SF sum is preserved.
-    """
-    if not 0.0 <= w < 0.5:
-        raise ValueError("mistag fraction must lie in [0, 0.5)")
-    if w == 0.0:
-        return c
-    d = 1.0 - 2.0 * w
-    n_of = ((1.0 - w) * c.n_of - w * c.n_sf) / d
-    n_sf = ((1.0 - w) * c.n_sf - w * c.n_of) / d
-    var_of = ((1.0 - w) ** 2 * c.var_of + w ** 2 * c.var_sf) / d ** 2
-    var_sf = ((1.0 - w) ** 2 * c.var_sf + w ** 2 * c.var_of) / d ** 2
-    return BinnedCounts(c.binning, n_of, n_sf, var_of=var_of, var_sf=var_sf,
-                        overflow_of=c.overflow_of, overflow_sf=c.overflow_sf)
-
-
 def corrected_counts(events: np.ndarray, cfg: PipelineConfig):
     """Binned, background-subtracted, mistag-corrected counts.
 
@@ -93,34 +72,10 @@ def analyze_counts(events: np.ndarray, cfg: PipelineConfig):
     corrected, bkg_syst = corrected_counts(events, cfg)
     spec = asymmetry(corrected)
     spec = spec.with_syst("background_subtraction", bkg_syst)
-    w, werr = cfg.detector.mistag_fraction, 0.005
+    w = cfg.detector.mistag_fraction
     if w > 0:
-        a_obs = spec.a * (1.0 - 2.0 * w)
-        up = a_obs / (1.0 - 2.0 * (w + werr))
-        dn = a_obs / (1.0 - 2.0 * (w - werr))
-        spec = spec.with_syst("wrong_tags",
-                              np.maximum(np.abs(up - spec.a),
-                                         np.abs(dn - spec.a)))
+        spec = spec.with_syst("wrong_tags", mistag_systematic(spec, w))
     return corrected, spec
-
-
-def truth_asymmetry(model: GenModel, cfg: PipelineConfig) -> np.ndarray:
-    """Rate-weighted truth-level binned asymmetry of a generation model."""
-    p = cfg.params
-    pred = BinPredictor(cfg.binning, tau=p.tau)
-    if model is GenModel.QM:
-        return pred.average(lambda t: np.cos(p.dm * t))
-    if model is GenModel.SD:
-        return pred.average(lambda t: asym_sd_marginal(t, p))
-    if model is GenModel.DECOHERED:
-        return pred.average(lambda t: (1 - p.zeta) * np.cos(p.dm * t)
-                            + p.zeta * asym_sd_marginal(t, p))
-    g = MarginalGrid(p)
-    if model is GenModel.PS_BOUNDARY_MAX:
-        return pred.average(g.ps_upper)
-    if model is GenModel.PS_BOUNDARY_MIN:
-        return pred.average(g.ps_lower)
-    raise ValueError(f"unknown model {model}")
 
 
 def build_training_responses(cfg: PipelineConfig, detector=None,
@@ -162,6 +117,8 @@ def run_ensemble(models, n_replicas: int, cfg: PipelineConfig,
     """
     if resp_of is None or resp_sf is None:
         resp_of, resp_sf = build_training_responses(cfg)
+    p = cfg.params
+    pred = BinPredictor(cfg.binning, tau=p.tau)
     unfolded, errors, truths = {}, {}, {}
     for model in models:
         rows, errs = [], []
@@ -171,7 +128,7 @@ def run_ensemble(models, n_replicas: int, cfg: PipelineConfig,
             errs.append(np.sqrt(np.diag(cov)))
         unfolded[model.value] = np.array(rows)
         errors[model.value] = np.array(errs)
-        truths[model.value] = truth_asymmetry(model, cfg)
+        truths[model.value] = pred.predict(model.value, p.dm, p.zeta)
     correction, syst = bias_correct(unfolded, truths)
     return {
         "unfolded": unfolded,
@@ -196,6 +153,22 @@ def ensemble_pulls(result: dict, model: GenModel,
     if include_systematic:
         err = np.sqrt(err ** 2 + result["deconvolution_systematic"] ** 2)
     return (a - result["truth"][model.value]) / err
+
+
+def qm_over_sd_significances(result: dict, cfg: PipelineConfig) -> np.ndarray:
+    """QM-over-SD significance of each bias-corrected QM replica of a
+    `run_ensemble` result, with the deconvolution systematic attached."""
+    pred = BinPredictor(cfg.binning, tau=cfg.params.tau)
+    c = cfg.constraint
+    sigs = []
+    for a, err in zip(result["unfolded"][GenModel.QM.value],
+                      result["errors"][GenModel.QM.value]):
+        spec = AsymmetrySpectrum(cfg.binning, a - result["correction"], err)
+        spec = spec.with_syst("deconvolution",
+                              result["deconvolution_systematic"])
+        sigs.append(significance(fit_model(spec, "QM", c, pred),
+                                 fit_model(spec, "SD", c, pred)))
+    return np.array(sigs)
 
 
 def smear_systematic(cfg: PipelineConfig, delta_um: float = 35.0,
@@ -224,22 +197,3 @@ def smear_systematic(cfg: PipelineConfig, delta_um: float = 35.0,
             diffs.append(a_var - a_nom)
         shifts.append(np.abs(np.mean(diffs, axis=0)))
     return np.max(shifts, axis=0)
-
-
-def mistag_systematic(spectrum: AsymmetrySpectrum, w: float,
-                      w_err: float = 0.005) -> np.ndarray:
-    """Per-bin shift of a mistag-corrected asymmetry under w -> w +/- w_err."""
-    a_obs = spectrum.a * (1.0 - 2.0 * w)
-    up = a_obs / (1.0 - 2.0 * (w + w_err))
-    dn = a_obs / (1.0 - 2.0 * (w - w_err))
-    return np.maximum(np.abs(up - spectrum.a), np.abs(dn - spectrum.a))
-
-
-def model_comparison(spectrum: AsymmetrySpectrum, c: Constraint,
-                     tau: float = 1.53):
-    """QM/SD/PS fits of a spectrum plus the pairwise significance matrix."""
-    pred = BinPredictor(spectrum.binning, tau=tau)
-    fits = {m: fit_model(spectrum, m, c, pred) for m in ("QM", "SD", "PS")}
-    sig = {(a, b): significance(fits[a], fits[b])
-           for a in fits for b in fits if a != b}
-    return fits, sig

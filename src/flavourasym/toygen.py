@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import FlavourClass, ModelParams, _ps_lower_joint, _ps_upper_joint
+from ._table import read_table, write_table
+from .models import ModelParams, _ps_lower_joint, _ps_upper_joint
 
 __all__ = [
     "C_UM_PER_PS",
@@ -292,33 +293,26 @@ def generate_ensemble(model: GenModel, p: ModelParams, d: DetectorConfig,
     return inject_backgrounds(signal, b, d, bkg_rng, stream=n_streams)
 
 
-_COLUMNS = [name for name in EVENT_DTYPE.names]
-_FMT = {"f8": "%.9g", "U2": "%s", "U20": "%s", "i4": "%d"}
+_COLUMNS = list(EVENT_DTYPE.names)
+_FMT = {"f": "%.9g", "U": "%s", "i": "%d"}
+_CODES = {"cls_true": ("OF", "SF"), "cls_assigned": ("OF", "SF"),
+          "category": tuple(c.value for c in EventCategory)}
 
 
 def write_events(events: np.ndarray, path) -> None:
-    with open(path, "w") as f:
-        f.write(",".join(_COLUMNS) + "\n")
-        for row in events:
-            f.write(",".join(
-                _FMT[EVENT_DTYPE[c].str.lstrip("<|>")] % row[c]
-                for c in _COLUMNS) + "\n")
+    write_table(path, [events[c] for c in _COLUMNS],
+                [_FMT[EVENT_DTYPE[c].kind] for c in _COLUMNS], _COLUMNS)
 
 
 def read_events(path) -> np.ndarray:
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        if header != _COLUMNS:
-            raise ValueError(f"unexpected event-file header in {path}: {header}")
-        rows = [line.rstrip("\n").split(",") for line in f if line.strip()]
-    ev = _empty_events(len(rows))
+    """Events from a file written by `write_events`; rejects malformed rows,
+    non-finite numbers, unknown class codes and unknown categories."""
+    t = read_table(path, _COLUMNS)
+    ev = _empty_events(len(t.columns[0]))
     for j, col in enumerate(_COLUMNS):
         kind = EVENT_DTYPE[col].kind
-        vals = [r[j] for r in rows]
-        if kind == "f":
-            ev[col] = np.array(vals, dtype=float)
-        elif kind == "i":
-            ev[col] = np.array(vals, dtype=int)
+        if kind == "U":
+            ev[col] = t.codes(j, _CODES[col])
         else:
-            ev[col] = vals
+            ev[col] = t.numbers(j, float if kind == "f" else int)
     return ev

@@ -7,10 +7,12 @@ and regularization is rank truncation of the resulting linear system.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import finite, read_table, write_table
 from .analysis import BinnedCounts, Binning
 
 __all__ = [
@@ -65,7 +67,6 @@ class UnfoldConfig:
     rank_sf: int = 6
     mix_s: float = 0.2
     mix_o: float = 0.2
-    replicas: int = 300
 
     def __post_init__(self):
         if not (1 <= self.rank_of and 1 <= self.rank_sf):
@@ -257,27 +258,27 @@ def bias_correct(unfolded_by_model: dict, truth_by_model: dict):
 
 
 def write_response(resp: ResponseMatrix, path) -> None:
-    import hashlib
     edges = resp.binning.array
     bh = hashlib.sha256(edges.tobytes()).hexdigest()[:12]
-    with open(path, "w") as f:
-        f.write(f"# class={resp.cls} binning={bh} "
-                f"edges={','.join('%g' % e for e in edges)}\n")
-        f.write("# truth_totals=" +
-                ",".join("%.9g" % t for t in resp.truth_totals) + "\n")
-        for row in resp.m:
-            f.write(",".join("%.9g" % v for v in row) + "\n")
+    preamble = [f"# class={resp.cls} binning={bh} "
+                f"edges={','.join('%g' % e for e in edges)}",
+                "# truth_totals=" + ",".join("%.9g" % t
+                                             for t in resp.truth_totals)]
+    write_table(path, list(resp.m.T), ["%.9g"] * resp.binning.n_bins,
+                preamble=preamble)
 
 
 def read_response(path) -> ResponseMatrix:
-    with open(path) as f:
-        head = f.readline().strip()
-        if not head.startswith("# class="):
-            raise ValueError(f"not a response file: {path}")
-        cls = head.split("class=")[1].split()[0]
-        edges = tuple(float(x) for x in head.split("edges=")[1].split(","))
-        totals = np.array([float(x) for x in
-                           f.readline().strip().split("truth_totals=")[1].split(",")])
-        m = np.array([[float(v) for v in line.strip().split(",")]
-                      for line in f if line.strip()])
-    return ResponseMatrix(Binning(edges), m, totals, cls=cls)
+    t = read_table(path, preamble=2)
+    head, totals = t.preamble
+    if not (head.startswith("# class=") and " edges=" in head
+            and totals.startswith("# truth_totals=")):
+        raise ValueError(f"not a response file: {path}")
+    cls = head.split("class=")[1].split()[0]
+    if cls not in ("OF", "SF"):
+        raise ValueError(f"{path}: unknown response class {cls!r}")
+    edges = finite(head.split("edges=")[1].split(","), f"{path}: edges")
+    totals = finite(totals.split("truth_totals=")[1].split(","),
+                    f"{path}: truth_totals")
+    m = np.column_stack([t.numbers(j) for j in range(len(t.columns))])
+    return ResponseMatrix(Binning(tuple(edges)), m, totals, cls=cls)

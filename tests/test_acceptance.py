@@ -10,16 +10,15 @@ import time
 import numpy as np
 import pytest
 
-from flavourasym.analysis import AsymmetrySpectrum, Binning, asymmetry, bin_events
+from flavourasym.analysis import (AsymmetrySpectrum, Binning, asymmetry,
+                                  bin_events, mistag_systematic)
 from flavourasym.cli import reproduce_fixture
-from flavourasym.fitkit import (BinPredictor, Constraint, fit_lifetime,
-                                fit_model, significance)
+from flavourasym.fitkit import BinPredictor, fit_lifetime
 from flavourasym.models import (ModelParams, asym_sd_joint, asym_sd_marginal,
                                 marginalize)
 from flavourasym.pipeline import (PipelineConfig, analyze_counts,
-                                  ensemble_pulls, mistag_systematic,
-                                  run_ensemble, smear_systematic,
-                                  truth_asymmetry)
+                                  ensemble_pulls, qm_over_sd_significances,
+                                  run_ensemble, smear_systematic)
 from flavourasym.toygen import (DetectorConfig, GenModel, make_signal_events,
                                 stream_rng)
 from flavourasym.unfold import (ResponseMatrix, UnfoldConfig, dsvd_unfold,
@@ -132,8 +131,7 @@ class TestGeneratorClosure:
         counts = bin_events(events, Binning(), which_dt="true",
                             which_cls="true")
         spec = asymmetry(counts)
-        cfg = PipelineConfig(params=p)
-        truth = truth_asymmetry(GenModel.QM, cfg)
+        truth = BinPredictor(Binning(), tau=p.tau).predict("QM", p.dm)
         pulls = (spec.a - truth) / spec.stat_err
         chi2_ndf = float(np.sum(pulls ** 2)) / len(pulls)
         check("generator pulls", np.all(np.abs(pulls) <= 3.0),
@@ -232,21 +230,11 @@ class TestUnfolding:
 
     def test_qm_preferred_over_sd(self, ensemble):
         cfg, res, _ = ensemble
-        pred = BinPredictor(cfg.binning, tau=cfg.params.tau)
-        c = Constraint()
-        syst = res["deconvolution_systematic"]
-        n_pref = 0
-        rows = res["unfolded"][GenModel.QM.value]
-        errs = res["errors"][GenModel.QM.value]
-        for a, err in zip(rows, errs):
-            spec = AsymmetrySpectrum(cfg.binning, a - res["correction"], err)
-            spec = spec.with_syst("deconvolution", syst)
-            s = significance(fit_model(spec, "QM", c, pred),
-                             fit_model(spec, "SD", c, pred))
-            n_pref += s > 5.0
-        frac = n_pref / len(rows)
+        sigs = qm_over_sd_significances(res, cfg)
+        n_pref = int(np.sum(sigs > 5.0))
+        frac = n_pref / len(sigs)
         check("QM preferred over SD at > 5 sigma", frac >= 0.90,
-              f"{n_pref}/{len(rows)} replicas ({100 * frac:.1f}% >= 90%)")
+              f"{n_pref}/{len(sigs)} replicas ({100 * frac:.1f}% >= 90%)")
 
     def test_runtime(self, ensemble):
         _, _, dt = ensemble

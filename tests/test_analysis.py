@@ -5,15 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flavourasym.analysis import (AsymmetrySpectrum, BinnedCounts, Binning,
-                                  asymmetry, bin_events, correct_mistag,
-                                  expected_background_counts, read_spectrum,
-                                  subtract_background, write_spectrum)
+from flavourasym.analysis import (WRONG_TAG_ERROR, AsymmetrySpectrum,
+                                  BinnedCounts, Binning, asymmetry, bin_events,
+                                  expected_background_counts,
+                                  mistag_correct_counts, mistag_systematic,
+                                  read_counts, read_spectrum,
+                                  subtract_background, write_counts,
+                                  write_spectrum)
 from flavourasym.models import ModelParams
 from flavourasym.toygen import (BackgroundConfig, DetectorConfig, GenModel,
                                 make_signal_events, stream_rng)
 
 TWO_BIN = Binning((0.0, 1.0, 2.0))
+
+
+def fixture_text():
+    from flavourasym.cli import fixture_path
+    return fixture_path().read_text()
 
 
 def counts_2(n_of, n_sf, **kw):
@@ -115,52 +123,76 @@ class TestSubtraction:
         assert 0 in out.negative_bins
 
 
+def diluted_counts(a_true, w, n=1000.0):
+    """Counts whose observed asymmetry is a_true diluted by (1 - 2w)."""
+    a_obs = np.asarray(a_true, float) * (1.0 - 2.0 * w)
+    return counts_2(n * (1.0 + a_obs) / 2.0, n * (1.0 - a_obs) / 2.0)
+
+
 class TestMistag:
     def test_dilution_inverse(self):
+        # flipping each tag with probability w undoes the correction
         w = 0.015
-        spec = AsymmetrySpectrum(TWO_BIN, np.array([0.9409, -0.485]),
-                                 np.array([0.02, 0.03]))
-        out = correct_mistag(spec, w)
-        np.testing.assert_allclose(out.a, spec.a / (1.0 - 2.0 * w))
-        np.testing.assert_allclose(out.stat_err,
-                                   spec.stat_err / (1.0 - 2.0 * w))
+        c = counts_2([700.0, 90.0], [300.0, 110.0])
+        out = mistag_correct_counts(c, w)
+        np.testing.assert_allclose((1 - w) * out.n_of + w * out.n_sf, c.n_of,
+                                   rtol=1e-12)
+        np.testing.assert_allclose((1 - w) * out.n_sf + w * out.n_of, c.n_sf,
+                                   rtol=1e-12)
 
     def test_observed_097_recovers_unity(self):
-        spec = AsymmetrySpectrum(TWO_BIN, np.array([0.97, 0.0]),
-                                 np.array([0.02, 0.02]))
-        out = correct_mistag(spec, 0.015)
+        c = counts_2([985.0, 500.0], [15.0, 500.0])   # a_obs = 0.97, 0
+        out = asymmetry(mistag_correct_counts(c, 0.015))
         assert out.a[0] == pytest.approx(1.0, abs=1e-12)
+        assert out.a[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_w_identity(self):
-        spec = AsymmetrySpectrum(TWO_BIN, np.array([0.5, -0.5]),
-                                 np.array([0.1, 0.1]))
-        out = correct_mistag(spec, 0.0)
-        np.testing.assert_array_equal(out.a, spec.a)
+        c = counts_2([700.0, 90.0], [300.0, 110.0])
+        assert mistag_correct_counts(c, 0.0) is c
+
+    def test_count_level_equivalence(self):
+        # the corrected asymmetry is the observed one over (1 - 2w), and
+        # the OF+SF total is preserved
+        c = counts_2([700.0, 90.0], [300.0, 110.0])
+        w = 0.08
+        out = mistag_correct_counts(c, w)
+        np.testing.assert_allclose(asymmetry(out).a,
+                                   asymmetry(c).a / (1.0 - 2.0 * w),
+                                   atol=1e-12)
+        np.testing.assert_allclose(out.n_of + out.n_sf, c.n_of + c.n_sf,
+                                   atol=1e-9)
+
+    def test_invalid_w(self):
+        c = counts_2([10.0, 10.0], [10.0, 10.0])
+        spec = AsymmetrySpectrum(TWO_BIN, np.zeros(2), np.ones(2))
+        for w in (-0.01, 0.5, 0.7):
+            with pytest.raises(ValueError):
+                mistag_correct_counts(c, w)
+            with pytest.raises(ValueError):
+                mistag_systematic(spec, w)
 
     def test_w_error_systematic(self):
         spec = AsymmetrySpectrum(TWO_BIN, np.array([0.8, -0.6]),
                                  np.array([0.1, 0.1]))
-        out = correct_mistag(spec, 0.015, w_err=0.005)
-        assert "wrong_tags" in out.syst_breakdown
-        assert np.all(out.syst_breakdown["wrong_tags"] > 0.0)
+        syst = mistag_systematic(spec, 0.015)
+        assert np.all(syst > 0.0)
+        # the larger shift is the one towards w + w_err
+        a_obs = spec.a * (1.0 - 2.0 * 0.015)
+        np.testing.assert_allclose(
+            syst, np.abs(a_obs / (1.0 - 2.0 * (0.015 + WRONG_TAG_ERROR))
+                         - spec.a), rtol=1e-12)
 
-    def test_invalid_w(self):
-        spec = AsymmetrySpectrum(TWO_BIN, np.zeros(2), np.ones(2))
-        with pytest.raises(ValueError):
-            correct_mistag(spec, 0.5)
-
-    def test_count_level_equivalence(self):
-        # mistag_correct_counts and correct_mistag agree on the asymmetry
-        from flavourasym.pipeline import mistag_correct_counts
-        c = counts_2([700.0, 90.0], [300.0, 110.0])
-        w = 0.08
-        direct = correct_mistag(asymmetry(c), w)
-        via_counts = asymmetry(mistag_correct_counts(c, w))
-        np.testing.assert_allclose(via_counts.a, direct.a, atol=1e-12)
-        # the count-level route preserves the total
-        out = mistag_correct_counts(c, w)
-        np.testing.assert_allclose(out.n_of + out.n_sf, c.n_of + c.n_sf,
-                                   atol=1e-9)
+    @pytest.mark.parametrize("w, w_up, w_dn", [(0.002, 0.007, 0.0),
+                                               (0.498, 0.499999, 0.493)])
+    def test_systematic_clamps(self, w, w_up, w_dn):
+        spec = AsymmetrySpectrum(TWO_BIN, np.array([0.8, -0.6]),
+                                 np.array([0.1, 0.1]))
+        syst = mistag_systematic(spec, w)
+        assert np.all(np.isfinite(syst))
+        a_obs = spec.a * (1.0 - 2.0 * w)
+        shifts = [np.abs(a_obs / (1.0 - 2.0 * v) - spec.a)
+                  for v in (w_up, w_dn)]
+        np.testing.assert_allclose(syst, np.maximum(*shifts), rtol=1e-9)
 
 
 class TestBinEvents:
@@ -227,6 +259,32 @@ class TestSpectrumIO:
         with pytest.raises(ValueError):
             read_spectrum(path)
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda t: t.replace(",0.916,", ",nan,"), "non-finite"),
+        (lambda t: t.replace("3,1,2,", "3,1.5,2,"), "contiguous"),
+        (lambda t: t.replace("\n4,2,3,", "\n5,2,3,"), "numbered"),
+        (lambda t: t.rsplit(",", 1)[0] + "\n", "fields"),
+        (lambda t: t.split("\n")[0] + "\n", "no data rows"),
+        (lambda t: t.replace("wrong_tags", "deconvolution"), "header"),
+    ])
+    def test_malformed_rejected(self, tmp_path, edit, match):
+        path = tmp_path / "spec.csv"
+        path.write_text(edit(fixture_text()))
+        with pytest.raises(ValueError, match=match):
+            read_spectrum(path)
+
+    def test_counts_round_trip(self, tmp_path):
+        c = BinnedCounts(Binning(), np.linspace(1, 50, 11),
+                         np.linspace(60, 2, 11), var_of=np.full(11, 3.5),
+                         var_sf=np.full(11, 0.25))
+        path = tmp_path / "counts.csv"
+        write_counts(c, path)
+        back = read_counts(path)
+        assert back.binning.array == pytest.approx(c.binning.array)
+        for f in ("n_of", "n_sf", "var_of", "var_sf"):
+            np.testing.assert_allclose(getattr(back, f), getattr(c, f),
+                                       rtol=1e-8)
+
 
 @given(n_of=st.integers(1, 10000), n_sf=st.integers(1, 10000))
 @settings(max_examples=200, deadline=None)
@@ -239,7 +297,9 @@ def test_asymmetry_bounds_property(n_of, n_sf):
 @given(w=st.floats(0.0, 0.45), a=st.floats(-0.5, 0.5))
 @settings(max_examples=100, deadline=None)
 def test_mistag_round_trip_property(w, a):
-    spec = AsymmetrySpectrum(TWO_BIN, np.array([a, a]), np.ones(2))
-    out = correct_mistag(spec, w)
-    # re-diluting recovers the observation
-    np.testing.assert_allclose(out.a * (1.0 - 2.0 * w), spec.a, atol=1e-12)
+    c = diluted_counts([a, a], w)
+    out = mistag_correct_counts(c, w)
+    # the correction recovers the undiluted asymmetry and keeps the total
+    np.testing.assert_allclose(asymmetry(out).a, [a, a], atol=1e-12)
+    np.testing.assert_allclose(out.n_of + out.n_sf, c.n_of + c.n_sf,
+                               rtol=1e-12)

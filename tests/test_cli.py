@@ -10,10 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flavourasym.analysis import read_spectrum
+from flavourasym.analysis import read_counts, read_spectrum
 from flavourasym.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
-                             fixture_path, main, read_counts)
+                             fixture_path, main)
 
 
 @pytest.fixture()
@@ -25,6 +27,27 @@ def cfg_path(tmp_path):
                                     "n_response_mc = 60000")
     path.write_text(text)
     return path
+
+
+class TestInitConfig:
+    def test_seed_zero_is_kept(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        assert main(["init-config", "--out", str(path),
+                     "--seed", "0"]) == EXIT_OK
+        assert "\nseed = 0\n" in path.read_text()
+        text = path.read_text().replace("n_signal = 7815", "n_signal = 2000")
+        path.write_text(text)
+        events = tmp_path / "events.csv"
+        assert main(["generate", "--config", str(path),
+                     "--out", str(events)]) == EXIT_OK
+        log = json.loads((tmp_path / "events.csv.log").read_text())
+        assert log["inputs"]["seed"] == 0
+
+    def test_flags_a_command_does_not_read_are_rejected(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["reproduce", "--out", str(tmp_path / "x")])
+        with pytest.raises(SystemExit):
+            main(["analyze", "--seed", "3", "events.csv"])
 
 
 class TestCurves:
@@ -39,6 +62,12 @@ class TestCurves:
         assert first[2] == pytest.approx(0.8122, abs=1e-3)
         log = json.loads((tmp_path / "c.csv.log").read_text())
         assert log["inputs"]["dm"] == 0.507
+
+    def test_no_sidecar_next_to_a_device(self, tmp_path):
+        sink = tmp_path / "sink"
+        sink.symlink_to(os.devnull)
+        assert main(["curves", "--out", str(sink)]) == EXIT_OK
+        assert not (tmp_path / "sink.log").exists()
 
     def test_bad_step_is_validation_error(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -130,6 +159,109 @@ class TestChain:
               "--out", str(spectrum)])
         assert main(["unfold", "--config", str(bad),
                      str(tmp_path / "spectrum.counts.csv")]) == EXIT_VALIDATION
+
+
+def chain_files(tmp_path, cfg_path):
+    """Run generate and analyze; return the events, counts and spectrum."""
+    events = tmp_path / "events.csv"
+    spectrum = tmp_path / "spectrum.csv"
+    assert main(["generate", "--config", str(cfg_path),
+                 "--out", str(events)]) == EXIT_OK
+    assert main(["analyze", "--config", str(cfg_path), str(events),
+                 "--out", str(spectrum)]) == EXIT_OK
+    return events, tmp_path / "spectrum.counts.csv", spectrum
+
+
+class TestMalformedInputs:
+    """Malformed input files end in exit code 2, not a traceback or a
+    result computed from bad numbers."""
+
+    def test_truncated_counts_row(self, tmp_path, cfg_path):
+        _, counts, _ = chain_files(tmp_path, cfg_path)
+        lines = counts.read_text().splitlines()
+        lines[4] = lines[4].rsplit(",", 2)[0]
+        counts.write_text("\n".join(lines) + "\n")
+        assert main(["unfold", "--config", str(cfg_path),
+                     str(counts)]) == EXIT_VALIDATION
+
+    def test_nan_in_spectrum(self, tmp_path, capsys):
+        lines = fixture_path().read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[3] = "nan"
+        lines[3] = ",".join(fields)
+        spectrum = tmp_path / "spectrum.csv"
+        spectrum.write_text("\n".join(lines) + "\n")
+        assert main(["fit", str(spectrum)]) == EXIT_VALIDATION
+        assert "nan" not in capsys.readouterr().out.lower()
+
+    def test_unknown_event_class(self, tmp_path, cfg_path):
+        events, _, _ = chain_files(tmp_path, cfg_path)
+        lines = events.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[6] = "XX"                                  # cls_assigned
+        lines[1] = ",".join(fields)
+        events.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", "--config", str(cfg_path), str(events),
+                     "--out", str(tmp_path / "s.csv")]) == EXIT_VALIDATION
+
+
+@pytest.fixture(scope="module")
+def small_chain(tmp_path_factory):
+    """A valid config, event, counts, spectrum and response file set."""
+    d = tmp_path_factory.mktemp("chain")
+    cfg = d / "run.cfg"
+    assert main(["init-config", "--out", str(cfg), "--seed", "5"]) == EXIT_OK
+    cfg.write_text(cfg.read_text()
+                   .replace("n_signal = 7815", "n_signal = 3000")
+                   .replace("n_response_mc = 400000", "n_response_mc = 20000"))
+    events, counts, spectrum = chain_files(d, cfg)
+    assert main(["unfold", "--config", str(cfg), str(counts),
+                 "--out", str(d / "unfolded.csv")]) == EXIT_OK
+    return d, {"events": events, "counts": counts, "spectrum": spectrum,
+               "response": d / "unfolded.resp_of.csv"}
+
+
+def _command(d, kind, bad):
+    cfg, files = str(d / "run.cfg"), str(d / "out.csv")
+    if kind == "events":
+        return ["analyze", "--config", cfg, bad, "--out", files]
+    if kind == "counts":
+        return ["unfold", "--config", cfg, bad, "--out", files,
+                "--response-of", str(d / "unfolded.resp_of.csv"),
+                "--response-sf", str(d / "unfolded.resp_sf.csv")]
+    if kind == "response":
+        return ["unfold", "--config", cfg, str(d / "spectrum.counts.csv"),
+                "--out", files, "--response-of", bad,
+                "--response-sf", str(d / "unfolded.resp_sf.csv")]
+    return ["fit", bad, "--config", cfg, "--models", "QM,SD"]
+
+
+BAD_FIELDS = st.sampled_from(["", "nan", "inf", "-1e999", "x", "-1", "0",
+                              "1e300", "OF", "SF", "XX", "signal", "1.5",
+                              "# class=OF"]) | st.floats().map(repr)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_corrupted_files_exit_cleanly(small_chain, data):
+    d, files = small_chain
+    kind = data.draw(st.sampled_from(sorted(files)))
+    text = files[kind].read_text()
+    if data.draw(st.booleans()):
+        text = text[:data.draw(st.integers(0, len(text)))]
+    else:
+        lines = text.split("\n")
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, len(lines) - 1))
+            fields = lines[i].split(",")
+            fields[data.draw(st.integers(0, len(fields) - 1))] = \
+                data.draw(BAD_FIELDS)
+            lines[i] = ",".join(fields)
+        text = "\n".join(lines)
+    bad = d / f"corrupt.{kind}.csv"
+    bad.write_text(text)
+    assert main(_command(d, kind, str(bad))) in (
+        EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)
 
 
 class TestFit:

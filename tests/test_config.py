@@ -85,6 +85,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="dstar_fake"):
             load_config(write_cfg(tmp_path, text))
 
+    def test_template_has_no_replica_count(self):
+        assert "replicas" not in default_config_text()
+
+    def test_old_replicas_key_still_loads(self, tmp_path):
+        text = MINIMAL.replace("seed = 11\n", "seed = 11\nreplicas = 300\n")
+        run = load_config(write_cfg(tmp_path, text))
+        assert run.pipeline.seed == 11
+        assert not hasattr(run, "replicas")
+
+    def test_bad_binning_diagnostic(self, tmp_path):
+        text = MINIMAL + "\n[binning]\nedges = 0 5 5 20\n"
+        with pytest.raises(ConfigError, match="edges"):
+            load_config(write_cfg(tmp_path, text))
+
     def test_custom_binning(self, tmp_path):
         text = MINIMAL + "\n[binning]\nedges = 0 5 10 20\n"
         run = load_config(write_cfg(tmp_path, text))

@@ -43,16 +43,20 @@ class TestBinPredictor:
         assert pred.predict("QM", dm)[0] == pytest.approx(num / den,
                                                           abs=1e-10)
 
-    def test_midpoint_mode(self):
-        pred = BinPredictor(Binning(), midpoint=True)
-        mids = 0.5 * (Binning().array[:-1] + Binning().array[1:])
-        np.testing.assert_allclose(pred.predict("QM", 0.507),
-                                   np.cos(0.507 * mids), atol=1e-12)
-
     def test_band_ordered(self):
         pred = BinPredictor(Binning())
         lo, up = pred.band(0.507)
         assert np.all(lo <= up + 1e-12)
+
+    def test_band_edges_as_generation_models(self):
+        pred = BinPredictor(Binning())
+        lo, up = pred.band(0.507)
+        np.testing.assert_array_equal(pred.predict("PS_BOUNDARY_MIN", 0.507),
+                                      lo)
+        np.testing.assert_array_equal(pred.predict("PS_BOUNDARY_MAX", 0.507),
+                                      up)
+        with pytest.raises(ValueError):
+            pred.predict("PS", 0.507)
 
     def test_decohered_limits(self):
         pred = BinPredictor(Binning())

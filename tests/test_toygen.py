@@ -223,6 +223,20 @@ class TestEventIO:
         for col in ("t1_ps", "t2_ps", "dt_true_ps", "dz_rec_um", "dt_rec_ps"):
             np.testing.assert_allclose(back[col], ev[col], rtol=1e-8)
 
+    def test_bytes_match_row_by_row_formatting(self, tmp_path):
+        # reference: the row-by-row loop the chunked column writer replaced
+        ev = generate_ensemble(GenModel.QM, P, DetectorConfig(),
+                               BackgroundConfig.paper_scale(), 9000,
+                               master_seed=13)
+        fmt = {"f": "%.9g", "U": "%s", "i": "%d"}
+        names = ev.dtype.names
+        ref = ",".join(names) + "\n" + "".join(
+            ",".join(fmt[ev.dtype[c].kind] % row[c] for c in names) + "\n"
+            for row in ev)
+        path = tmp_path / "events.csv"
+        write_events(ev, path)
+        assert path.read_text() == ref
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("nope\n1,2\n")
