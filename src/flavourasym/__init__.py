@@ -15,7 +15,7 @@ from .fitkit import (BinPredictor, Constraint, FitResult, chi2, fit_lifetime,
                      fit_model, fit_zeta, significance)
 from .models import (AsymmetryBand, FlavourClass, MarginalGrid, ModelParams,
                      asym_decohered, asym_qm, asym_sd_joint, asym_sd_marginal,
-                     curve_rows, marginalize, ps_bounds_joint,
+                     curve_rows, marginalize, ps_band_edges, ps_bounds_joint,
                      ps_bounds_marginal, rate_qm)
 from .pipeline import PipelineConfig, analyze_counts, run_ensemble
 from .toygen import (BackgroundConfig, BackgroundShape, CategoryYield,
@@ -29,7 +29,8 @@ __all__ = [
     "__version__",
     "ModelParams", "FlavourClass", "AsymmetryBand", "MarginalGrid",
     "rate_qm", "asym_qm", "asym_sd_joint", "asym_sd_marginal", "marginalize",
-    "ps_bounds_joint", "ps_bounds_marginal", "asym_decohered", "curve_rows",
+    "ps_bounds_joint", "ps_band_edges", "ps_bounds_marginal",
+    "asym_decohered", "curve_rows",
     "GenModel", "EventCategory", "DetectorConfig", "BackgroundShape",
     "CategoryYield", "BackgroundConfig", "generate_ensemble",
     "write_events", "read_events",

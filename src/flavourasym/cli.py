@@ -313,7 +313,10 @@ def build_parser():
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as e:     # argparse exits on --help and on usage errors
+        return EXIT_OK if e.code is None else e.code
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as e:

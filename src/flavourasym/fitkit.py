@@ -81,14 +81,7 @@ class BinPredictor:
         self._t = mid + half * x                       # (bins, nodes)
         wn = half * w * np.exp(-self._t / tau)
         self._w = wn / wn.sum(axis=1, keepdims=True)
-        self._grids = {}
-
-    def _grid(self, dm: float) -> MarginalGrid:
-        if dm not in self._grids:
-            if len(self._grids) > 512:
-                self._grids.clear()
-            self._grids[dm] = MarginalGrid(ModelParams(dm=dm, tau=self.tau))
-        return self._grids[dm]
+        self._grid = MarginalGrid(tau)
 
     def average(self, f) -> np.ndarray:
         """Rate-weighted bin average of a curve f(dt)."""
@@ -107,15 +100,15 @@ class BinPredictor:
                 lambda t: (1 - zeta) * np.cos(dm * t)
                 + zeta * asym_sd_marginal(t, p))
         if model == "PS_BOUNDARY_MAX":
-            return self.average(self._grid(dm).ps_upper)
+            return self.band(dm)[1]
         if model == "PS_BOUNDARY_MIN":
-            return self.average(self._grid(dm).ps_lower)
+            return self.band(dm)[0]
         raise ValueError(f"no point prediction for model {model!r}")
 
     def band(self, dm: float):
         """Per-bin (lower, upper) averages of the local-realistic band."""
-        g = self._grid(dm)
-        return self.average(g.ps_lower), self.average(g.ps_upper)
+        return (self.average(lambda t: self._grid.ps_lower(t, dm)),
+                self.average(lambda t: self._grid.ps_upper(t, dm)))
 
 
 def _residuals(spectrum: AsymmetrySpectrum, model: str, dm: float,

@@ -44,10 +44,9 @@ class TestInitConfig:
         assert log["inputs"]["seed"] == 0
 
     def test_flags_a_command_does_not_read_are_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["reproduce", "--out", str(tmp_path / "x")])
-        with pytest.raises(SystemExit):
-            main(["analyze", "--seed", "3", "events.csv"])
+        assert main(["reproduce", "--out",
+                     str(tmp_path / "x")]) == EXIT_VALIDATION
+        assert main(["analyze", "--seed", "3", "events.csv"]) == EXIT_VALIDATION
 
 
 class TestCurves:
@@ -302,6 +301,12 @@ class TestExitCodes:
               "--out", str(spectrum)])
         assert main(["unfold", "--config", str(cfg_path),
                      str(tmp_path / "spectrum.counts.csv")]) == EXIT_NUMERICAL
+
+    def test_usage_errors_are_returned_not_raised(self, capsys):
+        assert main(["fit"]) == EXIT_VALIDATION
+        assert "usage:" in capsys.readouterr().err
+        assert main(["--help"]) == EXIT_OK
+        assert "usage:" in capsys.readouterr().out
 
     @pytest.mark.skipif(shutil.which("flavourasym") is None,
                         reason="flavourasym console script not on PATH; "

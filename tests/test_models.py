@@ -2,16 +2,40 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from flavourasym.models import (AsymmetryBand, FlavourClass, MarginalGrid,
                                 ModelParams, _ps_lower_joint, _ps_upper_joint,
                                 asym_decohered, asym_qm, asym_sd_joint,
                                 asym_sd_marginal, curve_rows, marginalize,
-                                ps_bounds_joint, ps_bounds_marginal, rate_qm)
+                                ps_band_edges, ps_bounds_joint,
+                                ps_bounds_marginal, rate_qm)
 
 P = ModelParams()
+
+
+def split_marginal(dt, p):
+    """Oracle for the marginal band: (lower, upper) by adaptive quadrature
+    of each joint edge over t_min in [0, 40 tau], split at its kinks
+    (alpha + pi/2 + n pi) / dm, so every piece is smooth."""
+    umax = 40.0 * p.tau
+    c, s = np.cos(p.dm * dt), np.sin(p.dm * dt)
+    den = p.tau / 2.0 * -np.expm1(-2.0 * umax / p.tau)
+    out = []
+    for joint, alpha in ((_ps_lower_joint, np.arctan2(-s, 1.0 + c)),
+                         (_ps_upper_joint, np.arctan2(s, 1.0 - c))):
+        n = np.arange(-1, np.ceil(umax * p.dm / np.pi) + 1)
+        kinks = (alpha + np.pi / 2 + n * np.pi) / p.dm
+        pts = np.concatenate([[0.0], kinks[(kinks > 0) & (kinks < umax)],
+                              [umax]])
+        num = sum(integrate.quad(
+            lambda u: joint(u, dt, p.dm) * np.exp(-2.0 * u / p.tau),
+            a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+            for a, b in zip(pts[:-1], pts[1:]))
+        out.append(num / den)
+    return tuple(out)
 
 
 class TestParams:
@@ -51,6 +75,8 @@ class TestRates:
             rate_qm(-0.1, FlavourClass.OF, P)
         with pytest.raises(ValueError):
             asym_qm([-1.0, 2.0], P)
+        with pytest.raises(ValueError):
+            ps_band_edges([1.0, -0.5], P)
 
 
 class TestSDMarginal:
@@ -118,29 +144,45 @@ class TestPSBand:
 
     def test_grid_matches_quadrature(self):
         # the band integrands have kinks in t_min, so the fixed-node rule
-        # converges only polynomially: ~1e-5 at 400 nodes
-        g = MarginalGrid(P)
+        # converges only polynomially: ~1e-5 at 400 nodes at these dt, and
+        # the documented worst case ~1.1e-4 over a fine dt grid
+        g = MarginalGrid(P.tau)
         for dt in (0.0, 0.5, 2.5, 6.2, 11.0, 19.5):
             band = ps_bounds_marginal(dt, P)
-            assert float(g.ps_lower(dt)) == pytest.approx(band.lower,
-                                                          abs=5e-5)
-            assert float(g.ps_upper(dt)) == pytest.approx(band.upper,
-                                                          abs=5e-5)
+            assert float(g.ps_lower(dt, P.dm)) == pytest.approx(band.lower,
+                                                                abs=5e-5)
+            assert float(g.ps_upper(dt, P.dm)) == pytest.approx(band.upper,
+                                                                abs=5e-5)
+        dt = np.arange(0.0, 20.0 + 1e-9, 0.05)
+        lo, up = ps_band_edges(dt, P)
+        assert np.abs(g.ps_lower(dt, P.dm) - lo).max() < 1.2e-4
+        assert np.abs(g.ps_upper(dt, P.dm) - up).max() < 1.2e-4
 
-    def test_grid_matches_quadrature_smooth(self):
-        # smooth integrands converge to quadrature precision
-        g = MarginalGrid(P)
-        joint = lambda u, d: np.cos(P.dm * u) * np.cos(P.dm * (u + d))
-        for dt in (0.0, 2.5, 11.0):
-            assert float(g.average(joint, dt)) == pytest.approx(
-                marginalize(joint, dt, P), abs=1e-9)
+    def test_grid_blocks_match_one_array(self):
+        # block-wise evaluation gives the sums of one (..., nodes) array
+        # bit for bit, for any dt shape and across block boundaries
+        g = MarginalGrid(P.tau)
+        rng = np.random.default_rng(2)
+        for dt in (rng.uniform(0, 20, (11, 64)), rng.uniform(0, 20, 130),
+                   np.float64(3.3)):
+            for joint, edge in ((_ps_lower_joint, g.ps_lower),
+                                (_ps_upper_joint, g.ps_upper)):
+                whole = (joint(g.u, dt[..., None], 0.45) * g.w).sum(axis=-1)
+                np.testing.assert_array_equal(edge(dt, 0.45), whole)
+
+    def test_marginal_band_invariants(self):
+        dt = np.linspace(0.0, 20.0, 2001)
+        for p in (P, ModelParams(dm=0.2, tau=0.5), ModelParams(dm=0.9, tau=3.0)):
+            lo, up = ps_band_edges(dt, p)
+            assert up[0] == 1.0
+            assert np.all(lo <= up)
+            assert np.all((-1.0 <= lo) & (up <= 1.0))
 
     def test_qm_exits_band_at_intermediate_dt(self):
         # the cosine leaves the band away from dt = 0, which is what makes
         # the models distinguishable
-        g = MarginalGrid(P)
         dt = np.linspace(0.0, 20.0, 201)
-        lo, up = g.ps_lower(dt), g.ps_upper(dt)
+        lo, up = ps_band_edges(dt, P)
         a = asym_qm(dt, P)
         assert up[0] == pytest.approx(1.0, abs=1e-9)
         assert np.any(a > up + 0.05) or np.any(a < lo - 0.05)
@@ -185,6 +227,13 @@ class TestCurveRows:
         np.testing.assert_allclose(rows[:, 2], asym_sd_marginal(grid, P))
         assert np.all(rows[:, 3] <= rows[:, 4] + 1e-12)
 
+    def test_ps_columns_are_the_closed_form(self):
+        grid = np.arange(0.0, 20.0 + 1e-9, 0.1)
+        lo, up = ps_band_edges(grid, P)
+        rows = curve_rows(grid, P)
+        np.testing.assert_array_equal(rows[:, 3], lo)
+        np.testing.assert_array_equal(rows[:, 4], up)
+
 
 @given(dm=st.floats(0.2, 0.9), tau=st.floats(0.5, 3.0),
        t_min=st.floats(0.0, 30.0), dt=st.floats(0.0, 20.0))
@@ -195,6 +244,18 @@ def test_joint_band_property(dm, tau, t_min, dt):
     # ordering may be violated by one ulp where the edges touch
     assert -1.0 - 1e-9 <= band.lower <= band.upper + 1e-12
     assert band.upper <= 1.0 + 1e-9
+
+
+@given(dm=st.floats(0.2, 0.9), tau=st.floats(0.5, 3.0),
+       dt=st.floats(0.0, 20.0))
+@example(dm=0.9, tau=3.0, dt=3.25)   # the unsplit quadrature raised here
+@settings(max_examples=100, deadline=None)
+def test_marginal_band_matches_split_quadrature(dm, tau, dt):
+    p = ModelParams(dm=dm, tau=tau)
+    band = ps_bounds_marginal(dt, p)
+    lower, upper = split_marginal(dt, p)
+    assert band.lower == pytest.approx(lower, abs=1e-12)
+    assert band.upper == pytest.approx(upper, abs=1e-12)
 
 
 @given(dm=st.floats(0.2, 0.9), tau=st.floats(0.5, 3.0),
