@@ -62,12 +62,14 @@ class Table:
     def numbers(self, j: int, dtype=float) -> np.ndarray:
         return finite(self.columns[j], f"{self.path}: column {j + 1}", dtype)
 
-    def codes(self, j: int, allowed) -> list:
-        bad = set(self.columns[j]) - set(allowed)
+    def codes(self, j: int, names) -> np.ndarray:
+        """Column j as int8 indices into `names`; any other value is rejected."""
+        bad = set(self.columns[j]) - set(names)
         if bad:
             raise ValueError(f"{self.path}: column {j + 1}: unknown "
                              f"values {sorted(bad)[:3]}")
-        return self.columns[j]
+        index = {name: code for code, name in enumerate(names)}
+        return np.array([index[v] for v in self.columns[j]], dtype=np.int8)
 
     def edges(self) -> tuple:
         """Bin edges from the leading (bin, lo, hi) columns; the bins must be

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._table import read_table, write_table
-from .toygen import BackgroundConfig, EventCategory
+from .toygen import CLS_OF, BackgroundConfig
 
 __all__ = [
     "DEFAULT_EDGES",
@@ -125,7 +125,7 @@ def bin_events(events: np.ndarray, binning: Binning,
     dt = events["dt_true_ps" if which_dt == "true" else "dt_rec_ps"]
     cls = events["cls_true" if which_cls == "true" else "cls_assigned"]
     edges = binning.array
-    is_of = cls == "OF"
+    is_of = cls == CLS_OF
     n_of, _ = np.histogram(dt[is_of], bins=edges)
     n_sf, _ = np.histogram(dt[~is_of], bins=edges)
     in_range = (dt >= edges[0]) & (dt < edges[-1])

@@ -130,8 +130,8 @@ def chi2(spectrum: AsymmetrySpectrum, model: str, dm: float, c: Constraint,
     if predictor is None:
         predictor = BinPredictor(spectrum.binning)
     sigma = spectrum.total_err
-    if np.any(sigma <= 0):
-        raise ValueError("spectrum errors must be positive")
+    if not np.all(np.isfinite(sigma) & (sigma > 0)):
+        raise ValueError("spectrum errors must be positive and finite")
     r = _residuals(spectrum, model, dm, predictor, zeta)
     return float(np.sum((r / sigma) ** 2) + c.term(dm))
 

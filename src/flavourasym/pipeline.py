@@ -25,6 +25,8 @@ __all__ = [
     "corrected_counts",
     "analyze_counts",
     "build_training_responses",
+    "replica_counts",
+    "unfold_replica",
     "run_replica",
     "run_ensemble",
     "ensemble_pulls",
@@ -93,18 +95,29 @@ def build_training_responses(cfg: PipelineConfig, detector=None,
     return build_response(mc, cfg.binning, which_cls="true")
 
 
-def run_replica(model: GenModel, cfg: PipelineConfig,
-                resp_of: ResponseMatrix, resp_sf: ResponseMatrix,
-                replica_seed: int):
-    """One pseudo-experiment: generate, analyze, unfold, form the asymmetry."""
+def replica_counts(model: GenModel, cfg: PipelineConfig, replica_seed: int):
+    """One pseudo-experiment's corrected counts: generate and analyze."""
     events = generate_ensemble(model, cfg.params, cfg.detector,
                                cfg.backgrounds, cfg.n_signal,
                                master_seed=cfg.seed * 1000003 + replica_seed)
     counts, _ = corrected_counts(events, cfg)
+    return counts
+
+
+def unfold_replica(counts, cfg: PipelineConfig, resp_of: ResponseMatrix,
+                   resp_sf: ResponseMatrix):
+    """Unfold corrected counts and form the asymmetry and its covariance."""
     x, cov_of, cov_sf, cov_x = dsvd_unfold(counts, resp_of, resp_sf,
                                            cfg.unfold)
-    a, cov_a = unfolded_asymmetry(x, cov_of, cov_sf, cov_x)
-    return a, cov_a
+    return unfolded_asymmetry(x, cov_of, cov_sf, cov_x)
+
+
+def run_replica(model: GenModel, cfg: PipelineConfig,
+                resp_of: ResponseMatrix, resp_sf: ResponseMatrix,
+                replica_seed: int):
+    """One pseudo-experiment: generate, analyze, unfold, form the asymmetry."""
+    return unfold_replica(replica_counts(model, cfg, replica_seed), cfg,
+                          resp_of, resp_sf)
 
 
 def run_ensemble(models, n_replicas: int, cfg: PipelineConfig,
@@ -176,8 +189,9 @@ def smear_systematic(cfg: PipelineConfig, delta_um: float = 35.0,
     """Deconvolution systematic from varying the MC-tuning smear term.
 
     The extra smearing is moved to sqrt(s^2 +/- delta^2) in the response
-    training only; the same toys are re-unfolded and the mean per-bin
-    asymmetry shift is returned for each variant.
+    training only; each toy is generated once and unfolded with the
+    nominal and with each variant's responses, and the larger of the two
+    absolute mean per-bin asymmetry shifts is returned.
     """
     if delta_um == 0:
         return np.zeros(cfg.binning.n_bins)
@@ -188,12 +202,12 @@ def smear_systematic(cfg: PipelineConfig, delta_um: float = 35.0,
     variants = [build_training_responses(
         cfg, detector=replace(cfg.detector, extra_smear_sigma=v))
         for v in (up, dn)]
-    shifts = []
-    for r_var in variants:
-        diffs = []
-        for r in range(n_replicas):
-            a_nom, _ = run_replica(GenModel.QM, cfg, *nominal, r)
-            a_var, _ = run_replica(GenModel.QM, cfg, *r_var, r)
-            diffs.append(a_var - a_nom)
-        shifts.append(np.abs(np.mean(diffs, axis=0)))
+    diffs = [[] for _ in variants]
+    for r in range(n_replicas):
+        counts = replica_counts(GenModel.QM, cfg, r)
+        a_nom, _ = unfold_replica(counts, cfg, *nominal)
+        for d, r_var in zip(diffs, variants):
+            a_var, _ = unfold_replica(counts, cfg, *r_var)
+            d.append(a_var - a_nom)
+    shifts = [np.abs(np.mean(d, axis=0)) for d in diffs]
     return np.max(shifts, axis=0)

@@ -14,6 +14,7 @@ import numpy as np
 
 from ._table import finite, read_table, write_table
 from .analysis import BinnedCounts, Binning
+from .toygen import CLASS_NAMES
 
 __all__ = [
     "ResponseMatrix",
@@ -84,8 +85,8 @@ def build_response(events: np.ndarray, binning: Binning,
     nb = binning.n_bins
     out = {}
     cls_field = events["cls_true" if which_cls == "true" else "cls_assigned"]
-    for label in ("OF", "SF"):
-        sel = cls_field == label
+    for code, label in enumerate(CLASS_NAMES):
+        sel = cls_field == code
         dt_true = events["dt_true_ps"][sel]
         dt_rec = events["dt_rec_ps"][sel]
         totals, _ = np.histogram(dt_true, bins=edges)

@@ -75,13 +75,13 @@ class TestCurves:
 
 
 class TestGenerate:
-    def test_deterministic(self, tmp_path, cfg_path):
+    def test_deterministic(self, tmp_path, cfg_path, assert_same_lines):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         for out in (a, b):
             assert main(["generate", "--config", str(cfg_path),
                          "--out", str(out)]) == EXIT_OK
-        assert a.read_bytes() == b.read_bytes()
+        assert_same_lines(a.read_bytes(), b.read_bytes())
 
     def test_seed_override_changes_events(self, tmp_path, cfg_path):
         a = tmp_path / "a.csv"
@@ -192,6 +192,19 @@ class TestMalformedInputs:
         spectrum.write_text("\n".join(lines) + "\n")
         assert main(["fit", str(spectrum)]) == EXIT_VALIDATION
         assert "nan" not in capsys.readouterr().out.lower()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_error_in_spectrum(self, tmp_path, capsys):
+        # a finite stat error whose square overflows makes the total error
+        # inf; the fit must reject it, not divide by it and report chi2
+        lines = fixture_path().read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[4] = "1e300"                               # bin 1 stat
+        lines[1] = ",".join(fields)
+        spectrum = tmp_path / "spectrum.csv"
+        spectrum.write_text("\n".join(lines) + "\n")
+        assert main(["fit", str(spectrum)]) == EXIT_VALIDATION
+        assert "chi2" not in capsys.readouterr().out
 
     def test_unknown_event_class(self, tmp_path, cfg_path):
         events, _, _ = chain_files(tmp_path, cfg_path)

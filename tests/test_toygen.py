@@ -6,12 +6,14 @@ import pytest
 
 from flavourasym.analysis import Binning, asymmetry, bin_events
 from flavourasym.models import FlavourClass, ModelParams, rate_qm
-from flavourasym.toygen import (BETA_GAMMA, C_UM_PER_PS, BackgroundConfig,
-                                BackgroundShape, CategoryYield, DetectorConfig,
-                                EventCategory, GenModel, apply_detector,
-                                generate_ensemble, inject_backgrounds,
-                                make_signal_events, read_events, sample_pair,
-                                stream_rng, write_events)
+from flavourasym.toygen import (BETA_GAMMA, C_UM_PER_PS, CATEGORY_CODE,
+                                CLASS_NAMES, CLS_OF, EVENT_DTYPE,
+                                BackgroundConfig, BackgroundShape,
+                                CategoryYield, DetectorConfig, EventCategory,
+                                GenModel, apply_detector, generate_ensemble,
+                                inject_backgrounds, make_signal_events,
+                                read_events, sample_pair, stream_rng,
+                                write_events)
 
 P = ModelParams()
 NO_SMEAR = DetectorConfig(resolution_sigma=0.0, extra_smear_sigma=0.0,
@@ -19,13 +21,14 @@ NO_SMEAR = DetectorConfig(resolution_sigma=0.0, extra_smear_sigma=0.0,
 
 
 class TestDeterminism:
-    def test_same_seed_identical_files(self, tmp_path):
+    def test_same_seed_identical_files(self, tmp_path, assert_same_lines):
         b = BackgroundConfig.paper_scale()
         for name in ("a", "b"):
             ev = generate_ensemble(GenModel.QM, P, DetectorConfig(), b,
                                    2000, master_seed=42)
             write_events(ev, tmp_path / name)
-        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+        assert_same_lines((tmp_path / "a").read_bytes(),
+                          (tmp_path / "b").read_bytes())
 
     def test_different_seed_differs(self):
         ev1 = generate_ensemble(GenModel.QM, P, DetectorConfig(),
@@ -40,7 +43,8 @@ class TestDeterminism:
         ev_bkg = generate_ensemble(GenModel.QM, P, DetectorConfig(),
                                    BackgroundConfig.paper_scale(), 500,
                                    master_seed=5)
-        sig = ev_bkg[ev_bkg["category"] == "signal"]
+        sig = ev_bkg[ev_bkg["category"] == CATEGORY_CODE[EventCategory.SIGNAL]]
+        assert len(sig) == 500
         np.testing.assert_array_equal(sig["t1_ps"], ev_nobkg["t1_ps"])
         np.testing.assert_array_equal(sig["cls_assigned"],
                                       ev_nobkg["cls_assigned"])
@@ -99,6 +103,14 @@ class TestDetector:
                                    atol=1e-12)
         np.testing.assert_array_equal(ev["cls_assigned"], ev["cls_true"])
 
+    def test_apply_detector_fills_in_place(self):
+        ev = make_signal_events(GenModel.QM, P, 100, NO_SMEAR,
+                                stream_rng(3, 0))
+        d = DetectorConfig(mistag_fraction=0.4)
+        assert apply_detector(ev, d, stream_rng(3, 1)) is ev
+        assert np.any(ev["dt_rec_ps"] != ev["dt_true_ps"])
+        assert np.any(ev["cls_assigned"] != ev["cls_true"])
+
     def test_smearing_width(self):
         d = DetectorConfig()  # 100 and 46 um combine to ~110 um
         assert d.total_sigma == pytest.approx(np.hypot(100.0, 46.0))
@@ -145,16 +157,22 @@ class TestBackgrounds:
         sig = make_signal_events(GenModel.QM, P, 100, DetectorConfig(),
                                  stream_rng(1, 0))
         ev = inject_backgrounds(sig, b, DetectorConfig(), stream_rng(1, 1))
-        n = np.sum(ev["category"] == "wrong_combination")
+        n = np.sum(ev["category"]
+                   == CATEGORY_CODE[EventCategory.WRONG_COMBINATION])
         assert n == 315
+        assert len(ev) == 100 + 315
 
     def test_poisson_counts_scale(self):
         b = BackgroundConfig.paper_scale()
         sig = make_signal_events(GenModel.QM, P, 10, DetectorConfig(),
                                  stream_rng(2, 0))
-        totals = [np.sum(inject_backgrounds(
-            sig, b, DetectorConfig(), stream_rng(2, k))["category"] != "signal")
-            for k in range(1, 30)]
+        signal = CATEGORY_CODE[EventCategory.SIGNAL]
+        totals = []
+        for k in range(1, 30):
+            cat = inject_backgrounds(sig, b, DetectorConfig(),
+                                     stream_rng(2, k))["category"]
+            assert np.sum(cat == signal) == len(sig)
+            totals.append(np.sum(cat != signal))
         assert np.mean(totals) == pytest.approx(b.total(), rel=0.05)
 
     def test_empty_config_is_noop(self):
@@ -187,9 +205,10 @@ class TestBackgrounds:
                                  stream_rng(5, 0))
         ev = inject_backgrounds(sig, b, DetectorConfig(mistag_fraction=0.4),
                                 stream_rng(5, 1))
-        bkg = ev[ev["category"] == "dss_charged"]
+        bkg = ev[ev["category"] == CATEGORY_CODE[EventCategory.DSS_CHARGED]]
+        assert len(bkg) == 1000
         np.testing.assert_array_equal(bkg["cls_assigned"], bkg["cls_true"])
-        assert set(bkg["cls_true"]) == {"OF"}
+        assert set(bkg["cls_true"].tolist()) == {CLS_OF}
 
 
 class TestEnvelope:
@@ -223,19 +242,39 @@ class TestEventIO:
         for col in ("t1_ps", "t2_ps", "dt_true_ps", "dz_rec_um", "dt_rec_ps"):
             np.testing.assert_allclose(back[col], ev[col], rtol=1e-8)
 
-    def test_bytes_match_row_by_row_formatting(self, tmp_path):
-        # reference: the row-by-row loop the chunked column writer replaced
+    def test_bytes_match_row_by_row_formatting(self, tmp_path,
+                                               assert_same_lines):
+        # reference: the row-by-row loop the chunked column writer replaced,
+        # with the in-memory codes mapped to the names the file carries
         ev = generate_ensemble(GenModel.QM, P, DetectorConfig(),
                                BackgroundConfig.paper_scale(), 9000,
                                master_seed=13)
-        fmt = {"f": "%.9g", "U": "%s", "i": "%d"}
-        names = ev.dtype.names
-        ref = ",".join(names) + "\n" + "".join(
-            ",".join(fmt[ev.dtype[c].kind] % row[c] for c in names) + "\n"
-            for row in ev)
+        names = {"cls_true": CLASS_NAMES, "cls_assigned": CLASS_NAMES,
+                 "category": [c.value for c in EventCategory]}
+        fmt = {"f": "%.9g", "i": "%d"}
+        cols = ev.dtype.names
+
+        def cell(row, c):
+            if c in names:
+                return names[c][row[c]]
+            return fmt[ev.dtype[c].kind] % row[c]
+
+        ref = ",".join(cols) + "\n" + "".join(
+            ",".join(cell(row, c) for c in cols) + "\n" for row in ev)
         path = tmp_path / "events.csv"
         write_events(ev, path)
-        assert path.read_text() == ref
+        assert_same_lines(path.read_text(), ref)
+        assert "wrong_combination" in ref and ",SF," in ref
+
+    def test_record_has_no_string_fields(self):
+        # numpy compares an integer field with a str elementwise and warns
+        # nothing (codes != "signal" is all True), so a string field left
+        # in the record would let such a test pass silently
+        kinds = {EVENT_DTYPE[c].kind for c in EVENT_DTYPE.names}
+        assert not kinds & {"U", "S", "O"}
+        assert EVENT_DTYPE.itemsize <= 51
+        assert CATEGORY_CODE[EventCategory.SIGNAL] == 0
+        assert CLASS_NAMES[CLS_OF] == "OF"
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
