@@ -11,12 +11,10 @@ __version__ = "0.1.0"
 from .analysis import (AsymmetrySpectrum, BinnedCounts, Binning, asymmetry,
                        bin_events, mistag_correct_counts, read_spectrum,
                        subtract_background, write_spectrum)
-from .fitkit import (BinPredictor, Constraint, FitResult, chi2, fit_lifetime,
-                     fit_model, fit_zeta, significance)
-from .models import (AsymmetryBand, FlavourClass, MarginalGrid, ModelParams,
-                     asym_decohered, asym_qm, asym_sd_joint, asym_sd_marginal,
-                     curve_rows, marginalize, ps_band_edges, ps_bounds_joint,
-                     ps_bounds_marginal, rate_qm)
+from .fitkit import (BinPredictor, Constraint, FitResult, chi2, fit_model,
+                     fit_zeta, significance)
+from .models import (MarginalGrid, ModelParams, asym_qm, asym_sd_marginal,
+                     curve_rows, ps_band_edges)
 from .pipeline import PipelineConfig, analyze_counts, run_ensemble
 from .toygen import (BackgroundConfig, BackgroundShape, CategoryYield,
                      DetectorConfig, EventCategory, GenModel,
@@ -27,10 +25,8 @@ from .unfold import (ResponseMatrix, UnfoldConfig, bias_correct,
 
 __all__ = [
     "__version__",
-    "ModelParams", "FlavourClass", "AsymmetryBand", "MarginalGrid",
-    "rate_qm", "asym_qm", "asym_sd_joint", "asym_sd_marginal", "marginalize",
-    "ps_bounds_joint", "ps_band_edges", "ps_bounds_marginal",
-    "asym_decohered", "curve_rows",
+    "ModelParams", "MarginalGrid", "asym_qm", "asym_sd_marginal",
+    "ps_band_edges", "curve_rows",
     "GenModel", "EventCategory", "DetectorConfig", "BackgroundShape",
     "CategoryYield", "BackgroundConfig", "generate_ensemble",
     "write_events", "read_events",
@@ -40,6 +36,6 @@ __all__ = [
     "ResponseMatrix", "UnfoldConfig", "build_response", "dsvd_unfold",
     "unfolded_asymmetry", "bias_correct", "write_response", "read_response",
     "Constraint", "FitResult", "BinPredictor", "chi2", "fit_model",
-    "fit_zeta", "significance", "fit_lifetime",
+    "fit_zeta", "significance",
     "PipelineConfig", "analyze_counts", "run_ensemble",
 ]

@@ -20,6 +20,7 @@ __all__ = [
     "subtract_background",
     "asymmetry",
     "WRONG_TAG_ERROR",
+    "BOOTSTRAP_SEED",
     "mistag_correct_counts",
     "mistag_systematic",
     "write_spectrum",
@@ -30,6 +31,8 @@ __all__ = [
 
 DEFAULT_EDGES = (0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 9.0, 13.0, 20.0)
 WRONG_TAG_ERROR = 0.005   # uncertainty on the mistag fraction
+BOOTSTRAP_SEED = 20060207  # degenerate-bin bootstrap: fixed seed
+BOOTSTRAP_DRAWS = 10000    # and number of draws
 
 
 @dataclass(frozen=True)
@@ -102,11 +105,13 @@ class AsymmetrySpectrum:
         if not self.syst_breakdown:
             return np.zeros(self.binning.n_bins)
         stacked = np.vstack(list(self.syst_breakdown.values()))
-        return np.sqrt((stacked ** 2).sum(axis=0))
+        with np.errstate(over="ignore"):    # inf, which chi2 rejects
+            return np.sqrt((stacked ** 2).sum(axis=0))
 
     @property
     def total_err(self) -> np.ndarray:
-        return np.sqrt(self.stat_err ** 2 + self.syst_err ** 2)
+        with np.errstate(over="ignore"):
+            return np.sqrt(self.stat_err ** 2 + self.syst_err ** 2)
 
     def with_syst(self, source: str, values) -> "AsymmetrySpectrum":
         bd = dict(self.syst_breakdown)
@@ -176,8 +181,7 @@ def subtract_background(c: BinnedCounts, b: BackgroundConfig):
     return out, syst
 
 
-def asymmetry(c: BinnedCounts, bootstrap_rng: np.random.Generator | None = None,
-              n_bootstrap: int = 10000) -> AsymmetrySpectrum:
+def asymmetry(c: BinnedCounts) -> AsymmetrySpectrum:
     """(OF - SF) / (OF + SF) per bin with propagated statistical errors.
 
     For raw Poisson counts the error reduces to the binomial formula
@@ -193,14 +197,14 @@ def asymmetry(c: BinnedCounts, bootstrap_rng: np.random.Generator | None = None,
     err = 2.0 / tot ** 2 * np.sqrt(c.n_sf ** 2 * c.var_of + c.n_of ** 2 * c.var_sf)
     degenerate = (c.n_of <= 0) | (c.n_sf <= 0)
     if np.any(degenerate):
-        rng = bootstrap_rng or np.random.default_rng(20060207)
+        rng = np.random.default_rng(BOOTSTRAP_SEED)
         for i in np.flatnonzero(degenerate):
             n = max(int(round(tot[i])), 1)
             # rule-of-succession clip keeps the bootstrap spread non-zero
             # when one class is empty or was subtracted below zero
             p_lo = 1.0 / (n + 2.0)
             p_of = min(max(c.n_of[i] / tot[i], p_lo), 1.0 - p_lo)
-            draws = rng.binomial(n, p_of, size=n_bootstrap)
+            draws = rng.binomial(n, p_of, size=BOOTSTRAP_DRAWS)
             err[i] = np.std(2.0 * draws / n - 1.0)
     return AsymmetrySpectrum(c.binning, a, err)
 

@@ -153,7 +153,7 @@ def cmd_unfold(args):
     return EXIT_OK
 
 
-def _fit_all(spectrum, models, constraint, tau=1.53) -> dict:
+def _fit_all(spectrum, models, constraint, tau=ModelParams().tau) -> dict:
     """Fits of the named models in order, sharing one predictor."""
     pred = BinPredictor(spectrum.binning, tau=tau)
     return {m: fit_zeta(spectrum, constraint, pred) if m == "DECOHERED"
@@ -185,7 +185,7 @@ def _fit_report(spectrum, models, constraint, tau):
 def cmd_fit(args):
     spectrum = read_spectrum(args.spectrum)
     constraint = Constraint()
-    tau = 1.53
+    tau = ModelParams().tau
     if args.config:
         run = load_config(args.config)
         constraint = run.pipeline.constraint
@@ -281,8 +281,8 @@ def build_parser():
 
     c = add("curves", cmd_curves, out=True,
             help="export model asymmetry curves")
-    c.add_argument("--dm", type=float, default=0.507)
-    c.add_argument("--tau", type=float, default=1.53)
+    c.add_argument("--dm", type=float, default=ModelParams().dm)
+    c.add_argument("--tau", type=float, default=ModelParams().tau)
     c.add_argument("--step", type=float, default=0.1)
     c.add_argument("--max", type=float, default=20.0)
 

@@ -86,10 +86,11 @@ def load_config(path) -> RunConfig:
         raise ConfigError(
             f"[model] name = {name!r}: expected one of "
             f"{', '.join(m.name for m in GenModel)}")
+    d = ModelParams()
     params = ModelParams(
-        dm=_get(cp, "model", "dm", float, 0.507),
-        tau=_get(cp, "model", "tau", float, 1.53),
-        zeta=_get(cp, "model", "zeta", float, 0.0),
+        dm=_get(cp, "model", "dm", float, d.dm),
+        tau=_get(cp, "model", "tau", float, d.tau),
+        zeta=_get(cp, "model", "zeta", float, d.zeta),
     )
     detector = DetectorConfig(
         resolution_sigma=_get(cp, "detector", "resolution_um", float, 100.0),

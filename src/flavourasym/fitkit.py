@@ -1,6 +1,6 @@
 """Weighted least-squares model fits with an external oscillation-frequency
-constraint, band fitting with clipped residuals, decoherence-fraction fit,
-lifetime cross-check, and chi-square model discrimination."""
+constraint, band fitting with clipped residuals, decoherence-fraction fit, and
+chi-square model discrimination."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ __all__ = [
     "fit_model",
     "fit_zeta",
     "significance",
-    "fit_lifetime",
 ]
 
 DM_SEARCH = (0.2, 0.9)      # 1/ps bracket for the oscillation frequency
@@ -71,7 +70,7 @@ class BinPredictor:
     common to all models considered.
     """
 
-    def __init__(self, binning: Binning, tau: float = 1.53):
+    def __init__(self, binning: Binning, tau: float = ModelParams().tau):
         self.binning = binning
         self.tau = tau
         edges = binning.array
@@ -220,57 +219,3 @@ def significance(fit_a: FitResult, fit_b: FitResult) -> float:
     """sqrt(chi2_b - chi2_a) in sigma units; signed negative if b fits better."""
     d = fit_b.chi2 - fit_a.chi2
     return float(np.sqrt(d)) if d >= 0 else -float(np.sqrt(-d))
-
-
-def fit_lifetime(dt, lo: float = 0.0, hi: float = 20.0,
-                 method: str = "mle", binning: Binning | None = None) -> FitResult:
-    """Fit an exponential lifetime to decay-time values on [lo, hi].
-
-    method="mle" maximizes the truncated-exponential likelihood on the raw
-    values; method="wls" does weighted least squares on the histogram.
-    """
-    dt = np.asarray(dt, dtype=float)
-    dt = dt[(dt >= lo) & (dt < hi)]
-    if len(dt) == 0:
-        raise ValueError("no decay-time values in the fit range")
-
-    span = hi - lo
-
-    def nll(tau):
-        norm = tau * (1.0 - np.exp(-span / tau))
-        return float(np.sum((dt - lo) / tau) + len(dt) * np.log(norm))
-
-    if method == "mle":
-        res = optimize.minimize_scalar(nll, bounds=(0.1, 10.0),
-                                       method="bounded",
-                                       options={"xatol": 1e-6})
-        tau_hat, f_min = float(res.x), float(res.fun)
-        flags = []
-        err = _one_sigma_interval(lambda t: 2.0 * nll(t), tau_hat,
-                                  2.0 * f_min, 0.1, 10.0, "tau", flags)
-        return FitResult(model="LIFETIME", theta_hat=tau_hat, theta_err=err,
-                         chi2=0.0, dof=len(dt) - 1, residuals=np.array([]),
-                         flags=flags)
-    if method == "wls":
-        b = binning or Binning()
-        counts, _ = np.histogram(dt, bins=b.array)
-        var = np.where(counts > 0, counts, 1.0).astype(float)
-        n_tot = counts.sum()
-
-        def c2(tau):
-            z = 1.0 - np.exp(-span / tau)
-            e = np.clip(b.array, lo, hi)
-            cdf = (1.0 - np.exp(-(e - lo) / tau)) / z
-            pred = n_tot * np.diff(cdf)
-            return float(np.sum((counts - pred) ** 2 / var))
-
-        res = optimize.minimize_scalar(c2, bounds=(0.1, 10.0),
-                                       method="bounded",
-                                       options={"xatol": 1e-6})
-        tau_hat, f_min = float(res.x), float(res.fun)
-        flags = []
-        err = _one_sigma_interval(c2, tau_hat, f_min, 0.1, 10.0, "tau", flags)
-        return FitResult(model="LIFETIME", theta_hat=tau_hat, theta_err=err,
-                         chi2=f_min, dof=b.n_bins - 1, residuals=np.array([]),
-                         flags=flags)
-    raise ValueError(f"unknown lifetime fit method {method!r}")

@@ -6,42 +6,23 @@ All times are in picoseconds; asymmetries are dimensionless and lie in
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "ModelParams",
-    "FlavourClass",
-    "AsymmetryBand",
-    "rate_qm",
     "asym_qm",
-    "asym_sd_joint",
-    "marginalize",
     "asym_sd_marginal",
-    "ps_bounds_joint",
     "ps_band_edges",
-    "ps_bounds_marginal",
-    "asym_decohered",
+    "MarginalGrid",
     "curve_rows",
 ]
 
-# Integration reach for the exponential t_min weight; e^(-2*40) ~ 1e-35
-# bounds the truncation error far below the 1e-9 target.
+# Reach of the exponential t_min weight of MarginalGrid; e^(-2*40) ~ 1e-35.
 _UMAX_LIFETIMES = 40.0
-_QUAD_ABS_TOL = 1e-10
 _TMIN_NODES = 400          # Gauss-Legendre nodes of MarginalGrid
 _DT_BLOCK = 64             # dt values per MarginalGrid evaluation block
-
-
-class FlavourClass(enum.Enum):
-    """Flavour pairing of the two tagged decays."""
-
-    OF = "OF"  # opposite flavour: B0 with B0bar
-    SF = "SF"  # same flavour: B0 B0 or B0bar B0bar
 
 
 @dataclass(frozen=True)
@@ -61,43 +42,11 @@ class ModelParams:
             raise ValueError(f"zeta must lie in [0, 1], got {self.zeta}")
 
 
-@dataclass(frozen=True)
-class AsymmetryBand:
-    """Closed interval of admissible asymmetries."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if self.lower > self.upper + 1e-12:
-            raise ValueError(f"band inverted: [{self.lower}, {self.upper}]")
-
-    def contains(self, a: float) -> bool:
-        return self.lower <= a <= self.upper
-
-    def distance(self, a):
-        """Distance from a to the band; zero inside."""
-        a = np.asarray(a, dtype=float)
-        return np.where(a > self.upper, a - self.upper,
-                        np.where(a < self.lower, self.lower - a, 0.0))
-
-
 def _check_nonneg(name, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError(f"{name} must be non-negative")
     return t
-
-
-def rate_qm(dt, cls: FlavourClass, p: ModelParams):
-    """Decay-rate density for an entangled pair at proper-time difference dt.
-
-    Normalized so that the OF+SF sum integrates to 1/2 over dt >= 0
-    (the two time orderings restore the full normalization).
-    """
-    dt = _check_nonneg("dt", dt)
-    sign = 1.0 if cls is FlavourClass.OF else -1.0
-    return np.exp(-dt / p.tau) / (4.0 * p.tau) * (1.0 + sign * np.cos(p.dm * dt))
 
 
 def asym_qm(dt, p: ModelParams):
@@ -106,42 +55,11 @@ def asym_qm(dt, p: ModelParams):
     return np.cos(p.dm * dt)
 
 
-def asym_sd_joint(t1, t2, p: ModelParams):
-    """Asymmetry for immediately disentangled pairs: cos(dm t1) cos(dm t2)."""
-    t1 = _check_nonneg("t1", t1)
-    t2 = _check_nonneg("t2", t2)
-    return np.cos(p.dm * t1) * np.cos(p.dm * t2)
-
-
-def marginalize(joint: Callable, dt: float, p: ModelParams) -> float:
-    """Average joint(t_min, dt) over t_min with the pair-decay weight.
-
-    At fixed dt the surviving-pair density is proportional to
-    exp(-2 t_min / tau), so the marginal is
-    int joint(u, dt) exp(-2u/tau) du / int exp(-2u/tau) du.
-    The error check holds for smooth integrands only: across a kink, such
-    as those of the band edges, the error estimate can miss by orders of
-    magnitude.
-    """
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
-    umax = _UMAX_LIFETIMES * p.tau
-    num, err = integrate.quad(
-        lambda u: joint(u, dt) * np.exp(-2.0 * u / p.tau),
-        0.0, umax, epsabs=_QUAD_ABS_TOL, epsrel=1e-11, limit=400,
-    )
-    den = p.tau / 2.0 * (1.0 - np.exp(-2.0 * umax / p.tau))
-    if err / den > 1e-9:
-        raise ArithmeticError(
-            f"quadrature did not converge: estimated error {err / den:.2e}"
-        )
-    return num / den
-
-
 def asym_sd_marginal(dt, p: ModelParams):
     """Disentangled-pair asymmetry after integrating out t_min at fixed dt.
 
-    Closed form of the exponential-weighted average of asym_sd_joint:
+    Closed form of the exponential-weighted average over t_min of the
+    joint asymmetry cos(dm t_min) cos(dm (t_min + dt)):
     0.5 [cos(dm dt) + (cos(dm dt) - dm tau sin(dm dt)) / (1 + (dm tau)^2)].
     """
     dt = _check_nonneg("dt", dt)
@@ -159,16 +77,6 @@ def _ps_lower_joint(t_min, dt, dm):
     c, s = np.cos(dm * dt), np.sin(dm * dt)
     psi = (1.0 + c) * np.cos(dm * t_min) - s * np.sin(dm * t_min)
     return 1.0 - np.minimum(2.0 + psi, 2.0 - psi)
-
-
-def ps_bounds_joint(t_min, dt, p: ModelParams) -> AsymmetryBand:
-    """Local-realistic band at a single (t_min, dt) point."""
-    t_min = float(_check_nonneg("t_min", t_min))
-    dt = float(_check_nonneg("dt", dt))
-    return AsymmetryBand(
-        lower=float(_ps_lower_joint(t_min, dt, p.dm)),
-        upper=float(_ps_upper_joint(t_min, dt, p.dm)),
-    )
 
 
 def _mean_abs_cos(r, alpha, k):
@@ -200,12 +108,6 @@ def ps_band_edges(dt, p: ModelParams):
     upper = 1.0 - _mean_abs_cos(np.hypot(1.0 - c, s), np.arctan2(s, 1.0 - c), k)
     lower = _mean_abs_cos(np.hypot(1.0 + c, s), np.arctan2(-s, 1.0 + c), k) - 1.0
     return lower, upper
-
-
-def ps_bounds_marginal(dt: float, p: ModelParams) -> AsymmetryBand:
-    """Local-realistic band after integrating out t_min at fixed dt."""
-    lower, upper = ps_band_edges(float(dt), p)
-    return AsymmetryBand(lower=float(lower), upper=float(upper))
 
 
 class MarginalGrid:
@@ -245,11 +147,6 @@ class MarginalGrid:
             out[i:i + _DT_BLOCK] = (joint(self.u, flat[i:i + _DT_BLOCK], dm)
                                     * self.w).sum(axis=-1)
         return out.reshape(dt.shape)
-
-
-def asym_decohered(dt, p: ModelParams):
-    """Mixture (1 - zeta) A_QM + zeta A_SD of the two marginal curves."""
-    return (1.0 - p.zeta) * asym_qm(dt, p) + p.zeta * asym_sd_marginal(dt, p)
 
 
 def curve_rows(grid, p: ModelParams):

@@ -34,6 +34,8 @@ __all__ = [
     "smear_systematic",
 ]
 
+RESPONSE_STREAM = 900000    # stream of the response-training sample
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -80,8 +82,7 @@ def analyze_counts(events: np.ndarray, cfg: PipelineConfig):
     return corrected, spec
 
 
-def build_training_responses(cfg: PipelineConfig, detector=None,
-                             seed_offset: int = 900000):
+def build_training_responses(cfg: PipelineConfig, detector=None):
     """OF/SF response matrices from a dedicated high-statistics QM sample.
 
     Truth flavour indexes the matrices: the measured counts are
@@ -89,7 +90,7 @@ def build_training_responses(cfg: PipelineConfig, detector=None,
     tag flip back in.
     """
     det = detector or cfg.detector
-    rng = stream_rng(cfg.seed, seed_offset)
+    rng = stream_rng(cfg.seed, RESPONSE_STREAM)
     mc = make_signal_events(GenModel.QM, cfg.params, cfg.n_response_mc,
                             det, rng)
     return build_response(mc, cfg.binning, which_cls="true")
@@ -120,16 +121,14 @@ def run_replica(model: GenModel, cfg: PipelineConfig,
                           resp_of, resp_sf)
 
 
-def run_ensemble(models, n_replicas: int, cfg: PipelineConfig,
-                 resp_of=None, resp_sf=None):
+def run_ensemble(models, n_replicas: int, cfg: PipelineConfig):
     """Pseudo-experiment ensembles for several models, with bias correction.
 
     Returns a dict with per-model unfolded asymmetries, per-replica errors,
     truth vectors, the model-averaged correction, and the residual-bias
     deconvolution systematic.
     """
-    if resp_of is None or resp_sf is None:
-        resp_of, resp_sf = build_training_responses(cfg)
+    resp_of, resp_sf = build_training_responses(cfg)
     p = cfg.params
     pred = BinPredictor(cfg.binning, tau=p.tau)
     unfolded, errors, truths = {}, {}, {}
@@ -149,7 +148,6 @@ def run_ensemble(models, n_replicas: int, cfg: PipelineConfig,
         "truth": truths,
         "correction": correction,
         "deconvolution_systematic": syst,
-        "responses": (resp_of, resp_sf),
     }
 
 

@@ -152,7 +152,8 @@ class BackgroundConfig:
     fixed_counts: bool = False                  # skip the Poisson fluctuation
 
     @classmethod
-    def paper_scale(cls, tau: float = 1.53, fixed_counts: bool = False):
+    def paper_scale(cls, tau: float = ModelParams().tau,
+                    fixed_counts: bool = False):
         """Default yields at the scale of the published event sample."""
         return cls(yields={
             EventCategory.DSTAR_FAKE: CategoryYield(

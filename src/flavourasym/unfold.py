@@ -173,13 +173,12 @@ def truncated_solver(resp: ResponseMatrix, rank: int, apriori=None):
 
 
 def dsvd_unfold(measured: BinnedCounts, resp_of: ResponseMatrix,
-                resp_sf: ResponseMatrix, cfg: UnfoldConfig,
-                cov_of=None, cov_sf=None, cov_cross=None):
+                resp_sf: ResponseMatrix, cfg: UnfoldConfig):
     """Unfold an OF/SF pair of measured spectra.
 
     Mixes the measured vectors and the responses, truncates each SVD at the
-    configured rank, de-mixes, and propagates the measured covariance
-    (including the OF/SF cross term induced by mixing) to the output.
+    configured rank, de-mixes, and propagates the measured per-bin
+    variances (and the OF/SF cross term induced by mixing) to the output.
 
     Returns (truth BinnedCounts, cov_of, cov_sf, cov_ofsf).
     """
@@ -191,14 +190,13 @@ def dsvd_unfold(measured: BinnedCounts, resp_of: ResponseMatrix,
     x_of_m = k_of @ of_m
     x_sf_m = k_sf @ sf_m
 
-    c_of = np.diag(measured.var_of) if cov_of is None else np.asarray(cov_of)
-    c_sf = np.diag(measured.var_sf) if cov_sf is None else np.asarray(cov_sf)
-    c_x = np.zeros((nb, nb)) if cov_cross is None else np.asarray(cov_cross)
-    # covariance of the mixed measured vectors
+    c_of = np.diag(measured.var_of)
+    c_sf = np.diag(measured.var_sf)
+    # covariance of the mixed measured vectors; OF and SF are independent
     s, o = cfg.mix_s, cfg.mix_o
-    c_ofm = c_of + s * (c_x + c_x.T) + s * s * c_sf
-    c_sfm = c_sf + o * (c_x + c_x.T) + o * o * c_of
-    c_cross_m = o * c_of + c_x + s * o * c_x.T + s * c_sf
+    c_ofm = c_of + s * s * c_sf
+    c_sfm = c_sf + o * o * c_of
+    c_cross_m = o * c_of + s * c_sf
 
     cov_xofm = k_of @ c_ofm @ k_of.T
     cov_xsfm = k_sf @ c_sfm @ k_sf.T

@@ -13,9 +13,10 @@ import pytest
 from flavourasym.analysis import (AsymmetrySpectrum, Binning, asymmetry,
                                   bin_events, mistag_systematic)
 from flavourasym.cli import reproduce_fixture
-from flavourasym.fitkit import BinPredictor, fit_lifetime
-from flavourasym.models import (ModelParams, asym_sd_joint, asym_sd_marginal,
-                                marginalize)
+from oracles import marginalize
+
+from flavourasym.fitkit import BinPredictor
+from flavourasym.models import ModelParams, asym_sd_marginal
 from flavourasym.pipeline import (PipelineConfig, analyze_counts,
                                   ensemble_pulls, qm_over_sd_significances,
                                   run_ensemble, smear_systematic)
@@ -100,7 +101,7 @@ class TestModelOracles:
         t0 = time.monotonic()
         p = ModelParams()
         grid = np.arange(0.0, 20.0001, 0.1)
-        joint = lambda u, t: asym_sd_joint(u, u + t, p)
+        joint = lambda u, t: np.cos(p.dm * u) * np.cos(p.dm * (u + t))
         worst = max(abs(asym_sd_marginal(t, p) - marginalize(joint, t, p))
                     for t in grid)
         check("SD closed form vs quadrature", worst <= 1e-9,
@@ -138,10 +139,14 @@ class TestGeneratorClosure:
               f"max |pull| = {np.max(np.abs(pulls)):.2f} <= 3")
         check("generator chi2/ndf", 0.4 <= chi2_ndf <= 2.1,
               f"{chi2_ndf:.2f} in [0.4, 2.1]")
-        fit = fit_lifetime(events["dt_true_ps"], method="mle")
-        npull = abs(fit.theta_hat - p.tau) / fit.theta_err
+        # |t1 - t2| of two iid exponentials is exponential with mean tau,
+        # whose exact MLE is the sample mean, with error mean / sqrt(n)
+        dt_true = events["dt_true_ps"]
+        tau_hat = float(dt_true.mean())
+        tau_err = tau_hat / np.sqrt(len(dt_true))
+        npull = abs(tau_hat - p.tau) / tau_err
         check("generator lifetime", npull <= 2.0,
-              f"tau = {fit.theta_hat:.4f} +- {fit.theta_err:.4f}, "
+              f"tau = {tau_hat:.4f} +- {tau_err:.4f}, "
               f"{npull:.2f} sigma from {p.tau}")
         dt = time.monotonic() - t0
         check("generator closure runtime", dt < 60.0, f"{dt:.1f} s < 60 s")

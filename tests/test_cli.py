@@ -193,10 +193,11 @@ class TestMalformedInputs:
         assert main(["fit", str(spectrum)]) == EXIT_VALIDATION
         assert "nan" not in capsys.readouterr().out.lower()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_error_in_spectrum(self, tmp_path, capsys):
         # a finite stat error whose square overflows makes the total error
-        # inf; the fit must reject it, not divide by it and report chi2
+        # inf; the fit must reject it, without an overflow warning, not
+        # divide by it and report chi2
         lines = fixture_path().read_text().splitlines()
         fields = lines[1].split(",")
         fields[4] = "1e300"                               # bin 1 stat

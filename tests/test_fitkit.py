@@ -1,13 +1,12 @@
-"""Fit machinery tests: bin predictions, recovery on exact inputs,
-significances, and the lifetime cross-check."""
+"""Fit machinery tests: bin predictions, recovery on exact inputs, and
+significances."""
 
 import numpy as np
 import pytest
 
 from flavourasym.analysis import AsymmetrySpectrum, Binning
 from flavourasym.fitkit import (BinPredictor, Constraint, FitResult, chi2,
-                                fit_lifetime, fit_model, fit_zeta,
-                                significance)
+                                fit_model, fit_zeta, significance)
 from flavourasym.models import ModelParams, asym_qm
 
 TAU = 1.53
@@ -155,44 +154,6 @@ class TestFitZeta:
         fit = fit_zeta(spec, C)
         assert fit.theta_hat == pytest.approx(0.25, abs=0.01)
         assert fit.extra["dm"] == pytest.approx(C.mean, abs=0.01)
-
-
-class TestLifetime:
-    def test_two_bin_wls_exact(self):
-        # two bins populated exactly as a tau = 1.5 truncated exponential
-        tau = 1.5
-        b = Binning((0.0, 2.0, 20.0))
-        z = 1.0 - np.exp(-20.0 / tau)
-        n_tot = 10000.0
-        f1 = (1.0 - np.exp(-2.0 / tau)) / z
-        # place raw dt values so the histogram matches the expectation
-        n1 = int(round(n_tot * f1))
-        dt = np.concatenate([np.full(n1, 1.0), np.full(int(n_tot) - n1, 3.0)])
-        fit = fit_lifetime(dt, method="wls", binning=b)
-        assert fit.theta_hat == pytest.approx(tau, abs=2e-3)
-
-    def test_mle_recovers_tau(self):
-        rng = np.random.default_rng(17)
-        dt = rng.exponential(TAU, 100000)
-        fit = fit_lifetime(dt, method="mle")
-        assert fit.theta_hat == pytest.approx(TAU, abs=3 * fit.theta_err)
-        assert fit.theta_err == pytest.approx(TAU / np.sqrt(len(dt)),
-                                              rel=0.25)
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(23)
-        dt = rng.exponential(TAU, 5000)
-        f1 = fit_lifetime(dt, method="mle")
-        f2 = fit_lifetime(dt[::-1].copy(), method="mle")
-        assert f1.theta_hat == pytest.approx(f2.theta_hat, abs=1e-9)
-
-    def test_empty_range_rejected(self):
-        with pytest.raises(ValueError):
-            fit_lifetime(np.array([30.0, 40.0]), lo=0.0, hi=20.0)
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            fit_lifetime(np.array([1.0]), method="bayes")
 
 
 @pytest.fixture(scope="module")

@@ -6,12 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from flavourasym.models import (AsymmetryBand, FlavourClass, MarginalGrid,
-                                ModelParams, _ps_lower_joint, _ps_upper_joint,
-                                asym_decohered, asym_qm, asym_sd_joint,
-                                asym_sd_marginal, curve_rows, marginalize,
-                                ps_band_edges, ps_bounds_joint,
-                                ps_bounds_marginal, rate_qm)
+from oracles import marginalize
+
+from flavourasym.analysis import Binning
+from flavourasym.fitkit import BinPredictor
+from flavourasym.models import (MarginalGrid, ModelParams, _ps_lower_joint,
+                                _ps_upper_joint, asym_qm, asym_sd_marginal,
+                                curve_rows, ps_band_edges)
 
 P = ModelParams()
 
@@ -53,32 +54,6 @@ class TestParams:
             ModelParams(**kw)
 
 
-class TestRates:
-    def test_asymmetry_is_rate_ratio(self):
-        # A = (R_OF - R_SF) / (R_OF + R_SF) must give back cos(dm dt)
-        dt = np.linspace(0.0, 20.0, 401)
-        r_of = rate_qm(dt, FlavourClass.OF, P)
-        r_sf = rate_qm(dt, FlavourClass.SF, P)
-        np.testing.assert_allclose((r_of - r_sf) / (r_of + r_sf),
-                                   asym_qm(dt, P), atol=1e-12)
-
-    def test_rate_normalization(self):
-        # OF + SF integrates to 1/2 over dt >= 0 (one time ordering)
-        from scipy import integrate
-        total, _ = integrate.quad(
-            lambda t: rate_qm(t, FlavourClass.OF, P)
-            + rate_qm(t, FlavourClass.SF, P), 0.0, 200.0)
-        assert total == pytest.approx(0.5, abs=1e-9)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            rate_qm(-0.1, FlavourClass.OF, P)
-        with pytest.raises(ValueError):
-            asym_qm([-1.0, 2.0], P)
-        with pytest.raises(ValueError):
-            ps_band_edges([1.0, -0.5], P)
-
-
 class TestSDMarginal:
     def test_value_at_zero(self):
         # 1/2 [1 + 1/(1 + (dm tau)^2)] at the default parameters
@@ -90,7 +65,7 @@ class TestSDMarginal:
     def test_closed_form_vs_quadrature(self):
         # the closed form must agree with the generic marginalization of the
         # joint SD asymmetry evaluated at (t_min, t_min + dt)
-        joint = lambda u, d: asym_sd_joint(u, u + d, P)
+        joint = lambda u, d: np.cos(P.dm * u) * np.cos(P.dm * (u + d))
         for dt in np.arange(0.0, 20.0 + 1e-9, 0.1):
             assert marginalize(joint, float(dt), P) == pytest.approx(
                 float(asym_sd_marginal(dt, P)), abs=1e-9)
@@ -122,25 +97,27 @@ class TestPSBand:
 
     def test_joint_band_ordered_and_bounded(self):
         rng = np.random.default_rng(11)
-        for t_min, dt in zip(rng.uniform(0, 30, 10000),
-                             rng.uniform(0, 20, 10000)):
-            band = ps_bounds_joint(t_min, dt, P)
-            assert -1.0 - 1e-12 <= band.lower <= band.upper <= 1.0 + 1e-12
+        t_min, dt = rng.uniform(0, 30, 10000), rng.uniform(0, 20, 10000)
+        lower = _ps_lower_joint(t_min, dt, P.dm)
+        upper = _ps_upper_joint(t_min, dt, P.dm)
+        assert np.all(-1.0 - 1e-12 <= lower)
+        assert np.all(lower <= upper)
+        assert np.all(upper <= 1.0 + 1e-12)
 
     def test_qm_inside_band_at_tmin_zero(self):
         # at t_min = 0 the band upper edge touches 1 at dt = 0
-        band = ps_bounds_joint(0.0, 0.0, P)
-        assert band.upper == pytest.approx(1.0, abs=1e-12)
-        assert band.contains(asym_qm(0.0, P))
+        upper = _ps_upper_joint(0.0, 0.0, P.dm)
+        assert upper == pytest.approx(1.0, abs=1e-12)
+        assert _ps_lower_joint(0.0, 0.0, P.dm) <= asym_qm(0.0, P) <= upper
 
     def test_marginal_band_at_zero(self):
         # dt = 0: upper edge is exactly 1, lower is the exponential-weighted
         # average of 2|cos(dm u)| - 1
-        band = ps_bounds_marginal(0.0, P)
-        assert band.upper == pytest.approx(1.0, abs=1e-9)
+        lo, up = ps_band_edges(0.0, P)
+        assert up == pytest.approx(1.0, abs=1e-9)
         lower = marginalize(
             lambda u, d: 2.0 * np.abs(np.cos(P.dm * u)) - 1.0, 0.0, P)
-        assert band.lower == pytest.approx(lower, abs=1e-9)
+        assert lo == pytest.approx(lower, abs=1e-9)
 
     def test_grid_matches_quadrature(self):
         # the band integrands have kinks in t_min, so the fixed-node rule
@@ -148,11 +125,9 @@ class TestPSBand:
         # the documented worst case ~1.1e-4 over a fine dt grid
         g = MarginalGrid(P.tau)
         for dt in (0.0, 0.5, 2.5, 6.2, 11.0, 19.5):
-            band = ps_bounds_marginal(dt, P)
-            assert float(g.ps_lower(dt, P.dm)) == pytest.approx(band.lower,
-                                                                abs=5e-5)
-            assert float(g.ps_upper(dt, P.dm)) == pytest.approx(band.upper,
-                                                                abs=5e-5)
+            lo, up = ps_band_edges(dt, P)
+            assert float(g.ps_lower(dt, P.dm)) == pytest.approx(lo, abs=5e-5)
+            assert float(g.ps_upper(dt, P.dm)) == pytest.approx(up, abs=5e-5)
         dt = np.arange(0.0, 20.0 + 1e-9, 0.05)
         lo, up = ps_band_edges(dt, P)
         assert np.abs(g.ps_lower(dt, P.dm) - lo).max() < 1.2e-4
@@ -190,31 +165,24 @@ class TestPSBand:
         assert np.all(up - lo > 0.01)
 
 
-class TestBand:
-    def test_distance(self):
-        band = AsymmetryBand(-0.25, 0.5)
-        np.testing.assert_allclose(band.distance([-1.0, 0.0, 0.75]),
-                                   [0.75, 0.0, 0.25])
-
-    def test_inverted_rejected(self):
-        with pytest.raises(ValueError):
-            AsymmetryBand(0.5, -0.5)
-
-
 class TestDecohered:
+    # the one decoherence curve: BinPredictor's mixture of the bin averages
+    PRED = BinPredictor(Binning(), tau=P.tau)
+
     def test_limits(self):
-        dt = np.linspace(0, 20, 50)
-        p0 = ModelParams(zeta=0.0)
-        p1 = ModelParams(zeta=1.0)
-        np.testing.assert_allclose(asym_decohered(dt, p0), asym_qm(dt, p0))
-        np.testing.assert_allclose(asym_decohered(dt, p1),
-                                   asym_sd_marginal(dt, p1))
+        for dm in (0.3, 0.507, 0.8):
+            np.testing.assert_array_equal(
+                self.PRED.predict("DECOHERED", dm, 0.0),
+                self.PRED.predict("QM", dm))
+            np.testing.assert_array_equal(
+                self.PRED.predict("DECOHERED", dm, 1.0),
+                self.PRED.predict("SD", dm))
 
     def test_linearity_in_zeta(self):
-        p = ModelParams(zeta=0.3)
-        dt = 4.0
-        expected = 0.7 * asym_qm(dt, p) + 0.3 * asym_sd_marginal(dt, p)
-        assert asym_decohered(dt, p) == pytest.approx(expected, abs=1e-12)
+        expected = (0.7 * self.PRED.predict("QM", P.dm)
+                    + 0.3 * self.PRED.predict("SD", P.dm))
+        np.testing.assert_allclose(self.PRED.predict("DECOHERED", P.dm, 0.3),
+                                   expected, rtol=0, atol=1e-12)
 
 
 class TestCurveRows:
@@ -235,15 +203,15 @@ class TestCurveRows:
         np.testing.assert_array_equal(rows[:, 4], up)
 
 
-@given(dm=st.floats(0.2, 0.9), tau=st.floats(0.5, 3.0),
-       t_min=st.floats(0.0, 30.0), dt=st.floats(0.0, 20.0))
+@given(dm=st.floats(0.2, 0.9), t_min=st.floats(0.0, 30.0),
+       dt=st.floats(0.0, 20.0))
 @settings(max_examples=200, deadline=None)
-def test_joint_band_property(dm, tau, t_min, dt):
-    p = ModelParams(dm=dm, tau=tau)
-    band = ps_bounds_joint(t_min, dt, p)
+def test_joint_band_property(dm, t_min, dt):
+    lower = _ps_lower_joint(t_min, dt, dm)
+    upper = _ps_upper_joint(t_min, dt, dm)
     # ordering may be violated by one ulp where the edges touch
-    assert -1.0 - 1e-9 <= band.lower <= band.upper + 1e-12
-    assert band.upper <= 1.0 + 1e-9
+    assert -1.0 - 1e-9 <= lower <= upper + 1e-12
+    assert upper <= 1.0 + 1e-9
 
 
 @given(dm=st.floats(0.2, 0.9), tau=st.floats(0.5, 3.0),
@@ -252,16 +220,25 @@ def test_joint_band_property(dm, tau, t_min, dt):
 @settings(max_examples=100, deadline=None)
 def test_marginal_band_matches_split_quadrature(dm, tau, dt):
     p = ModelParams(dm=dm, tau=tau)
-    band = ps_bounds_marginal(dt, p)
+    lo, up = ps_band_edges(dt, p)
     lower, upper = split_marginal(dt, p)
-    assert band.lower == pytest.approx(lower, abs=1e-12)
-    assert band.upper == pytest.approx(upper, abs=1e-12)
+    assert lo == pytest.approx(lower, abs=1e-12)
+    assert up == pytest.approx(upper, abs=1e-12)
 
 
 @given(dm=st.floats(0.2, 0.9), tau=st.floats(0.5, 3.0),
        dt=st.floats(0.0, 20.0), zeta=st.floats(0.0, 1.0))
 @settings(max_examples=100, deadline=None)
 def test_curves_bounded_property(dm, tau, dt, zeta):
-    p = ModelParams(dm=dm, tau=tau, zeta=zeta)
-    for f in (asym_qm, asym_sd_marginal, asym_decohered):
+    p = ModelParams(dm=dm, tau=tau)
+    for f in (asym_qm, asym_sd_marginal):
         assert -1.0 - 1e-9 <= float(f(dt, p)) <= 1.0 + 1e-9
+    # the decohered mixture, bin-averaged over a narrow bin at dt
+    pred = BinPredictor(Binning((dt, dt + 0.01)), tau=tau)
+    assert -1.0 - 1e-9 <= pred.predict("DECOHERED", dm, zeta)[0] <= 1.0 + 1e-9
+
+
+def test_negative_time_rejected():
+    for f in (asym_qm, asym_sd_marginal, ps_band_edges, curve_rows):
+        with pytest.raises(ValueError):
+            f([1.0, -0.5], P)
