@@ -98,7 +98,7 @@ def cmd_generate(args):
     cfg = run.pipeline
     events = generate_ensemble(run.model, cfg.params, cfg.detector,
                                cfg.backgrounds, cfg.n_signal,
-                               master_seed=cfg.seed, n_streams=run.n_streams)
+                               master_seed=cfg.seed)
     out = Path(args.out or "events.csv")
     write_events(events, out)
     _write_log(out, {"config": _sha256(args.config), "seed": cfg.seed,
@@ -140,8 +140,7 @@ def cmd_unfold(args):
             base = Path(args.out)
             write_response(r_of, base.with_suffix(".resp_of.csv"))
             write_response(r_sf, base.with_suffix(".resp_sf.csv"))
-    x, cov_of, cov_sf, cov_x = dsvd_unfold(counts, r_of, r_sf, cfg.unfold)
-    a, cov_a = unfolded_asymmetry(x, cov_of, cov_sf, cov_x)
+    a, cov_a = unfolded_asymmetry(*dsvd_unfold(counts, r_of, r_sf, cfg.unfold))
     spec = AsymmetrySpectrum(counts.binning, a, np.sqrt(np.diag(cov_a)))
     out = Path(args.out or "unfolded.csv")
     write_spectrum(spec, out)

@@ -28,7 +28,6 @@ class RunConfig:
 
     model: GenModel
     pipeline: PipelineConfig
-    n_streams: int = 1
 
 
 def _get(cp, section, key, conv, default=None, required=False):
@@ -41,6 +40,14 @@ def _get(cp, section, key, conv, default=None, required=False):
         return conv(raw)
     except ValueError as e:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {e}") from e
+
+
+def _fields(cp, section, cls, keys: dict):
+    """cls from [section], keys mapping each field to its INI key; a missing
+    key keeps the field's default, and values parse as the default's type."""
+    d = cls()
+    return cls(**{f: _get(cp, section, k, type(getattr(d, f)), getattr(d, f))
+                  for f, k in keys.items()})
 
 
 def _parse_bool(raw: str) -> bool:
@@ -86,17 +93,12 @@ def load_config(path) -> RunConfig:
         raise ConfigError(
             f"[model] name = {name!r}: expected one of "
             f"{', '.join(m.name for m in GenModel)}")
-    d = ModelParams()
-    params = ModelParams(
-        dm=_get(cp, "model", "dm", float, d.dm),
-        tau=_get(cp, "model", "tau", float, d.tau),
-        zeta=_get(cp, "model", "zeta", float, d.zeta),
-    )
-    detector = DetectorConfig(
-        resolution_sigma=_get(cp, "detector", "resolution_um", float, 100.0),
-        extra_smear_sigma=_get(cp, "detector", "extra_smear_um", float, 46.0),
-        mistag_fraction=_get(cp, "detector", "mistag", float, 0.015),
-    )
+    params = _fields(cp, "model", ModelParams,
+                     {"dm": "dm", "tau": "tau", "zeta": "zeta"})
+    detector = _fields(cp, "detector", DetectorConfig,
+                       {"resolution_sigma": "resolution_um",
+                        "extra_smear_sigma": "extra_smear_um",
+                        "mistag_fraction": "mistag"})
     yields = {}
     for cat in (EventCategory.DSTAR_FAKE, EventCategory.WRONG_COMBINATION,
                 EventCategory.DSS_CHARGED):
@@ -110,28 +112,26 @@ def load_config(path) -> RunConfig:
     binning = _get(cp, "binning", "edges",
                    lambda raw: Binning(tuple(float(x) for x in raw.split())),
                    Binning())
-    unfold = UnfoldConfig(
-        rank_of=_get(cp, "unfold", "rank_of", int, 5),
-        rank_sf=_get(cp, "unfold", "rank_sf", int, 6),
-        mix_s=_get(cp, "unfold", "mix_s", float, 0.2),
-        mix_o=_get(cp, "unfold", "mix_o", float, 0.2),
-    )
-    constraint = Constraint(
-        mean=_get(cp, "fit", "constraint_mean", float, 0.496),
-        sigma=_get(cp, "fit", "constraint_sigma", float, 0.014),
-    )
+    unfold = _fields(cp, "unfold", UnfoldConfig,
+                     {k: k for k in ("rank_of", "rank_sf", "mix_s", "mix_o")})
+    constraint = _fields(cp, "fit", Constraint,
+                         {"mean": "constraint_mean",
+                          "sigma": "constraint_sigma"})
     seed = _get(cp, "run", "seed", int, required=True)
+    if _get(cp, "run", "streams", int, 1) != 1:
+        # a config written for split signal streams would silently give
+        # different events
+        raise ConfigError("[run] streams: only one signal stream is "
+                          "supported; remove the key")
+    dp = PipelineConfig()
     pipeline = PipelineConfig(
         params=params, detector=detector, backgrounds=backgrounds,
         binning=binning, unfold=unfold, constraint=constraint,
-        n_signal=_get(cp, "run", "n_signal", int, 7815),
-        n_response_mc=_get(cp, "run", "n_response_mc", int, 400000),
+        n_signal=_get(cp, "run", "n_signal", int, dp.n_signal),
+        n_response_mc=_get(cp, "run", "n_response_mc", int, dp.n_response_mc),
         seed=seed,
     )
-    return RunConfig(
-        model=model, pipeline=pipeline,
-        n_streams=_get(cp, "run", "streams", int, 1),
-    )
+    return RunConfig(model=model, pipeline=pipeline)
 
 
 def default_config_text(seed: int = 1) -> str:
@@ -158,7 +158,6 @@ fixed_counts = false
 [run]
 n_signal = 7815
 seed = {seed}
-streams = 1
 n_response_mc = 400000
 
 [unfold]

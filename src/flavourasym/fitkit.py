@@ -5,6 +5,7 @@ chi-square model discrimination."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import optimize
@@ -80,7 +81,11 @@ class BinPredictor:
         self._t = mid + half * x                       # (bins, nodes)
         wn = half * w * np.exp(-self._t / tau)
         self._w = wn / wn.sum(axis=1, keepdims=True)
-        self._grid = MarginalGrid(tau)
+
+    @cached_property
+    def _grid(self) -> MarginalGrid:
+        """The t_min grid of the band; only band predictions build it."""
+        return MarginalGrid(self.tau)
 
     def average(self, f) -> np.ndarray:
         """Rate-weighted bin average of a curve f(dt)."""

@@ -108,9 +108,8 @@ def replica_counts(model: GenModel, cfg: PipelineConfig, replica_seed: int):
 def unfold_replica(counts, cfg: PipelineConfig, resp_of: ResponseMatrix,
                    resp_sf: ResponseMatrix):
     """Unfold corrected counts and form the asymmetry and its covariance."""
-    x, cov_of, cov_sf, cov_x = dsvd_unfold(counts, resp_of, resp_sf,
-                                           cfg.unfold)
-    return unfolded_asymmetry(x, cov_of, cov_sf, cov_x)
+    return unfolded_asymmetry(*dsvd_unfold(counts, resp_of, resp_sf,
+                                           cfg.unfold))
 
 
 def run_replica(model: GenModel, cfg: PipelineConfig,

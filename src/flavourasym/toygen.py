@@ -232,16 +232,16 @@ def _join(parts) -> np.ndarray:
 
 
 def make_signal_events(model: GenModel, p: ModelParams, n: int,
-                       d: DetectorConfig, rng: np.random.Generator,
-                       stream: int = 0) -> np.ndarray:
-    """Generate `n` signal pairs and run them through the detector model."""
+                       d: DetectorConfig,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Generate `n` signal pairs and run them through the detector model;
+    their `stream` field is 0."""
     ev = np.zeros(n, dtype=EVENT_DTYPE)
     t1, t2, is_of = sample_pair(model, p, rng, n)
     ev["t1_ps"] = t1
     ev["t2_ps"] = t2
     ev["dt_true_ps"] = np.abs(t1 - t2)
     ev["cls_true"] = ~is_of                 # code 1, SF, where not OF
-    ev["stream"] = stream
     ev["index"] = np.arange(n)
     return apply_detector(ev, d, rng)
 
@@ -284,22 +284,17 @@ def stream_rng(master_seed: int, stream: int) -> np.random.Generator:
 
 
 def generate_ensemble(model: GenModel, p: ModelParams, d: DetectorConfig,
-                      b: BackgroundConfig, n_signal: int, master_seed: int,
-                      n_streams: int = 1) -> np.ndarray:
-    """Deterministic multi-stream generation; identical inputs give identical events."""
-    if n_streams < 1:
-        raise ValueError("need at least one stream")
-    chunks = []
-    per = [n_signal // n_streams] * n_streams
-    per[-1] += n_signal - sum(per)
-    for s in range(n_streams):
-        rng = stream_rng(master_seed, s)
-        chunks.append(make_signal_events(model, p, per[s], d, rng, stream=s))
-    signal = _join(chunks) if n_streams > 1 else chunks[0]
-    # backgrounds draw from their own stream so signal events do not move
-    # when the background configuration changes
-    bkg_rng = stream_rng(master_seed, n_streams)
-    return inject_backgrounds(signal, b, d, bkg_rng, stream=n_streams)
+                      b: BackgroundConfig, n_signal: int,
+                      master_seed: int) -> np.ndarray:
+    """Deterministic generation; identical inputs give identical events.
+
+    Signal draws from stream 0 of the master seed and backgrounds from
+    stream 1, so signal events do not move when the background
+    configuration changes."""
+    signal = make_signal_events(model, p, n_signal, d,
+                                stream_rng(master_seed, 0))
+    return inject_backgrounds(signal, b, d, stream_rng(master_seed, 1),
+                              stream=1)
 
 
 _COLUMNS = list(EVENT_DTYPE.names)

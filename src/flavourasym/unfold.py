@@ -20,8 +20,6 @@ __all__ = [
     "ResponseMatrix",
     "UnfoldConfig",
     "build_response",
-    "mix_counts",
-    "demix_counts",
     "mix_responses",
     "dsvd_unfold",
     "bias_correct",
@@ -97,35 +95,10 @@ def build_response(events: np.ndarray, binning: Binning,
     return out["OF"], out["SF"]
 
 
-def mix_counts(of: np.ndarray, sf: np.ndarray, cfg: UnfoldConfig):
-    """of + s*sf and sf + o*of; populates bins that one class leaves empty."""
-    of = np.asarray(of, dtype=float)
-    sf = np.asarray(sf, dtype=float)
-    return of + cfg.mix_s * sf, sf + cfg.mix_o * of
-
-
-def demix_counts(of_mixed: np.ndarray, sf_mixed: np.ndarray, cfg: UnfoldConfig):
-    """Exact linear inverse of mix_counts."""
-    det = 1.0 - cfg.mix_s * cfg.mix_o
-    if det == 0:
-        raise ValueError("singular de-mixing: mix_s * mix_o = 1")
-    of = (of_mixed - cfg.mix_s * sf_mixed) / det
-    sf = (sf_mixed - cfg.mix_o * of_mixed) / det
-    return of, sf
-
-
-def demix_jacobian(nb: int, cfg: UnfoldConfig) -> np.ndarray:
-    """Matrix sending (of_mixed, sf_mixed) to (of, sf), stacked vectors."""
-    det = 1.0 - cfg.mix_s * cfg.mix_o
-    eye = np.eye(nb)
-    top = np.hstack([eye, -cfg.mix_s * eye]) / det
-    bot = np.hstack([-cfg.mix_o * eye, eye]) / det
-    return np.vstack([top, bot])
-
-
 def mix_responses(r_of: ResponseMatrix, r_sf: ResponseMatrix,
                   cfg: UnfoldConfig):
-    """Responses trained on the mixed samples, consistent with mix_counts."""
+    """Responses trained on the mixed samples of `dsvd_unfold`: OF + s*SF and
+    SF + o*OF."""
     of_m = ResponseMatrix(
         r_of.binning, r_of.m + cfg.mix_s * r_sf.m,
         r_of.truth_totals + cfg.mix_s * r_sf.truth_totals, cls="OF")
@@ -135,7 +108,7 @@ def mix_responses(r_of: ResponseMatrix, r_sf: ResponseMatrix,
     return of_m, sf_m
 
 
-def truncated_solver(resp: ResponseMatrix, rank: int, apriori=None):
+def truncated_solver(resp: ResponseMatrix, rank: int):
     """Linear map from a measured vector to the truth estimate.
 
     The unknowns are ratios w to the a-priori spectrum xa, and the truncation
@@ -155,7 +128,7 @@ def truncated_solver(resp: ResponseMatrix, rank: int, apriori=None):
     nb = resp.binning.n_bins
     if rank > nb:
         raise ValueError(f"rank {rank} exceeds the number of bins {nb}")
-    xa = resp.apriori if apriori is None else np.asarray(apriori, dtype=float)
+    xa = resp.apriori
     if np.any(xa <= 0):
         raise ValueError("a-priori spectrum must be positive in every bin")
     a = resp.efficiency_normalized @ np.diag(xa)
@@ -174,69 +147,48 @@ def truncated_solver(resp: ResponseMatrix, rank: int, apriori=None):
 
 def dsvd_unfold(measured: BinnedCounts, resp_of: ResponseMatrix,
                 resp_sf: ResponseMatrix, cfg: UnfoldConfig):
-    """Unfold an OF/SF pair of measured spectra.
+    """Unfold an OF/SF pair of measured spectra through one linear map.
 
-    Mixes the measured vectors and the responses, truncates each SVD at the
-    configured rank, de-mixes, and propagates the measured per-bin
-    variances (and the OF/SF cross term induced by mixing) to the output.
-
-    Returns (truth BinnedCounts, cov_of, cov_sf, cov_ofsf).
+    On the stacked (OF, SF) counts y the estimator is
+    L = M^-1 diag(K_of, K_sf) M, with M = [[I, s I], [o I, I]] the class
+    mixing and K the rank-truncated solvers of the mixed responses. Returns
+    the truth estimate x = L y as BinnedCounts and its 2nb x 2nb covariance
+    L diag(var) L^T, the OF/SF cross term included.
     """
     nb = measured.binning.n_bins
-    of_m, sf_m = mix_counts(measured.n_of, measured.n_sf, cfg)
+    eye = np.eye(nb)
+    mix = np.block([[eye, cfg.mix_s * eye], [cfg.mix_o * eye, eye]])
     r_of_m, r_sf_m = mix_responses(resp_of, resp_sf, cfg)
-    k_of = truncated_solver(r_of_m, cfg.rank_of)
-    k_sf = truncated_solver(r_sf_m, cfg.rank_sf)
-    x_of_m = k_of @ of_m
-    x_sf_m = k_sf @ sf_m
-
-    c_of = np.diag(measured.var_of)
-    c_sf = np.diag(measured.var_sf)
-    # covariance of the mixed measured vectors; OF and SF are independent
-    s, o = cfg.mix_s, cfg.mix_o
-    c_ofm = c_of + s * s * c_sf
-    c_sfm = c_sf + o * o * c_of
-    c_cross_m = o * c_of + s * c_sf
-
-    cov_xofm = k_of @ c_ofm @ k_of.T
-    cov_xsfm = k_sf @ c_sfm @ k_sf.T
-    cov_xcross = k_of @ c_cross_m @ k_sf.T
-
-    x_of, x_sf = demix_counts(x_of_m, x_sf_m, cfg)
-    j = demix_jacobian(nb, cfg)
-    big = np.block([[cov_xofm, cov_xcross], [cov_xcross.T, cov_xsfm]])
-    big = j @ big @ j.T
-    cov_uof = big[:nb, :nb]
-    cov_usf = big[nb:, nb:]
-    cov_uofsf = big[:nb, nb:]
-    out = BinnedCounts(measured.binning, x_of, x_sf,
-                       var_of=np.diag(cov_uof).copy(),
-                       var_sf=np.diag(cov_usf).copy())
-    return out, cov_uof, cov_usf, cov_uofsf
+    solve = np.zeros((2 * nb, 2 * nb))
+    solve[:nb, :nb] = truncated_solver(r_of_m, cfg.rank_of)
+    solve[nb:, nb:] = truncated_solver(r_sf_m, cfg.rank_sf)
+    lin = np.linalg.inv(mix) @ solve @ mix
+    x = lin @ np.concatenate([measured.n_of, measured.n_sf])
+    cov = lin * np.concatenate([measured.var_of, measured.var_sf]) @ lin.T
+    var = np.diag(cov)
+    return BinnedCounts(measured.binning, x[:nb], x[nb:],
+                        var_of=var[:nb], var_sf=var[nb:]), cov
 
 
-def unfolded_asymmetry(x: BinnedCounts, cov_of, cov_sf, cov_ofsf,
-                       debias: bool = True):
+def unfolded_asymmetry(x: BinnedCounts, cov, debias: bool = True):
     """Asymmetry of unfolded counts with the full propagated covariance.
 
-    With `debias` the second-order expectation bias of the ratio, evaluated
-    from the propagated covariance, is subtracted from the central values.
+    `cov` is the covariance of the stacked (OF, SF) counts. With `debias`
+    the second-order expectation bias of the ratio, evaluated from it, is
+    subtracted from the central values.
     """
+    nb = len(x.n_of)
     tot = x.n_of + x.n_sf
     a = (x.n_of - x.n_sf) / tot
     if debias:
-        v_oo = np.diag(cov_of)
-        v_ss = np.diag(cov_sf)
-        v_os = np.diag(cov_ofsf)
-        a = a - (2.0 / tot ** 3) * (-x.n_sf * v_oo
-                                    + (x.n_of - x.n_sf) * v_os
-                                    + x.n_of * v_ss)
+        var = np.diag(cov)
+        a = a - (2.0 / tot ** 3) * (-x.n_sf * var[:nb]
+                                    + (x.n_of - x.n_sf) * np.diag(cov, nb)
+                                    + x.n_of * var[nb:])
     # d a / d n_of = 2 n_sf / tot^2 ; d a / d n_sf = -2 n_of / tot^2
-    g_of = np.diag(2.0 * x.n_sf / tot ** 2)
-    g_sf = np.diag(-2.0 * x.n_of / tot ** 2)
-    cov = (g_of @ cov_of @ g_of.T + g_sf @ cov_sf @ g_sf.T
-           + g_of @ cov_ofsf @ g_sf.T + g_sf @ cov_ofsf.T @ g_of.T)
-    return a, cov
+    g = np.hstack([np.diag(2.0 * x.n_sf / tot ** 2),
+                   np.diag(-2.0 * x.n_of / tot ** 2)])
+    return a, g @ cov @ g.T
 
 
 def bias_correct(unfolded_by_model: dict, truth_by_model: dict):

@@ -22,8 +22,7 @@ from flavourasym.pipeline import (PipelineConfig, analyze_counts,
                                   run_ensemble, smear_systematic)
 from flavourasym.toygen import (DetectorConfig, GenModel, make_signal_events,
                                 stream_rng)
-from flavourasym.unfold import (ResponseMatrix, UnfoldConfig, dsvd_unfold,
-                                mix_counts)
+from flavourasym.unfold import ResponseMatrix, UnfoldConfig, dsvd_unfold
 from flavourasym.analysis import BinnedCounts
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from flavourasym.config import (ConfigError, default_config_text, load_config)
+from flavourasym.pipeline import PipelineConfig
 from flavourasym.toygen import EventCategory, GenModel
 
 
@@ -30,22 +31,22 @@ class TestLoadConfig:
         path = write_cfg(tmp_path, default_config_text(seed=99))
         run = load_config(path)
         assert run.model is GenModel.QM
-        assert run.pipeline.seed == 99
-        assert run.pipeline.params.dm == 0.507
-        assert run.pipeline.n_signal == 7815
-        assert run.pipeline.unfold.rank_of == 5
-        assert run.pipeline.unfold.rank_sf == 6
-        assert run.pipeline.constraint.mean == 0.496
-        y = run.pipeline.backgrounds.yields
-        assert y[EventCategory.WRONG_COMBINATION].n_of == 78.0
-        assert y[EventCategory.WRONG_COMBINATION].n_sf == 237.0
-        assert y[EventCategory.DSS_CHARGED].n_sf_err == 0.5
+        assert run.pipeline == PipelineConfig.paper_scale(seed=99)
 
     def test_minimal_defaults(self, tmp_path):
         run = load_config(write_cfg(tmp_path, MINIMAL))
-        assert run.pipeline.seed == 11
-        assert run.pipeline.detector.mistag_fraction == 0.015
-        assert not run.pipeline.backgrounds.yields
+        assert run.pipeline == PipelineConfig(seed=11)
+
+    def test_single_stream_key_loads(self, tmp_path):
+        text = MINIMAL.replace("seed = 11\n", "seed = 11\nstreams = 1\n")
+        run = load_config(write_cfg(tmp_path, text))
+        assert run.pipeline == PipelineConfig(seed=11)
+        assert "streams" not in default_config_text()
+
+    def test_multi_stream_config_rejected(self, tmp_path):
+        text = MINIMAL.replace("seed = 11\n", "seed = 11\nstreams = 4\n")
+        with pytest.raises(ConfigError, match="streams"):
+            load_config(write_cfg(tmp_path, text))
 
     def test_seed_is_mandatory(self, tmp_path):
         text = MINIMAL.replace("seed = 11\n", "")

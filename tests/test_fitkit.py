@@ -4,10 +4,11 @@ significances."""
 import numpy as np
 import pytest
 
+from flavourasym import fitkit
 from flavourasym.analysis import AsymmetrySpectrum, Binning
 from flavourasym.fitkit import (BinPredictor, Constraint, FitResult, chi2,
                                 fit_model, fit_zeta, significance)
-from flavourasym.models import ModelParams, asym_qm
+from flavourasym.models import MarginalGrid, ModelParams, asym_qm
 
 TAU = 1.53
 C = Constraint()
@@ -56,6 +57,25 @@ class TestBinPredictor:
                                       up)
         with pytest.raises(ValueError):
             pred.predict("PS", 0.507)
+
+    def test_grid_built_by_first_band_call_only(self, monkeypatch):
+        def refuse(tau):
+            raise AssertionError("point predictions need no t_min grid")
+
+        monkeypatch.setattr(fitkit, "MarginalGrid", refuse)
+        pred = BinPredictor(Binning())
+        for model in ("QM", "SD", "DECOHERED"):
+            assert np.all(np.isfinite(pred.predict(model, 0.507, 0.3)))
+        built = []
+
+        def counting(tau):
+            built.append(tau)
+            return MarginalGrid(tau)
+
+        monkeypatch.setattr(fitkit, "MarginalGrid", counting)
+        first = pred.band(0.507)
+        np.testing.assert_array_equal(pred.band(0.507), first)
+        assert built == [pred.tau]
 
     def test_decohered_limits(self):
         pred = BinPredictor(Binning())

@@ -6,8 +6,7 @@ import pytest
 
 from flavourasym.analysis import BinnedCounts, Binning
 from flavourasym.unfold import (ResponseMatrix, UnfoldConfig, bias_correct,
-                                build_response, demix_counts, demix_jacobian,
-                                dsvd_unfold, mix_counts, mix_responses,
+                                build_response, dsvd_unfold, mix_responses,
                                 read_response, truncated_solver,
                                 unfolded_asymmetry, write_response)
 
@@ -55,31 +54,6 @@ class TestResponseMatrix:
 
 class TestMixing:
     CFG = UnfoldConfig()
-
-    def test_round_trip(self):
-        of = RNG.uniform(0, 100, NB)
-        sf = RNG.uniform(0, 100, NB)
-        of_m, sf_m = mix_counts(of, sf, self.CFG)
-        of_b, sf_b = demix_counts(of_m, sf_m, self.CFG)
-        np.testing.assert_allclose(of_b, of, atol=1e-12)
-        np.testing.assert_allclose(sf_b, sf, atol=1e-12)
-
-    def test_zero_mixing_identity(self):
-        cfg = UnfoldConfig(mix_s=0.0, mix_o=0.0)
-        of = RNG.uniform(0, 100, NB)
-        sf = RNG.uniform(0, 100, NB)
-        of_m, sf_m = mix_counts(of, sf, cfg)
-        np.testing.assert_array_equal(of_m, of)
-        np.testing.assert_array_equal(sf_m, sf)
-
-    def test_jacobian_matches_demix(self):
-        of_m = RNG.uniform(0, 100, NB)
-        sf_m = RNG.uniform(0, 100, NB)
-        j = demix_jacobian(NB, self.CFG)
-        stacked = j @ np.concatenate([of_m, sf_m])
-        of, sf = demix_counts(of_m, sf_m, self.CFG)
-        np.testing.assert_allclose(stacked[:NB], of, atol=1e-12)
-        np.testing.assert_allclose(stacked[NB:], sf, atol=1e-12)
 
     def test_singular_mixing_rejected(self):
         with pytest.raises(ValueError):
@@ -143,9 +117,12 @@ class TestTruncatedSolver:
             truncated_solver(identity_response(), NB + 1)
 
     def test_nonpositive_apriori_rejected(self):
+        # a truth bin the training sample never populated
         r = random_response(np.random.default_rng(15))
+        r.m[:, 3] = 0.0
+        r.truth_totals[3] = 0.0
         with pytest.raises(ValueError, match="a-priori"):
-            truncated_solver(r, 5, apriori=np.zeros(NB))
+            truncated_solver(ResponseMatrix(Binning(), r.m, r.truth_totals), 5)
 
     def test_tiny_singular_value_raises(self):
         # a rank-deficient response has vanishing singular values at the end
@@ -168,11 +145,13 @@ class TestDsvdUnfold:
         counts = BinnedCounts(Binning(), RNG.uniform(50, 500, NB),
                               RNG.uniform(50, 500, NB))
         cfg = UnfoldConfig(rank_of=NB, rank_sf=NB, mix_s=0.0, mix_o=0.0)
-        x, cov_of, cov_sf, cov_x = dsvd_unfold(counts, r, r, cfg)
+        x, cov = dsvd_unfold(counts, r, r, cfg)
         np.testing.assert_allclose(x.n_of, counts.n_of, rtol=1e-9)
         np.testing.assert_allclose(x.n_sf, counts.n_sf, rtol=1e-9)
-        np.testing.assert_allclose(cov_of, np.diag(counts.var_of), atol=1e-7)
-        np.testing.assert_allclose(cov_x, np.zeros((NB, NB)), atol=1e-9)
+        np.testing.assert_allclose(cov[:NB, :NB], np.diag(counts.var_of),
+                                   atol=1e-7)
+        np.testing.assert_allclose(cov[:NB, NB:], np.zeros((NB, NB)),
+                                   atol=1e-9)
 
     def test_noiseless_closure_full_rank_no_mixing(self):
         r_of = random_response(np.random.default_rng(21), "OF")
@@ -205,29 +184,41 @@ class TestDsvdUnfold:
         r_sf = random_response(np.random.default_rng(24), "SF")
         counts = BinnedCounts(Binning(), RNG.uniform(50, 500, NB),
                               RNG.uniform(50, 500, NB))
-        _, cov_of, cov_sf, cov_x = dsvd_unfold(counts, r_of, r_sf,
-                                               UnfoldConfig())
-        big = np.block([[cov_of, cov_x], [cov_x.T, cov_sf]])
-        np.testing.assert_allclose(big, big.T, atol=1e-9)
-        assert np.min(np.linalg.eigvalsh(big)) > -1e-7 * np.max(big)
+        _, cov = dsvd_unfold(counts, r_of, r_sf, UnfoldConfig())
+        np.testing.assert_allclose(cov, cov.T, atol=1e-9)
+        assert np.min(np.linalg.eigvalsh(cov)) > -1e-7 * np.max(cov)
 
-    def test_mixing_populates_empty_bin(self):
-        # one class empty in a bin, the other populated: the mixed vector
-        # seen by the solver is nonzero there
-        of = np.full(NB, 100.0)
-        sf = np.full(NB, 100.0)
-        sf[0] = 0.0
+    def test_exact_linear_propagation(self):
+        # the estimator is one linear map L on the stacked (OF, SF) counts:
+        # build L column by column from unit count vectors, then check the
+        # mean is L y and the covariance L diag(var) L^T, cross term included
+        r_of = random_response(np.random.default_rng(25), "OF")
+        r_sf = random_response(np.random.default_rng(26), "SF")
         cfg = UnfoldConfig()
-        of_m, sf_m = mix_counts(of, sf, cfg)
-        assert sf_m[0] == pytest.approx(cfg.mix_o * 100.0)
+
+        def unfold(y, var):
+            x, cov = dsvd_unfold(BinnedCounts(Binning(), y[:NB], y[NB:],
+                                              var[:NB], var[NB:]),
+                                 r_of, r_sf, cfg)
+            return np.concatenate([x.n_of, x.n_sf]), cov
+
+        ones = np.ones(2 * NB)
+        lin = np.column_stack([unfold(e, ones)[0] for e in np.eye(2 * NB)])
+        y = RNG.uniform(50, 500, 2 * NB)
+        var = RNG.uniform(20, 600, 2 * NB)
+        x, cov = unfold(y, var)
+        expect = lin @ np.diag(var) @ lin.T
+        np.testing.assert_allclose(x, lin @ y, rtol=1e-12)
+        np.testing.assert_allclose(cov, expect, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expect).max())
+        assert np.abs(cov[:NB, NB:]).max() > 1e-3 * np.abs(expect).max()
 
 
 class TestUnfoldedAsymmetry:
     def test_values_and_errors(self):
         x = BinnedCounts(Binning(), np.full(NB, 300.0), np.full(NB, 100.0))
-        cov = np.diag(np.full(NB, 4.0))
-        zero = np.zeros((NB, NB))
-        a, cov_a = unfolded_asymmetry(x, cov, cov, zero, debias=False)
+        cov = np.diag(np.full(2 * NB, 4.0))
+        a, cov_a = unfolded_asymmetry(x, cov, debias=False)
         np.testing.assert_allclose(a, 0.5, atol=1e-12)
         # da = (2 sf dof - 2 of dsf)/tot^2; var = 4 (sf^2+of^2) var / tot^4
         expect = 4.0 * (300.0 ** 2 + 100.0 ** 2) * 4.0 / 400.0 ** 4
@@ -241,10 +232,9 @@ class TestUnfoldedAsymmetry:
         sf = rng.normal(sf0, sig, 400000)
         mc_mean = np.mean((of - sf) / (of + sf))
         x = BinnedCounts(Binning(), np.full(NB, of0), np.full(NB, sf0))
-        cov = np.diag(np.full(NB, sig ** 2))
-        zero = np.zeros((NB, NB))
-        a_raw, _ = unfolded_asymmetry(x, cov, cov, zero, debias=False)
-        a_cor, _ = unfolded_asymmetry(x, cov, cov, zero, debias=True)
+        cov = np.diag(np.full(2 * NB, sig ** 2))
+        a_raw, _ = unfolded_asymmetry(x, cov, debias=False)
+        a_cor, _ = unfolded_asymmetry(x, cov, debias=True)
         # the correction moves the estimate toward the true ratio by
         # approximately the observed expectation bias
         truth = (of0 - sf0) / (of0 + sf0)
