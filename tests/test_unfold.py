@@ -55,6 +55,79 @@ class TestResponseMatrix:
 class TestMixing:
     CFG = UnfoldConfig()
 
+    def test_round_trip(self):
+        # equal responses solved at full rank: de-mixing undoes the mixing,
+        # so each class is only corrected for the efficiency
+        eff = 0.7
+        r = identity_response(eff=eff)
+        cfg = UnfoldConfig(rank_of=NB, rank_sf=NB)
+        counts = BinnedCounts(Binning(), RNG.uniform(0, 100, NB),
+                              RNG.uniform(0, 100, NB))
+        x, cov = dsvd_unfold(counts, r, r, cfg)
+        np.testing.assert_allclose(x.n_of, counts.n_of / eff, atol=1e-10)
+        np.testing.assert_allclose(x.n_sf, counts.n_sf / eff, atol=1e-10)
+        np.testing.assert_allclose(
+            cov,
+            np.diag(np.concatenate([counts.var_of, counts.var_sf])) / eff ** 2,
+            atol=1e-10)
+
+    def test_zero_mixing_identity(self):
+        cfg = UnfoldConfig(mix_s=0.0, mix_o=0.0)
+        r_of = random_response(np.random.default_rng(9), "OF")
+        r_sf = random_response(np.random.default_rng(10), "SF")
+        of_m, sf_m = mix_responses(r_of, r_sf, cfg)
+        np.testing.assert_array_equal(of_m.m, r_of.m)
+        np.testing.assert_array_equal(of_m.truth_totals, r_of.truth_totals)
+        np.testing.assert_array_equal(sf_m.m, r_sf.m)
+        np.testing.assert_array_equal(sf_m.truth_totals, r_sf.truth_totals)
+        counts = BinnedCounts(Binning(), RNG.uniform(50, 500, NB),
+                              RNG.uniform(50, 500, NB))
+        x, cov = dsvd_unfold(counts, r_of, r_sf, cfg)
+        np.testing.assert_allclose(
+            x.n_of, truncated_solver(r_of, cfg.rank_of) @ counts.n_of,
+            rtol=1e-12)
+        np.testing.assert_allclose(
+            x.n_sf, truncated_solver(r_sf, cfg.rank_sf) @ counts.n_sf,
+            rtol=1e-12)
+        np.testing.assert_array_equal(cov[:NB, NB:], np.zeros((NB, NB)))
+
+    def test_jacobian_matches_demix(self):
+        # per-class efficiencies make the two full-rank solvers different
+        # multiples of the identity, k = (1 + s) / (e_of + s e_sf) and
+        # (1 + o) / (e_sf + o e_of); the estimator is then the scalar
+        # de-mixing (u - s v, v - o u) / (1 - s o) of the solved mixed
+        # counts u = k_of (of + s sf), v = k_sf (sf + o of) in every bin
+        s, o = self.CFG.mix_s, self.CFG.mix_o
+        e_of, e_sf = 0.8, 0.5
+        k_of = (1 + s) / (e_of + s * e_sf)
+        k_sf = (1 + o) / (e_sf + o * e_of)
+
+        def demix(of, sf):
+            u, v = k_of * (of + s * sf), k_sf * (sf + o * of)
+            return (u - s * v) / (1 - s * o), (v - o * u) / (1 - s * o)
+
+        cfg = UnfoldConfig(rank_of=NB, rank_sf=NB, mix_s=s, mix_o=o)
+        of = RNG.uniform(50, 500, NB)
+        sf = RNG.uniform(50, 500, NB)
+        var_of = RNG.uniform(20, 600, NB)
+        var_sf = RNG.uniform(20, 600, NB)
+        x, cov = dsvd_unfold(
+            BinnedCounts(Binning(), of, sf, var_of, var_sf),
+            identity_response(eff=e_of), identity_response(eff=e_sf), cfg)
+        of_b, sf_b = demix(of, sf)
+        np.testing.assert_allclose(x.n_of, of_b, rtol=1e-10)
+        np.testing.assert_allclose(x.n_sf, sf_b, rtol=1e-10)
+        (j_oo, j_so), (j_os, j_ss) = demix(1.0, 0.0), demix(0.0, 1.0)
+        np.testing.assert_allclose(np.diag(cov)[:NB],
+                                   j_oo ** 2 * var_of + j_os ** 2 * var_sf,
+                                   rtol=1e-10)
+        np.testing.assert_allclose(np.diag(cov)[NB:],
+                                   j_so ** 2 * var_of + j_ss ** 2 * var_sf,
+                                   rtol=1e-10)
+        np.testing.assert_allclose(np.diag(cov, NB),
+                                   j_oo * j_so * var_of + j_os * j_ss * var_sf,
+                                   rtol=1e-10)
+
     def test_singular_mixing_rejected(self):
         with pytest.raises(ValueError):
             UnfoldConfig(mix_s=1.0, mix_o=1.0)
@@ -212,6 +285,29 @@ class TestDsvdUnfold:
         np.testing.assert_allclose(cov, expect, rtol=1e-12,
                                    atol=1e-12 * np.abs(expect).max())
         assert np.abs(cov[:NB, NB:]).max() > 1e-3 * np.abs(expect).max()
+
+    def test_mixing_populates_empty_bin(self):
+        # one class empty in a truth bin, the other populated: the mixed
+        # response the solver sees is populated there, so the unfolding
+        # goes through where the unmixed solver would refuse
+        r_of = random_response(np.random.default_rng(27), "OF")
+        r_sf = random_response(np.random.default_rng(28), "SF")
+        r_sf = ResponseMatrix(Binning(), np.where(np.arange(NB) == 0, 0.0,
+                                                  r_sf.m),
+                              np.where(np.arange(NB) == 0, 0.0,
+                                       r_sf.truth_totals), cls="SF")
+        with pytest.raises(ValueError, match="a-priori"):
+            truncated_solver(r_sf, 5)
+        cfg = UnfoldConfig()
+        _, sf_m = mix_responses(r_of, r_sf, cfg)
+        assert sf_m.apriori[0] == pytest.approx(
+            cfg.mix_o * r_of.truth_totals[0])
+        of = np.full(NB, 100.0)
+        sf = np.full(NB, 100.0)
+        sf[0] = 0.0
+        x, cov = dsvd_unfold(BinnedCounts(Binning(), of, sf), r_of, r_sf, cfg)
+        assert np.all(np.isfinite(x.n_of)) and np.all(np.isfinite(x.n_sf))
+        assert np.all(np.isfinite(cov))
 
 
 class TestUnfoldedAsymmetry:
