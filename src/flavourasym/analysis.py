@@ -276,7 +276,11 @@ def write_counts(c: BinnedCounts, path) -> None:
 
 
 def read_counts(path) -> BinnedCounts:
+    """Counts from a file written by `write_counts`; rejects negative
+    variances."""
     t = read_table(path, _COUNTS_HEADER)
+    var_of, var_sf = t.numbers(4), t.numbers(6)
+    if np.any(var_of < 0) or np.any(var_sf < 0):
+        raise ValueError(f"{path}: negative variance")
     return BinnedCounts(Binning(t.edges()), n_of=t.numbers(3),
-                        n_sf=t.numbers(5), var_of=t.numbers(4),
-                        var_sf=t.numbers(6))
+                        n_sf=t.numbers(5), var_of=var_of, var_sf=var_sf)

@@ -140,8 +140,11 @@ def cmd_unfold(args):
             base = Path(args.out)
             write_response(r_of, base.with_suffix(".resp_of.csv"))
             write_response(r_sf, base.with_suffix(".resp_sf.csv"))
-    a, cov_a = unfolded_asymmetry(*dsvd_unfold(counts, r_of, r_sf, cfg.unfold))
-    spec = AsymmetrySpectrum(counts.binning, a, np.sqrt(np.diag(cov_a)))
+    # a finite but huge input overflows here; fail as a numerical error
+    with np.errstate(over="raise", invalid="raise"):
+        a, cov_a = unfolded_asymmetry(*dsvd_unfold(counts, r_of, r_sf,
+                                                   cfg.unfold))
+        spec = AsymmetrySpectrum(counts.binning, a, np.sqrt(np.diag(cov_a)))
     out = Path(args.out or "unfolded.csv")
     write_spectrum(spec, out)
     inputs["counts"] = _sha256(args.counts)
@@ -193,7 +196,9 @@ def cmd_fit(args):
     for m in models:
         if m not in ("QM", "SD", "PS", "DECOHERED"):
             raise ConfigError(f"unknown fit model {m!r}")
-    fits, report = _fit_report(spectrum, models, constraint, tau)
+    # as in cmd_unfold: a finite but huge input overflows in the fits
+    with np.errstate(over="raise", invalid="raise"):
+        fits, report = _fit_report(spectrum, models, constraint, tau)
     print(report)
     if args.out:
         Path(args.out).write_text(report + "\n")

@@ -15,8 +15,11 @@ from .analysis import (AsymmetrySpectrum, Binning, asymmetry, bin_events,
                        subtract_background)
 from .fitkit import BinPredictor, Constraint, fit_model, significance
 from .models import ModelParams
+# make_signal_events is not called here; perfbench/tests looks the name up
+# on this module
 from .toygen import (BackgroundConfig, DetectorConfig, GenModel,
-                     generate_ensemble, make_signal_events, stream_rng)
+                     generate_ensemble, make_signal_events, response_sample,
+                     stream_rng)
 from .unfold import (ResponseMatrix, UnfoldConfig, bias_correct,
                      build_response, dsvd_unfold, unfolded_asymmetry)
 
@@ -24,6 +27,7 @@ __all__ = [
     "PipelineConfig",
     "corrected_counts",
     "analyze_counts",
+    "train_responses",
     "build_training_responses",
     "replica_counts",
     "unfold_replica",
@@ -82,18 +86,27 @@ def analyze_counts(events: np.ndarray, cfg: PipelineConfig):
     return corrected, spec
 
 
-def build_training_responses(cfg: PipelineConfig, detector=None):
-    """OF/SF response matrices from a dedicated high-statistics QM sample.
+def train_responses(cfg: PipelineConfig, detectors):
+    """One (OF, SF) response pair per detector, all trained on one
+    high-statistics QM sample from the response stream.
 
     Truth flavour indexes the matrices: the measured counts are
     mistag-corrected before unfolding, so the response must not fold the
-    tag flip back in.
+    tag flip back in. The detectors share the truth pairs and the standard
+    normals, so each pair equals a training on that detector alone.
     """
-    det = detector or cfg.detector
-    rng = stream_rng(cfg.seed, RESPONSE_STREAM)
-    mc = make_signal_events(GenModel.QM, cfg.params, cfg.n_response_mc,
-                            det, rng)
-    return build_response(mc, cfg.binning, which_cls="true")
+    dt_true, cls_true, dt_recs = response_sample(
+        GenModel.QM, cfg.params, cfg.n_response_mc,
+        [d.total_sigma for d in detectors],
+        stream_rng(cfg.seed, RESPONSE_STREAM))
+    return [build_response(dt_true, dt_rec, cls_true, cfg.binning)
+            for dt_rec in dt_recs]
+
+
+def build_training_responses(cfg: PipelineConfig, detector=None):
+    """The (OF, SF) response pair of `train_responses` for one detector,
+    `cfg.detector` by default."""
+    return train_responses(cfg, [detector or cfg.detector])[0]
 
 
 def replica_counts(model: GenModel, cfg: PipelineConfig, replica_seed: int):
@@ -195,10 +208,9 @@ def smear_systematic(cfg: PipelineConfig, delta_um: float = 35.0,
     s = cfg.detector.extra_smear_sigma
     up = float(np.sqrt(s ** 2 + delta_um ** 2))
     dn = float(np.sqrt(max(s ** 2 - delta_um ** 2, 0.0)))
-    nominal = build_training_responses(cfg)
-    variants = [build_training_responses(
-        cfg, detector=replace(cfg.detector, extra_smear_sigma=v))
-        for v in (up, dn)]
+    nominal, *variants = train_responses(
+        cfg, [cfg.detector] + [replace(cfg.detector, extra_smear_sigma=v)
+                               for v in (up, dn)])
     diffs = [[] for _ in variants]
     for r in range(n_replicas):
         counts = replica_counts(GenModel.QM, cfg, r)

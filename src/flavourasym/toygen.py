@@ -30,6 +30,7 @@ __all__ = [
     "EVENT_DTYPE",
     "sample_pair",
     "apply_detector",
+    "response_sample",
     "inject_backgrounds",
     "make_signal_events",
     "generate_ensemble",
@@ -39,6 +40,7 @@ __all__ = [
 
 C_UM_PER_PS = 299.792458  # speed of light in micrometres per picosecond
 BETA_GAMMA = 0.425        # boost of the producing resonance along z
+_DZ_PER_PS = BETA_GAMMA * C_UM_PER_PS   # um of vertex separation per ps
 DT_RANGE = (0.0, 20.0)    # analysis window in ps
 
 
@@ -205,23 +207,49 @@ def sample_pair(model: GenModel, p: ModelParams, rng: np.random.Generator,
     return t1, t2, is_of
 
 
+def _smear(dt_true, sigma: float, z):
+    """(dz_rec, dt_rec) of true dt under a Gaussian dz resolution `sigma`,
+    given standard-normal draws `z` (unread when sigma is 0).
+
+    dz is folded: the measured observable is |t1 - t2|, so negative dz maps
+    to small dt. sigma * z equals rng.normal(0, sigma) on the same draws.
+    """
+    dz = _DZ_PER_PS * dt_true
+    if sigma > 0:
+        dz = dz + sigma * z
+    return dz, np.abs(dz) / _DZ_PER_PS
+
+
 def apply_detector(events: np.ndarray, d: DetectorConfig,
                    rng: np.random.Generator) -> np.ndarray:
     """Fill dz_rec/dt_rec and the assigned class from the truth fields.
 
     Works in place: `events` itself is filled and returned.
-    dz is smeared with the combined Gaussian resolution, then folded:
-    the measured observable is |t1 - t2|, so negative dz maps to small dt.
     """
     n = len(events)
-    dz = BETA_GAMMA * C_UM_PER_PS * events["dt_true_ps"]
-    if d.total_sigma > 0:
-        dz = dz + rng.normal(0.0, d.total_sigma, n)
-    events["dz_rec_um"] = dz
-    events["dt_rec_ps"] = np.abs(dz) / (BETA_GAMMA * C_UM_PER_PS)
+    z = rng.standard_normal(n) if d.total_sigma > 0 else None
+    events["dz_rec_um"], events["dt_rec_ps"] = _smear(
+        events["dt_true_ps"], d.total_sigma, z)
     flip = rng.random(n) < d.mistag_fraction
     events["cls_assigned"] = events["cls_true"] ^ flip  # swaps codes 0, 1
     return events
+
+
+def response_sample(model: GenModel, p: ModelParams, n: int, sigmas,
+                    rng: np.random.Generator):
+    """Columns of a response-training sample: (dt_true, cls_true codes,
+    [dt_rec for each resolution in `sigmas`]).
+
+    The draws are those of `make_signal_events` in its order, so each dt_rec
+    equals that of a signal sample generated alone at that resolution: the
+    pairs, then one standard-normal vector shared by every resolution (none
+    when all are 0). The mistag flips, drawn last there, are not drawn;
+    nothing that trains on the true class reads them.
+    """
+    t1, t2, is_of = sample_pair(model, p, rng, n)
+    dt = np.abs(t1 - t2)
+    z = rng.standard_normal(n) if max(sigmas) > 0 else None
+    return dt, (~is_of).view(np.int8), [_smear(dt, s, z)[1] for s in sigmas]
 
 
 def _join(parts) -> np.ndarray:

@@ -76,23 +76,28 @@ class UnfoldConfig:
             raise ValueError("mix_s * mix_o must be below 1 for de-mixing")
 
 
-def build_response(events: np.ndarray, binning: Binning,
-                   which_cls: str = "assigned"):
-    """(OF, SF) migration matrices from MC events carrying truth and reco dt."""
+def build_response(dt_true, dt_rec, cls, binning: Binning):
+    """(OF, SF) migration matrices from MC columns: true and reconstructed
+    dt and the class code (an index into CLASS_NAMES) that selects the
+    matrix.
+
+    Binned as `np.histogram` bins the truth totals and `np.histogram2d` the
+    migrations: the last bin includes its upper edge, except that an event
+    with dt_true on that edge counts in the totals only.
+    """
     edges = binning.array
     nb = binning.n_bins
-    out = {}
-    cls_field = events["cls_true" if which_cls == "true" else "cls_assigned"]
-    for code, label in enumerate(CLASS_NAMES):
-        sel = cls_field == code
-        dt_true = events["dt_true_ps"][sel]
-        dt_rec = events["dt_rec_ps"][sel]
-        totals, _ = np.histogram(dt_true, bins=edges)
-        in_t = (dt_true >= edges[0]) & (dt_true < edges[-1])
-        m, _, _ = np.histogram2d(dt_rec[in_t], dt_true[in_t],
-                                 bins=(edges, edges))
-        out[label] = ResponseMatrix(binning, m, totals.astype(float), cls=label)
-    return out["OF"], out["SF"]
+    # bin k + 1 is [edges[k], edges[k + 1]); 0 and nb + 1 are out of range
+    t = np.searchsorted(edges, dt_true, side="right")
+    r = np.searchsorted(edges, dt_rec, side="right")
+    r[dt_rec == edges[-1]] = nb
+    h = np.bincount(np.ravel_multi_index((cls, r, t), (2, nb + 2, nb + 2)),
+                    minlength=2 * (nb + 2) ** 2).reshape(2, nb + 2, nb + 2)
+    totals = h.sum(axis=1)[:, 1:-1]
+    totals[:, -1] += np.bincount(cls[dt_true == edges[-1]], minlength=2)
+    return tuple(ResponseMatrix(binning, h[c, 1:-1, 1:-1].astype(float),
+                                totals[c].astype(float), cls=label)
+                 for c, label in enumerate(CLASS_NAMES))
 
 
 def mix_responses(r_of: ResponseMatrix, r_sf: ResponseMatrix,

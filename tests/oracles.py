@@ -1,4 +1,5 @@
-"""Quadrature oracle for the t_min-marginalized model curves."""
+"""Test oracles: quadrature for the t_min-marginalized model curves, and
+response training on the event record."""
 
 import numpy as np
 from scipy import integrate
@@ -6,6 +7,8 @@ from scipy import integrate
 # e^(-2*40) ~ 1e-35 at the reach bounds the truncation error far below the
 # 1e-9 target
 from flavourasym.models import _UMAX_LIFETIMES
+from flavourasym.pipeline import RESPONSE_STREAM
+from flavourasym.toygen import GenModel, make_signal_events, stream_rng
 
 _QUAD_ABS_TOL = 1e-10
 
@@ -33,3 +36,29 @@ def marginalize(joint, dt: float, p) -> float:
             f"quadrature did not converge: estimated error {err / den:.2e}"
         )
     return num / den
+
+
+def histogram_responses(dt_true, dt_rec, cls, binning):
+    """[(m, truth_totals) for OF, SF] binned per class with np.histogram for
+    the totals and np.histogram2d for the migrations of the events whose
+    true dt lies in [first edge, last edge)."""
+    edges = binning.array
+    out = []
+    for code in (0, 1):
+        sel = cls == code
+        t, r = dt_true[sel], dt_rec[sel]
+        totals, _ = np.histogram(t, bins=edges)
+        in_t = (t >= edges[0]) & (t < edges[-1])
+        m, _, _ = np.histogram2d(r[in_t], t[in_t], bins=(edges, edges))
+        out.append((m, totals.astype(float)))
+    return out
+
+
+def record_responses(cfg, detector):
+    """Response training on the event record: a full `make_signal_events`
+    QM sample from the response stream, binned by `histogram_responses`
+    on its true class."""
+    mc = make_signal_events(GenModel.QM, cfg.params, cfg.n_response_mc,
+                            detector, stream_rng(cfg.seed, RESPONSE_STREAM))
+    return histogram_responses(mc["dt_true_ps"], mc["dt_rec_ps"],
+                               mc["cls_true"], cfg.binning)

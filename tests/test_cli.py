@@ -214,6 +214,50 @@ class TestMalformedInputs:
         assert main(["fit", str(spectrum)]) == EXIT_VALIDATION
         assert "chi2" not in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_asymmetry_in_spectrum(self, tmp_path, capsys):
+        # a finite asymmetry whose squared pull overflows is a numerical
+        # failure, without an overflow warning
+        lines = fixture_path().read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[3] = "1e200"                               # bin 1 a
+        lines[1] = ",".join(fields)
+        spectrum = tmp_path / "spectrum.csv"
+        spectrum.write_text("\n".join(lines) + "\n")
+        assert main(["fit", str(spectrum)]) == EXIT_NUMERICAL
+        assert "chi2" not in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("column", [4, 6], ids=["var_of", "var_sf"])
+    def test_negative_variance_in_counts(self, small_chain, column, capsys):
+        # read as given, the variance reached a sqrt in unfold
+        d, files = small_chain
+        lines = files["counts"].read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[column] = "-16465.0"
+        lines[3] = ",".join(fields)
+        bad = d / "negative_variance.counts.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(_command(d, "counts", str(bad))) == EXIT_VALIDATION
+        assert "negative variance" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("total", ["1e300", "4.09e103"])
+    def test_huge_response_total(self, small_chain, total, capsys):
+        # a finite truth total that overflows the unfolding is a numerical
+        # failure, without an overflow warning; at 4.09e103 only the debias
+        # term overflows, which used to exit 0 with that term dropped
+        d, files = small_chain
+        lines = files["response"].read_text().splitlines()
+        head, values = lines[1].split("=")
+        totals = values.split(",")
+        totals[3] = total
+        lines[1] = head + "=" + ",".join(totals)
+        bad = d / "huge_total.resp_of.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(_command(d, "response", str(bad))) == EXIT_NUMERICAL
+        assert "overflow" in capsys.readouterr().err
+
     def test_unknown_event_class(self, tmp_path, cfg_path):
         events, _, _ = chain_files(tmp_path, cfg_path)
         lines = events.read_text().splitlines()

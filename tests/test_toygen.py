@@ -113,6 +113,19 @@ class TestDetector:
         assert d.total_sigma / (BETA_GAMMA * C_UM_PER_PS) == pytest.approx(
             0.864, abs=0.01)
 
+    def test_smear_keeps_the_draws_of_generator_normal(self):
+        # sigma * standard_normal() equals rng.normal(0, sigma) bit for bit,
+        # so the smeared record keeps its values and the event files theirs
+        d = DetectorConfig()
+        ev = make_signal_events(GenModel.QM, P, 10000, d, stream_rng(4, 0))
+        rng = stream_rng(4, 0)
+        t1, t2, _ = sample_pair(GenModel.QM, P, rng, 10000)
+        dz = (BETA_GAMMA * C_UM_PER_PS * np.abs(t1 - t2)
+              + rng.normal(0.0, d.total_sigma, 10000))
+        np.testing.assert_array_equal(ev["dz_rec_um"], dz)
+        np.testing.assert_array_equal(
+            ev["dt_rec_ps"], np.abs(dz) / (BETA_GAMMA * C_UM_PER_PS))
+
     def test_folding_non_negative(self):
         ev = make_signal_events(GenModel.QM, P, 50000, DetectorConfig(),
                                 stream_rng(8, 0))

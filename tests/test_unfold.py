@@ -387,14 +387,33 @@ class TestBuildResponse:
     def test_diagonal_without_smearing(self):
         # truth dt exactly reconstructed -> purely diagonal migration
         from flavourasym.models import ModelParams
-        from flavourasym.toygen import DetectorConfig, GenModel, \
-            make_signal_events, stream_rng
-        det = DetectorConfig(resolution_sigma=0.0, extra_smear_sigma=0.0,
-                             mistag_fraction=0.0)
-        mc = make_signal_events(GenModel.QM, ModelParams(), 20000, det,
-                                stream_rng(55, 0))
-        r_of, r_sf = build_response(mc, Binning(), which_cls="true")
+        from flavourasym.toygen import GenModel, response_sample, stream_rng
+        dt_true, cls, [dt_rec] = response_sample(
+            GenModel.QM, ModelParams(), 20000, [0.0], stream_rng(55, 0))
+        r_of, r_sf = build_response(dt_true, dt_rec, cls, Binning())
         for r in (r_of, r_sf):
             off = r.m - np.diag(np.diag(r.m))
             assert np.all(off == 0)
             assert np.all(np.diag(r.m)[:-1] > 0)
+
+    def test_edges_binned_as_numpy_histograms(self):
+        # every edge (the last is 20.0), points between them and above 20.0,
+        # in every (truth, reco) combination and both classes
+        from oracles import histogram_responses
+        b = Binning()
+        e = b.array
+        vals = np.concatenate([e, (e[:-1] + e[1:]) / 2, [20.5, 1e3]])
+        t, r = (g.ravel() for g in np.meshgrid(vals, vals))
+        dt_true, dt_rec = np.tile(t, 2), np.tile(r, 2)
+        cls = np.repeat(np.array([0, 1], dtype=np.int8), len(t))
+        for resp, (m, totals) in zip(build_response(dt_true, dt_rec, cls, b),
+                                     histogram_responses(dt_true, dt_rec,
+                                                         cls, b)):
+            np.testing.assert_array_equal(resp.m, m)
+            np.testing.assert_array_equal(resp.truth_totals, totals)
+        # an event with dt_true == 20.0 counts in the last total only; one
+        # with dt_rec == 20.0 migrates into the last reco bin
+        one = np.array([20.0, 5.0]), np.array([5.0, 20.0])
+        r_of, _ = build_response(*one, np.zeros(2, dtype=np.int8), b)
+        assert r_of.truth_totals[-1] == 1 and r_of.m[:, -1].sum() == 0
+        assert r_of.m.sum() == r_of.m[-1, list(e).index(5.0)] == 1
