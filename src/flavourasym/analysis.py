@@ -41,6 +41,8 @@ class Binning:
 
     def __post_init__(self):
         e = np.asarray(self.edges, dtype=float)
+        if not np.all(np.isfinite(e)):
+            raise ValueError("bin edges must be finite")
         if len(e) < 2 or np.any(np.diff(e) <= 0):
             raise ValueError("bin edges must be strictly increasing")
         if e[0] < 0:
@@ -119,25 +121,16 @@ class AsymmetrySpectrum:
         return AsymmetrySpectrum(self.binning, self.a, self.stat_err, bd)
 
 
-def bin_events(events: np.ndarray, binning: Binning,
-               which_dt: str = "reconstructed",
-               which_cls: str = "assigned") -> BinnedCounts:
-    """Histogram OF/SF events into the analysis bins; overflow kept aside."""
-    if which_dt not in ("true", "reconstructed"):
-        raise ValueError("which_dt must be 'true' or 'reconstructed'")
-    if which_cls not in ("true", "assigned"):
-        raise ValueError("which_cls must be 'true' or 'assigned'")
-    dt = events["dt_true_ps" if which_dt == "true" else "dt_rec_ps"]
-    cls = events["cls_true" if which_cls == "true" else "cls_assigned"]
-    edges = binning.array
+def bin_events(dt, cls, binning: Binning) -> BinnedCounts:
+    """OF/SF histograms of events given as dt and class-code columns; the
+    events `np.histogram` leaves out of the bins count as overflow."""
     is_of = cls == CLS_OF
-    n_of, _ = np.histogram(dt[is_of], bins=edges)
-    n_sf, _ = np.histogram(dt[~is_of], bins=edges)
-    in_range = (dt >= edges[0]) & (dt < edges[-1])
-    over_of = int(np.sum(is_of & ~in_range))
-    over_sf = int(np.sum(~is_of & ~in_range))
+    n_of, _ = np.histogram(dt[is_of], bins=binning.array)
+    n_sf, _ = np.histogram(dt[~is_of], bins=binning.array)
+    all_of = int(np.count_nonzero(is_of))
     return BinnedCounts(binning, n_of.astype(float), n_sf.astype(float),
-                        overflow_of=over_of, overflow_sf=over_sf)
+                        overflow_of=all_of - int(n_of.sum()),
+                        overflow_sf=len(dt) - all_of - int(n_sf.sum()))
 
 
 def expected_background_counts(b: BackgroundConfig, binning: Binning):

@@ -21,12 +21,13 @@ from ._table import write_table
 from .analysis import (AsymmetrySpectrum, read_counts, read_spectrum,
                        write_counts, write_spectrum)
 from .config import ConfigError, default_config_text, load_config
-from .fitkit import BinPredictor, Constraint, fit_model, fit_zeta, significance
+from .fitkit import BinPredictor, fit_model, fit_zeta, significance
 from .models import ModelParams, curve_rows
-from .pipeline import analyze_counts, build_training_responses
+from .pipeline import PipelineConfig, analyze_counts, build_training_responses
 from .toygen import (BETA_GAMMA, C_UM_PER_PS, generate_ensemble, read_events,
                      write_events)
-from .unfold import dsvd_unfold, read_response, unfolded_asymmetry, write_response
+from .unfold import (dsvd_unfold, read_response, recorded_edges,
+                     unfolded_asymmetry, write_response)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -123,13 +124,27 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
+def _saved_response(path, cls, binning):
+    """The response in `path`, refused unless it is of class `cls` and on
+    the edges of `binning`, compared as the file records them."""
+    r = read_response(path)
+    if r.cls != cls or recorded_edges(r.binning) != recorded_edges(binning):
+        raise ConfigError(
+            f"{path}: a class={r.cls} response on edges "
+            f"{recorded_edges(r.binning)}, given as --response-{cls.lower()} "
+            f"for counts on edges {recorded_edges(binning)}")
+    return r
+
+
 def cmd_unfold(args):
     run = _load_run(args)
     cfg = run.pipeline
     counts = read_counts(args.counts)
-    if args.response_of and args.response_sf:
-        r_of = read_response(args.response_of)
-        r_sf = read_response(args.response_sf)
+    if bool(args.response_of) != bool(args.response_sf):
+        raise ConfigError("--response-of and --response-sf go together")
+    if args.response_of:
+        r_of, r_sf = (_saved_response(path, cls, counts.binning) for path, cls
+                      in ((args.response_of, "OF"), (args.response_sf, "SF")))
         inputs = {"response_of": _sha256(args.response_of),
                   "response_sf": _sha256(args.response_sf)}
     else:
@@ -155,15 +170,16 @@ def cmd_unfold(args):
     return EXIT_OK
 
 
-def _fit_all(spectrum, models, constraint, tau=ModelParams().tau) -> dict:
-    """Fits of the named models in order, sharing one predictor."""
-    pred = BinPredictor(spectrum.binning, tau=tau)
-    return {m: fit_zeta(spectrum, constraint, pred) if m == "DECOHERED"
-            else fit_model(spectrum, m, constraint, pred) for m in models}
+def _fit_all(spectrum, models, cfg: PipelineConfig) -> dict:
+    """Fits of the named models in order, with the constraint and lifetime
+    of `cfg`, sharing one predictor."""
+    c, pred = cfg.constraint, BinPredictor(spectrum.binning, cfg.params.tau)
+    return {m: fit_zeta(spectrum, c, pred) if m == "DECOHERED"
+            else fit_model(spectrum, m, c, pred) for m in models}
 
 
-def _fit_report(spectrum, models, constraint, tau):
-    fits = _fit_all(spectrum, models, constraint, tau)
+def _fit_report(spectrum, models, cfg):
+    fits = _fit_all(spectrum, models, cfg)
     lines = []
     for m, f in fits.items():
         theta = "zeta" if m == "DECOHERED" else "dm"
@@ -186,19 +202,14 @@ def _fit_report(spectrum, models, constraint, tau):
 
 def cmd_fit(args):
     spectrum = read_spectrum(args.spectrum)
-    constraint = Constraint()
-    tau = ModelParams().tau
-    if args.config:
-        run = load_config(args.config)
-        constraint = run.pipeline.constraint
-        tau = run.pipeline.params.tau
+    cfg = load_config(args.config).pipeline if args.config else PipelineConfig()
     models = [m.strip().upper() for m in args.models.split(",")]
     for m in models:
         if m not in ("QM", "SD", "PS", "DECOHERED"):
             raise ConfigError(f"unknown fit model {m!r}")
     # as in cmd_unfold: a finite but huge input overflows in the fits
     with np.errstate(over="raise", invalid="raise"):
-        fits, report = _fit_report(spectrum, models, constraint, tau)
+        fits, report = _fit_report(spectrum, models, cfg)
     print(report)
     if args.out:
         Path(args.out).write_text(report + "\n")
@@ -227,12 +238,10 @@ REPRODUCTION_TARGETS = [
 ]
 
 
-def reproduce_fixture(spectrum=None, constraint=None):
+def reproduce_fixture():
     """Fit the shipped published-spectrum fixture; values keyed for reporting."""
-    if spectrum is None:
-        spectrum = read_spectrum(fixture_path())
-    fits = _fit_all(spectrum, ("QM", "SD", "PS", "DECOHERED"),
-                    constraint or Constraint())
+    fits = _fit_all(read_spectrum(fixture_path()),
+                    ("QM", "SD", "PS", "DECOHERED"), PipelineConfig())
     values = {}
     for m, f in fits.items():
         values[(m, "theta_hat")] = f.theta_hat

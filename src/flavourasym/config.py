@@ -5,14 +5,14 @@ mandatory; there is no wall-clock fallback."""
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .analysis import Binning
 from .fitkit import Constraint
 from .models import ModelParams
 from .pipeline import PipelineConfig
-from .toygen import (BackgroundConfig, BackgroundShape, CategoryYield,
-                     DetectorConfig, EventCategory, GenModel)
+from .toygen import (BACKGROUND_CATEGORIES, BackgroundConfig,
+                     BackgroundShape, CategoryYield, DetectorConfig, GenModel)
 from .unfold import UnfoldConfig
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "default_config_text"]
@@ -30,24 +30,32 @@ class RunConfig:
     pipeline: PipelineConfig
 
 
-def _get(cp, section, key, conv, default=None, required=False):
+# section -> (dataclass, {field: INI key}), in template order. [model] also
+# holds the model name, [backgrounds] one line per category, and [binning]
+# the edges; [run] holds PipelineConfig's own fields.
+_SECTIONS = {
+    "model": (ModelParams, {"dm": "dm", "tau": "tau", "zeta": "zeta"}),
+    "detector": (DetectorConfig, {"resolution_sigma": "resolution_um",
+                                  "extra_smear_sigma": "extra_smear_um",
+                                  "mistag_fraction": "mistag"}),
+    "backgrounds": (BackgroundConfig, {"fixed_counts": "fixed_counts"}),
+    "run": (PipelineConfig, {"n_signal": "n_signal", "seed": "seed",
+                             "n_response_mc": "n_response_mc"}),
+    "unfold": (UnfoldConfig,
+               {k: k for k in ("rank_of", "rank_sf", "mix_s", "mix_o")}),
+    "fit": (Constraint, {"mean": "constraint_mean",
+                         "sigma": "constraint_sigma"}),
+}
+
+
+def _get(cp, section, key, conv, default=None):
     if not cp.has_option(section, key):
-        if required:
-            raise ConfigError(f"[{section}] is missing required field {key!r}")
         return default
     raw = cp.get(section, key)
     try:
         return conv(raw)
     except ValueError as e:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {e}") from e
-
-
-def _fields(cp, section, cls, keys: dict):
-    """cls from [section], keys mapping each field to its INI key; a missing
-    key keeps the field's default, and values parse as the default's type."""
-    d = cls()
-    return cls(**{f: _get(cp, section, k, type(getattr(d, f)), getattr(d, f))
-                  for f, k in keys.items()})
 
 
 def _parse_bool(raw: str) -> bool:
@@ -59,32 +67,40 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _fields(cp, section) -> dict:
+    """Every field of `section`'s dataclass, read from its key as its
+    default's type, or the default where the key is absent."""
+    cls, keys = _SECTIONS[section]
+    d = vars(cls())
+    return {f: _get(cp, section, k, _parse_bool if isinstance(d[f], bool)
+                    else type(d[f]), d[f]) for f, k in keys.items()}
+
+
 def _parse_background_line(cat: str, raw: str, tau: float) -> CategoryYield:
     parts = raw.split()
-    if len(parts) < 2:
-        raise ConfigError(
-            f"[backgrounds] {cat}: expected 'n_of n_sf [of_err sf_err] "
-            f"[shape [tau_eff]]', got {raw!r}")
     try:
-        n_of, n_sf = float(parts[0]), float(parts[1])
-        of_err = float(parts[2]) if len(parts) > 2 else 0.0
-        sf_err = float(parts[3]) if len(parts) > 3 else 0.0
+        if len(parts) < 2:
+            raise ValueError("expected 'n_of n_sf [of_err sf_err] "
+                             f"[shape [tau_eff]]', got {raw!r}")
+        n_of, n_sf, of_err, sf_err = (float(v)
+                                      for v in (parts + ["0", "0"])[:4])
+        kind = parts[4] if len(parts) > 4 else "exp"
+        tau_eff = float(parts[5]) if len(parts) > 5 else tau
+        return CategoryYield(n_of, n_sf, of_err, sf_err,
+                             BackgroundShape(kind, tau_eff))
     except ValueError as e:
         raise ConfigError(f"[backgrounds] {cat}: {e}") from e
-    kind = parts[4] if len(parts) > 4 else "exp"
-    tau_eff = float(parts[5]) if len(parts) > 5 else tau
-    return CategoryYield(n_of, n_sf, of_err, sf_err,
-                         BackgroundShape(kind, tau_eff))
 
 
 def load_config(path) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise ConfigError(f"cannot read config file {path}")
     for section in ("model", "detector", "backgrounds", "run"):
         if not cp.has_section(section):
             raise ConfigError(f"missing required section [{section}]")
+    if not cp.has_option("run", "seed"):
+        raise ConfigError("[run] is missing required field 'seed'")
 
     name = _get(cp, "model", "name", str, default="QM").upper()
     try:
@@ -93,83 +109,56 @@ def load_config(path) -> RunConfig:
         raise ConfigError(
             f"[model] name = {name!r}: expected one of "
             f"{', '.join(m.name for m in GenModel)}")
-    params = _fields(cp, "model", ModelParams,
-                     {"dm": "dm", "tau": "tau", "zeta": "zeta"})
-    detector = _fields(cp, "detector", DetectorConfig,
-                       {"resolution_sigma": "resolution_um",
-                        "extra_smear_sigma": "extra_smear_um",
-                        "mistag_fraction": "mistag"})
-    yields = {}
-    for cat in (EventCategory.DSTAR_FAKE, EventCategory.WRONG_COMBINATION,
-                EventCategory.DSS_CHARGED):
-        if cp.has_option("backgrounds", cat.value):
-            yields[cat] = _parse_background_line(
-                cat.value, cp.get("backgrounds", cat.value), params.tau)
-    backgrounds = BackgroundConfig(
-        yields=yields,
-        fixed_counts=_get(cp, "backgrounds", "fixed_counts", _parse_bool, False),
-    )
+    params = ModelParams(**_fields(cp, "model"))
+    yields = {cat: _parse_background_line(cat.value,
+                                          cp.get("backgrounds", cat.value),
+                                          params.tau)
+              for cat in BACKGROUND_CATEGORIES
+              if cp.has_option("backgrounds", cat.value)}
     binning = _get(cp, "binning", "edges",
                    lambda raw: Binning(tuple(float(x) for x in raw.split())),
                    Binning())
-    unfold = _fields(cp, "unfold", UnfoldConfig,
-                     {k: k for k in ("rank_of", "rank_sf", "mix_s", "mix_o")})
-    constraint = _fields(cp, "fit", Constraint,
-                         {"mean": "constraint_mean",
-                          "sigma": "constraint_sigma"})
-    seed = _get(cp, "run", "seed", int, required=True)
     if _get(cp, "run", "streams", int, 1) != 1:
         # a config written for split signal streams would silently give
         # different events
         raise ConfigError("[run] streams: only one signal stream is "
                           "supported; remove the key")
-    dp = PipelineConfig()
     pipeline = PipelineConfig(
-        params=params, detector=detector, backgrounds=backgrounds,
-        binning=binning, unfold=unfold, constraint=constraint,
-        n_signal=_get(cp, "run", "n_signal", int, dp.n_signal),
-        n_response_mc=_get(cp, "run", "n_response_mc", int, dp.n_response_mc),
-        seed=seed,
-    )
+        params=params, detector=DetectorConfig(**_fields(cp, "detector")),
+        backgrounds=BackgroundConfig(yields, **_fields(cp, "backgrounds")),
+        binning=binning, unfold=UnfoldConfig(**_fields(cp, "unfold")),
+        constraint=Constraint(**_fields(cp, "fit")), **_fields(cp, "run"))
     return RunConfig(model=model, pipeline=pipeline)
 
 
+def _ini(value) -> str:
+    """INI text that reads back equal: 100.0 as 100, False as false."""
+    return str(value).lower().removesuffix(".0")
+
+
 def default_config_text(seed: int = 1) -> str:
-    """A complete commented template at the published analysis scale."""
-    return f"""\
-[model]
-name = QM
-dm = 0.507
-tau = 1.53
-zeta = 0.0
-
-[detector]
-resolution_um = 100
-extra_smear_um = 46
-mistag = 0.015
-
-[backgrounds]
-# category = n_of n_sf of_err sf_err shape [tau_eff]
-dstar_fake = 126 54 6 4 exp
-wrong_combination = 78 237 9 15 exp
-dss_charged = 254 1.5 16 0.5 exp
-fixed_counts = false
-
-[run]
-n_signal = 7815
-seed = {seed}
-n_response_mc = 400000
-
-[unfold]
-rank_of = 5
-rank_sf = 6
-mix_s = 0.2
-mix_o = 0.2
-
-[fit]
-constraint_mean = 0.496
-constraint_sigma = 0.014
-
-[binning]
-edges = 0 0.5 1 2 3 4 5 6 7 9 13 20
-"""
+    """A complete template at the published analysis scale, written from
+    `PipelineConfig.paper_scale` through the key table."""
+    cfg = PipelineConfig.paper_scale(seed=seed)
+    of = {type(v): v for v in (cfg, cfg.params, cfg.detector,
+                               cfg.backgrounds, cfg.unfold, cfg.constraint)}
+    lines = []
+    for section, (cls, keys) in _SECTIONS.items():
+        lines.append(f"[{section}]")
+        if section == "model":
+            lines.append(f"name = {GenModel.QM.value}")
+        if section == "backgrounds":
+            lines.append("# category = n_of n_sf of_err sf_err shape "
+                         "[tau_eff]")
+            for cat in BACKGROUND_CATEGORIES:
+                y = cfg.backgrounds.yields[cat]
+                v = [y.n_of, y.n_sf, y.n_of_err, y.n_sf_err, y.shape.kind]
+                if y.shape.tau_eff != cfg.params.tau:
+                    v.append(y.shape.tau_eff)
+                lines.append(f"{cat.value} = " + " ".join(map(_ini, v)))
+        lines += [f"{k} = {_ini(getattr(of[cls], f))}"
+                  for f, k in keys.items()]
+        lines.append("")
+    lines += ["[binning]", "edges = " + " ".join(_ini(e) for e in
+                                                 cfg.binning.edges)]
+    return "\n".join(lines) + "\n"

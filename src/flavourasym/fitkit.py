@@ -115,29 +115,27 @@ class BinPredictor:
                 self.average(lambda t: self._grid.ps_upper(t, dm)))
 
 
-def _residuals(spectrum: AsymmetrySpectrum, model: str, dm: float,
-               predictor: BinPredictor, zeta: float = 0.0):
-    if model == "PS":
-        lo, up = predictor.band(dm)
-        return np.where(spectrum.a > up, spectrum.a - up,
-                        np.where(spectrum.a < lo, lo - spectrum.a, 0.0))
-    return spectrum.a - predictor.predict(model, dm, zeta)
-
-
-def chi2(spectrum: AsymmetrySpectrum, model: str, dm: float, c: Constraint,
-         predictor: BinPredictor | None = None, zeta: float = 0.0) -> float:
-    """Weighted sum of squared residuals plus the external dm pull.
-
-    Band-model residuals are clipped to zero inside the band and measured
-    to the nearest edge outside it.
-    """
-    if predictor is None:
-        predictor = BinPredictor(spectrum.binning)
+def _pulls(spectrum: AsymmetrySpectrum, model: str, dm: float,
+           predictor: BinPredictor, zeta: float = 0.0) -> np.ndarray:
+    """Residuals over the total errors. Band-model residuals are clipped to
+    zero inside the band and measured to the nearest edge outside it."""
     sigma = spectrum.total_err
     if not np.all(np.isfinite(sigma) & (sigma > 0)):
         raise ValueError("spectrum errors must be positive and finite")
-    r = _residuals(spectrum, model, dm, predictor, zeta)
-    return float(np.sum((r / sigma) ** 2) + c.term(dm))
+    if model == "PS":
+        lo, up = predictor.band(dm)
+        r = np.where(spectrum.a > up, spectrum.a - up,
+                     np.where(spectrum.a < lo, lo - spectrum.a, 0.0))
+    else:
+        r = spectrum.a - predictor.predict(model, dm, zeta)
+    return r / sigma
+
+
+def chi2(spectrum: AsymmetrySpectrum, model: str, dm: float, c: Constraint,
+         predictor: BinPredictor, zeta: float = 0.0) -> float:
+    """Sum of squared pulls plus the external dm pull."""
+    return float(np.sum(_pulls(spectrum, model, dm, predictor, zeta) ** 2)
+                 + c.term(dm))
 
 
 def _one_sigma_interval(fun, x_hat, f_min, lo, hi, label, flags):
@@ -162,10 +160,8 @@ def _one_sigma_interval(fun, x_hat, f_min, lo, hi, label, flags):
 
 
 def fit_model(spectrum: AsymmetrySpectrum, model: str, c: Constraint,
-              predictor: BinPredictor | None = None) -> FitResult:
+              predictor: BinPredictor) -> FitResult:
     """One-parameter dm fit of a model curve (or band) to a spectrum."""
-    if predictor is None:
-        predictor = BinPredictor(spectrum.binning)
     fun = lambda dm: chi2(spectrum, model, dm, c, predictor)
     res = optimize.minimize_scalar(fun, bounds=DM_SEARCH, method="bounded",
                                    options={"xatol": DM_XTOL})
@@ -174,29 +170,22 @@ def fit_model(spectrum: AsymmetrySpectrum, model: str, c: Constraint,
     if min(dm_hat - DM_SEARCH[0], DM_SEARCH[1] - dm_hat) < 5 * DM_XTOL:
         flags.append("minimum at the edge of the search interval")
     err = _one_sigma_interval(fun, dm_hat, c2, *DM_SEARCH, "dm", flags)
-    r = _residuals(spectrum, model, dm_hat, predictor)
     return FitResult(model=model, theta_hat=dm_hat, theta_err=err,
                      chi2=c2, dof=spectrum.binning.n_bins,
-                     residuals=r / spectrum.total_err, flags=flags)
+                     residuals=_pulls(spectrum, model, dm_hat, predictor),
+                     flags=flags)
 
 
 def fit_zeta(spectrum: AsymmetrySpectrum, c: Constraint,
-             predictor: BinPredictor | None = None) -> FitResult:
+             predictor: BinPredictor) -> FitResult:
     """Two-parameter (dm, zeta) fit of the partially decohered curve.
 
     zeta is left free to float below zero; the quoted error comes from the
-    profile chi-square crossing chi2_min + 1.
-    """
-    if predictor is None:
-        predictor = BinPredictor(spectrum.binning)
-    sigma = spectrum.total_err
-
-    def c2(params):
-        dm, z = params
-        r = spectrum.a - predictor.predict("DECOHERED", dm, z)
-        return float(np.sum((r / sigma) ** 2) + c.term(dm))
-
-    res = optimize.minimize(c2, x0=[c.mean, 0.0], method="Nelder-Mead",
+    profile chi-square crossing chi2_min + 1. n_bins points and the dm
+    constraint, less two parameters, leave n_bins - 1 degrees of freedom."""
+    c2 = lambda dm, z: chi2(spectrum, "DECOHERED", dm, c, predictor, z)
+    res = optimize.minimize(lambda p: c2(*p), x0=[c.mean, 0.0],
+                            method="Nelder-Mead",
                             options={"xatol": min(DM_XTOL, ZETA_XTOL),
                                      "fatol": 1e-10, "maxiter": 2000})
     dm_hat, z_hat = (float(v) for v in res.x)
@@ -204,7 +193,7 @@ def fit_zeta(spectrum: AsymmetrySpectrum, c: Constraint,
     flags = []
 
     def profile(z):
-        r = optimize.minimize_scalar(lambda dm: c2([dm, z]), bounds=DM_SEARCH,
+        r = optimize.minimize_scalar(lambda dm: c2(dm, z), bounds=DM_SEARCH,
                                      method="bounded",
                                      options={"xatol": DM_XTOL})
         return float(r.fun)
@@ -213,11 +202,11 @@ def fit_zeta(spectrum: AsymmetrySpectrum, c: Constraint,
         flags.append("zeta profile is nearly flat")
     err = _one_sigma_interval(profile, z_hat, c2_min, z_hat - 1.0,
                               z_hat + 1.0, "zeta", flags)
-    r = spectrum.a - predictor.predict("DECOHERED", dm_hat, z_hat)
     return FitResult(model="DECOHERED", theta_hat=z_hat, theta_err=err,
-                     chi2=c2_min, dof=spectrum.binning.n_bins,
-                     residuals=r / sigma, flags=flags,
-                     extra={"dm": dm_hat})
+                     chi2=c2_min, dof=spectrum.binning.n_bins - 1,
+                     residuals=_pulls(spectrum, "DECOHERED", dm_hat,
+                                      predictor, z_hat),
+                     flags=flags, extra={"dm": dm_hat})
 
 
 def significance(fit_a: FitResult, fit_b: FitResult) -> float:

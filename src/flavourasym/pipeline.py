@@ -55,10 +55,8 @@ class PipelineConfig:
 
     @classmethod
     def paper_scale(cls, seed: int = 1, **over):
-        p = ModelParams()
-        return cls(params=p,
-                   backgrounds=BackgroundConfig.paper_scale(tau=p.tau),
-                   seed=seed, **over)
+        return cls(backgrounds=BackgroundConfig.paper_scale(), seed=seed,
+                   **over)
 
 
 def corrected_counts(events: np.ndarray, cfg: PipelineConfig):
@@ -68,8 +66,8 @@ def corrected_counts(events: np.ndarray, cfg: PipelineConfig):
     Returns the counts and the per-bin subtraction systematic on the
     asymmetry.
     """
-    raw = bin_events(events, cfg.binning, which_dt="reconstructed",
-                     which_cls="assigned")
+    raw = bin_events(events["dt_rec_ps"], events["cls_assigned"],
+                     cfg.binning)
     sub, bkg_syst = subtract_background(raw, cfg.backgrounds)
     corrected = mistag_correct_counts(sub, cfg.detector.mistag_fraction)
     return corrected, bkg_syst

@@ -21,6 +21,7 @@ __all__ = [
     "BETA_GAMMA",
     "GenModel",
     "EventCategory",
+    "BACKGROUND_CATEGORIES",
     "DetectorConfig",
     "BackgroundShape",
     "BackgroundConfig",
@@ -58,6 +59,8 @@ class EventCategory(enum.Enum):
     WRONG_COMBINATION = "wrong_combination"
     DSS_CHARGED = "dss_charged"
 
+
+BACKGROUND_CATEGORIES = tuple(EventCategory)[1:]   # every category but SIGNAL
 
 # cls_true and cls_assigned hold an index into CLASS_NAMES; category holds
 # an index into EventCategory in declaration order. Code 0 is OF and SIGNAL,
@@ -104,7 +107,7 @@ class BackgroundShape:
     """dt shape of one background category, normalized over the analysis window."""
 
     kind: str = "exp"       # "exp" or "flat"
-    tau_eff: float = 1.53   # ps, used by the "exp" kind
+    tau_eff: float = ModelParams().tau  # ps, for the "exp" kind
 
     def __post_init__(self):
         if self.kind not in ("exp", "flat"):
@@ -154,17 +157,12 @@ class BackgroundConfig:
     fixed_counts: bool = False                  # skip the Poisson fluctuation
 
     @classmethod
-    def paper_scale(cls, tau: float = ModelParams().tau,
-                    fixed_counts: bool = False):
+    def paper_scale(cls):
         """Default yields at the scale of the published event sample."""
-        return cls(yields={
-            EventCategory.DSTAR_FAKE: CategoryYield(
-                126.0, 54.0, 6.0, 4.0, BackgroundShape("exp", tau)),
-            EventCategory.WRONG_COMBINATION: CategoryYield(
-                78.0, 237.0, 9.0, 15.0, BackgroundShape("exp", tau)),
-            EventCategory.DSS_CHARGED: CategoryYield(
-                254.0, 1.5, 16.0, 0.5, BackgroundShape("exp", tau)),
-        }, fixed_counts=fixed_counts)
+        return cls(yields=dict(zip(BACKGROUND_CATEGORIES, (
+            CategoryYield(126.0, 54.0, 6.0, 4.0),
+            CategoryYield(78.0, 237.0, 9.0, 15.0),
+            CategoryYield(254.0, 1.5, 16.0, 0.5)))))
 
     def total(self) -> float:
         return sum(y.n_of + y.n_sf for y in self.yields.values())
@@ -280,8 +278,7 @@ def inject_backgrounds(signal: np.ndarray, b: BackgroundConfig,
     """Append background events with configured yields, shapes and OF/SF split."""
     parts = [signal]
     next_index = int(signal["index"].max()) + 1 if len(signal) else 0
-    for cat in (EventCategory.DSTAR_FAKE, EventCategory.WRONG_COMBINATION,
-                EventCategory.DSS_CHARGED):
+    for cat in BACKGROUND_CATEGORIES:
         y = b.yields.get(cat)
         if y is None or (y.n_of + y.n_sf) == 0:
             continue

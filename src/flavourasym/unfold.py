@@ -24,6 +24,7 @@ __all__ = [
     "dsvd_unfold",
     "bias_correct",
     "write_response",
+    "recorded_edges",
     "read_response",
 ]
 
@@ -213,11 +214,15 @@ def bias_correct(unfolded_by_model: dict, truth_by_model: dict):
     return correction, systematic
 
 
+def recorded_edges(binning: Binning) -> str:
+    """The edges as a response file records them, at %g precision."""
+    return ",".join("%g" % e for e in binning.array)
+
+
 def write_response(resp: ResponseMatrix, path) -> None:
-    edges = resp.binning.array
-    bh = hashlib.sha256(edges.tobytes()).hexdigest()[:12]
+    bh = hashlib.sha256(resp.binning.array.tobytes()).hexdigest()[:12]
     preamble = [f"# class={resp.cls} binning={bh} "
-                f"edges={','.join('%g' % e for e in edges)}",
+                f"edges={recorded_edges(resp.binning)}",
                 "# truth_totals=" + ",".join("%.9g" % t
                                              for t in resp.truth_totals)]
     write_table(path, list(resp.m.T), ["%.9g"] * resp.binning.n_bins,

@@ -128,8 +128,8 @@ class TestGeneratorClosure:
                               mistag_fraction=0.0)
         events = make_signal_events(GenModel.QM, p, 1_000_000, det0,
                                     stream_rng(4242, 0))
-        counts = bin_events(events, Binning(), which_dt="true",
-                            which_cls="true")
+        counts = bin_events(events["dt_true_ps"], events["cls_true"],
+                            Binning())
         spec = asymmetry(counts)
         truth = BinPredictor(Binning(), tau=p.tau).predict("QM", p.dm)
         pulls = (spec.a - truth) / spec.stat_err

@@ -199,18 +199,27 @@ class TestBinEvents:
     def test_overflow_kept_aside(self):
         ev = make_signal_events(GenModel.QM, ModelParams(), 20000,
                                 DetectorConfig(), stream_rng(3, 0))
-        c = bin_events(ev, Binning((0.0, 1.0, 2.0)))
+        c = bin_events(ev["dt_rec_ps"], ev["cls_assigned"],
+                       Binning((0.0, 1.0, 2.0)))
         in_total = c.n_of.sum() + c.n_sf.sum()
         assert in_total + c.overflow_of + c.overflow_sf == len(ev)
         assert c.overflow_of > 0
 
-    def test_which_arguments(self):
-        ev = make_signal_events(GenModel.QM, ModelParams(), 100,
-                                DetectorConfig(), stream_rng(3, 1))
-        with pytest.raises(ValueError):
-            bin_events(ev, Binning(), which_dt="smeared")
-        with pytest.raises(ValueError):
-            bin_events(ev, Binning(), which_cls="guessed")
+    def test_in_range_rule_is_numpy_histogram(self):
+        # every edge, every midpoint, just past the last edge and far out:
+        # an event on the last edge is binned, not counted as overflow
+        binning = Binning()
+        e = binning.array
+        values = np.concatenate([e, 0.5 * (e[1:] + e[:-1]), [20.5, 1e3]])
+        dt = np.concatenate([values, values])
+        cls = np.repeat(np.array([0, 1], dtype=np.int8), len(values))
+        c = bin_events(dt, cls, binning)
+        np.testing.assert_array_equal(c.n_of, np.histogram(values, e)[0])
+        np.testing.assert_array_equal(c.n_sf, np.histogram(values, e)[0])
+        assert c.n_of.sum() == len(e) + len(e) - 1          # 23 binned
+        assert c.overflow_of == c.overflow_sf == 2
+        assert (c.n_of.sum() + c.n_sf.sum() + c.overflow_of
+                + c.overflow_sf) == len(dt)
 
 
 class TestSystematics:

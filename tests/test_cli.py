@@ -102,6 +102,24 @@ class TestGenerate:
         assert main(["generate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "events.csv")]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("edit, message", [
+        (("edges = 0 0.5 1", "edges = 0 nan 1"), "[binning] edges"),
+        (("9 13 20", "9 13 inf"), "[binning] edges"),
+        (("126 54 6 4 exp", "126 54 6 4 exp fast"),
+         "[backgrounds] dstar_fake: could not convert"),
+        (("126 54 6 4 exp", "126 54 6 4 gauss"),
+         "[backgrounds] dstar_fake: unknown shape kind"),
+    ], ids=["nan_edge", "inf_edge", "tau_eff", "shape_kind"])
+    def test_bad_config_is_exit_2_naming_the_line(self, tmp_path, cfg_path,
+                                                  edit, message, capsys):
+        text = cfg_path.read_text()
+        assert edit[0] in text
+        cfg_path.write_text(text.replace(*edit))
+        assert main(["generate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "events.csv")]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "events.csv").exists()
+
 
 class TestChain:
     def test_generate_analyze_unfold_fit(self, tmp_path, cfg_path):
@@ -326,6 +344,45 @@ def test_corrupted_files_exit_cleanly(small_chain, data):
     bad.write_text(text)
     assert main(_command(d, kind, str(bad))) in (
         EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)
+
+
+class TestSavedResponses:
+    """`unfold` refuses saved responses it would misuse (exit 2)."""
+
+    def _unfold(self, d, resp_of, resp_sf):
+        argv = ["unfold", "--config", str(d / "run.cfg"),
+                str(d / "spectrum.counts.csv"), "--out", str(d / "out.csv")]
+        if resp_of:
+            argv += ["--response-of", str(resp_of)]
+        if resp_sf:
+            argv += ["--response-sf", str(resp_sf)]
+        return main(argv)
+
+    @pytest.mark.parametrize("which", ["of", "sf"])
+    def test_one_flag_alone(self, small_chain, which, capsys):
+        d, _ = small_chain
+        path = d / f"unfolded.resp_{which}.csv"
+        args = (path, None) if which == "of" else (None, path)
+        assert self._unfold(d, *args) == EXIT_VALIDATION
+        assert "go together" in capsys.readouterr().err
+
+    def test_swapped_classes(self, small_chain, capsys):
+        d, _ = small_chain
+        assert self._unfold(d, d / "unfolded.resp_sf.csv",
+                            d / "unfolded.resp_of.csv") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "class=SF response" in err and "as --response-of" in err
+
+    def test_edges_differ_from_the_counts(self, small_chain, capsys):
+        d, _ = small_chain
+        lines = (d / "unfolded.resp_sf.csv").read_text().splitlines()
+        assert ",0.5,1," in lines[0]
+        lines[0] = lines[0].replace(",0.5,1,", ",0.6,1,")
+        bad = d / "other_edges.resp_sf.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert self._unfold(d, d / "unfolded.resp_of.csv",
+                            bad) == EXIT_VALIDATION
+        assert "edges 0,0.6,1," in capsys.readouterr().err
 
 
 class TestFit:

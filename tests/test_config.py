@@ -1,10 +1,18 @@
 """Configuration parsing tests."""
 
+import re
+
 import pytest
 
+from flavourasym.analysis import Binning
 from flavourasym.config import (ConfigError, default_config_text, load_config)
+from flavourasym.fitkit import Constraint
+from flavourasym.models import ModelParams
 from flavourasym.pipeline import PipelineConfig
-from flavourasym.toygen import EventCategory, GenModel
+from flavourasym.toygen import (BackgroundConfig, BackgroundShape,
+                                CategoryYield, DetectorConfig, EventCategory,
+                                GenModel)
+from flavourasym.unfold import UnfoldConfig
 
 
 def write_cfg(tmp_path, text):
@@ -99,6 +107,46 @@ class TestLoadConfig:
         text = MINIMAL + "\n[binning]\nedges = 0 5 5 20\n"
         with pytest.raises(ConfigError, match="edges"):
             load_config(write_cfg(tmp_path, text))
+
+    @pytest.mark.parametrize("edges", ["0 nan 20", "0 5 inf", "-inf 5 20"])
+    def test_non_finite_edges_rejected(self, tmp_path, edges):
+        text = MINIMAL + f"\n[binning]\nedges = {edges}\n"
+        with pytest.raises(ConfigError, match=r"\[binning\] edges.*finite"):
+            load_config(write_cfg(tmp_path, text))
+
+    @pytest.mark.parametrize("line, message", [
+        ("126 54 6 4 exp fast", "could not convert string to float: 'fast'"),
+        ("126 54 6 4 gauss", "unknown shape kind 'gauss'"),
+        ("126 -54", "non-negative"),
+    ])
+    def test_bad_background_line_names_the_line(self, tmp_path, line,
+                                                message):
+        text = MINIMAL.replace("[backgrounds]\n",
+                               f"[backgrounds]\ndstar_fake = {line}\n")
+        with pytest.raises(ConfigError,
+                           match=r"^\[backgrounds\] dstar_fake: .*"
+                           + re.escape(message)):
+            load_config(write_cfg(tmp_path, text))
+
+    def test_template_is_written_from_the_defaults(self, tmp_path,
+                                                    monkeypatch):
+        # changed defaults reach the template with no second edit, a
+        # background tau_eff other than the model's included
+        yields = dict(BackgroundConfig.paper_scale().yields)
+        yields[EventCategory.DSS_CHARGED] = CategoryYield(
+            25.0, 0.5, 1.0, 0.25, BackgroundShape("flat", 2.5))
+        changed = PipelineConfig(
+            params=ModelParams(dm=0.5, zeta=0.1),
+            detector=DetectorConfig(mistag_fraction=0.02),
+            backgrounds=BackgroundConfig(yields, fixed_counts=True),
+            binning=Binning((0.0, 2.5, 20.0)),
+            unfold=UnfoldConfig(rank_of=2, rank_sf=2),
+            constraint=Constraint(sigma=0.02), n_signal=1234, seed=5)
+        monkeypatch.setattr(PipelineConfig, "paper_scale",
+                            classmethod(lambda cls, seed: changed))
+        text = default_config_text(seed=5)
+        assert "dss_charged = 25 0.5 1 0.25 flat 2.5\n" in text
+        assert load_config(write_cfg(tmp_path, text)).pipeline == changed
 
     def test_custom_binning(self, tmp_path):
         text = MINIMAL + "\n[binning]\nedges = 0 5 10 20\n"

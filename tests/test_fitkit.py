@@ -12,6 +12,7 @@ from flavourasym.models import MarginalGrid, ModelParams, asym_qm
 
 TAU = 1.53
 C = Constraint()
+PRED = BinPredictor(Binning())
 
 
 class TestBinPredictor:
@@ -94,14 +95,15 @@ def exact_spectrum(model="QM", dm=0.507, err=0.02):
 class TestChi2:
     def test_exact_model_zero_residual(self):
         spec = exact_spectrum("QM", dm=C.mean)
-        assert chi2(spec, "QM", C.mean, C) == pytest.approx(0.0, abs=1e-18)
+        assert chi2(spec, "QM", C.mean, C, PRED) == pytest.approx(
+            0.0, abs=1e-18)
 
     def test_constraint_pull(self):
         spec = exact_spectrum("QM", dm=0.507)
         # at dm = 0.507 the data term vanishes; only the pull remains
         expected = ((0.507 - C.mean) / C.sigma) ** 2
-        assert chi2(spec, "QM", 0.507, C) == pytest.approx(expected,
-                                                           abs=1e-12)
+        assert chi2(spec, "QM", 0.507, C, PRED) == pytest.approx(
+            expected, abs=1e-12)
 
     def test_ps_residual_clipped(self):
         pred = BinPredictor(Binning())
@@ -118,33 +120,35 @@ class TestChi2:
     def test_nonpositive_errors_rejected(self):
         spec = AsymmetrySpectrum(Binning(), np.zeros(11), np.zeros(11))
         with pytest.raises(ValueError):
-            chi2(spec, "QM", 0.5, C)
+            chi2(spec, "QM", 0.5, C, PRED)
 
 
 class TestFitModel:
     def test_recovers_exact_dm(self):
         # tiny errors make the data term dominate the external pull
         spec = exact_spectrum("QM", dm=0.507, err=1e-4)
-        fit = fit_model(spec, "QM", C)
+        fit = fit_model(spec, "QM", C, PRED)
         assert fit.theta_hat == pytest.approx(0.507, abs=1e-4)
         assert fit.dof == 11
 
     def test_error_from_crossing(self):
         # with exact data the error is set by the curvature; halving the
         # per-bin errors halves the fitted error
-        f1 = fit_model(exact_spectrum("QM", err=0.04), "QM", C)
-        f2 = fit_model(exact_spectrum("QM", err=0.02), "QM", C)
+        f1 = fit_model(exact_spectrum("QM", err=0.04), "QM", C,
+                       PRED)
+        f2 = fit_model(exact_spectrum("QM", err=0.02), "QM", C,
+                       PRED)
         assert f2.theta_err < f1.theta_err
         assert f1.theta_err > 0
 
     def test_sd_recovery(self):
         spec = exact_spectrum("SD", dm=0.507, err=1e-4)
-        fit = fit_model(spec, "SD", C)
+        fit = fit_model(spec, "SD", C, PRED)
         assert fit.theta_hat == pytest.approx(0.507, abs=1e-4)
 
     def test_bad_model_rejected(self):
         with pytest.raises(ValueError):
-            fit_model(exact_spectrum(), "XX", C)
+            fit_model(exact_spectrum(), "XX", C, PRED)
 
 
 class TestSignificance:
@@ -162,7 +166,7 @@ class TestSignificance:
 class TestFitZeta:
     def test_zero_on_pure_qm(self):
         spec = exact_spectrum("QM", dm=C.mean, err=0.01)
-        fit = fit_zeta(spec, C)
+        fit = fit_zeta(spec, C, PRED)
         assert fit.theta_hat == pytest.approx(0.0, abs=5e-3)
         assert fit.theta_err > 0
 
@@ -171,9 +175,16 @@ class TestFitZeta:
         spec = AsymmetrySpectrum(
             Binning(), pred.predict("DECOHERED", C.mean, 0.25),
             np.full(11, 0.01))
-        fit = fit_zeta(spec, C)
+        fit = fit_zeta(spec, C, PRED)
         assert fit.theta_hat == pytest.approx(0.25, abs=0.01)
         assert fit.extra["dm"] == pytest.approx(C.mean, abs=0.01)
+
+    def test_degrees_of_freedom(self):
+        # 11 bins plus the dm constraint: 11 dof for the one-parameter
+        # fit, 10 for the two-parameter (dm, zeta) fit
+        spec = exact_spectrum("QM", dm=C.mean, err=0.01)
+        assert fit_model(spec, "QM", C, PRED).dof == 11
+        assert fit_zeta(spec, C, PRED).dof == 10
 
 
 @pytest.fixture(scope="module")

@@ -70,7 +70,7 @@ class TestSampling:
         ev = make_signal_events(GenModel.QM, P, 400000, NO_SMEAR,
                                 stream_rng(11, 0))
         binning = Binning()
-        counts = bin_events(ev, binning, which_dt="true", which_cls="true")
+        counts = bin_events(ev["dt_true_ps"], ev["cls_true"], binning)
         spec = asymmetry(counts)
         # OF/SF rates are exp(-dt/tau) (1 +- cos(dm dt)), so the per-bin
         # rate ratio is the rate-weighted bin average of cos(dm dt)
@@ -136,10 +136,9 @@ class TestDetector:
         d = DetectorConfig(resolution_sigma=0.0, extra_smear_sigma=0.0,
                            mistag_fraction=w)
         ev = make_signal_events(GenModel.QM, P, 400000, d, stream_rng(21, 0))
-        counts_true = bin_events(ev, Binning(), which_dt="true",
-                                 which_cls="true")
-        counts_tag = bin_events(ev, Binning(), which_dt="true",
-                                which_cls="assigned")
+        counts_true = bin_events(ev["dt_true_ps"], ev["cls_true"], Binning())
+        counts_tag = bin_events(ev["dt_true_ps"], ev["cls_assigned"],
+                                Binning())
         a_true = asymmetry(counts_true)
         a_tag = asymmetry(counts_tag)
         # average dilution over the well-populated bins
