@@ -3,7 +3,10 @@ mistag correction, and error propagation."""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+from types import MappingProxyType
 
 import numpy as np
 
@@ -91,34 +94,51 @@ class BinnedCounts:
         return np.flatnonzero((self.n_of < 0) | (self.n_sf < 0))
 
 
-@dataclass
+def _read_only(values) -> np.ndarray:
+    a = np.array(values, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
 class AsymmetrySpectrum:
+    """An immutable spectrum: `a`, `stat_err` and the breakdown are
+    read-only copies, so the errors derived from them are computed once."""
+
     binning: Binning
     a: np.ndarray
     stat_err: np.ndarray
-    syst_breakdown: dict = field(default_factory=dict)  # source -> per-bin array
+    syst_breakdown: Mapping = field(default_factory=dict)  # source -> per-bin array
 
     def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=float)
-        self.stat_err = np.asarray(self.stat_err, dtype=float)
+        set_field = partial(object.__setattr__, self)
+        set_field("a", _read_only(self.a))
+        set_field("stat_err", _read_only(self.stat_err))
+        set_field("syst_breakdown", MappingProxyType(
+            {src: _read_only(v) for src, v in self.syst_breakdown.items()}))
 
-    @property
+    @cached_property
     def syst_err(self) -> np.ndarray:
         if not self.syst_breakdown:
-            return np.zeros(self.binning.n_bins)
+            return _read_only(np.zeros(self.binning.n_bins))
         stacked = np.vstack(list(self.syst_breakdown.values()))
         with np.errstate(over="ignore"):    # inf, which chi2 rejects
-            return np.sqrt((stacked ** 2).sum(axis=0))
+            return _read_only(np.sqrt((stacked ** 2).sum(axis=0)))
 
-    @property
+    @cached_property
     def total_err(self) -> np.ndarray:
         with np.errstate(over="ignore"):
-            return np.sqrt(self.stat_err ** 2 + self.syst_err ** 2)
+            return _read_only(np.sqrt(self.stat_err ** 2 + self.syst_err ** 2))
+
+    @cached_property
+    def errors_valid(self) -> bool:
+        """Whether every total error is positive and finite, as a chi-square
+        needs."""
+        return bool(np.all(np.isfinite(self.total_err) & (self.total_err > 0)))
 
     def with_syst(self, source: str, values) -> "AsymmetrySpectrum":
-        bd = dict(self.syst_breakdown)
-        bd[source] = np.asarray(values, dtype=float)
-        return AsymmetrySpectrum(self.binning, self.a, self.stat_err, bd)
+        return AsymmetrySpectrum(self.binning, self.a, self.stat_err,
+                                 {**self.syst_breakdown, source: values})
 
 
 def bin_events(dt, cls, binning: Binning) -> BinnedCounts:

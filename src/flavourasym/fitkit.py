@@ -111,16 +111,15 @@ class BinPredictor:
 
     def band(self, dm: float):
         """Per-bin (lower, upper) averages of the local-realistic band."""
-        return (self.average(lambda t: self._grid.ps_lower(t, dm)),
-                self.average(lambda t: self._grid.ps_upper(t, dm)))
+        lower, upper = self._grid.edges(self._t, dm)
+        return (lower * self._w).sum(axis=1), (upper * self._w).sum(axis=1)
 
 
 def _pulls(spectrum: AsymmetrySpectrum, model: str, dm: float,
            predictor: BinPredictor, zeta: float = 0.0) -> np.ndarray:
     """Residuals over the total errors. Band-model residuals are clipped to
     zero inside the band and measured to the nearest edge outside it."""
-    sigma = spectrum.total_err
-    if not np.all(np.isfinite(sigma) & (sigma > 0)):
+    if not spectrum.errors_valid:
         raise ValueError("spectrum errors must be positive and finite")
     if model == "PS":
         lo, up = predictor.band(dm)
@@ -128,7 +127,7 @@ def _pulls(spectrum: AsymmetrySpectrum, model: str, dm: float,
                      np.where(spectrum.a < lo, lo - spectrum.a, 0.0))
     else:
         r = spectrum.a - predictor.predict(model, dm, zeta)
-    return r / sigma
+    return r / spectrum.total_err
 
 
 def chi2(spectrum: AsymmetrySpectrum, model: str, dm: float, c: Constraint,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._table import read_table, write_table
-from .models import ModelParams, _ps_lower_joint, _ps_upper_joint
+from .models import ModelParams, _ps_joint
 
 __all__ = [
     "C_UM_PER_PS",
@@ -176,10 +176,8 @@ def _joint_asymmetry(model: GenModel, t1, t2, p: ModelParams,
         return np.cos(p.dm * dt)
     if model is GenModel.SD:
         return np.cos(p.dm * t1) * np.cos(p.dm * t2)
-    if model is GenModel.PS_BOUNDARY_MAX:
-        return _ps_upper_joint(t_min, dt, p.dm)
-    if model is GenModel.PS_BOUNDARY_MIN:
-        return _ps_lower_joint(t_min, dt, p.dm)
+    if model in (GenModel.PS_BOUNDARY_MAX, GenModel.PS_BOUNDARY_MIN):
+        return _ps_joint(t_min, dt, p.dm, model is GenModel.PS_BOUNDARY_MAX)
     if model is GenModel.DECOHERED:
         a_qm = np.cos(p.dm * dt)
         a_sd = np.cos(p.dm * t1) * np.cos(p.dm * t2)

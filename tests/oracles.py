@@ -1,12 +1,13 @@
-"""Test oracles: quadrature for the t_min-marginalized model curves, and
-response training on the event record."""
+"""Test oracles: quadrature for the t_min-marginalized model curves, the
+band and PS draws from the per-edge joint formulas, and response training
+on the event record."""
 
 import numpy as np
 from scipy import integrate
 
 # e^(-2*40) ~ 1e-35 at the reach bounds the truncation error far below the
 # 1e-9 target
-from flavourasym.models import _UMAX_LIFETIMES
+from flavourasym.models import _DT_BLOCK, _UMAX_LIFETIMES, MarginalGrid
 from flavourasym.pipeline import RESPONSE_STREAM
 from flavourasym.toygen import GenModel, make_signal_events, stream_rng
 
@@ -36,6 +37,44 @@ def marginalize(joint, dt: float, p) -> float:
             f"quadrature did not converge: estimated error {err / den:.2e}"
         )
     return num / den
+
+
+def ps_upper_joint(t_min, dt, dm):
+    c, s = np.cos(dm * dt), np.sin(dm * dt)
+    return 1.0 - np.abs((1.0 - c) * np.cos(dm * t_min) + s * np.sin(dm * t_min))
+
+
+def ps_lower_joint(t_min, dt, dm):
+    c, s = np.cos(dm * dt), np.sin(dm * dt)
+    psi = (1.0 + c) * np.cos(dm * t_min) - s * np.sin(dm * t_min)
+    return 1.0 - np.minimum(2.0 + psi, 2.0 - psi)
+
+
+def per_edge_band(predictor, dm):
+    """Per-bin (lower, upper) of the band, one edge at a time: each joint
+    edge on the t_min grid, summed over the nodes in blocks of dt rows,
+    then averaged over the predictor's bin nodes."""
+    grid = MarginalGrid(predictor.tau)
+    flat = predictor._t.reshape(-1, 1)
+    out = []
+    for joint in (ps_lower_joint, ps_upper_joint):
+        edge = np.empty(len(flat))
+        for i in range(0, len(flat), _DT_BLOCK):
+            edge[i:i + _DT_BLOCK] = (joint(grid.u, flat[i:i + _DT_BLOCK], dm)
+                                     * grid.w).sum(axis=-1)
+        out.append((edge.reshape(predictor._t.shape)
+                    * predictor._w).sum(axis=1))
+    return tuple(out)
+
+
+def ps_sample_pair(upper, p, rng, size):
+    """(t1, t2, is_of, A) of PS_BOUNDARY_MAX (upper) or _MIN pairs from the
+    per-edge joint formulas, on the draws `toygen.sample_pair` makes."""
+    t1 = rng.exponential(p.tau, size)
+    t2 = rng.exponential(p.tau, size)
+    joint = ps_upper_joint if upper else ps_lower_joint
+    a = joint(np.minimum(t1, t2), np.abs(t1 - t2), p.dm)
+    return t1, t2, rng.random(size) < (1.0 + a) / 2.0, a
 
 
 def histogram_responses(dt_true, dt_rec, cls, binning):

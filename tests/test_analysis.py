@@ -1,5 +1,7 @@
 """Binned analysis tests: errors, subtraction, mistag correction, I/O."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,6 +238,59 @@ class TestSystematics:
         out = spec.with_syst("x", [0.1, 0.2])
         assert not spec.syst_breakdown
         assert "x" in out.syst_breakdown
+
+
+class TestSpectrumImmutable:
+    def spec(self):
+        return AsymmetrySpectrum(TWO_BIN, np.array([0.5, -0.2]),
+                                 np.full(2, 0.1),
+                                 {"s1": np.array([0.03, 0.04])})
+
+    def test_attributes_frozen(self):
+        spec = self.spec()
+        for name in ("a", "stat_err", "syst_breakdown", "binning"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(spec, name, getattr(spec, name))
+
+    def test_arrays_read_only_copies(self):
+        a, err, s1 = np.array([0.5, -0.2]), np.full(2, 0.1), np.full(2, 0.03)
+        spec = AsymmetrySpectrum(TWO_BIN, a, err, {"s1": s1})
+        for arr in (spec.a, spec.stat_err, spec.syst_breakdown["s1"],
+                    spec.syst_err, spec.total_err):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        a[0], err[0], s1[0] = 9.0, 9.0, 9.0     # the caller's arrays
+        assert (spec.a[0], spec.stat_err[0], spec.syst_breakdown["s1"][0]) == (
+            0.5, 0.1, 0.03)
+
+    def test_breakdown_mapping_read_only(self):
+        spec = self.spec()
+        with pytest.raises(TypeError):
+            spec.syst_breakdown["s2"] = np.zeros(2)
+        with pytest.raises(TypeError):
+            del spec.syst_breakdown["s1"]
+
+    def test_with_syst_leaves_original(self):
+        spec = self.spec()
+        total = spec.total_err.copy()
+        out = spec.with_syst("s2", [0.05, 0.05])
+        assert list(spec.syst_breakdown) == ["s1"]
+        assert list(out.syst_breakdown) == ["s1", "s2"]
+        np.testing.assert_array_equal(spec.total_err, total)
+        assert np.all(out.total_err > total)
+
+    def test_errors_computed_once(self):
+        spec = self.spec()
+        assert spec.total_err is spec.total_err
+        assert spec.syst_err is spec.syst_err
+        np.testing.assert_array_equal(
+            spec.total_err, np.sqrt(spec.stat_err ** 2 + spec.syst_err ** 2))
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_errors_valid(self, bad):
+        assert self.spec().errors_valid
+        spec = AsymmetrySpectrum(TWO_BIN, np.zeros(2), np.array([0.1, bad]))
+        assert not spec.errors_valid
 
 
 class TestSpectrumIO:

@@ -218,6 +218,20 @@ class TestMalformedInputs:
         assert main(["fit", str(spectrum)]) == EXIT_VALIDATION
         assert "nan" not in capsys.readouterr().out.lower()
 
+    def test_zero_error_in_spectrum(self, tmp_path, capsys):
+        # a bin whose stat and systematic errors are all zero: the fit
+        # refuses it with exit code 2, for each model it is asked for
+        lines = fixture_path().read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[4:] = ["0"] * len(fields[4:])
+        lines[2] = ",".join(fields)
+        spectrum = tmp_path / "spectrum.csv"
+        spectrum.write_text("\n".join(lines) + "\n")
+        for models in ("QM", "PS", "QM,SD,PS,DECOHERED"):
+            assert main(["fit", str(spectrum),
+                         "--models", models]) == EXIT_VALIDATION
+        assert "chi2" not in capsys.readouterr().out
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_error_in_spectrum(self, tmp_path, capsys):
         # a finite stat error whose square overflows makes the total error

@@ -118,9 +118,14 @@ class TestChi2:
             expected + 11 * 4.0, abs=1e-9)
 
     def test_nonpositive_errors_rejected(self):
-        spec = AsymmetrySpectrum(Binning(), np.zeros(11), np.zeros(11))
-        with pytest.raises(ValueError):
-            chi2(spec, "QM", 0.5, C, PRED)
+        # the spectrum checks its errors once; every chi2 call still raises
+        for bad in (0.0, np.nan):
+            err = np.full(11, 0.02)
+            err[10] = bad
+            spec = AsymmetrySpectrum(Binning(), np.zeros(11), err)
+            for model in ("QM", "QM", "PS", "DECOHERED"):
+                with pytest.raises(ValueError):
+                    chi2(spec, model, 0.5, C, PRED)
 
 
 class TestFitModel:

@@ -6,13 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from oracles import marginalize
+from oracles import marginalize, per_edge_band
 
 from flavourasym.analysis import Binning
 from flavourasym.fitkit import BinPredictor
-from flavourasym.models import (MarginalGrid, ModelParams, _ps_lower_joint,
-                                _ps_upper_joint, asym_qm, asym_sd_marginal,
-                                curve_rows, ps_band_edges)
+from flavourasym.models import (MarginalGrid, ModelParams, _ps_joint,
+                                asym_qm, asym_sd_marginal, curve_rows,
+                                ps_band_edges)
 
 P = ModelParams()
 
@@ -25,14 +25,14 @@ def split_marginal(dt, p):
     c, s = np.cos(p.dm * dt), np.sin(p.dm * dt)
     den = p.tau / 2.0 * -np.expm1(-2.0 * umax / p.tau)
     out = []
-    for joint, alpha in ((_ps_lower_joint, np.arctan2(-s, 1.0 + c)),
-                         (_ps_upper_joint, np.arctan2(s, 1.0 - c))):
+    for upper, alpha in ((False, np.arctan2(-s, 1.0 + c)),
+                         (True, np.arctan2(s, 1.0 - c))):
         n = np.arange(-1, np.ceil(umax * p.dm / np.pi) + 1)
         kinks = (alpha + np.pi / 2 + n * np.pi) / p.dm
         pts = np.concatenate([[0.0], kinks[(kinks > 0) & (kinks < umax)],
                               [umax]])
         num = sum(integrate.quad(
-            lambda u: joint(u, dt, p.dm) * np.exp(-2.0 * u / p.tau),
+            lambda u: _ps_joint(u, dt, p.dm, upper) * np.exp(-2.0 * u / p.tau),
             a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
             for a, b in zip(pts[:-1], pts[1:]))
         out.append(num / den)
@@ -84,31 +84,33 @@ class TestSDMarginal:
 
 class TestPSBand:
     def test_lower_identity(self):
-        # 1 - min(2 + psi, 2 - psi) == |psi| - 1 for any psi
+        # min(2 + psi, 2 - psi) is 2 - |psi| to the bit, which the lower
+        # edge is written as; 1 - (2 - |psi|) is |psi| - 1 up to rounding
         rng = np.random.default_rng(4)
         t_min = rng.uniform(0.0, 30.0, 10000)
         dt = rng.uniform(0.0, 20.0, 10000)
         c, s = np.cos(P.dm * dt), np.sin(P.dm * dt)
         psi = (1.0 + c) * np.cos(P.dm * t_min) - s * np.sin(P.dm * t_min)
-        np.testing.assert_allclose(np.minimum(2.0 + psi, 2.0 - psi),
-                                   2.0 - np.abs(psi), atol=1e-12)
-        np.testing.assert_allclose(_ps_lower_joint(t_min, dt, P.dm),
+        np.testing.assert_array_equal(np.minimum(2.0 + psi, 2.0 - psi),
+                                      2.0 - np.abs(psi))
+        np.testing.assert_allclose(_ps_joint(t_min, dt, P.dm, upper=False),
                                    np.abs(psi) - 1.0, atol=1e-12)
 
     def test_joint_band_ordered_and_bounded(self):
         rng = np.random.default_rng(11)
         t_min, dt = rng.uniform(0, 30, 10000), rng.uniform(0, 20, 10000)
-        lower = _ps_lower_joint(t_min, dt, P.dm)
-        upper = _ps_upper_joint(t_min, dt, P.dm)
+        lower = _ps_joint(t_min, dt, P.dm, upper=False)
+        upper = _ps_joint(t_min, dt, P.dm, upper=True)
         assert np.all(-1.0 - 1e-12 <= lower)
         assert np.all(lower <= upper)
         assert np.all(upper <= 1.0 + 1e-12)
 
     def test_qm_inside_band_at_tmin_zero(self):
         # at t_min = 0 the band upper edge touches 1 at dt = 0
-        upper = _ps_upper_joint(0.0, 0.0, P.dm)
+        upper = _ps_joint(0.0, 0.0, P.dm, upper=True)
         assert upper == pytest.approx(1.0, abs=1e-12)
-        assert _ps_lower_joint(0.0, 0.0, P.dm) <= asym_qm(0.0, P) <= upper
+        lower = _ps_joint(0.0, 0.0, P.dm, upper=False)
+        assert lower <= asym_qm(0.0, P) <= upper
 
     def test_marginal_band_at_zero(self):
         # dt = 0: upper edge is exactly 1, lower is the exponential-weighted
@@ -125,13 +127,11 @@ class TestPSBand:
         # the documented worst case ~1.1e-4 over a fine dt grid
         g = MarginalGrid(P.tau)
         for dt in (0.0, 0.5, 2.5, 6.2, 11.0, 19.5):
-            lo, up = ps_band_edges(dt, P)
-            assert float(g.ps_lower(dt, P.dm)) == pytest.approx(lo, abs=5e-5)
-            assert float(g.ps_upper(dt, P.dm)) == pytest.approx(up, abs=5e-5)
+            for got, exact in zip(g.edges(dt, P.dm), ps_band_edges(dt, P)):
+                assert float(got) == pytest.approx(exact, abs=5e-5)
         dt = np.arange(0.0, 20.0 + 1e-9, 0.05)
-        lo, up = ps_band_edges(dt, P)
-        assert np.abs(g.ps_lower(dt, P.dm) - lo).max() < 1.2e-4
-        assert np.abs(g.ps_upper(dt, P.dm) - up).max() < 1.2e-4
+        for got, exact in zip(g.edges(dt, P.dm), ps_band_edges(dt, P)):
+            assert np.abs(got - exact).max() < 1.2e-4
 
     def test_grid_blocks_match_one_array(self):
         # block-wise evaluation gives the sums of one (..., nodes) array
@@ -140,10 +140,18 @@ class TestPSBand:
         rng = np.random.default_rng(2)
         for dt in (rng.uniform(0, 20, (11, 64)), rng.uniform(0, 20, 130),
                    np.float64(3.3)):
-            for joint, edge in ((_ps_lower_joint, g.ps_lower),
-                                (_ps_upper_joint, g.ps_upper)):
-                whole = (joint(g.u, dt[..., None], 0.45) * g.w).sum(axis=-1)
-                np.testing.assert_array_equal(edge(dt, 0.45), whole)
+            for upper, edge in zip((False, True), g.edges(dt, 0.45)):
+                whole = (_ps_joint(g.u, dt[..., None], 0.45, upper)
+                         * g.w).sum(axis=-1)
+                np.testing.assert_array_equal(edge, whole)
+
+    def test_band_matches_per_edge_path(self):
+        # the one-pass kernel gives the per-edge path's bin averages to the
+        # bit; at 0.4515 (the PS best fit) a kink falls in bin 11
+        pred = BinPredictor(Binning(), tau=P.tau)
+        for dm in np.concatenate([np.linspace(0.2, 0.9, 15), [0.4515, 0.507]]):
+            for got, want in zip(pred.band(dm), per_edge_band(pred, dm)):
+                np.testing.assert_array_equal(got, want)
 
     def test_marginal_band_invariants(self):
         dt = np.linspace(0.0, 20.0, 2001)
@@ -207,8 +215,8 @@ class TestCurveRows:
        dt=st.floats(0.0, 20.0))
 @settings(max_examples=200, deadline=None)
 def test_joint_band_property(dm, t_min, dt):
-    lower = _ps_lower_joint(t_min, dt, dm)
-    upper = _ps_upper_joint(t_min, dt, dm)
+    lower = _ps_joint(t_min, dt, dm, upper=False)
+    upper = _ps_joint(t_min, dt, dm, upper=True)
     # ordering may be violated by one ulp where the edges touch
     assert -1.0 - 1e-9 <= lower <= upper + 1e-12
     assert upper <= 1.0 + 1e-9

@@ -3,6 +3,7 @@ detector effects, and background injection."""
 
 import numpy as np
 import pytest
+from oracles import ps_sample_pair
 
 from flavourasym.analysis import Binning, asymmetry, bin_events
 from flavourasym.fitkit import BinPredictor
@@ -13,8 +14,8 @@ from flavourasym.toygen import (BETA_GAMMA, C_UM_PER_PS, CATEGORY_CODE,
                                 CategoryYield, DetectorConfig, EventCategory,
                                 GenModel, apply_detector, generate_ensemble,
                                 inject_backgrounds, make_signal_events,
-                                read_events, sample_pair, stream_rng,
-                                write_events)
+                                _joint_asymmetry, read_events, sample_pair,
+                                stream_rng, write_events)
 
 P = ModelParams()
 NO_SMEAR = DetectorConfig(resolution_sigma=0.0, extra_smear_sigma=0.0,
@@ -220,6 +221,19 @@ class TestEnvelope:
         for model in (GenModel.PS_BOUNDARY_MAX, GenModel.PS_BOUNDARY_MIN):
             t1, t2, is_of = sample_pair(model, P, stream_rng(6, 0), 10000)
             assert 0.0 < is_of.mean() < 1.0
+
+    def test_ps_draws_match_per_edge_formulas(self):
+        # the shared edge formula gives the per-edge formulas' asymmetries
+        # and so the same draws, to the bit
+        for model in (GenModel.PS_BOUNDARY_MAX, GenModel.PS_BOUNDARY_MIN):
+            upper = model is GenModel.PS_BOUNDARY_MAX
+            got = sample_pair(model, P, stream_rng(6, 0), 100000)
+            t1, t2, is_of, a = ps_sample_pair(upper, P, stream_rng(6, 0),
+                                              100000)
+            for g, w in zip(got, (t1, t2, is_of)):
+                np.testing.assert_array_equal(g, w)
+            np.testing.assert_array_equal(
+                _joint_asymmetry(model, t1, t2, P, None), a)
 
     def test_decohered_interpolates(self):
         p = ModelParams(zeta=0.5)
