@@ -255,45 +255,54 @@ def mistag_systematic(spectrum: AsymmetrySpectrum, w: float,
     return np.maximum(np.abs(up - spectrum.a), np.abs(dn - spectrum.a))
 
 
-_SPECTRUM_HEADER = ["bin", "lo_ps", "hi_ps", "a", "stat", "syst_total"]
-_COUNTS_HEADER = ["bin", "lo_ps", "hi_ps", "n_of", "var_of", "n_sf", "var_sf"]
+_BINS = [("bin", "i4"), ("lo_ps", "f8"), ("hi_ps", "f8")]
+_SPECTRUM = np.dtype(_BINS + [(n, "f8") for n in ("a", "stat", "syst_total")])
+_COUNTS = np.dtype(_BINS + [(n, "f8") for n in ("n_of", "var_of", "n_sf",
+                                                "var_sf")])
 
 
-def _bin_columns(binning: Binning) -> list:
-    edges = binning.array
-    return [np.arange(1, binning.n_bins + 1), edges[:-1], edges[1:]]
+def _write_bins(path, binning: Binning, dtype, columns) -> None:
+    """One row per bin: its number, its window, then `columns`."""
+    e = binning.array
+    write_table(path, np.rec.fromarrays(
+        [np.arange(1, len(e)), e[:-1], e[1:], *columns], dtype=dtype))
+
+
+def _edges(rows, path) -> tuple:
+    """Bin edges from bins numbered 1..n that are contiguous."""
+    if np.any(rows["bin"] != np.arange(1, len(rows) + 1)):
+        raise ValueError(f"{path}: bins are not numbered 1..n")
+    if np.any(rows["hi_ps"][:-1] != rows["lo_ps"][1:]):
+        raise ValueError(f"{path}: bins are not contiguous")
+    return tuple(np.append(rows["lo_ps"], rows["hi_ps"][-1]))
 
 
 def write_spectrum(s: AsymmetrySpectrum, path) -> None:
-    """Table-layout delimited text: bin, window, a, stat, syst_total, sources."""
     sources = sorted(s.syst_breakdown)
-    columns = _bin_columns(s.binning) + [s.a, s.stat_err, s.syst_err] + [
-        s.syst_breakdown[src] for src in sources]
-    write_table(path, columns, ["%d"] + ["%.9g"] * (len(columns) - 1),
-                _SPECTRUM_HEADER + sources)
+    _write_bins(path, s.binning,
+                _SPECTRUM.descr + [(k, "f8") for k in sources],
+                [s.a, s.stat_err, s.syst_err] + [s.syst_breakdown[k]
+                                                 for k in sources])
 
 
 def read_spectrum(path) -> AsymmetrySpectrum:
-    t = read_table(path, _SPECTRUM_HEADER, extra=True)
-    syst_total = t.numbers(5)
-    breakdown = {src: t.numbers(j) for j, src in enumerate(t.header[6:], 6)}
-    if not breakdown and syst_total.any():
-        breakdown = {"total": syst_total}
-    return AsymmetrySpectrum(Binning(t.edges()), t.numbers(3), t.numbers(4),
-                             breakdown)
+    _, rows = read_table(path, _SPECTRUM, extra=True)
+    breakdown = {k: rows[k] for k in rows.dtype.names[len(_SPECTRUM):]}
+    if not breakdown and rows["syst_total"].any():
+        breakdown = {"total": rows["syst_total"]}
+    return AsymmetrySpectrum(Binning(_edges(rows, path)), rows["a"],
+                             rows["stat"], breakdown)
 
 
 def write_counts(c: BinnedCounts, path) -> None:
-    columns = _bin_columns(c.binning) + [c.n_of, c.var_of, c.n_sf, c.var_sf]
-    write_table(path, columns, ["%d"] + ["%.9g"] * 6, _COUNTS_HEADER)
+    _write_bins(path, c.binning, _COUNTS, [c.n_of, c.var_of, c.n_sf, c.var_sf])
 
 
 def read_counts(path) -> BinnedCounts:
     """Counts from a file written by `write_counts`; rejects negative
     variances."""
-    t = read_table(path, _COUNTS_HEADER)
-    var_of, var_sf = t.numbers(4), t.numbers(6)
-    if np.any(var_of < 0) or np.any(var_sf < 0):
+    _, rows = read_table(path, _COUNTS)
+    if np.any(rows["var_of"] < 0) or np.any(rows["var_sf"] < 0):
         raise ValueError(f"{path}: negative variance")
-    return BinnedCounts(Binning(t.edges()), n_of=t.numbers(3),
-                        n_sf=t.numbers(5), var_of=var_of, var_sf=var_sf)
+    return BinnedCounts(Binning(_edges(rows, path)), **{
+        n: rows[n].copy() for n in ("n_of", "n_sf", "var_of", "var_sf")})

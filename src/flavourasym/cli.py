@@ -84,10 +84,10 @@ def cmd_curves(args):
         raise ConfigError(f"grid maximum must be positive, got {args.max}")
     p = ModelParams(dm=args.dm, tau=args.tau)
     grid = np.arange(0.0, args.max + 0.5 * args.step, args.step)
-    rows = curve_rows(grid, p)
+    rows = curve_rows(grid, p).view([(n, "f8") for n in (
+        "dt", "A_QM", "A_SD", "PS_min", "PS_max")])[:, 0]
     out = Path(args.out or "curves.csv")
-    write_table(out, list(rows.T), ["%.9g"] * 5,
-                ["dt", "A_QM", "A_SD", "PS_min", "PS_max"])
+    write_table(out, rows)
     _write_log(out, {"dm": p.dm, "tau": p.tau, "step": args.step,
                      "max": args.max})
     print(f"wrote {len(rows)} rows to {out}")

@@ -320,30 +320,37 @@ def generate_ensemble(model: GenModel, p: ModelParams, d: DetectorConfig,
                               stream=1)
 
 
-_COLUMNS = list(EVENT_DTYPE.names)
-_FMT = {"f": "%.9g", "i": "%d"}
 # the file strings of the code columns, indexed by code
 _NAMES = {"cls_true": CLASS_NAMES, "cls_assigned": CLASS_NAMES,
           "category": tuple(c.value for c in EventCategory)}
+# The file's record: a name field is one character wider than its longest
+# name, since loadtxt cuts a string to the field width ("signalX": "signal")
+_FILE_DTYPE = np.dtype([
+    (c, f"U{max(map(len, _NAMES[c])) + 1}" if c in _NAMES else EVENT_DTYPE[c])
+    for c in EVENT_DTYPE.names])
 
 
 def write_events(events: np.ndarray, path) -> None:
     """Events as CSV, one row per event, with the codes written as names."""
-    write_table(path, [np.array(_NAMES[c], dtype=object)[events[c]]
-                       if c in _NAMES else events[c] for c in _COLUMNS],
-                ["%s" if c in _NAMES else _FMT[EVENT_DTYPE[c].kind]
-                 for c in _COLUMNS], _COLUMNS)
+    write_table(path, np.rec.fromarrays(
+        [np.array(_NAMES[c])[events[c]] if c in _NAMES else events[c]
+         for c in EVENT_DTYPE.names], dtype=_FILE_DTYPE))
 
 
 def read_events(path) -> np.ndarray:
     """Events from a file written by `write_events`; rejects malformed rows,
-    non-finite numbers, unknown class codes and unknown categories."""
-    t = read_table(path, _COLUMNS)
-    ev = np.zeros(len(t.columns[0]), dtype=EVENT_DTYPE)
-    for j, col in enumerate(_COLUMNS):
-        if col in _NAMES:
-            ev[col] = t.codes(j, _NAMES[col])
-        else:
-            kind = EVENT_DTYPE[col].kind
-            ev[col] = t.numbers(j, float if kind == "f" else int)
+    non-finite numbers, integers out of their field's range, unknown class
+    codes and unknown categories."""
+    _, rows = read_table(path, _FILE_DTYPE)
+    ev = np.empty(len(rows), dtype=EVENT_DTYPE)
+    for j, c in enumerate(EVENT_DTYPE.names):
+        if c not in _NAMES:
+            ev[c] = rows[c]
+            continue
+        is_name = rows[c] == np.array(_NAMES[c])[:, None]   # (names, rows)
+        known = is_name.any(axis=0)
+        if not known.all():
+            bad = sorted(set(rows[c][~known].tolist()))[:3]
+            raise ValueError(f"{path}: column {j + 1}: unknown values {bad}")
+        ev[c] = is_name.argmax(axis=0)
     return ev

@@ -215,23 +215,24 @@ def bias_correct(unfolded_by_model: dict, truth_by_model: dict):
 
 
 def recorded_edges(binning: Binning) -> str:
-    """The edges as a response file records them, at %g precision."""
-    return ",".join("%g" % e for e in binning.array)
+    """The edges as a response file records them, at the %.9g of a counts
+    file, so that edges a counts file tells apart differ here too."""
+    return ",".join("%.9g" % e for e in binning.array)
 
 
 def write_response(resp: ResponseMatrix, path) -> None:
-    bh = hashlib.sha256(resp.binning.array.tobytes()).hexdigest()[:12]
-    preamble = [f"# class={resp.cls} binning={bh} "
-                f"edges={recorded_edges(resp.binning)}",
+    edges = recorded_edges(resp.binning)
+    # the digest of the edges as recorded, which a response read back keeps
+    bh = hashlib.sha256(np.array(edges.split(","), float).tobytes())
+    preamble = [f"# class={resp.cls} binning={bh.hexdigest()[:12]} "
+                f"edges={edges}",
                 "# truth_totals=" + ",".join("%.9g" % t
                                              for t in resp.truth_totals)]
-    write_table(path, list(resp.m.T), ["%.9g"] * resp.binning.n_bins,
-                preamble=preamble)
+    write_table(path, resp.m, header=False, preamble=preamble)
 
 
 def read_response(path) -> ResponseMatrix:
-    t = read_table(path, preamble=2)
-    head, totals = t.preamble
+    (head, totals), m = read_table(path, float, header=False, preamble=2)
     if not (head.startswith("# class=") and " edges=" in head
             and totals.startswith("# truth_totals=")):
         raise ValueError(f"not a response file: {path}")
@@ -241,5 +242,4 @@ def read_response(path) -> ResponseMatrix:
     edges = finite(head.split("edges=")[1].split(","), f"{path}: edges")
     totals = finite(totals.split("truth_totals=")[1].split(","),
                     f"{path}: truth_totals")
-    m = np.column_stack([t.numbers(j) for j in range(len(t.columns))])
     return ResponseMatrix(Binning(tuple(edges)), m, totals, cls=cls)

@@ -290,15 +290,33 @@ class TestMalformedInputs:
         assert main(_command(d, "response", str(bad))) == EXIT_NUMERICAL
         assert "overflow" in capsys.readouterr().err
 
-    def test_unknown_event_class(self, tmp_path, cfg_path):
+    @staticmethod
+    def _analyze_edited(tmp_path, cfg_path, column, value):
+        """Exit code of `analyze` on events whose first row has `value` in
+        `column`."""
         events, _, _ = chain_files(tmp_path, cfg_path)
         lines = events.read_text().splitlines()
         fields = lines[1].split(",")
-        fields[6] = "XX"                                  # cls_assigned
+        fields[lines[0].split(",").index(column)] = value
         lines[1] = ",".join(fields)
         events.write_text("\n".join(lines) + "\n")
-        assert main(["analyze", "--config", str(cfg_path), str(events),
-                     "--out", str(tmp_path / "s.csv")]) == EXIT_VALIDATION
+        return main(["analyze", "--config", str(cfg_path), str(events),
+                     "--out", str(tmp_path / "s.csv")])
+
+    @pytest.mark.parametrize("column", ["cls_true", "cls_assigned",
+                                        "category"])
+    @pytest.mark.parametrize("value", ["XX", "OFX", "signalX",
+                                       "wrong_combinationX"])
+    def test_unknown_event_class(self, tmp_path, cfg_path, column, value):
+        # a value that extends a valid name must not be cut to that name
+        assert self._analyze_edited(tmp_path, cfg_path, column,
+                                    value) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("column", ["stream", "index"])
+    def test_event_integer_out_of_range(self, tmp_path, cfg_path, column):
+        # 4294967297 used to wrap into int32, read back as 1 and exit 0
+        assert self._analyze_edited(tmp_path, cfg_path, column,
+                                    "4294967297") == EXIT_VALIDATION
 
 
 @pytest.fixture(scope="module")

@@ -1,13 +1,22 @@
 """Toy generator tests: determinism, closure against the model curves,
 detector effects, and background injection."""
 
+import contextlib
+import hashlib
+import io
+from functools import partial
+
 import numpy as np
 import pytest
 from oracles import ps_sample_pair
 
-from flavourasym.analysis import Binning, asymmetry, bin_events
+from flavourasym._table import read_table, write_table
+from flavourasym.analysis import (AsymmetrySpectrum, BinnedCounts, Binning,
+                                  asymmetry, bin_events, read_counts,
+                                  read_spectrum, write_counts, write_spectrum)
+from flavourasym.cli import EXIT_OK, main
 from flavourasym.fitkit import BinPredictor
-from flavourasym.models import ModelParams
+from flavourasym.models import ModelParams, curve_rows
 from flavourasym.toygen import (BETA_GAMMA, C_UM_PER_PS, CATEGORY_CODE,
                                 CLASS_NAMES, CLS_OF, EVENT_DTYPE,
                                 BackgroundConfig, BackgroundShape,
@@ -16,6 +25,7 @@ from flavourasym.toygen import (BETA_GAMMA, C_UM_PER_PS, CATEGORY_CODE,
                                 inject_backgrounds, make_signal_events,
                                 _joint_asymmetry, read_events, sample_pair,
                                 stream_rng, write_events)
+from flavourasym.unfold import ResponseMatrix, read_response, write_response
 
 P = ModelParams()
 NO_SMEAR = DetectorConfig(resolution_sigma=0.0, extra_smear_sigma=0.0,
@@ -246,6 +256,95 @@ class TestEnvelope:
         assert lo - 0.01 <= is_of.mean() <= hi + 0.01
 
 
+FILE_FORMATS = ["events", "spectrum", "counts", "response", "curves"]
+
+
+def _cell_by_cell(header, rows, preamble=()):
+    """File text from already formatted cells, one line per row."""
+    lines = [*preamble] + ([",".join(header)] if header else [])
+    return "".join(line + "\n" for line in
+                   lines + [",".join(cells) for cells in rows])
+
+
+def _format_case(kind):
+    """(write a file, read it, write what was read, reference text) for
+    one file format, on values that need all 9 printed digits."""
+    rng = np.random.default_rng(13)
+    binning = Binning((0.0, 0.3, 1.7, 4.123456789, 9.87654321, 20.0))
+    edges, nb = binning.array, binning.n_bins
+
+    def numbers(n=nb):
+        return rng.uniform(0.1, 1.0, n) * 10.0 ** rng.integers(-6, 6, n)
+
+    def bin_cells(i, *values):
+        return ["%d" % (i + 1), "%.9g" % edges[i], "%.9g" % edges[i + 1],
+                *("%.9g" % v for v in values)]
+
+    if kind == "events":
+        ev = generate_ensemble(GenModel.QM, P, DetectorConfig(),
+                               BackgroundConfig.paper_scale(), 9000,
+                               master_seed=13)
+        names = {"cls_true": CLASS_NAMES, "cls_assigned": CLASS_NAMES,
+                 "category": [c.value for c in EventCategory]}
+        fmt = {"f": "%.9g", "i": "%d"}
+        cols = ev.dtype.names
+
+        def cell(row, c):
+            if c in names:
+                return names[c][row[c]]
+            return fmt[ev.dtype[c].kind] % row[c]
+
+        ref = _cell_by_cell(cols, ([cell(row, c) for c in cols]
+                                   for row in ev))
+        return (partial(write_events, ev), read_events, write_events, ref)
+    if kind == "spectrum":
+        s = AsymmetrySpectrum(binning, numbers() - 0.5, numbers(),
+                              {"wrong_tags": numbers(),
+                               "deconvolution": numbers()})
+        ref = _cell_by_cell(
+            ["bin", "lo_ps", "hi_ps", "a", "stat", "syst_total",
+             "deconvolution", "wrong_tags"],
+            (bin_cells(i, s.a[i], s.stat_err[i], s.syst_err[i],
+                       s.syst_breakdown["deconvolution"][i],
+                       s.syst_breakdown["wrong_tags"][i]) for i in range(nb)))
+        return (partial(write_spectrum, s), read_spectrum, write_spectrum,
+                ref)
+    if kind == "counts":
+        c = BinnedCounts(binning, numbers(), numbers(), numbers(), numbers())
+        ref = _cell_by_cell(
+            ["bin", "lo_ps", "hi_ps", "n_of", "var_of", "n_sf", "var_sf"],
+            (bin_cells(i, c.n_of[i], c.var_of[i], c.n_sf[i], c.var_sf[i])
+             for i in range(nb)))
+        return (partial(write_counts, c), read_counts, write_counts, ref)
+    if kind == "response":
+        m = rng.uniform(0.2, 1.0, (nb, nb)) * 1000.0 + np.diag(numbers())
+        r = ResponseMatrix(binning, m, m.sum(axis=0) / 0.7, cls="SF")
+        # the binning digest is that of the edges as the file records them
+        recorded = ["%.9g" % e for e in edges]
+        digest = hashlib.sha256(np.array(recorded, float).tobytes())
+        preamble = [f"# class=SF binning={digest.hexdigest()[:12]} edges="
+                    + ",".join(recorded),
+                    "# truth_totals=" + ",".join("%.9g" % t
+                                                 for t in r.truth_totals)]
+        ref = _cell_by_cell(None, (["%.9g" % v for v in row] for row in m),
+                            preamble)
+        return (partial(write_response, r), read_response, write_response,
+                ref)
+    # curves: the command writes the file, the table layer reads it back
+    header = ["dt", "A_QM", "A_SD", "PS_min", "PS_max"]
+    rows = curve_rows(np.arange(0.0, 20.0 + 0.5 * 0.05, 0.05), P)
+    ref = _cell_by_cell(header, (["%.9g" % v for v in row] for row in rows))
+
+    def write(path):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["curves", "--step", "0.05",
+                         "--out", str(path)]) == EXIT_OK
+
+    return (write, lambda path: read_table(path, [(n, "f8")
+                                                  for n in header])[1],
+            lambda rows, path: write_table(path, rows), ref)
+
+
 class TestEventIO:
     def test_round_trip(self, tmp_path):
         ev = generate_ensemble(GenModel.SD, P, DetectorConfig(),
@@ -260,29 +359,37 @@ class TestEventIO:
         for col in ("t1_ps", "t2_ps", "dt_true_ps", "dz_rec_um", "dt_rec_ps"):
             np.testing.assert_allclose(back[col], ev[col], rtol=1e-8)
 
-    def test_bytes_match_row_by_row_formatting(self, tmp_path,
+    @pytest.mark.parametrize("kind", FILE_FORMATS)
+    def test_bytes_match_row_by_row_formatting(self, tmp_path, kind,
                                                assert_same_lines):
-        # reference: the row-by-row loop the chunked column writer replaced,
-        # with the in-memory codes mapped to the names the file carries
-        ev = generate_ensemble(GenModel.QM, P, DetectorConfig(),
-                               BackgroundConfig.paper_scale(), 9000,
-                               master_seed=13)
-        names = {"cls_true": CLASS_NAMES, "cls_assigned": CLASS_NAMES,
-                 "category": [c.value for c in EventCategory]}
-        fmt = {"f": "%.9g", "i": "%d"}
-        cols = ev.dtype.names
-
-        def cell(row, c):
-            if c in names:
-                return names[c][row[c]]
-            return fmt[ev.dtype[c].kind] % row[c]
-
-        ref = ",".join(cols) + "\n" + "".join(
-            ",".join(cell(row, c) for c in cols) + "\n" for row in ev)
-        path = tmp_path / "events.csv"
-        write_events(ev, path)
+        # reference: the row-by-row loop the chunked writer replaced, one
+        # `%` per cell, with the in-memory codes mapped to the names the
+        # file carries; then read -> write gives the same bytes again
+        write, read, rewrite, ref = _format_case(kind)
+        path, again = tmp_path / "first.csv", tmp_path / "again.csv"
+        write(path)
         assert_same_lines(path.read_text(), ref)
-        assert "wrong_combination" in ref and ",SF," in ref
+        rewrite(read(path), again)
+        assert_same_lines(again.read_bytes(), path.read_bytes())
+        if kind == "events":
+            assert "wrong_combination" in ref and ",SF," in ref
+
+    @pytest.mark.parametrize("column", ["stream", "index"])
+    @pytest.mark.parametrize("value", ["4294967297", "2147483648"])
+    def test_integer_out_of_field_range_rejected(self, tmp_path, column,
+                                                 value):
+        # 4294967297 used to wrap into int32 and read back as 1
+        path = tmp_path / "events.csv"
+        write_events(generate_ensemble(GenModel.QM, P, DetectorConfig(),
+                                       BackgroundConfig(), 5,
+                                       master_seed=3), path)
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[lines[0].split(",").index(column)] = value
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError):
+            read_events(path)
 
     def test_record_has_no_string_fields(self):
         # numpy compares an integer field with a str elementwise and warns

@@ -7,8 +7,9 @@ import pytest
 from flavourasym.analysis import BinnedCounts, Binning
 from flavourasym.unfold import (ResponseMatrix, UnfoldConfig, bias_correct,
                                 build_response, dsvd_unfold, mix_responses,
-                                read_response, truncated_solver,
-                                unfolded_asymmetry, write_response)
+                                read_response, recorded_edges,
+                                truncated_solver, unfolded_asymmetry,
+                                write_response)
 
 NB = Binning().n_bins
 RNG = np.random.default_rng(202)
@@ -375,6 +376,12 @@ class TestResponseIO:
         np.testing.assert_allclose(back.m, r.m, rtol=1e-8)
         np.testing.assert_allclose(back.truth_totals, r.truth_totals,
                                    rtol=1e-8)
+
+    def test_edges_recorded_as_finely_as_counts_files(self):
+        # counts files record edges at %.9g, so a response must tell apart
+        # the edges that they tell apart
+        assert (recorded_edges(Binning((0.0, 0.5, 20.0)))
+                != recorded_edges(Binning((0.0, 0.5000001, 20.0))))
 
     def test_rejects_other_files(self, tmp_path):
         path = tmp_path / "junk.csv"
