@@ -18,8 +18,21 @@ import numpy as np
 CHUNK_ROWS = 8192
 _CELL = {"f": "%.9g", "i": "%d", "U": "%s"}
 # loadtxt's message for a row of the wrong width: expected, found, data row
+# counted from 1
 _WIDTH = re.compile(r"(\d+) (?:columns but|to) (\d+) (?:were found )?"
                     r"at row (\d+)")
+# ... and for a cell it cannot convert: what, data row counted from 0, column
+_CONVERT = re.compile(r"(.*) at row (\d+), (column \d+)\.", re.S)
+
+
+def _located(msg: str) -> str:
+    """loadtxt's parse error with its row given as the data row counted
+    from 1."""
+    w = _WIDTH.search(msg)
+    if w:
+        return f"data row {w[3]} has {w[2]} fields, expected {w[1]}"
+    c = _CONVERT.fullmatch(msg)
+    return f"data row {int(c[2]) + 1}, {c[3]}: {c[1]}" if c else msg
 
 
 def _finite(rows) -> bool:
@@ -86,10 +99,7 @@ def read_table(path, dtype, *, header=True, extra: bool = False,
             rows = np.loadtxt(f, dtype=dtype, delimiter=",", comments=None,
                               ndmin=1 if header else 2)
         except ValueError as e:
-            w = _WIDTH.search(str(e))
-            raise ValueError(f"{path}: data row {w[3]} has {w[2]} fields, "
-                             f"expected {w[1]}" if w else f"{path}: {e}"
-                             ) from None
+            raise ValueError(f"{path}: {_located(str(e))}") from None
     if not _finite(rows):
         raise ValueError(f"{path}: non-finite value")
     return pre, rows

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import optimize
 
+from ._minimize import brentq, minimize_bounded, nelder_mead
 from .analysis import AsymmetrySpectrum, Binning
 from .models import MarginalGrid, ModelParams, asym_sd_marginal
 
@@ -141,12 +141,12 @@ def _one_sigma_interval(fun, x_hat, f_min, lo, hi, label, flags):
     """Half-width of the fun = f_min + 1 interval around x_hat."""
     target = f_min + 1.0
     try:
-        x_lo = optimize.brentq(lambda x: fun(x) - target, lo, x_hat, xtol=1e-7)
+        x_lo = brentq(lambda x: fun(x) - target, lo, x_hat, xtol=1e-7)
     except ValueError:
         x_lo = lo
         flags.append(f"{label}: no lower crossing inside the search range")
     try:
-        x_hi = optimize.brentq(lambda x: fun(x) - target, x_hat, hi, xtol=1e-7)
+        x_hi = brentq(lambda x: fun(x) - target, x_hat, hi, xtol=1e-7)
     except ValueError:
         x_hi = hi
         flags.append(f"{label}: no upper crossing inside the search range")
@@ -162,9 +162,7 @@ def fit_model(spectrum: AsymmetrySpectrum, model: str, c: Constraint,
               predictor: BinPredictor) -> FitResult:
     """One-parameter dm fit of a model curve (or band) to a spectrum."""
     fun = lambda dm: chi2(spectrum, model, dm, c, predictor)
-    res = optimize.minimize_scalar(fun, bounds=DM_SEARCH, method="bounded",
-                                   options={"xatol": DM_XTOL})
-    dm_hat, c2 = float(res.x), float(res.fun)
+    dm_hat, c2 = minimize_bounded(fun, DM_SEARCH, DM_XTOL)
     flags = []
     if min(dm_hat - DM_SEARCH[0], DM_SEARCH[1] - dm_hat) < 5 * DM_XTOL:
         flags.append("minimum at the edge of the search interval")
@@ -183,19 +181,14 @@ def fit_zeta(spectrum: AsymmetrySpectrum, c: Constraint,
     profile chi-square crossing chi2_min + 1. n_bins points and the dm
     constraint, less two parameters, leave n_bins - 1 degrees of freedom."""
     c2 = lambda dm, z: chi2(spectrum, "DECOHERED", dm, c, predictor, z)
-    res = optimize.minimize(lambda p: c2(*p), x0=[c.mean, 0.0],
-                            method="Nelder-Mead",
-                            options={"xatol": min(DM_XTOL, ZETA_XTOL),
-                                     "fatol": 1e-10, "maxiter": 2000})
-    dm_hat, z_hat = (float(v) for v in res.x)
-    c2_min = float(res.fun)
+    x, c2_min = nelder_mead(lambda p: c2(*p), [c.mean, 0.0],
+                            xatol=min(DM_XTOL, ZETA_XTOL), fatol=1e-10,
+                            maxiter=2000)
+    dm_hat, z_hat = (float(v) for v in x)
     flags = []
 
     def profile(z):
-        r = optimize.minimize_scalar(lambda dm: c2(dm, z), bounds=DM_SEARCH,
-                                     method="bounded",
-                                     options={"xatol": DM_XTOL})
-        return float(r.fun)
+        return minimize_bounded(lambda dm: c2(dm, z), DM_SEARCH, DM_XTOL)[1]
 
     if profile(z_hat + 0.5) - c2_min < 0.05:
         flags.append("zeta profile is nearly flat")

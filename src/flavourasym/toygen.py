@@ -325,9 +325,9 @@ _NAMES = {"cls_true": CLASS_NAMES, "cls_assigned": CLASS_NAMES,
           "category": tuple(c.value for c in EventCategory)}
 # The file's record: a name field is one character wider than its longest
 # name, since loadtxt cuts a string to the field width ("signalX": "signal")
-_FILE_DTYPE = np.dtype([
-    (c, f"U{max(map(len, _NAMES[c])) + 1}" if c in _NAMES else EVENT_DTYPE[c])
-    for c in EVENT_DTYPE.names])
+_WIDTH = {c: max(map(len, names)) + 1 for c, names in _NAMES.items()}
+_FILE_DTYPE = np.dtype([(c, f"U{_WIDTH[c]}" if c in _NAMES else EVENT_DTYPE[c])
+                        for c in EVENT_DTYPE.names])
 
 
 def write_events(events: np.ndarray, path) -> None:
@@ -350,7 +350,12 @@ def read_events(path) -> np.ndarray:
         is_name = rows[c] == np.array(_NAMES[c])[:, None]   # (names, rows)
         known = is_name.any(axis=0)
         if not known.all():
+            # a value that fills its field may have been cut by loadtxt
             bad = sorted(set(rows[c][~known].tolist()))[:3]
-            raise ValueError(f"{path}: column {j + 1}: unknown values {bad}")
+            shown = [v + "..." if len(v) == _WIDTH[c] else v for v in bad]
+            note = (f" ('...': a value that fills all {_WIDTH[c]} characters"
+                    " of its field may have been cut)" if shown != bad else "")
+            raise ValueError(f"{path}: column {j + 1}: unknown values "
+                             f"{shown}{note}")
         ev[c] = is_name.argmax(axis=0)
     return ev

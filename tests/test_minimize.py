@@ -1,0 +1,206 @@
+"""The fits' minimizers against scipy, the routines they port: every
+evaluated point, root, minimum and fit result must be the same double
+(`==`, no tolerance). scipy is the oracle here only; the package does not
+import it."""
+
+import numpy as np
+import pytest
+from scipy import optimize
+
+from flavourasym import _minimize, fitkit
+from flavourasym.analysis import AsymmetrySpectrum, Binning, read_spectrum
+from flavourasym.cli import fixture_path, reproduce_fixture
+from flavourasym.fitkit import (DM_SEARCH, DM_XTOL, ZETA_XTOL, BinPredictor,
+                                Constraint, chi2, fit_model, fit_zeta)
+
+C = Constraint()
+PRED = BinPredictor(Binning())
+
+
+def _random_spectrum(kind: str, seed: int) -> AsymmetrySpectrum:
+    """A seeded pseudo-measurement of a generation model."""
+    rng = np.random.default_rng(seed)
+    truth = PRED.predict(kind, rng.uniform(0.35, 0.7), rng.uniform(0.0, 0.5))
+    err = rng.uniform(0.02, 0.2, 11)
+    return AsymmetrySpectrum(Binning(), truth + rng.normal(size=11) * err,
+                             err)
+
+
+SPECTRA = {"fixture": lambda: read_spectrum(fixture_path())} | {
+    f"{kind}-{seed}": (lambda k=kind, s=seed: _random_spectrum(k, s))
+    for kind in ("QM", "SD", "PS_BOUNDARY_MAX", "DECOHERED")
+    for seed in (1, 2)}
+
+
+@pytest.fixture(scope="module", params=sorted(SPECTRA))
+def spectrum(request):
+    return SPECTRA[request.param]()
+
+
+def recorded(f):
+    """f, and the list of calls it gets: the argument's type and bytes and
+    the value's bytes (so that NaN equals NaN)."""
+    calls = []
+
+    def g(x):
+        v = f(x)
+        calls.append((type(x), np.copy(x).tobytes(), np.float64(v).tobytes()))
+        return v
+    return g, calls
+
+
+def scipy_bounded(fun, bounds, xatol):
+    r = optimize.minimize_scalar(fun, bounds=bounds, method="bounded",
+                                 options={"xatol": xatol})
+    return float(r.x), float(r.fun)
+
+
+def scipy_nelder_mead(fun, x0, xatol, fatol, maxiter):
+    r = optimize.minimize(fun, x0=x0, method="Nelder-Mead",
+                          options={"xatol": xatol, "fatol": fatol,
+                                   "maxiter": maxiter})
+    return r.x, float(r.fun)
+
+
+def assert_same(port, oracle, f, *args, **kw):
+    """port and oracle evaluate f at the same points and return the same,
+    or raise the same error."""
+    f1, calls1 = recorded(f)
+    f2, calls2 = recorded(f)
+    try:
+        want = oracle(f1, *args, **kw)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            port(f2, *args, **kw)
+        assert str(got.value) == str(e)
+    else:
+        got = port(f2, *args, **kw)
+        if isinstance(want, tuple):
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        else:
+            assert got == want
+    assert calls2 == calls1
+
+
+@pytest.mark.parametrize("model", ["QM", "SD", "PS"])
+def test_bounded_minimum(spectrum, model):
+    fun = lambda dm: chi2(spectrum, model, dm, C, PRED)
+    assert_same(_minimize.minimize_bounded, scipy_bounded, fun, DM_SEARCH,
+                DM_XTOL)
+
+
+def test_bounded_zeta_profile(spectrum):
+    for z in (-0.5, 0.0, 0.4):
+        fun = lambda dm: chi2(spectrum, "DECOHERED", dm, C, PRED, z)
+        assert_same(_minimize.minimize_bounded, scipy_bounded, fun,
+                    DM_SEARCH, DM_XTOL)
+
+
+def test_minimum_at_search_edge():
+    # an exact QM spectrum at dm = 1.2 with a loose constraint pulls the
+    # minimum onto the upper end of the search interval
+    spec = AsymmetrySpectrum(Binning(), PRED.predict("QM", 1.2),
+                             np.full(11, 0.01))
+    loose = Constraint(0.496, 10.0)
+    fun = lambda dm: chi2(spec, "QM", dm, loose, PRED)
+    assert_same(_minimize.minimize_bounded, scipy_bounded, fun, DM_SEARCH,
+                DM_XTOL)
+    fit = fit_model(spec, "QM", loose, PRED)
+    assert "minimum at the edge of the search interval" in fit.flags
+
+
+@pytest.mark.parametrize("model", ["QM", "SD", "PS"])
+def test_brentq_crossings(spectrum, model):
+    fun = lambda dm: chi2(spectrum, model, dm, C, PRED)
+    dm_hat, c2 = _minimize.minimize_bounded(fun, DM_SEARCH, DM_XTOL)
+    f = lambda x: fun(x) - (c2 + 1.0)
+    for lo, hi in ((DM_SEARCH[0], dm_hat), (dm_hat, DM_SEARCH[1])):
+        assert_same(_minimize.brentq, optimize.brentq, f, lo, hi, xtol=1e-7)
+
+
+def test_brentq_missing_crossing():
+    # errors so large that chi2 stays within 1 of its minimum everywhere:
+    # both ends of the interval have the sign of the minimum
+    spec = AsymmetrySpectrum(Binning(), PRED.predict("QM", 0.5),
+                             np.full(11, 50.0))
+    loose = Constraint(0.496, 10.0)
+    fun = lambda dm: chi2(spec, "QM", dm, loose, PRED)
+    dm_hat, c2 = _minimize.minimize_bounded(fun, DM_SEARCH, DM_XTOL)
+    f = lambda x: fun(x) - (c2 + 1.0)
+    for lo, hi in ((DM_SEARCH[0], dm_hat), (dm_hat, DM_SEARCH[1])):
+        with pytest.raises(ValueError, match="different signs"):
+            _minimize.brentq(f, lo, hi, xtol=1e-7)
+        assert_same(_minimize.brentq, optimize.brentq, f, lo, hi, xtol=1e-7)
+    flags = fit_model(spec, "QM", loose, PRED).flags
+    assert "dm: no lower crossing inside the search range" in flags
+    assert "dm: no upper crossing inside the search range" in flags
+
+
+def test_brentq_nan_raises():
+    f = lambda x: np.nan if x > 0.6 else x - 0.7
+    with pytest.raises(ValueError, match="NaN"):
+        _minimize.brentq(f, 0.2, 0.9)
+    assert_same(_minimize.brentq, optimize.brentq, f, 0.2, 0.9)
+    g = lambda x: x - 0.7 if x < 0.5 else float("nan")
+    assert_same(_minimize.brentq, optimize.brentq, g, 0.2, 0.9)
+
+
+def test_brentq_root_at_endpoint(spectrum):
+    fun = lambda dm: chi2(spectrum, "QM", dm, C, PRED)
+    for end in DM_SEARCH:
+        f = lambda x: fun(x) - fun(end)     # exactly zero at `end`
+        assert _minimize.brentq(f, *DM_SEARCH) == end
+        assert_same(_minimize.brentq, optimize.brentq, f, *DM_SEARCH)
+
+
+def test_nelder_mead(spectrum):
+    fun = lambda p: chi2(spectrum, "DECOHERED", p[0], C, PRED, p[1])
+    assert_same(_minimize.nelder_mead, scipy_nelder_mead, fun, [C.mean, 0.0],
+                xatol=min(DM_XTOL, ZETA_XTOL), fatol=1e-10, maxiter=2000)
+
+
+def test_nelder_mead_iteration_limit():
+    f = lambda p: float((p[0] - 1.0) ** 2 + 10 * (p[1] - p[0] ** 2) ** 2)
+    for maxiter in (1, 5, 40):
+        assert_same(_minimize.nelder_mead, scipy_nelder_mead, f, [0.3, 0.0],
+                    xatol=1e-9, fatol=1e-12, maxiter=maxiter)
+
+
+def test_nelder_mead_shrink():
+    # on a plateau no reflection or contraction improves, so every
+    # iteration shrinks the simplex towards its best vertex
+    f = lambda p: float(np.floor(p[0]) + np.floor(p[1]))
+    assert_same(_minimize.nelder_mead, scipy_nelder_mead, f, [0.3, 0.0],
+                xatol=1e-9, fatol=1e-12, maxiter=40)
+
+
+def _use_scipy(monkeypatch):
+    """Drive fitkit by scipy's own routines."""
+    monkeypatch.setattr(fitkit, "minimize_bounded", scipy_bounded)
+    monkeypatch.setattr(fitkit, "brentq", optimize.brentq)
+    monkeypatch.setattr(fitkit, "nelder_mead", scipy_nelder_mead)
+
+
+def _summary(fit):
+    return (fit.theta_hat, fit.theta_err, fit.chi2, fit.dof,
+            fit.residuals.tobytes(), fit.flags, fit.extra)
+
+
+def test_fits_as_with_scipy(spectrum, monkeypatch):
+    def fits():
+        return ([_summary(fit_model(spectrum, m, C, PRED))
+                 for m in ("QM", "SD", "PS")]
+                + [_summary(fit_zeta(spectrum, C, PRED))])
+
+    ours = fits()
+    _use_scipy(monkeypatch)
+    assert ours == fits()
+
+
+def test_reproduce_fixture_as_with_scipy(monkeypatch):
+    ours = reproduce_fixture()
+    _use_scipy(monkeypatch)
+    theirs = reproduce_fixture()
+    assert ours[1] == theirs[1]
+    assert ({m: _summary(f) for m, f in ours[0].items()}
+            == {m: _summary(f) for m, f in theirs[0].items()})

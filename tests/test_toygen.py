@@ -374,22 +374,52 @@ class TestEventIO:
         if kind == "events":
             assert "wrong_combination" in ref and ",SF," in ref
 
-    @pytest.mark.parametrize("column", ["stream", "index"])
-    @pytest.mark.parametrize("value", ["4294967297", "2147483648"])
-    def test_integer_out_of_field_range_rejected(self, tmp_path, column,
-                                                 value):
-        # 4294967297 used to wrap into int32 and read back as 1
+    @staticmethod
+    def _edited(tmp_path, column, value, row=2):
+        """An events file whose data row `row` (from 1) has `value` in
+        `column` (None appends one more field to the row)."""
         path = tmp_path / "events.csv"
         write_events(generate_ensemble(GenModel.QM, P, DetectorConfig(),
                                        BackgroundConfig(), 5,
                                        master_seed=3), path)
         lines = path.read_text().splitlines()
-        fields = lines[2].split(",")
-        fields[lines[0].split(",").index(column)] = value
-        lines[2] = ",".join(fields)
+        fields = lines[row].split(",")
+        if column is None:
+            fields.append("0")
+        else:
+            fields[lines[0].split(",").index(column)] = value
+        lines[row] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("column", ["stream", "index"])
+    @pytest.mark.parametrize("value", ["4294967297", "2147483648"])
+    def test_integer_out_of_field_range_rejected(self, tmp_path, column,
+                                                 value):
+        # 4294967297 used to wrap into int32 and read back as 1
         with pytest.raises(ValueError):
-            read_events(path)
+            read_events(self._edited(tmp_path, column, value))
+
+    @pytest.mark.parametrize("row", [1, 2])
+    def test_errors_count_data_rows_from_one(self, tmp_path, row):
+        # loadtxt counts rows from 0 in a conversion error and from 1 in a
+        # wrong-width error; both are reported as the data row from 1
+        with pytest.raises(ValueError, match=f"data row {row}, column 10: "
+                           "could not convert string '4294967297' to int32"):
+            read_events(self._edited(tmp_path, "index", "4294967297", row))
+        with pytest.raises(ValueError,
+                           match=f"data row {row} has 11 fields, expected 10"):
+            read_events(self._edited(tmp_path, None, None, row))
+
+    def test_cut_name_not_shown_as_cell_value(self, tmp_path):
+        # cls_true is a 3-character field, so loadtxt reads signalX as sig
+        with pytest.raises(ValueError) as e:
+            read_events(self._edited(tmp_path, "cls_true", "signalX"))
+        assert "column 4: unknown values ['sig...']" in str(e.value)
+        assert "may have been cut" in str(e.value)
+        with pytest.raises(ValueError) as e:
+            read_events(self._edited(tmp_path, "cls_true", "XX"))
+        assert str(e.value).endswith("unknown values ['XX']")
 
     def test_record_has_no_string_fields(self):
         # numpy compares an integer field with a str elementwise and warns
