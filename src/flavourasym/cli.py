@@ -27,7 +27,7 @@ from .pipeline import PipelineConfig, analyze_counts, build_training_responses
 from .toygen import (BETA_GAMMA, C_UM_PER_PS, generate_ensemble, read_events,
                      write_events)
 from .unfold import (dsvd_unfold, read_response, recorded_edges,
-                     unfolded_asymmetry, write_response)
+                     unfolded_asymmetry, unfolding_map, write_response)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -116,10 +116,15 @@ def cmd_analyze(args):
     write_spectrum(spec, out)
     counts_out = out.with_suffix(".counts.csv")
     write_counts(counts, counts_out)
+    # the overflow, and the bins the background subtraction or the tag
+    # correction drove negative, numbered as the files' `bin` column
     _write_log(out, {"config": _sha256(args.config),
                      "events": _sha256(args.events),
                      "n_events": len(events)},
-               {"counts_file": str(counts_out)})
+               {"counts_file": str(counts_out),
+                "overflow_of": counts.overflow_of,
+                "overflow_sf": counts.overflow_sf,
+                "negative_bins": (counts.negative_bins + 1).tolist()})
     print(f"wrote spectrum to {out} and corrected counts to {counts_out}")
     return EXIT_OK
 
@@ -157,8 +162,8 @@ def cmd_unfold(args):
             write_response(r_sf, base.with_suffix(".resp_sf.csv"))
     # a finite but huge input overflows here; fail as a numerical error
     with np.errstate(over="raise", invalid="raise"):
-        a, cov_a = unfolded_asymmetry(*dsvd_unfold(counts, r_of, r_sf,
-                                                   cfg.unfold))
+        lin = unfolding_map(r_of, r_sf, cfg.unfold)
+        a, cov_a = unfolded_asymmetry(*dsvd_unfold(counts, lin))
         spec = AsymmetrySpectrum(counts.binning, a, np.sqrt(np.diag(cov_a)))
     out = Path(args.out or "unfolded.csv")
     write_spectrum(spec, out)

@@ -20,8 +20,8 @@ from .models import ModelParams
 from .toygen import (BackgroundConfig, DetectorConfig, GenModel,
                      generate_ensemble, make_signal_events, response_sample,
                      stream_rng)
-from .unfold import (ResponseMatrix, UnfoldConfig, bias_correct,
-                     build_response, dsvd_unfold, unfolded_asymmetry)
+from .unfold import (UnfoldConfig, bias_correct, build_response, dsvd_unfold,
+                     unfolded_asymmetry, unfolding_map)
 
 __all__ = [
     "PipelineConfig",
@@ -116,19 +116,17 @@ def replica_counts(model: GenModel, cfg: PipelineConfig, replica_seed: int):
     return counts
 
 
-def unfold_replica(counts, cfg: PipelineConfig, resp_of: ResponseMatrix,
-                   resp_sf: ResponseMatrix):
-    """Unfold corrected counts and form the asymmetry and its covariance."""
-    return unfolded_asymmetry(*dsvd_unfold(counts, resp_of, resp_sf,
-                                           cfg.unfold))
+def unfold_replica(counts, lin: np.ndarray):
+    """Unfold corrected counts through the map `lin` of `unfolding_map` and
+    form the asymmetry and its covariance."""
+    return unfolded_asymmetry(*dsvd_unfold(counts, lin))
 
 
-def run_replica(model: GenModel, cfg: PipelineConfig,
-                resp_of: ResponseMatrix, resp_sf: ResponseMatrix,
+def run_replica(model: GenModel, cfg: PipelineConfig, lin: np.ndarray,
                 replica_seed: int):
-    """One pseudo-experiment: generate, analyze, unfold, form the asymmetry."""
-    return unfold_replica(replica_counts(model, cfg, replica_seed), cfg,
-                          resp_of, resp_sf)
+    """One pseudo-experiment: generate, analyze, unfold through `lin`, form
+    the asymmetry."""
+    return unfold_replica(replica_counts(model, cfg, replica_seed), lin)
 
 
 def run_ensemble(models, n_replicas: int, cfg: PipelineConfig):
@@ -138,14 +136,14 @@ def run_ensemble(models, n_replicas: int, cfg: PipelineConfig):
     truth vectors, the model-averaged correction, and the residual-bias
     deconvolution systematic.
     """
-    resp_of, resp_sf = build_training_responses(cfg)
+    lin = unfolding_map(*build_training_responses(cfg), cfg.unfold)
     p = cfg.params
     pred = BinPredictor(cfg.binning, tau=p.tau)
     unfolded, errors, truths = {}, {}, {}
     for model in models:
         rows, errs = [], []
         for r in range(n_replicas):
-            a, cov = run_replica(model, cfg, resp_of, resp_sf, r)
+            a, cov = run_replica(model, cfg, lin, r)
             rows.append(a)
             errs.append(np.sqrt(np.diag(cov)))
         unfolded[model.value] = np.array(rows)
@@ -197,24 +195,26 @@ def smear_systematic(cfg: PipelineConfig, delta_um: float = 35.0,
     """Deconvolution systematic from varying the MC-tuning smear term.
 
     The extra smearing is moved to sqrt(s^2 +/- delta^2) in the response
-    training only; each toy is generated once and unfolded with the
-    nominal and with each variant's responses, and the larger of the two
-    absolute mean per-bin asymmetry shifts is returned.
+    training only. Each response pair's unfolding map is built once; each
+    toy is generated once and unfolded through the nominal and each
+    variant's map, and the larger of the two absolute mean per-bin
+    asymmetry shifts is returned.
     """
     if delta_um == 0:
         return np.zeros(cfg.binning.n_bins)
     s = cfg.detector.extra_smear_sigma
     up = float(np.sqrt(s ** 2 + delta_um ** 2))
     dn = float(np.sqrt(max(s ** 2 - delta_um ** 2, 0.0)))
-    nominal, *variants = train_responses(
-        cfg, [cfg.detector] + [replace(cfg.detector, extra_smear_sigma=v)
-                               for v in (up, dn)])
+    detectors = [cfg.detector] + [replace(cfg.detector, extra_smear_sigma=v)
+                                  for v in (up, dn)]
+    nominal, *variants = [unfolding_map(*pair, cfg.unfold)
+                          for pair in train_responses(cfg, detectors)]
     diffs = [[] for _ in variants]
     for r in range(n_replicas):
         counts = replica_counts(GenModel.QM, cfg, r)
-        a_nom, _ = unfold_replica(counts, cfg, *nominal)
-        for d, r_var in zip(diffs, variants):
-            a_var, _ = unfold_replica(counts, cfg, *r_var)
+        a_nom, _ = unfold_replica(counts, nominal)
+        for d, lin in zip(diffs, variants):
+            a_var, _ = unfold_replica(counts, lin)
             d.append(a_var - a_nom)
     shifts = [np.abs(np.mean(d, axis=0)) for d in diffs]
     return np.max(shifts, axis=0)

@@ -168,16 +168,16 @@ class BackgroundConfig:
         return sum(y.n_of + y.n_sf for y in self.yields.values())
 
 
-def _joint_asymmetry(model: GenModel, t1, t2, p: ModelParams,
+def _joint_asymmetry(model: GenModel, t1, t2, dt, p: ModelParams,
                      rng: np.random.Generator):
-    dt = np.abs(t1 - t2)
-    t_min = np.minimum(t1, t2)
+    """A_model(t1, t2) of each pair, given dt = |t1 - t2|."""
     if model is GenModel.QM:
         return np.cos(p.dm * dt)
     if model is GenModel.SD:
         return np.cos(p.dm * t1) * np.cos(p.dm * t2)
     if model in (GenModel.PS_BOUNDARY_MAX, GenModel.PS_BOUNDARY_MIN):
-        return _ps_joint(t_min, dt, p.dm, model is GenModel.PS_BOUNDARY_MAX)
+        return _ps_joint(np.minimum(t1, t2), dt, p.dm,
+                         model is GenModel.PS_BOUNDARY_MAX)
     if model is GenModel.DECOHERED:
         a_qm = np.cos(p.dm * dt)
         a_sd = np.cos(p.dm * t1) * np.cos(p.dm * t2)
@@ -188,19 +188,21 @@ def _joint_asymmetry(model: GenModel, t1, t2, p: ModelParams,
 
 def sample_pair(model: GenModel, p: ModelParams, rng: np.random.Generator,
                 size: int = 1):
-    """Draw (t1, t2, cls_true) for `size` pairs under the given model.
+    """Draw (t1, t2, dt = |t1 - t2|, is_of) for `size` pairs under the
+    given model.
 
     The pair time density factorizes as exp(-(t1+t2)/tau)/tau^2; the flavour
     class is Bernoulli with OF probability (1 + A_model(t1, t2)) / 2.
     """
     t1 = rng.exponential(p.tau, size)
     t2 = rng.exponential(p.tau, size)
-    a = _joint_asymmetry(model, t1, t2, p, rng)
+    dt = np.abs(t1 - t2)
+    a = _joint_asymmetry(model, t1, t2, dt, p, rng)
     if np.any(np.abs(a) > 1.0 + 1e-9):
         raise ArithmeticError(
             "model asymmetry escaped [-1, 1]; generation envelope violated")
     is_of = rng.random(size) < (1.0 + a) / 2.0
-    return t1, t2, is_of
+    return t1, t2, dt, is_of
 
 
 def _smear(dt_true, sigma: float, z):
@@ -242,8 +244,7 @@ def response_sample(model: GenModel, p: ModelParams, n: int, sigmas,
     when all are 0). The mistag flips, drawn last there, are not drawn;
     nothing that trains on the true class reads them.
     """
-    t1, t2, is_of = sample_pair(model, p, rng, n)
-    dt = np.abs(t1 - t2)
+    _, _, dt, is_of = sample_pair(model, p, rng, n)
     z = rng.standard_normal(n) if max(sigmas) > 0 else None
     return dt, (~is_of).view(np.int8), [_smear(dt, s, z)[1] for s in sigmas]
 
@@ -261,10 +262,8 @@ def make_signal_events(model: GenModel, p: ModelParams, n: int,
     """Generate `n` signal pairs and run them through the detector model;
     their `stream` field is 0."""
     ev = np.zeros(n, dtype=EVENT_DTYPE)
-    t1, t2, is_of = sample_pair(model, p, rng, n)
-    ev["t1_ps"] = t1
-    ev["t2_ps"] = t2
-    ev["dt_true_ps"] = np.abs(t1 - t2)
+    ev["t1_ps"], ev["t2_ps"], ev["dt_true_ps"], is_of = sample_pair(
+        model, p, rng, n)
     ev["cls_true"] = ~is_of                 # code 1, SF, where not OF
     ev["index"] = np.arange(n)
     return apply_detector(ev, d, rng)

@@ -21,6 +21,7 @@ __all__ = [
     "UnfoldConfig",
     "build_response",
     "mix_responses",
+    "unfolding_map",
     "dsvd_unfold",
     "bias_correct",
     "write_response",
@@ -86,16 +87,18 @@ def build_response(dt_true, dt_rec, cls, binning: Binning):
     migrations: the last bin includes its upper edge, except that an event
     with dt_true on that edge counts in the totals only.
     """
-    edges = binning.array
-    nb = binning.n_bins
-    # bin k + 1 is [edges[k], edges[k + 1]); 0 and nb + 1 are out of range
-    t = np.searchsorted(edges, dt_true, side="right")
-    r = np.searchsorted(edges, dt_rec, side="right")
-    r[dt_rec == edges[-1]] = nb
-    h = np.bincount(np.ravel_multi_index((cls, r, t), (2, nb + 2, nb + 2)),
-                    minlength=2 * (nb + 2) ** 2).reshape(2, nb + 2, nb + 2)
+    n = binning.n_bins + 2
+    # index k + 1 is bin k; 0 and n - 1 are out of range. The flat
+    # (class, reco, truth) index is formed in intp, in place.
+    flat = cls.astype(np.intp)
+    flat *= n
+    flat += binning.index(dt_rec, closed=True)
+    flat *= n
+    flat += binning.index(dt_true)
+    h = np.bincount(flat, minlength=2 * n * n).reshape(2, n, n)
     totals = h.sum(axis=1)[:, 1:-1]
-    totals[:, -1] += np.bincount(cls[dt_true == edges[-1]], minlength=2)
+    totals[:, -1] += np.bincount(cls[dt_true == binning.array[-1]],
+                                 minlength=2)
     return tuple(ResponseMatrix(binning, h[c, 1:-1, 1:-1].astype(float),
                                 totals[c].astype(float), cls=label)
                  for c, label in enumerate(CLASS_NAMES))
@@ -103,7 +106,7 @@ def build_response(dt_true, dt_rec, cls, binning: Binning):
 
 def mix_responses(r_of: ResponseMatrix, r_sf: ResponseMatrix,
                   cfg: UnfoldConfig):
-    """Responses trained on the mixed samples of `dsvd_unfold`: OF + s*SF and
+    """Responses trained on the mixed samples of `unfolding_map`: OF + s*SF and
     SF + o*OF."""
     of_m = ResponseMatrix(
         r_of.binning, r_of.m + cfg.mix_s * r_sf.m,
@@ -151,24 +154,34 @@ def truncated_solver(resp: ResponseMatrix, rank: int):
     return m + np.outer(xa - m @ folded, np.ones(nb)) / folded.sum()
 
 
-def dsvd_unfold(measured: BinnedCounts, resp_of: ResponseMatrix,
-                resp_sf: ResponseMatrix, cfg: UnfoldConfig):
-    """Unfold an OF/SF pair of measured spectra through one linear map.
+def unfolding_map(resp_of: ResponseMatrix, resp_sf: ResponseMatrix,
+                  cfg: UnfoldConfig) -> np.ndarray:
+    """The 2nb x 2nb linear map that unfolds stacked (OF, SF) counts.
 
-    On the stacked (OF, SF) counts y the estimator is
     L = M^-1 diag(K_of, K_sf) M, with M = [[I, s I], [o I, I]] the class
-    mixing and K the rank-truncated solvers of the mixed responses. Returns
-    the truth estimate x = L y as BinnedCounts and its 2nb x 2nb covariance
-    L diag(var) L^T, the OF/SF cross term included.
+    mixing and K the rank-truncated solvers of the mixed responses. It
+    depends on the response pair and `cfg` only: build it once and apply
+    it to every spectrum with `dsvd_unfold`.
     """
-    nb = measured.binning.n_bins
+    nb = resp_of.binning.n_bins
     eye = np.eye(nb)
     mix = np.block([[eye, cfg.mix_s * eye], [cfg.mix_o * eye, eye]])
     r_of_m, r_sf_m = mix_responses(resp_of, resp_sf, cfg)
     solve = np.zeros((2 * nb, 2 * nb))
     solve[:nb, :nb] = truncated_solver(r_of_m, cfg.rank_of)
     solve[nb:, nb:] = truncated_solver(r_sf_m, cfg.rank_sf)
-    lin = np.linalg.inv(mix) @ solve @ mix
+    return np.linalg.inv(mix) @ solve @ mix
+
+
+def dsvd_unfold(measured: BinnedCounts, lin: np.ndarray):
+    """Unfold an OF/SF pair of measured spectra through the map `lin` of
+    `unfolding_map`.
+
+    Returns the truth estimate x = L y of the stacked (OF, SF) counts y as
+    BinnedCounts and its 2nb x 2nb covariance L diag(var) L^T, the OF/SF
+    cross term included.
+    """
+    nb = measured.binning.n_bins
     x = lin @ np.concatenate([measured.n_of, measured.n_sf])
     cov = lin * np.concatenate([measured.var_of, measured.var_sf]) @ lin.T
     var = np.diag(cov)

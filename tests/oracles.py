@@ -1,15 +1,17 @@
 """Test oracles: quadrature for the t_min-marginalized model curves, the
-band and PS draws from the per-edge joint formulas, and response training
-on the event record."""
+band and PS draws from the per-edge joint formulas, response training on
+the event record, and the unfolding built and applied in one call."""
 
 import numpy as np
 from scipy import integrate
 
+from flavourasym.analysis import BinnedCounts
 # e^(-2*40) ~ 1e-35 at the reach bounds the truncation error far below the
 # 1e-9 target
 from flavourasym.models import _DT_BLOCK, _UMAX_LIFETIMES, MarginalGrid
 from flavourasym.pipeline import RESPONSE_STREAM
 from flavourasym.toygen import GenModel, make_signal_events, stream_rng
+from flavourasym.unfold import mix_responses, truncated_solver
 
 _QUAD_ABS_TOL = 1e-10
 
@@ -101,3 +103,22 @@ def record_responses(cfg, detector):
                             detector, stream_rng(cfg.seed, RESPONSE_STREAM))
     return histogram_responses(mc["dt_true_ps"], mc["dt_rec_ps"],
                                mc["cls_true"], cfg.binning)
+
+
+def one_shot_unfold(measured, resp_of, resp_sf, cfg):
+    """(x, cov) of unfolding `measured` straight from a response pair: the
+    mixing, the two truncated solvers and the linear map are built inside
+    the call and applied to the stacked (OF, SF) counts."""
+    nb = measured.binning.n_bins
+    eye = np.eye(nb)
+    mix = np.block([[eye, cfg.mix_s * eye], [cfg.mix_o * eye, eye]])
+    r_of_m, r_sf_m = mix_responses(resp_of, resp_sf, cfg)
+    solve = np.zeros((2 * nb, 2 * nb))
+    solve[:nb, :nb] = truncated_solver(r_of_m, cfg.rank_of)
+    solve[nb:, nb:] = truncated_solver(r_sf_m, cfg.rank_sf)
+    lin = np.linalg.inv(mix) @ solve @ mix
+    x = lin @ np.concatenate([measured.n_of, measured.n_sf])
+    cov = lin * np.concatenate([measured.var_of, measured.var_sf]) @ lin.T
+    var = np.diag(cov)
+    return BinnedCounts(measured.binning, x[:nb], x[nb:],
+                        var_of=var[:nb], var_sf=var[nb:]), cov

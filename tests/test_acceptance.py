@@ -22,7 +22,8 @@ from flavourasym.pipeline import (PipelineConfig, analyze_counts,
                                   run_ensemble, smear_systematic)
 from flavourasym.toygen import (DetectorConfig, GenModel, make_signal_events,
                                 stream_rng)
-from flavourasym.unfold import ResponseMatrix, UnfoldConfig, dsvd_unfold
+from flavourasym.unfold import (ResponseMatrix, UnfoldConfig, dsvd_unfold,
+                                unfolding_map)
 from flavourasym.analysis import BinnedCounts
 
 
@@ -183,7 +184,7 @@ class TestUnfolding:
                               r_of.efficiency_normalized @ x_of,
                               r_sf.efficiency_normalized @ x_sf)
         cfg = UnfoldConfig(rank_of=nb, rank_sf=nb)
-        x, *_ = dsvd_unfold(counts, r_of, r_sf, cfg)
+        x, *_ = dsvd_unfold(counts, unfolding_map(r_of, r_sf, cfg))
         worst = max(np.max(np.abs(x.n_of / x_of - 1)),
                     np.max(np.abs(x.n_sf / x_sf - 1)))
         check("noiseless closure", worst <= 1e-8,

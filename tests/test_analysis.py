@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from flavourasym.analysis import (WRONG_TAG_ERROR, AsymmetrySpectrum,
                                   BinnedCounts, Binning, asymmetry, bin_events,
@@ -222,6 +223,55 @@ class TestBinEvents:
         assert c.overflow_of == c.overflow_sf == 2
         assert (c.n_of.sum() + c.n_sf.sum() + c.overflow_of
                 + c.overflow_sf) == len(dt)
+
+
+@st.composite
+def edges_and_values(draw):
+    """A binning of 2 to 200 edges, and values on and beside them: every
+    edge and its `np.nextafter` neighbours, values below and above the
+    range, +-inf, NaN and arbitrary floats."""
+    n = draw(st.integers(2, 200))
+    start = draw(st.floats(0.0, 100.0))
+    steps = draw(hnp.arrays(float, n - 1, elements=st.floats(1e-3, 10.0)))
+    binning = Binning(tuple(start + np.concatenate([[0.0], np.cumsum(steps)])))
+    e = binning.array
+    return binning, np.concatenate([
+        e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf),
+        [e[0] - 1.0, e[-1] + 1.0, -np.inf, np.inf, np.nan],
+        draw(hnp.arrays(float, st.integers(0, 50)))])
+
+
+@given(case=edges_and_values())
+@settings(max_examples=200, deadline=None)
+def test_index_is_searchsorted_and_closed_bins_are_histogram(case):
+    binning, x = case
+    e = binning.array
+    np.testing.assert_array_equal(binning.index(x),
+                                  np.searchsorted(e, x, side="right"))
+    bins = np.bincount(binning.index(x, closed=True), minlength=len(e) + 1)
+    np.testing.assert_array_equal(bins[1:-1], np.histogram(x, e)[0])
+
+
+def test_index_counts_past_a_byte_of_edges():
+    binning = Binning(tuple(np.arange(300.0)))
+    x = np.array([-1.0, 0.0, 254.5, 255.0, 298.5, 299.0, 1e9, np.nan])
+    np.testing.assert_array_equal(binning.index(x),
+                                  [0, 1, 255, 256, 299, 300, 300, 300])
+    assert binning.index(x, closed=True)[5] == 299
+
+
+@given(case=edges_and_values(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_bin_events_overflow_is_what_histogram_leaves_out(case, data):
+    binning, dt = case
+    cls = data.draw(hnp.arrays(np.int8, len(dt), elements=st.integers(0, 1)))
+    c = bin_events(dt, cls, binning)
+    for n, overflow, code in ((c.n_of, c.overflow_of, 0),
+                              (c.n_sf, c.overflow_sf, 1)):
+        in_bins = np.histogram(dt[cls == code], binning.array)[0]
+        np.testing.assert_array_equal(n, in_bins)
+        assert type(overflow) is int
+        assert overflow == np.count_nonzero(cls == code) - in_bins.sum()
 
 
 class TestSystematics:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from flavourasym.analysis import read_counts, read_spectrum
 from flavourasym.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                              fixture_path, main)
+from flavourasym.toygen import CLS_OF, read_events, write_events
 
 
 @pytest.fixture()
@@ -167,6 +168,30 @@ class TestChain:
         # the response files hold integer counts written exactly, so the
         # saved responses reproduce the trained ones bit for bit
         assert second.read_bytes() == first.read_bytes()
+
+    def test_analyze_log_reports_overflow_and_negative_bins(self, tmp_path,
+                                                            cfg_path):
+        events = tmp_path / "events.csv"
+        spectrum = tmp_path / "spectrum.csv"
+        main(["generate", "--config", str(cfg_path), "--out", str(events)])
+        ev = read_events(events)
+        ev["dt_rec_ps"][0] = 25.0       # one event beyond the 20 ps window
+        write_events(ev, events)
+        assert main(["analyze", "--config", str(cfg_path), str(events),
+                     "--out", str(spectrum)]) == EXIT_OK
+        log = json.loads((tmp_path / "spectrum.csv.log").read_text())
+        beyond = ev["dt_rec_ps"] > 20.0
+        is_of = ev["cls_assigned"] == CLS_OF
+        assert type(log["overflow_of"]) is int
+        assert type(log["overflow_sf"]) is int
+        assert log["overflow_of"] == np.count_nonzero(beyond & is_of)
+        assert log["overflow_sf"] == np.count_nonzero(beyond & ~is_of)
+        assert log["overflow_of"] + log["overflow_sf"] >= 1
+        # numbered as the `bin` column of the counts file
+        counts = read_counts(tmp_path / "spectrum.counts.csv")
+        assert log["negative_bins"] == [
+            k + 1 for k in range(counts.binning.n_bins)
+            if counts.n_of[k] < 0 or counts.n_sf[k] < 0]
 
     def test_analyze_missing_events_file(self, tmp_path, cfg_path):
         assert main(["analyze", "--config", str(cfg_path),

@@ -1,18 +1,20 @@
-"""Pipeline tests: response training, the split replica steps and the smear
-systematic."""
+"""Pipeline tests: response training, the split replica steps, one
+unfolding map per response pair, and the smear systematic."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from flavourasym import unfold
 from flavourasym.analysis import Binning
 from flavourasym.pipeline import (PipelineConfig, build_training_responses,
-                                  replica_counts, run_replica,
+                                  replica_counts, run_ensemble, run_replica,
                                   smear_systematic, train_responses,
                                   unfold_replica)
 from flavourasym.toygen import DetectorConfig, GenModel
-from oracles import record_responses
+from flavourasym.unfold import unfolded_asymmetry, unfolding_map
+from oracles import one_shot_unfold, record_responses
 
 
 def _smear_per_variant(cfg, delta_um, n_replicas):
@@ -21,16 +23,16 @@ def _smear_per_variant(cfg, delta_um, n_replicas):
     s = cfg.detector.extra_smear_sigma
     up = float(np.sqrt(s ** 2 + delta_um ** 2))
     dn = float(np.sqrt(max(s ** 2 - delta_um ** 2, 0.0)))
-    nominal = build_training_responses(cfg)
-    variants = [build_training_responses(
-        cfg, detector=replace(cfg.detector, extra_smear_sigma=v))
+    nominal = unfolding_map(*build_training_responses(cfg), cfg.unfold)
+    variants = [unfolding_map(*build_training_responses(
+        cfg, detector=replace(cfg.detector, extra_smear_sigma=v)), cfg.unfold)
         for v in (up, dn)]
     shifts = []
-    for r_var in variants:
+    for variant in variants:
         diffs = []
         for r in range(n_replicas):
-            a_nom, _ = run_replica(GenModel.QM, cfg, *nominal, r)
-            a_var, _ = run_replica(GenModel.QM, cfg, *r_var, r)
+            a_nom, _ = run_replica(GenModel.QM, cfg, nominal, r)
+            a_var, _ = run_replica(GenModel.QM, cfg, variant, r)
             diffs.append(a_var - a_nom)
         shifts.append(np.abs(np.mean(diffs, axis=0)))
     return np.max(shifts, axis=0)
@@ -40,11 +42,39 @@ CFG = PipelineConfig.paper_scale(seed=7, n_response_mc=100_000)
 
 
 def test_run_replica_composes_the_two_steps():
-    resp = build_training_responses(CFG)
-    a, cov = run_replica(GenModel.SD, CFG, *resp, 2)
-    a2, cov2 = unfold_replica(replica_counts(GenModel.SD, CFG, 2), CFG, *resp)
+    lin = unfolding_map(*build_training_responses(CFG), CFG.unfold)
+    a, cov = run_replica(GenModel.SD, CFG, lin, 2)
+    a2, cov2 = unfold_replica(replica_counts(GenModel.SD, CFG, 2), lin)
     np.testing.assert_array_equal(a, a2)
     np.testing.assert_array_equal(cov, cov2)
+
+
+def test_prebuilt_map_unfolds_as_the_one_shot_path():
+    resp = build_training_responses(CFG)
+    lin = unfolding_map(*resp, CFG.unfold)
+    for r in range(3):
+        counts = replica_counts(GenModel.QM, CFG, r)
+        a, cov = unfold_replica(counts, lin)
+        a1, cov1 = unfolded_asymmetry(*one_shot_unfold(counts, *resp,
+                                                       CFG.unfold))
+        np.testing.assert_array_equal(a, a1)
+        np.testing.assert_array_equal(cov, cov1)
+
+
+def test_truncated_solver_runs_twice_per_response_pair(monkeypatch):
+    calls = []
+    solver = unfold.truncated_solver
+
+    def counted(*args):
+        calls.append(args)
+        return solver(*args)
+
+    monkeypatch.setattr(unfold, "truncated_solver", counted)
+    run_ensemble((GenModel.QM, GenModel.SD, GenModel.PS_BOUNDARY_MAX), 4, CFG)
+    assert len(calls) == 2          # one response pair
+    calls.clear()
+    smear_systematic(CFG, delta_um=35.0, n_replicas=3)
+    assert len(calls) == 6          # the nominal pair and two variants
 
 
 def test_smear_systematic_matches_per_variant_loop():

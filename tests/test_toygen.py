@@ -71,7 +71,7 @@ class TestDeterminism:
 class TestSampling:
     def test_exponential_marginals(self):
         rng = stream_rng(3, 0)
-        t1, t2, _ = sample_pair(GenModel.QM, P, rng, size=200000)
+        t1, t2, _, _ = sample_pair(GenModel.QM, P, rng, size=200000)
         assert t1.mean() == pytest.approx(P.tau, rel=0.02)
         assert t2.mean() == pytest.approx(P.tau, rel=0.02)
         assert np.all(t1 >= 0) and np.all(t2 >= 0)
@@ -93,7 +93,7 @@ class TestSampling:
     def test_sd_of_fraction_at_small_times(self):
         # SD pairs with both decays immediate are almost always OF
         rng = stream_rng(13, 0)
-        t1, t2, is_of = sample_pair(GenModel.SD, P, rng, size=100000)
+        t1, t2, _, is_of = sample_pair(GenModel.SD, P, rng, size=100000)
         early = (t1 < 0.2) & (t2 < 0.2)
         assert is_of[early].mean() > 0.95
 
@@ -130,7 +130,7 @@ class TestDetector:
         d = DetectorConfig()
         ev = make_signal_events(GenModel.QM, P, 10000, d, stream_rng(4, 0))
         rng = stream_rng(4, 0)
-        t1, t2, _ = sample_pair(GenModel.QM, P, rng, 10000)
+        t1, t2, _, _ = sample_pair(GenModel.QM, P, rng, 10000)
         dz = (BETA_GAMMA * C_UM_PER_PS * np.abs(t1 - t2)
               + rng.normal(0.0, d.total_sigma, 10000))
         np.testing.assert_array_equal(ev["dz_rec_um"], dz)
@@ -229,7 +229,7 @@ class TestBackgrounds:
 class TestEnvelope:
     def test_ps_boundary_models_generate(self):
         for model in (GenModel.PS_BOUNDARY_MAX, GenModel.PS_BOUNDARY_MIN):
-            t1, t2, is_of = sample_pair(model, P, stream_rng(6, 0), 10000)
+            *_, is_of = sample_pair(model, P, stream_rng(6, 0), 10000)
             assert 0.0 < is_of.mean() < 1.0
 
     def test_ps_draws_match_per_edge_formulas(self):
@@ -240,18 +240,18 @@ class TestEnvelope:
             got = sample_pair(model, P, stream_rng(6, 0), 100000)
             t1, t2, is_of, a = ps_sample_pair(upper, P, stream_rng(6, 0),
                                               100000)
-            for g, w in zip(got, (t1, t2, is_of)):
+            for g, w in zip(got, (t1, t2, np.abs(t1 - t2), is_of)):
                 np.testing.assert_array_equal(g, w)
             np.testing.assert_array_equal(
-                _joint_asymmetry(model, t1, t2, P, None), a)
+                _joint_asymmetry(model, t1, t2, got[2], P, None), a)
 
     def test_decohered_interpolates(self):
         p = ModelParams(zeta=0.5)
-        t1, t2, is_of = sample_pair(GenModel.DECOHERED, p, stream_rng(7, 0),
-                                    200000)
+        *_, is_of = sample_pair(GenModel.DECOHERED, p, stream_rng(7, 0),
+                                200000)
         # OF fraction lies between the pure-model values
-        of_qm = sample_pair(GenModel.QM, P, stream_rng(7, 1), 200000)[2].mean()
-        of_sd = sample_pair(GenModel.SD, P, stream_rng(7, 2), 200000)[2].mean()
+        of_qm = sample_pair(GenModel.QM, P, stream_rng(7, 1), 200000)[3].mean()
+        of_sd = sample_pair(GenModel.SD, P, stream_rng(7, 2), 200000)[3].mean()
         lo, hi = sorted((of_qm, of_sd))
         assert lo - 0.01 <= is_of.mean() <= hi + 0.01
 

@@ -9,7 +9,7 @@ from flavourasym.unfold import (ResponseMatrix, UnfoldConfig, bias_correct,
                                 build_response, dsvd_unfold, mix_responses,
                                 read_response, recorded_edges,
                                 truncated_solver, unfolded_asymmetry,
-                                write_response)
+                                unfolding_map, write_response)
 
 NB = Binning().n_bins
 RNG = np.random.default_rng(202)
@@ -64,7 +64,7 @@ class TestMixing:
         cfg = UnfoldConfig(rank_of=NB, rank_sf=NB)
         counts = BinnedCounts(Binning(), RNG.uniform(0, 100, NB),
                               RNG.uniform(0, 100, NB))
-        x, cov = dsvd_unfold(counts, r, r, cfg)
+        x, cov = dsvd_unfold(counts, unfolding_map(r, r, cfg))
         np.testing.assert_allclose(x.n_of, counts.n_of / eff, atol=1e-10)
         np.testing.assert_allclose(x.n_sf, counts.n_sf / eff, atol=1e-10)
         np.testing.assert_allclose(
@@ -83,7 +83,7 @@ class TestMixing:
         np.testing.assert_array_equal(sf_m.truth_totals, r_sf.truth_totals)
         counts = BinnedCounts(Binning(), RNG.uniform(50, 500, NB),
                               RNG.uniform(50, 500, NB))
-        x, cov = dsvd_unfold(counts, r_of, r_sf, cfg)
+        x, cov = dsvd_unfold(counts, unfolding_map(r_of, r_sf, cfg))
         np.testing.assert_allclose(
             x.n_of, truncated_solver(r_of, cfg.rank_of) @ counts.n_of,
             rtol=1e-12)
@@ -114,7 +114,8 @@ class TestMixing:
         var_sf = RNG.uniform(20, 600, NB)
         x, cov = dsvd_unfold(
             BinnedCounts(Binning(), of, sf, var_of, var_sf),
-            identity_response(eff=e_of), identity_response(eff=e_sf), cfg)
+            unfolding_map(identity_response(eff=e_of),
+                          identity_response(eff=e_sf), cfg))
         of_b, sf_b = demix(of, sf)
         np.testing.assert_allclose(x.n_of, of_b, rtol=1e-10)
         np.testing.assert_allclose(x.n_sf, sf_b, rtol=1e-10)
@@ -219,7 +220,7 @@ class TestDsvdUnfold:
         counts = BinnedCounts(Binning(), RNG.uniform(50, 500, NB),
                               RNG.uniform(50, 500, NB))
         cfg = UnfoldConfig(rank_of=NB, rank_sf=NB, mix_s=0.0, mix_o=0.0)
-        x, cov = dsvd_unfold(counts, r, r, cfg)
+        x, cov = dsvd_unfold(counts, unfolding_map(r, r, cfg))
         np.testing.assert_allclose(x.n_of, counts.n_of, rtol=1e-9)
         np.testing.assert_allclose(x.n_sf, counts.n_sf, rtol=1e-9)
         np.testing.assert_allclose(cov[:NB, :NB], np.diag(counts.var_of),
@@ -234,7 +235,7 @@ class TestDsvdUnfold:
         x_sf = RNG.uniform(10, 1000, NB)
         counts = measured_from_truth(r_of, r_sf, x_of, x_sf)
         cfg = UnfoldConfig(rank_of=NB, rank_sf=NB, mix_s=0.0, mix_o=0.0)
-        x, *_ = dsvd_unfold(counts, r_of, r_sf, cfg)
+        x, *_ = dsvd_unfold(counts, unfolding_map(r_of, r_sf, cfg))
         np.testing.assert_allclose(x.n_of, x_of, rtol=1e-8)
         np.testing.assert_allclose(x.n_sf, x_sf, rtol=1e-8)
 
@@ -249,7 +250,7 @@ class TestDsvdUnfold:
         x_sf = RNG.uniform(10, 1000, NB)
         counts = measured_from_truth(r_of, r_sf, x_of, x_sf)
         cfg = UnfoldConfig(rank_of=NB, rank_sf=NB)
-        x, *_ = dsvd_unfold(counts, r_of, r_sf, cfg)
+        x, *_ = dsvd_unfold(counts, unfolding_map(r_of, r_sf, cfg))
         np.testing.assert_allclose(x.n_of, x_of, rtol=1e-8)
         np.testing.assert_allclose(x.n_sf, x_sf, rtol=1e-8)
 
@@ -258,7 +259,8 @@ class TestDsvdUnfold:
         r_sf = random_response(np.random.default_rng(24), "SF")
         counts = BinnedCounts(Binning(), RNG.uniform(50, 500, NB),
                               RNG.uniform(50, 500, NB))
-        _, cov = dsvd_unfold(counts, r_of, r_sf, UnfoldConfig())
+        _, cov = dsvd_unfold(counts,
+                             unfolding_map(r_of, r_sf, UnfoldConfig()))
         np.testing.assert_allclose(cov, cov.T, atol=1e-9)
         assert np.min(np.linalg.eigvalsh(cov)) > -1e-7 * np.max(cov)
 
@@ -273,7 +275,7 @@ class TestDsvdUnfold:
         def unfold(y, var):
             x, cov = dsvd_unfold(BinnedCounts(Binning(), y[:NB], y[NB:],
                                               var[:NB], var[NB:]),
-                                 r_of, r_sf, cfg)
+                                 unfolding_map(r_of, r_sf, cfg))
             return np.concatenate([x.n_of, x.n_sf]), cov
 
         ones = np.ones(2 * NB)
@@ -306,7 +308,8 @@ class TestDsvdUnfold:
         of = np.full(NB, 100.0)
         sf = np.full(NB, 100.0)
         sf[0] = 0.0
-        x, cov = dsvd_unfold(BinnedCounts(Binning(), of, sf), r_of, r_sf, cfg)
+        x, cov = dsvd_unfold(BinnedCounts(Binning(), of, sf),
+                             unfolding_map(r_of, r_sf, cfg))
         assert np.all(np.isfinite(x.n_of)) and np.all(np.isfinite(x.n_sf))
         assert np.all(np.isfinite(cov))
 
