@@ -1,5 +1,5 @@
-"""The three minimizers behind the fits, without scipy: bounded scalar
-minimization, Brent's root finder and the Nelder-Mead simplex.
+"""The two routines behind the fits, without scipy: bounded scalar
+minimization and Brent's root finder.
 
 Each is a step-for-step port of what scipy 1.17.1 runs, doing the same IEEE
 operations in the same order, so every iterate and every result is the same
@@ -10,10 +10,7 @@ double:
 - `brentq`: the C `brentq` of scipy's `optimize/Zeros/brentq.c` behind
   `scipy.optimize.brentq`, with its defaults (xtol 2e-12, rtol 4 eps,
   100 iterations), its sign-error `ValueError` and the `ValueError` its
-  Python wrapper raises on a NaN function value;
-- `nelder_mead`: `scipy.optimize._optimize._minimize_neldermead` without
-  bounds, with the non-adaptive coefficients, the default initial simplex
-  and no cap on function evaluations.
+  Python wrapper raises on a NaN function value.
 
 The scalar arithmetic keeps scipy's numpy calls (`np.abs`, `np.sign`, ...),
 so the objective sees the same argument types as under scipy. The tests
@@ -173,85 +170,3 @@ def brentq(f, xa, xb, xtol=2e-12) -> float:
     raise RuntimeError(f"Failed to converge after {_BRENTQ_MAXITER} "
                        f"iterations, value is {xcur:f}")
 
-
-def _sorted(sim, fsim) -> tuple:
-    ind = np.argsort(fsim)
-    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-
-def nelder_mead(fun, x0, xatol, fatol, maxiter) -> tuple:
-    """(x, fun(x)), an array and a float, at the minimum of fun over a
-    vector: the downhill simplex (reflection 1, expansion 2, contraction and
-    shrink 0.5), from a simplex that moves each coordinate of x0 by 5 %
-    (0.00025 if it is zero). Ends when the simplex spans at most xatol in
-    every coordinate and fatol in the function, or after maxiter
-    iterations. fun receives a copy of each vertex."""
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    nonzdelt, zdelt = 0.05, 0.00025
-    x0 = np.asarray(np.atleast_1d(x0).flatten(), dtype=np.float64)
-    N = len(x0)
-    sim = np.empty((N + 1, N), dtype=x0.dtype)
-    sim[0] = x0
-    for k in range(N):
-        y = np.array(x0, copy=True)
-        if y[k] != 0:
-            y[k] = (1 + nonzdelt)*y[k]
-        else:
-            y[k] = zdelt
-        sim[k + 1] = y
-
-    def call(x):
-        return fun(np.copy(x))
-
-    fsim = np.full((N + 1,), np.inf, dtype=float)
-    for k in range(N + 1):
-        fsim[k] = call(sim[k])
-    # scipy sorts twice here; argsort need not return the identity
-    # permutation on tied values, so both sorts are kept
-    sim, fsim = _sorted(sim, fsim)
-    sim, fsim = _sorted(sim, fsim)
-
-    iterations = 1
-    while iterations < maxiter:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
-                np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = call(xr)
-        doshrink = False
-        if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = call(xe)
-            if fxe < fxr:
-                sim[-1] = xe
-                fsim[-1] = fxe
-            else:
-                sim[-1] = xr
-                fsim[-1] = fxr
-        elif fxr < fsim[-2]:
-            sim[-1] = xr
-            fsim[-1] = fxr
-        elif fxr < fsim[-1]:                # outside contraction
-            xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-            fxc = call(xc)
-            if fxc <= fxr:
-                sim[-1] = xc
-                fsim[-1] = fxc
-            else:
-                doshrink = True
-        else:                               # inside contraction
-            xcc = (1 - psi) * xbar + psi * sim[-1]
-            fxcc = call(xcc)
-            if fxcc < fsim[-1]:
-                sim[-1] = xcc
-                fsim[-1] = fxcc
-            else:
-                doshrink = True
-        if doshrink:
-            for j in range(1, N + 1):
-                sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                fsim[j] = call(sim[j])
-        iterations += 1
-        sim, fsim = _sorted(sim, fsim)
-    return sim[0], float(np.min(fsim))

@@ -153,6 +153,10 @@ def cmd_unfold(args):
         inputs = {"response_of": _sha256(args.response_of),
                   "response_sf": _sha256(args.response_sf)}
     else:
+        if recorded_edges(cfg.binning) != recorded_edges(counts.binning):
+            raise ConfigError(f"{args.config}: responses trained on edges "
+                              f"{recorded_edges(cfg.binning)}, for counts on "
+                              f"edges {recorded_edges(counts.binning)}")
         r_of, r_sf = build_training_responses(cfg)
         inputs = {"response": "trained", "seed": cfg.seed,
                   "n_response_mc": cfg.n_response_mc}
@@ -218,7 +222,10 @@ def cmd_fit(args):
     print(report)
     if args.out:
         Path(args.out).write_text(report + "\n")
-        _write_log(args.out, {"spectrum": _sha256(args.spectrum)})
+        inputs = {"spectrum": _sha256(args.spectrum)} | (
+            {"config": _sha256(args.config)} if args.config else {})
+        _write_log(args.out, inputs, {
+            "models": models, "flags": {m: f.flags for m, f in fits.items()}})
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._minimize import brentq, minimize_bounded, nelder_mead
+from ._minimize import brentq, minimize_bounded
 from .analysis import AsymmetrySpectrum, Binning
 from .models import MarginalGrid, ModelParams, asym_sd_marginal
 
@@ -25,7 +25,6 @@ __all__ = [
 
 DM_SEARCH = (0.2, 0.9)      # 1/ps bracket for the oscillation frequency
 DM_XTOL = 1e-5
-ZETA_XTOL = 1e-4
 BIN_NODES = 64              # Gauss-Legendre nodes per analysis bin
 
 
@@ -158,14 +157,20 @@ def _one_sigma_interval(fun, x_hat, f_min, lo, hi, label, flags):
     return mean
 
 
-def fit_model(spectrum: AsymmetrySpectrum, model: str, c: Constraint,
-              predictor: BinPredictor) -> FitResult:
-    """One-parameter dm fit of a model curve (or band) to a spectrum."""
-    fun = lambda dm: chi2(spectrum, model, dm, c, predictor)
+def _fit_dm(fun) -> tuple:
+    """(dm, fun(dm), flags) at the minimum of fun over DM_SEARCH."""
     dm_hat, c2 = minimize_bounded(fun, DM_SEARCH, DM_XTOL)
     flags = []
     if min(dm_hat - DM_SEARCH[0], DM_SEARCH[1] - dm_hat) < 5 * DM_XTOL:
         flags.append("minimum at the edge of the search interval")
+    return dm_hat, c2, flags
+
+
+def fit_model(spectrum: AsymmetrySpectrum, model: str, c: Constraint,
+              predictor: BinPredictor) -> FitResult:
+    """One-parameter dm fit of a model curve (or band) to a spectrum."""
+    fun = lambda dm: chi2(spectrum, model, dm, c, predictor)
+    dm_hat, c2, flags = _fit_dm(fun)
     err = _one_sigma_interval(fun, dm_hat, c2, *DM_SEARCH, "dm", flags)
     return FitResult(model=model, theta_hat=dm_hat, theta_err=err,
                      chi2=c2, dof=spectrum.binning.n_bins,
@@ -177,19 +182,21 @@ def fit_zeta(spectrum: AsymmetrySpectrum, c: Constraint,
              predictor: BinPredictor) -> FitResult:
     """Two-parameter (dm, zeta) fit of the partially decohered curve.
 
-    zeta is left free to float below zero; the quoted error comes from the
-    profile chi-square crossing chi2_min + 1. n_bins points and the dm
-    constraint, less two parameters, leave n_bins - 1 degrees of freedom."""
+    The curve QM + zeta (SD - QM) is linear in zeta, so dm is fitted with
+    zeta solved exactly at each dm. zeta may float below zero; its error
+    comes from the profile chi-square crossing chi2_min + 1. n_bins points
+    and the dm constraint, less two parameters, leave n_bins - 1 dof."""
     c2 = lambda dm, z: chi2(spectrum, "DECOHERED", dm, c, predictor, z)
-    x, c2_min = nelder_mead(lambda p: c2(*p), [c.mean, 0.0],
-                            xatol=min(DM_XTOL, ZETA_XTOL), fatol=1e-10,
-                            maxiter=2000)
-    dm_hat, z_hat = (float(v) for v in x)
-    flags = []
+    profile = lambda z: minimize_bounded(lambda dm: c2(dm, z), DM_SEARCH,
+                                         DM_XTOL)[1]
 
-    def profile(z):
-        return minimize_bounded(lambda dm: c2(dm, z), DM_SEARCH, DM_XTOL)[1]
+    def zeta_hat(dm):
+        r = _pulls(spectrum, "QM", dm, predictor)       # (a - QM) / sigma
+        d = r - _pulls(spectrum, "SD", dm, predictor)   # (SD - QM) / sigma
+        return float(r @ d / (d @ d))
 
+    dm_hat, c2_min, flags = _fit_dm(lambda dm: c2(dm, zeta_hat(dm)))
+    z_hat = zeta_hat(dm_hat)
     if profile(z_hat + 0.5) - c2_min < 0.05:
         flags.append("zeta profile is nearly flat")
     err = _one_sigma_interval(profile, z_hat, c2_min, z_hat - 1.0,

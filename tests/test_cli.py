@@ -1,6 +1,7 @@
 """End-to-end command-line tests: every subcommand, the full file-based
 chain, determinism, and exit codes."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -13,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flavourasym.analysis import read_counts, read_spectrum
+from flavourasym.analysis import (AsymmetrySpectrum, Binning, read_counts,
+                                  read_spectrum, write_spectrum)
 from flavourasym.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                              fixture_path, main)
+from flavourasym.fitkit import BinPredictor
 from flavourasym.toygen import CLS_OF, read_events, write_events
 
 
@@ -441,8 +444,54 @@ class TestSavedResponses:
                             bad) == EXIT_VALIDATION
         assert "edges 0,0.6,1," in capsys.readouterr().err
 
+    def test_config_edges_differ_from_the_counts(self, small_chain, tmp_path,
+                                                 capsys):
+        # responses trained on the config's edges would unfold counts
+        # binned on other edges; refused before any training
+        d, _ = small_chain
+        cfg = tmp_path / "other_edges.cfg"
+        text = (d / "run.cfg").read_text()
+        assert "edges = 0 0.5 1 " in text
+        cfg.write_text(text.replace("edges = 0 0.5 1 ", "edges = 0 0.6 1 "))
+        out = tmp_path / "unfolded.csv"
+        assert main(["unfold", "--config", str(cfg),
+                     str(d / "spectrum.counts.csv"),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "trained on edges 0,0.6,1," in err
+        assert "counts on edges 0,0.5,1," in err
+        assert sorted(tmp_path.iterdir()) == [cfg]
+
 
 class TestFit:
+    def test_log_records_config_models_and_flags(self, tmp_path, cfg_path):
+        out = tmp_path / "fit.txt"
+        assert main(["fit", str(fixture_path()), "--config", str(cfg_path),
+                     "--models", "QM,DECOHERED", "--out", str(out)]) == EXIT_OK
+        log = json.loads((tmp_path / "fit.txt.log").read_text())
+        assert log["inputs"]["config"] == hashlib.sha256(
+            cfg_path.read_bytes()).hexdigest()
+        assert log["inputs"]["spectrum"] == hashlib.sha256(
+            fixture_path().read_bytes()).hexdigest()
+        assert log["models"] == ["QM", "DECOHERED"]
+        assert log["flags"] == {"QM": [], "DECOHERED": []}
+
+    def test_log_records_flags_without_config(self, tmp_path):
+        # an exact QM spectrum at dm = 1.2 fits at the search edge
+        binning = Binning()
+        spectrum = tmp_path / "edge.csv"
+        write_spectrum(AsymmetrySpectrum(
+            binning, BinPredictor(binning).predict("QM", 1.2),
+            np.full(binning.n_bins, 0.001)), spectrum)
+        out = tmp_path / "fit.txt"
+        assert main(["fit", str(spectrum), "--models", "QM",
+                     "--out", str(out)]) == EXIT_OK
+        log = json.loads((tmp_path / "fit.txt.log").read_text())
+        assert "config" not in log["inputs"]
+        assert log["models"] == ["QM"]
+        assert ("minimum at the edge of the search interval"
+                in log["flags"]["QM"])
+
     def test_fixture_fit_report(self, tmp_path, capsys):
         assert main(["fit", str(fixture_path()),
                      "--models", "QM,DECOHERED"]) == EXIT_OK

@@ -184,6 +184,18 @@ class TestFitZeta:
         assert fit.theta_hat == pytest.approx(0.25, abs=0.01)
         assert fit.extra["dm"] == pytest.approx(C.mean, abs=0.01)
 
+    def test_minimum_at_search_edge(self):
+        # a decohered spectrum at dm = 0.95, beyond the search interval,
+        # with a loose constraint: the fit stops at the upper edge
+        spec = AsymmetrySpectrum(Binning(),
+                                 PRED.predict("DECOHERED", 0.95, 0.3),
+                                 np.full(11, 0.01))
+        loose = Constraint(0.496, 10.0)
+        fit = fit_zeta(spec, loose, PRED)
+        assert fitkit.DM_SEARCH[0] <= fit.extra["dm"] <= fitkit.DM_SEARCH[1]
+        assert fit.extra["dm"] > fitkit.DM_SEARCH[1] - 5 * fitkit.DM_XTOL
+        assert "minimum at the edge of the search interval" in fit.flags
+
     def test_degrees_of_freedom(self):
         # 11 bins plus the dm constraint: 11 dof for the one-parameter
         # fit, 10 for the two-parameter (dm, zeta) fit

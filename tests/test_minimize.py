@@ -1,7 +1,9 @@
-"""The fits' minimizers against scipy, the routines they port: every
-evaluated point, root, minimum and fit result must be the same double
-(`==`, no tolerance). scipy is the oracle here only; the package does not
-import it."""
+"""The fits' two routines against scipy, the routines they port: every
+evaluated point, root, minimum and Δm fit result must be the same double
+(`==`, no tolerance). The ζ fit, which solves ζ in closed form at each Δm,
+is checked against the scipy Nelder-Mead fit it replaced, within that
+simplex's own tolerance. scipy is the oracle here only; the package does
+not import it."""
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from scipy import optimize
 from flavourasym import _minimize, fitkit
 from flavourasym.analysis import AsymmetrySpectrum, Binning, read_spectrum
 from flavourasym.cli import fixture_path, reproduce_fixture
-from flavourasym.fitkit import (DM_SEARCH, DM_XTOL, ZETA_XTOL, BinPredictor,
-                                Constraint, chi2, fit_model, fit_zeta)
+from flavourasym.fitkit import (DM_SEARCH, DM_XTOL, BinPredictor, Constraint,
+                                chi2, fit_model, fit_zeta)
 
 C = Constraint()
 PRED = BinPredictor(Binning())
@@ -55,13 +57,6 @@ def scipy_bounded(fun, bounds, xatol):
     return float(r.x), float(r.fun)
 
 
-def scipy_nelder_mead(fun, x0, xatol, fatol, maxiter):
-    r = optimize.minimize(fun, x0=x0, method="Nelder-Mead",
-                          options={"xatol": xatol, "fatol": fatol,
-                                   "maxiter": maxiter})
-    return r.x, float(r.fun)
-
-
 def assert_same(port, oracle, f, *args, **kw):
     """port and oracle evaluate f at the same points and return the same,
     or raise the same error."""
@@ -74,11 +69,7 @@ def assert_same(port, oracle, f, *args, **kw):
             port(f2, *args, **kw)
         assert str(got.value) == str(e)
     else:
-        got = port(f2, *args, **kw)
-        if isinstance(want, tuple):
-            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
-        else:
-            assert got == want
+        assert port(f2, *args, **kw) == want
     assert calls2 == calls1
 
 
@@ -153,32 +144,45 @@ def test_brentq_root_at_endpoint(spectrum):
         assert_same(_minimize.brentq, optimize.brentq, f, *DM_SEARCH)
 
 
-def test_nelder_mead(spectrum):
-    fun = lambda p: chi2(spectrum, "DECOHERED", p[0], C, PRED, p[1])
-    assert_same(_minimize.nelder_mead, scipy_nelder_mead, fun, [C.mean, 0.0],
-                xatol=min(DM_XTOL, ZETA_XTOL), fatol=1e-10, maxiter=2000)
+def nelder_mead_zeta_fit(spectrum):
+    """(dm, zeta, error, chi2, flags) of the simplex fit over (dm, zeta)
+    that the closed-form zeta replaced, with the same profile error."""
+    c2 = lambda dm, z: chi2(spectrum, "DECOHERED", dm, C, PRED, z)
+    r = optimize.minimize(lambda p: c2(*p), x0=[C.mean, 0.0],
+                          method="Nelder-Mead",
+                          options={"xatol": 1e-5, "fatol": 1e-10,
+                                   "maxiter": 2000})
+    (dm_hat, z_hat), c2_min = (float(v) for v in r.x), float(r.fun)
+    profile = lambda z: scipy_bounded(lambda dm: c2(dm, z), DM_SEARCH,
+                                      DM_XTOL)[1]
+    flags = []
+    if profile(z_hat + 0.5) - c2_min < 0.05:
+        flags.append("zeta profile is nearly flat")
+    err = fitkit._one_sigma_interval(profile, z_hat, c2_min, z_hat - 1.0,
+                                     z_hat + 1.0, "zeta", flags)
+    return dm_hat, z_hat, err, c2_min, flags
 
 
-def test_nelder_mead_iteration_limit():
-    f = lambda p: float((p[0] - 1.0) ** 2 + 10 * (p[1] - p[0] ** 2) ** 2)
-    for maxiter in (1, 5, 40):
-        assert_same(_minimize.nelder_mead, scipy_nelder_mead, f, [0.3, 0.0],
-                    xatol=1e-9, fatol=1e-12, maxiter=maxiter)
-
-
-def test_nelder_mead_shrink():
-    # on a plateau no reflection or contraction improves, so every
-    # iteration shrinks the simplex towards its best vertex
-    f = lambda p: float(np.floor(p[0]) + np.floor(p[1]))
-    assert_same(_minimize.nelder_mead, scipy_nelder_mead, f, [0.3, 0.0],
-                xatol=1e-9, fatol=1e-12, maxiter=40)
+def test_zeta_fit_as_nelder_mead(spectrum):
+    fit = fit_zeta(spectrum, C, PRED)
+    dm_hat, z_hat, err, c2_min, flags = nelder_mead_zeta_fit(spectrum)
+    assert fit.theta_hat == pytest.approx(z_hat, abs=2e-5)
+    assert fit.extra["dm"] == pytest.approx(dm_hat, abs=2e-5)
+    assert fit.chi2 == pytest.approx(c2_min, abs=1e-6)
+    assert fit.theta_err == pytest.approx(err, abs=1e-8)
+    assert fit.flags == flags
+    # zeta is the minimum of the parabola at the fitted dm
+    dm, z = fit.extra["dm"], fit.theta_hat
+    at_min = chi2(spectrum, "DECOHERED", dm, C, PRED, z)
+    assert at_min == fit.chi2
+    for step in (-1e-3, 1e-3):
+        assert chi2(spectrum, "DECOHERED", dm, C, PRED, z + step) > at_min
 
 
 def _use_scipy(monkeypatch):
     """Drive fitkit by scipy's own routines."""
     monkeypatch.setattr(fitkit, "minimize_bounded", scipy_bounded)
     monkeypatch.setattr(fitkit, "brentq", optimize.brentq)
-    monkeypatch.setattr(fitkit, "nelder_mead", scipy_nelder_mead)
 
 
 def _summary(fit):
