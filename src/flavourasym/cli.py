@@ -224,8 +224,13 @@ def cmd_fit(args):
         Path(args.out).write_text(report + "\n")
         inputs = {"spectrum": _sha256(args.spectrum)} | (
             {"config": _sha256(args.config)} if args.config else {})
+        # per model: its parameters, chi2 = sum(pulls**2) + the dm term
         _write_log(args.out, inputs, {
-            "models": models, "flags": {m: f.flags for m, f in fits.items()}})
+            "models": models, "flags": {m: f.flags for m, f in fits.items()},
+            "fits": {m: {"theta_hat": f.theta_hat, "theta_err": f.theta_err,
+                         "chi2": f.chi2, "dof": f.dof,
+                         "pulls": f.residuals.tolist()} | f.extra
+                     for m, f in fits.items()}})
     return EXIT_OK
 
 

@@ -48,6 +48,12 @@ _SECTIONS = {
 }
 
 
+# keys read outside the table; [run] replicas, which older templates
+# wrote, is accepted and ignored so that those configs still load
+_OTHER_KEYS = {"model": {"name"}, "run": {"replicas"}, "binning": {"edges"},
+               "backgrounds": {cat.value for cat in BACKGROUND_CATEGORIES}}
+
+
 def _get(cp, section, key, conv, default=None):
     if not cp.has_option(section, key):
         return default
@@ -93,7 +99,8 @@ def _parse_background_line(cat: str, raw: str, tau: float) -> CategoryYield:
 
 
 def load_config(path) -> RunConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   default_section="")  # [DEFAULT] is unknown
     if not cp.read(path):
         raise ConfigError(f"cannot read config file {path}")
     for section in ("model", "detector", "backgrounds", "run"):
@@ -101,6 +108,14 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"missing required section [{section}]")
     if not cp.has_option("run", "seed"):
         raise ConfigError("[run] is missing required field 'seed'")
+    for section in cp.sections():   # refuse what the reader does not know
+        known = _OTHER_KEYS.get(section, set()) | set(
+            _SECTIONS.get(section, (None, {}))[1].values())
+        if not known:
+            raise ConfigError(f"[{section}]: unknown section")
+        for key in cp.options(section):
+            if key not in known:
+                raise ConfigError(f"[{section}] {key}: unknown key")
 
     name = _get(cp, "model", "name", str, default="QM").upper()
     try:
@@ -118,11 +133,6 @@ def load_config(path) -> RunConfig:
     binning = _get(cp, "binning", "edges",
                    lambda raw: Binning(tuple(float(x) for x in raw.split())),
                    Binning())
-    if _get(cp, "run", "streams", int, 1) != 1:
-        # a config written for split signal streams would silently give
-        # different events
-        raise ConfigError("[run] streams: only one signal stream is "
-                          "supported; remove the key")
     pipeline = PipelineConfig(
         params=params, detector=DetectorConfig(**_fields(cp, "detector")),
         backgrounds=BackgroundConfig(yields, **_fields(cp, "backgrounds")),

@@ -8,7 +8,7 @@ from scipy import integrate
 from flavourasym.analysis import BinnedCounts
 # e^(-2*40) ~ 1e-35 at the reach bounds the truncation error far below the
 # 1e-9 target
-from flavourasym.models import _DT_BLOCK, _UMAX_LIFETIMES, MarginalGrid
+from flavourasym.models import _UMAX_LIFETIMES, MarginalGrid
 from flavourasym.pipeline import RESPONSE_STREAM
 from flavourasym.toygen import GenModel, make_signal_events, stream_rng
 from flavourasym.unfold import mix_responses, truncated_solver
@@ -54,19 +54,12 @@ def ps_lower_joint(t_min, dt, dm):
 
 def per_edge_band(predictor, dm):
     """Per-bin (lower, upper) of the band, one edge at a time: each joint
-    edge on the t_min grid, summed over the nodes in blocks of dt rows,
-    then averaged over the predictor's bin nodes."""
+    edge on the t_min grid, summed over the nodes of each dt, then averaged
+    over the predictor's bin nodes."""
     grid = MarginalGrid(predictor.tau)
-    flat = predictor._t.reshape(-1, 1)
-    out = []
-    for joint in (ps_lower_joint, ps_upper_joint):
-        edge = np.empty(len(flat))
-        for i in range(0, len(flat), _DT_BLOCK):
-            edge[i:i + _DT_BLOCK] = (joint(grid.u, flat[i:i + _DT_BLOCK], dm)
-                                     * grid.w).sum(axis=-1)
-        out.append((edge.reshape(predictor._t.shape)
-                    * predictor._w).sum(axis=1))
-    return tuple(out)
+    return tuple(((joint(grid.u, predictor._t[..., None], dm) * grid.w)
+                  .sum(axis=-1) * predictor._w).sum(axis=1)
+                 for joint in (ps_lower_joint, ps_upper_joint))
 
 
 def ps_sample_pair(upper, p, rng, size):

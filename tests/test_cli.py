@@ -19,6 +19,7 @@ from flavourasym.analysis import (AsymmetrySpectrum, Binning, read_counts,
 from flavourasym.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                              fixture_path, main)
 from flavourasym.fitkit import BinPredictor
+from flavourasym.pipeline import PipelineConfig
 from flavourasym.toygen import CLS_OF, read_events, write_events
 
 
@@ -99,12 +100,23 @@ class TestGenerate:
     def test_missing_config(self):
         assert main(["generate"]) == EXIT_VALIDATION
 
-    def test_multi_stream_config_is_exit_2(self, tmp_path, cfg_path):
+    def test_multi_stream_config_is_exit_2(self, tmp_path, cfg_path, capsys):
         text = cfg_path.read_text().replace("seed = 3\n",
                                             "seed = 3\nstreams = 2\n")
         cfg_path.write_text(text)
         assert main(["generate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "events.csv")]) == EXIT_VALIDATION
+        assert "[run] streams: unknown key" in capsys.readouterr().err
+
+    def test_misspelt_key_is_exit_2(self, tmp_path, cfg_path, capsys):
+        # a misspelt key used to load, leaving rank_of at its default
+        text = cfg_path.read_text()
+        assert "rank_of = 5\n" in text
+        cfg_path.write_text(text.replace("rank_of = 5\n", "rank_off = 3\n"))
+        assert main(["generate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "events.csv")]) == EXIT_VALIDATION
+        assert "[unfold] rank_off: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "events.csv").exists()
 
     @pytest.mark.parametrize("edit, message", [
         (("edges = 0 0.5 1", "edges = 0 nan 1"), "[binning] edges"),
@@ -491,6 +503,24 @@ class TestFit:
         assert log["models"] == ["QM"]
         assert ("minimum at the edge of the search interval"
                 in log["flags"]["QM"])
+
+    def test_log_records_pulls_that_sum_to_chi2(self, tmp_path):
+        out = tmp_path / "fit.txt"
+        assert main(["fit", str(fixture_path()), "--models",
+                     "QM,SD,PS,DECOHERED", "--out", str(out)]) == EXIT_OK
+        fits = json.loads((tmp_path / "fit.txt.log").read_text())["fits"]
+        assert sorted(fits) == ["DECOHERED", "PS", "QM", "SD"]
+        n_bins = Binning().n_bins
+        for m, f in fits.items():
+            assert len(f["pulls"]) == n_bins
+            dm = f["dm"] if m == "DECOHERED" else f["theta_hat"]
+            total = (sum(p * p for p in f["pulls"])
+                     + PipelineConfig().constraint.term(dm))
+            assert total == pytest.approx(f["chi2"], rel=0, abs=1e-12)
+            assert f["theta_err"] > 0
+        assert fits["DECOHERED"]["dof"] == n_bins - 1
+        # the report itself is unchanged by the sidecar
+        assert out.read_text().startswith("QM: dm = 0.5012 +- 0.0078")
 
     def test_fixture_fit_report(self, tmp_path, capsys):
         assert main(["fit", str(fixture_path()),

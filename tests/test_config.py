@@ -45,16 +45,35 @@ class TestLoadConfig:
         run = load_config(write_cfg(tmp_path, MINIMAL))
         assert run.pipeline == PipelineConfig(seed=11)
 
-    def test_single_stream_key_loads(self, tmp_path):
+    def test_single_stream_key_rejected(self, tmp_path):
+        # the retired [run] streams key is unknown like any other
         text = MINIMAL.replace("seed = 11\n", "seed = 11\nstreams = 1\n")
-        run = load_config(write_cfg(tmp_path, text))
-        assert run.pipeline == PipelineConfig(seed=11)
+        with pytest.raises(ConfigError, match=r"^\[run\] streams: unknown key"):
+            load_config(write_cfg(tmp_path, text))
         assert "streams" not in default_config_text()
 
     def test_multi_stream_config_rejected(self, tmp_path):
         text = MINIMAL.replace("seed = 11\n", "seed = 11\nstreams = 4\n")
         with pytest.raises(ConfigError, match="streams"):
             load_config(write_cfg(tmp_path, text))
+
+    @pytest.mark.parametrize("section, line, message", [
+        ("unfold", "rank_off = 3", "[unfold] rank_off: unknown key"),
+        ("run", "n_signals = 10", "[run] n_signals: unknown key"),
+        ("backgrounds", "dstar_fakes = 1 2", "[backgrounds] dstar_fakes: "
+         "unknown key"),
+        ("binning", "edge = 0 20", "[binning] edge: unknown key"),
+        ("fitt", "sigma = 1", "[fitt]: unknown section"),
+        ("DEFAULT", "seed = 4", "[DEFAULT]: unknown section"),
+    ], ids=["unfold", "run", "backgrounds", "binning", "section", "default"])
+    def test_unknown_key_or_section_rejected(self, tmp_path, section, line,
+                                             message):
+        head = f"[{section}]\n"
+        text = (MINIMAL.replace(head, head + line + "\n") if head in MINIMAL
+                else MINIMAL + "\n" + head + line + "\n")
+        with pytest.raises(ConfigError) as e:
+            load_config(write_cfg(tmp_path, text))
+        assert str(e.value) == message
 
     def test_seed_is_mandatory(self, tmp_path):
         text = MINIMAL.replace("seed = 11\n", "")

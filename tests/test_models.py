@@ -134,8 +134,9 @@ class TestPSBand:
             assert np.abs(got - exact).max() < 1.2e-4
 
     def test_grid_blocks_match_one_array(self):
-        # block-wise evaluation gives the sums of one (..., nodes) array
-        # bit for bit, for any dt shape and across block boundaries
+        # block-wise evaluation agrees with the node sums of one
+        # (..., nodes) array of the per-edge formulas, for any dt shape and
+        # across block boundaries; the BLAS products sum in their own order
         g = MarginalGrid(P.tau)
         rng = np.random.default_rng(2)
         for dt in (rng.uniform(0, 20, (11, 64)), rng.uniform(0, 20, 130),
@@ -143,15 +144,27 @@ class TestPSBand:
             for upper, edge in zip((False, True), g.edges(dt, 0.45)):
                 whole = (_ps_joint(g.u, dt[..., None], 0.45, upper)
                          * g.w).sum(axis=-1)
-                np.testing.assert_array_equal(edge, whole)
+                assert np.shape(edge) == np.shape(dt)
+                np.testing.assert_allclose(edge, whole, rtol=0, atol=2e-15)
 
     def test_band_matches_per_edge_path(self):
-        # the one-pass kernel gives the per-edge path's bin averages to the
-        # bit; at 0.4515 (the PS best fit) a kink falls in bin 11
+        # the two-product kernel gives the per-edge path's bin averages to
+        # 2e-15, far below the grid's ~1e-4 error against the exact band;
+        # at 0.4515 (the PS best fit) a kink falls in bin 11
         pred = BinPredictor(Binning(), tau=P.tau)
         for dm in np.concatenate([np.linspace(0.2, 0.9, 15), [0.4515, 0.507]]):
             for got, want in zip(pred.band(dm), per_edge_band(pred, dm)):
-                np.testing.assert_array_equal(got, want)
+                np.testing.assert_allclose(got, want, rtol=0, atol=2e-15)
+
+    def test_band_is_deterministic(self):
+        # a repeated call, and a fresh predictor, give the same bits
+        pred = BinPredictor(Binning(), tau=P.tau)
+        for dm in (0.2, 0.4515, 0.507, 0.9):
+            first = pred.band(dm)
+            for again in (pred.band(dm),
+                          BinPredictor(Binning(), tau=P.tau).band(dm)):
+                for a, b in zip(first, again):
+                    np.testing.assert_array_equal(a, b)
 
     def test_marginal_band_invariants(self):
         dt = np.linspace(0.0, 20.0, 2001)
