@@ -82,36 +82,34 @@ class Binning:
 
 @dataclass
 class BinnedCounts:
-    """Per-bin OF and SF contents; floats, since subtraction de-integerizes.
+    """Per-bin contents of the two classes; floats, since subtraction
+    de-integerizes.
 
-    var_of/var_sf carry the propagated variances (Poisson for raw counts).
+    `n` and `var`, the propagated variances (Poisson for raw counts), have
+    shape (2, n_bins) with the OF row first, so `n[::-1]` swaps the classes;
+    `overflow` holds the (OF, SF) events outside the bins.
     """
 
     binning: Binning
-    n_of: np.ndarray
-    n_sf: np.ndarray
-    var_of: np.ndarray = None
-    var_sf: np.ndarray = None
-    overflow_of: float = 0.0
-    overflow_sf: float = 0.0
+    n: np.ndarray
+    var: np.ndarray = None
+    overflow: tuple = (0, 0)
 
     def __post_init__(self):
-        nb = self.binning.n_bins
-        self.n_of = np.asarray(self.n_of, dtype=float)
-        self.n_sf = np.asarray(self.n_sf, dtype=float)
-        if len(self.n_of) != nb or len(self.n_sf) != nb:
-            raise ValueError("count vectors do not match the binning")
-        if self.var_of is None:
-            self.var_of = self.n_of.copy()
-        if self.var_sf is None:
-            self.var_sf = self.n_sf.copy()
-        self.var_of = np.asarray(self.var_of, dtype=float)
-        self.var_sf = np.asarray(self.var_sf, dtype=float)
+        self.n = np.asarray(self.n, dtype=float)
+        if self.n.shape != (2, self.binning.n_bins):
+            raise ValueError(f"counts of shape {self.n.shape} do not match "
+                             f"the (2, {self.binning.n_bins}) of the binning")
+        self.var = (self.n.copy() if self.var is None
+                    else np.asarray(self.var, dtype=float))
+        if self.var.shape != self.n.shape:
+            raise ValueError(f"variances of shape {self.var.shape} do not "
+                             f"match the counts' {self.n.shape}")
 
     @property
     def negative_bins(self) -> np.ndarray:
         """Indices where subtraction drove a count negative (flagged, not clamped)."""
-        return np.flatnonzero((self.n_of < 0) | (self.n_sf < 0))
+        return np.flatnonzero((self.n < 0).any(axis=0))
 
 
 def _read_only(values) -> np.ndarray:
@@ -168,25 +166,20 @@ def bin_events(dt, cls, binning: Binning) -> BinnedCounts:
     n = binning.n_bins + 2
     h = np.bincount((cls != CLS_OF) * n + binning.index(dt, closed=True),
                     minlength=2 * n).reshape(2, n)
-    over_of, over_sf = (h[:, 0] + h[:, -1]).tolist()
-    return BinnedCounts(binning, h[0, 1:-1], h[1, 1:-1],
-                        overflow_of=over_of, overflow_sf=over_sf)
+    return BinnedCounts(binning, h[:, 1:-1],
+                        overflow=tuple((h[:, 0] + h[:, -1]).tolist()))
 
 
 def expected_background_counts(b: BackgroundConfig, binning: Binning):
-    """Per-bin expected OF/SF background counts and their yield variances."""
-    nb = binning.n_bins
-    exp_of = np.zeros(nb)
-    exp_sf = np.zeros(nb)
-    var_of = np.zeros(nb)
-    var_sf = np.zeros(nb)
-    for cat, y in b.yields.items():
+    """Per-bin expected background counts and their yield variances, each
+    of shape (2, n_bins) with the OF row first."""
+    exp = np.zeros((2, binning.n_bins))
+    var = np.zeros((2, binning.n_bins))
+    for y in b.yields.values():
         frac = y.shape.bin_fractions(binning.array)
-        exp_of += y.n_of * frac
-        exp_sf += y.n_sf * frac
-        var_of += (y.n_of_err * frac) ** 2
-        var_sf += (y.n_sf_err * frac) ** 2
-    return exp_of, exp_sf, var_of, var_sf
+        exp += np.outer((y.n_of, y.n_sf), frac)
+        var += np.outer((y.n_of_err, y.n_sf_err), frac) ** 2
+    return exp, var
 
 
 def subtract_background(c: BinnedCounts, b: BackgroundConfig):
@@ -195,23 +188,14 @@ def subtract_background(c: BinnedCounts, b: BackgroundConfig):
     Returns the subtracted counts (variances inflated by the yield errors)
     and the per-bin systematic on the asymmetry from those yield errors.
     """
-    exp_of, exp_sf, var_of, var_sf = expected_background_counts(b, c.binning)
-    out = BinnedCounts(
-        c.binning,
-        c.n_of - exp_of,
-        c.n_sf - exp_sf,
-        var_of=c.var_of + var_of,
-        var_sf=c.var_sf + var_sf,
-        overflow_of=c.overflow_of,
-        overflow_sf=c.overflow_sf,
-    )
-    # effect of 1-sigma yield shifts on the asymmetry, combined in quadrature
-    tot = out.n_of + out.n_sf
+    exp, var = expected_background_counts(b, c.binning)
+    out = BinnedCounts(c.binning, c.n - exp, c.var + var, c.overflow)
+    # effect of 1-sigma yield shifts on the asymmetry, combined in
+    # quadrature: |d a / d n_of| = 2 n_sf / tot^2 and |d a / d n_sf| =
+    # 2 n_of / tot^2
+    tot = out.n.sum(axis=0)
     safe = np.where(tot == 0, 1.0, tot)
-    dA_of = 2.0 * out.n_sf / safe ** 2 * np.sqrt(var_of)
-    dA_sf = 2.0 * out.n_of / safe ** 2 * np.sqrt(var_sf)
-    syst = np.hypot(dA_of, dA_sf)
-    return out, syst
+    return out, np.hypot(*(2.0 * out.n[::-1] / safe ** 2 * np.sqrt(var)))
 
 
 def asymmetry(c: BinnedCounts) -> AsymmetrySpectrum:
@@ -221,14 +205,15 @@ def asymmetry(c: BinnedCounts) -> AsymmetrySpectrum:
     2 sqrt(n_of n_sf / n^3). Degenerate bins (one class empty) get a
     bootstrap error instead of the spuriously zero binomial one.
     """
-    tot = c.n_of + c.n_sf
+    n_of, n_sf = c.n
+    tot = n_of + n_sf
     if np.any(tot <= 0):
         bad = int(np.flatnonzero(tot <= 0)[0])
         raise ValueError(f"empty bin {bad}: cannot form an asymmetry")
-    a = (c.n_of - c.n_sf) / tot
+    a = (n_of - n_sf) / tot
     # linear propagation of var(n_of), var(n_sf) through the ratio
-    err = 2.0 / tot ** 2 * np.sqrt(c.n_sf ** 2 * c.var_of + c.n_of ** 2 * c.var_sf)
-    degenerate = (c.n_of <= 0) | (c.n_sf <= 0)
+    err = 2.0 / tot ** 2 * np.sqrt((c.n[::-1] ** 2 * c.var).sum(axis=0))
+    degenerate = (c.n <= 0).any(axis=0)
     if np.any(degenerate):
         rng = np.random.default_rng(BOOTSTRAP_SEED)
         for i in np.flatnonzero(degenerate):
@@ -236,7 +221,7 @@ def asymmetry(c: BinnedCounts) -> AsymmetrySpectrum:
             # rule-of-succession clip keeps the bootstrap spread non-zero
             # when one class is empty or was subtracted below zero
             p_lo = 1.0 / (n + 2.0)
-            p_of = min(max(c.n_of[i] / tot[i], p_lo), 1.0 - p_lo)
+            p_of = min(max(n_of[i] / tot[i], p_lo), 1.0 - p_lo)
             draws = rng.binomial(n, p_of, size=BOOTSTRAP_DRAWS)
             err[i] = np.std(2.0 * draws / n - 1.0)
     return AsymmetrySpectrum(c.binning, a, err)
@@ -257,12 +242,9 @@ def mistag_correct_counts(c: BinnedCounts, w: float) -> BinnedCounts:
     d = _dilution(w)
     if w == 0.0:
         return c
-    n_of = ((1.0 - w) * c.n_of - w * c.n_sf) / d
-    n_sf = ((1.0 - w) * c.n_sf - w * c.n_of) / d
-    var_of = ((1.0 - w) ** 2 * c.var_of + w ** 2 * c.var_sf) / d ** 2
-    var_sf = ((1.0 - w) ** 2 * c.var_sf + w ** 2 * c.var_of) / d ** 2
-    return BinnedCounts(c.binning, n_of, n_sf, var_of=var_of, var_sf=var_sf,
-                        overflow_of=c.overflow_of, overflow_sf=c.overflow_sf)
+    n = ((1.0 - w) * c.n - w * c.n[::-1]) / d
+    var = ((1.0 - w) ** 2 * c.var + w ** 2 * c.var[::-1]) / d ** 2
+    return BinnedCounts(c.binning, n, var, c.overflow)
 
 
 def mistag_systematic(spectrum: AsymmetrySpectrum, w: float,
@@ -315,14 +297,16 @@ def read_spectrum(path) -> AsymmetrySpectrum:
 
 
 def write_counts(c: BinnedCounts, path) -> None:
-    _write_bins(path, c.binning, _COUNTS, [c.n_of, c.var_of, c.n_sf, c.var_sf])
+    _write_bins(path, c.binning, _COUNTS,
+                [c.n[0], c.var[0], c.n[1], c.var[1]])
 
 
 def read_counts(path) -> BinnedCounts:
     """Counts from a file written by `write_counts`; rejects negative
     variances."""
     _, rows = read_table(path, _COUNTS)
-    if np.any(rows["var_of"] < 0) or np.any(rows["var_sf"] < 0):
+    n, var = (np.array([rows[k + "_of"], rows[k + "_sf"]])
+              for k in ("n", "var"))
+    if np.any(var < 0):
         raise ValueError(f"{path}: negative variance")
-    return BinnedCounts(Binning(_edges(rows, path)), **{
-        n: rows[n].copy() for n in ("n_of", "n_sf", "var_of", "var_sf")})
+    return BinnedCounts(Binning(_edges(rows, path)), n, var)

@@ -118,12 +118,12 @@ def cmd_analyze(args):
     write_counts(counts, counts_out)
     # the overflow, and the bins the background subtraction or the tag
     # correction drove negative, numbered as the files' `bin` column
+    over_of, over_sf = counts.overflow
     _write_log(out, {"config": _sha256(args.config),
                      "events": _sha256(args.events),
                      "n_events": len(events)},
                {"counts_file": str(counts_out),
-                "overflow_of": counts.overflow_of,
-                "overflow_sf": counts.overflow_sf,
+                "overflow_of": over_of, "overflow_sf": over_sf,
                 "negative_bins": (counts.negative_bins + 1).tolist()})
     print(f"wrote spectrum to {out} and corrected counts to {counts_out}")
     return EXIT_OK

@@ -101,10 +101,9 @@ def train_responses(cfg: PipelineConfig, detectors):
             for dt_rec in dt_recs]
 
 
-def build_training_responses(cfg: PipelineConfig, detector=None):
-    """The (OF, SF) response pair of `train_responses` for one detector,
-    `cfg.detector` by default."""
-    return train_responses(cfg, [detector or cfg.detector])[0]
+def build_training_responses(cfg: PipelineConfig):
+    """The (OF, SF) response pair of `train_responses` for `cfg.detector`."""
+    return train_responses(cfg, [cfg.detector])[0]
 
 
 def replica_counts(model: GenModel, cfg: PipelineConfig, replica_seed: int):
@@ -200,8 +199,6 @@ def smear_systematic(cfg: PipelineConfig, delta_um: float = 35.0,
     variant's map, and the larger of the two absolute mean per-bin
     asymmetry shifts is returned.
     """
-    if delta_um == 0:
-        return np.zeros(cfg.binning.n_bins)
     s = cfg.detector.extra_smear_sigma
     up = float(np.sqrt(s ** 2 + delta_um ** 2))
     dn = float(np.sqrt(max(s ** 2 - delta_um ** 2, 0.0)))

@@ -164,9 +164,6 @@ class BackgroundConfig:
             CategoryYield(78.0, 237.0, 9.0, 15.0),
             CategoryYield(254.0, 1.5, 16.0, 0.5)))))
 
-    def total(self) -> float:
-        return sum(y.n_of + y.n_sf for y in self.yields.values())
-
 
 def _joint_asymmetry(model: GenModel, t1, t2, dt, p: ModelParams,
                      rng: np.random.Generator):

@@ -56,11 +56,6 @@ class ResponseMatrix:
         safe = np.where(self.truth_totals > 0, self.truth_totals, 1.0)
         return self.m / safe
 
-    @property
-    def apriori(self) -> np.ndarray:
-        """Truth-level spectrum of the training sample."""
-        return self.truth_totals.copy()
-
 
 @dataclass(frozen=True)
 class UnfoldConfig:
@@ -108,22 +103,22 @@ def mix_responses(r_of: ResponseMatrix, r_sf: ResponseMatrix,
                   cfg: UnfoldConfig):
     """Responses trained on the mixed samples of `unfolding_map`: OF + s*SF and
     SF + o*OF."""
-    of_m = ResponseMatrix(
-        r_of.binning, r_of.m + cfg.mix_s * r_sf.m,
-        r_of.truth_totals + cfg.mix_s * r_sf.truth_totals, cls="OF")
-    sf_m = ResponseMatrix(
-        r_sf.binning, r_sf.m + cfg.mix_o * r_of.m,
-        r_sf.truth_totals + cfg.mix_o * r_of.truth_totals, cls="SF")
-    return of_m, sf_m
+    pair = (r_of, r_sf)
+    return tuple(ResponseMatrix(r.binning, r.m + f * other.m,
+                                r.truth_totals + f * other.truth_totals,
+                                cls=label)
+                 for label, r, other, f in zip(CLASS_NAMES, pair, pair[::-1],
+                                               (cfg.mix_s, cfg.mix_o)))
 
 
 def truncated_solver(resp: ResponseMatrix, rank: int):
     """Linear map from a measured vector to the truth estimate.
 
-    The unknowns are ratios w to the a-priori spectrum xa, and the truncation
-    acts on the deviation from the a-priori after matching its normalization
-    to the data: with A = R_eff diag(xa), row weights 1/sigma_i from the
-    training statistics of reco bin i, and c = sum(y)/sum(A 1),
+    The unknowns are ratios w to the a-priori spectrum xa, the truth totals
+    of the training sample, and the truncation acts on the deviation from
+    the a-priori after matching its normalization to the data: with
+    A = R_eff diag(xa), row weights 1/sigma_i from the training statistics
+    of reco bin i, and c = sum(y)/sum(A 1),
 
         x = c xa + diag(xa) pinv_rank(W A) W (y - c A 1).
 
@@ -137,7 +132,7 @@ def truncated_solver(resp: ResponseMatrix, rank: int):
     nb = resp.binning.n_bins
     if rank > nb:
         raise ValueError(f"rank {rank} exceeds the number of bins {nb}")
-    xa = resp.apriori
+    xa = resp.truth_totals
     if np.any(xa <= 0):
         raise ValueError("a-priori spectrum must be positive in every bin")
     a = resp.efficiency_normalized @ np.diag(xa)
@@ -177,36 +172,32 @@ def dsvd_unfold(measured: BinnedCounts, lin: np.ndarray):
     """Unfold an OF/SF pair of measured spectra through the map `lin` of
     `unfolding_map`.
 
-    Returns the truth estimate x = L y of the stacked (OF, SF) counts y as
-    BinnedCounts and its 2nb x 2nb covariance L diag(var) L^T, the OF/SF
-    cross term included.
+    Returns the truth estimate x = L y of the stacked (OF, SF) counts
+    y = `measured.n.reshape(-1)` as BinnedCounts and its 2nb x 2nb
+    covariance L diag(var) L^T, the OF/SF cross term included.
     """
-    nb = measured.binning.n_bins
-    x = lin @ np.concatenate([measured.n_of, measured.n_sf])
-    cov = lin * np.concatenate([measured.var_of, measured.var_sf]) @ lin.T
-    var = np.diag(cov)
-    return BinnedCounts(measured.binning, x[:nb], x[nb:],
-                        var_of=var[:nb], var_sf=var[nb:]), cov
+    x = lin @ measured.n.reshape(-1)
+    cov = lin * measured.var.reshape(-1) @ lin.T
+    return BinnedCounts(measured.binning, x.reshape(2, -1),
+                        np.diag(cov).reshape(2, -1)), cov
 
 
-def unfolded_asymmetry(x: BinnedCounts, cov, debias: bool = True):
+def unfolded_asymmetry(x: BinnedCounts, cov):
     """Asymmetry of unfolded counts with the full propagated covariance.
 
-    `cov` is the covariance of the stacked (OF, SF) counts. With `debias`
-    the second-order expectation bias of the ratio, evaluated from it, is
+    `cov` is the covariance of the stacked (OF, SF) counts. The
+    second-order expectation bias of the ratio, evaluated from it, is
     subtracted from the central values.
     """
-    nb = len(x.n_of)
-    tot = x.n_of + x.n_sf
-    a = (x.n_of - x.n_sf) / tot
-    if debias:
-        var = np.diag(cov)
-        a = a - (2.0 / tot ** 3) * (-x.n_sf * var[:nb]
-                                    + (x.n_of - x.n_sf) * np.diag(cov, nb)
-                                    + x.n_of * var[nb:])
+    nb = x.binning.n_bins
+    n_of, n_sf = x.n
+    tot = n_of + n_sf
+    var = np.diag(cov)
+    a = (n_of - n_sf) / tot - (2.0 / tot ** 3) * (
+        -n_sf * var[:nb] + (n_of - n_sf) * np.diag(cov, nb) + n_of * var[nb:])
     # d a / d n_of = 2 n_sf / tot^2 ; d a / d n_sf = -2 n_of / tot^2
-    g = np.hstack([np.diag(2.0 * x.n_sf / tot ** 2),
-                   np.diag(-2.0 * x.n_of / tot ** 2)])
+    g = np.hstack([np.diag(2.0 * n_sf / tot ** 2),
+                   np.diag(-2.0 * n_of / tot ** 2)])
     return a, g @ cov @ g.T
 
 

@@ -1,6 +1,7 @@
 """Test oracles: quadrature for the t_min-marginalized model curves, the
 band and PS draws from the per-edge joint formulas, response training on
-the event record, and the unfolding built and applied in one call."""
+the event record, the count formulas written out once per class, and the
+unfolding built and applied in one call."""
 
 import numpy as np
 from scipy import integrate
@@ -98,6 +99,55 @@ def record_responses(cfg, detector):
                                mc["cls_true"], cfg.binning)
 
 
+def per_class_background(b, binning):
+    """Expected (OF, SF) background counts and yield variances, one class
+    at a time: (exp_of, exp_sf, var_of, var_sf)."""
+    nb = binning.n_bins
+    exp_of, exp_sf, var_of, var_sf = (np.zeros(nb) for _ in range(4))
+    for y in b.yields.values():
+        frac = y.shape.bin_fractions(binning.array)
+        exp_of += y.n_of * frac
+        exp_sf += y.n_sf * frac
+        var_of += (y.n_of_err * frac) ** 2
+        var_sf += (y.n_sf_err * frac) ** 2
+    return exp_of, exp_sf, var_of, var_sf
+
+
+def per_class_subtraction(n_of, n_sf, v_of, v_sf, b, binning):
+    """(n_of, n_sf, var_of, var_sf) after the background subtraction, and
+    the systematic of the 1-sigma yield shifts on the asymmetry."""
+    exp_of, exp_sf, var_of, var_sf = per_class_background(b, binning)
+    n_of, n_sf = n_of - exp_of, n_sf - exp_sf
+    tot = n_of + n_sf
+    safe = np.where(tot == 0, 1.0, tot)
+    dA_of = 2.0 * n_sf / safe ** 2 * np.sqrt(var_of)
+    dA_sf = 2.0 * n_of / safe ** 2 * np.sqrt(var_sf)
+    return (n_of, n_sf, v_of + var_of, v_sf + var_sf), np.hypot(dA_of, dA_sf)
+
+
+def per_class_mistag(n_of, n_sf, v_of, v_sf, w):
+    """(n_of, n_sf, var_of, var_sf) with the flip probability w inverted."""
+    d = 1.0 - 2.0 * w
+    return (((1.0 - w) * n_of - w * n_sf) / d,
+            ((1.0 - w) * n_sf - w * n_of) / d,
+            ((1.0 - w) ** 2 * v_of + w ** 2 * v_sf) / d ** 2,
+            ((1.0 - w) ** 2 * v_sf + w ** 2 * v_of) / d ** 2)
+
+
+def per_class_asymmetry(n_of, n_sf, v_of, v_sf):
+    """(a, err) of counts with both classes positive in every bin."""
+    tot = n_of + n_sf
+    return ((n_of - n_sf) / tot,
+            2.0 / tot ** 2 * np.sqrt(n_sf ** 2 * v_of + n_of ** 2 * v_sf))
+
+
+def stacked(measured):
+    """The unfolding input y and its variances: the OF bins, then the SF
+    bins."""
+    return (np.concatenate([measured.n[0], measured.n[1]]),
+            np.concatenate([measured.var[0], measured.var[1]]))
+
+
 def one_shot_unfold(measured, resp_of, resp_sf, cfg):
     """(x, cov) of unfolding `measured` straight from a response pair: the
     mixing, the two truncated solvers and the linear map are built inside
@@ -110,8 +160,9 @@ def one_shot_unfold(measured, resp_of, resp_sf, cfg):
     solve[:nb, :nb] = truncated_solver(r_of_m, cfg.rank_of)
     solve[nb:, nb:] = truncated_solver(r_sf_m, cfg.rank_sf)
     lin = np.linalg.inv(mix) @ solve @ mix
-    x = lin @ np.concatenate([measured.n_of, measured.n_sf])
-    cov = lin * np.concatenate([measured.var_of, measured.var_sf]) @ lin.T
+    y, var_y = stacked(measured)
+    x = lin @ y
+    cov = lin * var_y @ lin.T
     var = np.diag(cov)
-    return BinnedCounts(measured.binning, x[:nb], x[nb:],
-                        var_of=var[:nb], var_sf=var[nb:]), cov
+    return BinnedCounts(measured.binning, [x[:nb], x[nb:]],
+                        [var[:nb], var[nb:]]), cov

@@ -180,13 +180,12 @@ class TestUnfolding:
         r_sf = ResponseMatrix(Binning(), kernel * t_sf, t_sf, cls="SF")
         x_of = rng.uniform(10, 1000, nb)
         x_sf = rng.uniform(10, 1000, nb)
-        counts = BinnedCounts(Binning(),
-                              r_of.efficiency_normalized @ x_of,
-                              r_sf.efficiency_normalized @ x_sf)
+        counts = BinnedCounts(Binning(), [r_of.efficiency_normalized @ x_of,
+                                          r_sf.efficiency_normalized @ x_sf])
         cfg = UnfoldConfig(rank_of=nb, rank_sf=nb)
         x, *_ = dsvd_unfold(counts, unfolding_map(r_of, r_sf, cfg))
-        worst = max(np.max(np.abs(x.n_of / x_of - 1)),
-                    np.max(np.abs(x.n_sf / x_sf - 1)))
+        worst = max(np.max(np.abs(x.n[0] / x_of - 1)),
+                    np.max(np.abs(x.n[1] / x_sf - 1)))
         check("noiseless closure", worst <= 1e-8,
               f"max relative deviation {worst:.2e} <= 1e-8")
 

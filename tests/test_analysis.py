@@ -16,8 +16,13 @@ from flavourasym.analysis import (WRONG_TAG_ERROR, AsymmetrySpectrum,
                                   subtract_background, write_counts,
                                   write_spectrum)
 from flavourasym.models import ModelParams
-from flavourasym.toygen import (BackgroundConfig, DetectorConfig, GenModel,
-                                make_signal_events, stream_rng)
+from flavourasym.toygen import (BACKGROUND_CATEGORIES, BackgroundConfig,
+                                BackgroundShape, CategoryYield,
+                                DetectorConfig, GenModel, make_signal_events,
+                                stream_rng)
+from flavourasym.unfold import dsvd_unfold
+from oracles import (per_class_asymmetry, per_class_background,
+                     per_class_mistag, per_class_subtraction, stacked)
 
 TWO_BIN = Binning((0.0, 1.0, 2.0))
 
@@ -28,8 +33,26 @@ def fixture_text():
 
 
 def counts_2(n_of, n_sf, **kw):
-    return BinnedCounts(TWO_BIN, np.asarray(n_of, float),
-                        np.asarray(n_sf, float), **kw)
+    return BinnedCounts(TWO_BIN, [n_of, n_sf], **kw)
+
+
+class TestBinnedCounts:
+    def test_counts_shape_checked(self):
+        with pytest.raises(ValueError, match="counts of shape"):
+            BinnedCounts(TWO_BIN, [1.0, 2.0])
+
+    def test_variance_shape_refused(self):
+        # one variance would broadcast to every bin of both classes
+        n_of, n_sf = np.full(11, 30.0), np.full(11, 20.0)
+        with pytest.raises(ValueError, match="variances of shape"):
+            BinnedCounts(Binning(), [n_of, n_sf], [5.0])
+        with pytest.raises(ValueError, match="variances of shape"):
+            BinnedCounts(Binning(), [n_of, n_sf], [n_of])
+
+    def test_swapped_rows_swap_the_classes(self):
+        c = counts_2([75.0, 50.0], [25.0, 50.0])
+        swapped = BinnedCounts(TWO_BIN, c.n[::-1], c.var[::-1])
+        np.testing.assert_array_equal(asymmetry(swapped).a, -asymmetry(c).a)
 
 
 class TestBinning:
@@ -91,38 +114,38 @@ class TestSubtraction:
         b = BackgroundConfig.paper_scale()
         binning = Binning()
         n_bins = binning.n_bins
-        raw = BinnedCounts(binning, np.full(n_bins, 6718.0 / n_bins),
-                           np.full(n_bins, 1847.0 / n_bins))
+        raw = BinnedCounts(binning, [np.full(n_bins, 6718.0 / n_bins),
+                                     np.full(n_bins, 1847.0 / n_bins)])
         out, syst = subtract_background(raw, b)
-        assert out.n_of.sum() == pytest.approx(6718.0 - 458.0, abs=1e-9)
-        assert out.n_sf.sum() == pytest.approx(1847.0 - 292.5, abs=1e-9)
+        assert out.n[0].sum() == pytest.approx(6718.0 - 458.0, abs=1e-9)
+        assert out.n[1].sum() == pytest.approx(1847.0 - 292.5, abs=1e-9)
         assert np.all(syst >= 0.0) and np.any(syst > 0.0)
 
     def test_zero_background_noop(self):
         raw = counts_2([100.0, 50.0], [20.0, 30.0])
         out, syst = subtract_background(raw, BackgroundConfig())
-        np.testing.assert_array_equal(out.n_of, raw.n_of)
-        np.testing.assert_array_equal(out.n_sf, raw.n_sf)
+        np.testing.assert_array_equal(out.n[0], raw.n[0])
+        np.testing.assert_array_equal(out.n[1], raw.n[1])
         np.testing.assert_array_equal(syst, 0.0)
 
     def test_variance_inflated_by_yield_errors(self):
         b = BackgroundConfig.paper_scale()
         binning = Binning()
-        raw = BinnedCounts(binning, np.full(11, 600.0), np.full(11, 170.0))
+        raw = BinnedCounts(binning, [np.full(11, 600.0), np.full(11, 170.0)])
         out, _ = subtract_background(raw, b)
-        assert np.all(out.var_of >= raw.var_of)
-        assert np.any(out.var_of > raw.var_of)
+        assert np.all(out.var[0] >= raw.var[0])
+        assert np.any(out.var[0] > raw.var[0])
 
     def test_expected_counts_sum_to_yields(self):
         b = BackgroundConfig.paper_scale()
-        exp_of, exp_sf, _, _ = expected_background_counts(b, Binning())
+        (exp_of, exp_sf), _ = expected_background_counts(b, Binning())
         assert exp_of.sum() == pytest.approx(458.0, abs=1e-9)
         assert exp_sf.sum() == pytest.approx(292.5, abs=1e-9)
 
     def test_negative_bins_flagged_not_clamped(self):
         raw = counts_2([1.0, 100.0], [1.0, 100.0])
         out, _ = subtract_background(raw, BackgroundConfig.paper_scale())
-        assert np.any(out.n_of < 0)
+        assert np.any(out.n[0] < 0)
         assert 0 in out.negative_bins
 
 
@@ -138,9 +161,9 @@ class TestMistag:
         w = 0.015
         c = counts_2([700.0, 90.0], [300.0, 110.0])
         out = mistag_correct_counts(c, w)
-        np.testing.assert_allclose((1 - w) * out.n_of + w * out.n_sf, c.n_of,
+        np.testing.assert_allclose((1 - w) * out.n[0] + w * out.n[1], c.n[0],
                                    rtol=1e-12)
-        np.testing.assert_allclose((1 - w) * out.n_sf + w * out.n_of, c.n_sf,
+        np.testing.assert_allclose((1 - w) * out.n[1] + w * out.n[0], c.n[1],
                                    rtol=1e-12)
 
     def test_observed_097_recovers_unity(self):
@@ -162,7 +185,7 @@ class TestMistag:
         np.testing.assert_allclose(asymmetry(out).a,
                                    asymmetry(c).a / (1.0 - 2.0 * w),
                                    atol=1e-12)
-        np.testing.assert_allclose(out.n_of + out.n_sf, c.n_of + c.n_sf,
+        np.testing.assert_allclose(out.n[0] + out.n[1], c.n[0] + c.n[1],
                                    atol=1e-9)
 
     def test_invalid_w(self):
@@ -204,9 +227,9 @@ class TestBinEvents:
                                 DetectorConfig(), stream_rng(3, 0))
         c = bin_events(ev["dt_rec_ps"], ev["cls_assigned"],
                        Binning((0.0, 1.0, 2.0)))
-        in_total = c.n_of.sum() + c.n_sf.sum()
-        assert in_total + c.overflow_of + c.overflow_sf == len(ev)
-        assert c.overflow_of > 0
+        in_total = c.n[0].sum() + c.n[1].sum()
+        assert in_total + c.overflow[0] + c.overflow[1] == len(ev)
+        assert c.overflow[0] > 0
 
     def test_in_range_rule_is_numpy_histogram(self):
         # every edge, every midpoint, just past the last edge and far out:
@@ -217,12 +240,12 @@ class TestBinEvents:
         dt = np.concatenate([values, values])
         cls = np.repeat(np.array([0, 1], dtype=np.int8), len(values))
         c = bin_events(dt, cls, binning)
-        np.testing.assert_array_equal(c.n_of, np.histogram(values, e)[0])
-        np.testing.assert_array_equal(c.n_sf, np.histogram(values, e)[0])
-        assert c.n_of.sum() == len(e) + len(e) - 1          # 23 binned
-        assert c.overflow_of == c.overflow_sf == 2
-        assert (c.n_of.sum() + c.n_sf.sum() + c.overflow_of
-                + c.overflow_sf) == len(dt)
+        np.testing.assert_array_equal(c.n[0], np.histogram(values, e)[0])
+        np.testing.assert_array_equal(c.n[1], np.histogram(values, e)[0])
+        assert c.n[0].sum() == len(e) + len(e) - 1          # 23 binned
+        assert c.overflow[0] == c.overflow[1] == 2
+        assert (c.n[0].sum() + c.n[1].sum() + c.overflow[0]
+                + c.overflow[1]) == len(dt)
 
 
 @st.composite
@@ -266,8 +289,7 @@ def test_bin_events_overflow_is_what_histogram_leaves_out(case, data):
     binning, dt = case
     cls = data.draw(hnp.arrays(np.int8, len(dt), elements=st.integers(0, 1)))
     c = bin_events(dt, cls, binning)
-    for n, overflow, code in ((c.n_of, c.overflow_of, 0),
-                              (c.n_sf, c.overflow_sf, 1)):
+    for n, overflow, code in zip(c.n, c.overflow, (0, 1)):
         in_bins = np.histogram(dt[cls == code], binning.array)[0]
         np.testing.assert_array_equal(n, in_bins)
         assert type(overflow) is int
@@ -388,14 +410,14 @@ class TestSpectrumIO:
             read_spectrum(path)
 
     def test_counts_round_trip(self, tmp_path):
-        c = BinnedCounts(Binning(), np.linspace(1, 50, 11),
-                         np.linspace(60, 2, 11), var_of=np.full(11, 3.5),
-                         var_sf=np.full(11, 0.25))
+        c = BinnedCounts(Binning(),
+                         [np.linspace(1, 50, 11), np.linspace(60, 2, 11)],
+                         [np.full(11, 3.5), np.full(11, 0.25)])
         path = tmp_path / "counts.csv"
         write_counts(c, path)
         back = read_counts(path)
         assert back.binning.array == pytest.approx(c.binning.array)
-        for f in ("n_of", "n_sf", "var_of", "var_sf"):
+        for f in ("n", "var"):
             np.testing.assert_allclose(getattr(back, f), getattr(c, f),
                                        rtol=1e-8)
 
@@ -415,5 +437,62 @@ def test_mistag_round_trip_property(w, a):
     out = mistag_correct_counts(c, w)
     # the correction recovers the undiluted asymmetry and keeps the total
     np.testing.assert_allclose(asymmetry(out).a, [a, a], atol=1e-12)
-    np.testing.assert_allclose(out.n_of + out.n_sf, c.n_of + c.n_sf,
+    np.testing.assert_allclose(out.n[0] + out.n[1], c.n[0] + c.n[1],
                                rtol=1e-12)
+
+
+@st.composite
+def class_axis_case(draw):
+    """(2, n_bins) counts with zero and negative bins, their variances,
+    three background categories of drawn yields and shapes, a mistag
+    fraction and an unfolding map."""
+    shape = (2, Binning().n_bins)
+    # no magnitude in (0, 1e-3), whose square in a subtracted bin could
+    # underflow to zero
+    n = draw(hnp.arrays(float, shape, elements=st.one_of(
+        st.just(0.0), st.integers(-50, 10_000).map(float),
+        st.floats(1e-3, 1e5), st.floats(-1e3, -1e-3))))
+    var = draw(hnp.arrays(float, shape, elements=st.floats(0.0, 1e5)))
+    yields = {cat: CategoryYield(
+        *draw(st.tuples(*[st.just(0.0) | st.floats(1e-3, 1e3)] * 4)),
+        BackgroundShape(draw(st.sampled_from(["exp", "flat"])),
+                        draw(st.floats(0.1, 20.0))))
+        for cat in BACKGROUND_CATEGORIES}
+    w = draw(st.floats(0.0, 0.49))
+    lin = np.random.default_rng(draw(st.integers(0, 2 ** 32))).normal(
+        size=(2 * shape[1], 2 * shape[1]))
+    return BinnedCounts(Binning(), n, var), BackgroundConfig(yields), w, lin
+
+
+@given(case=class_axis_case())
+@settings(max_examples=200, deadline=None)
+def test_class_axis_formulas_are_the_per_class_ones_bit_for_bit(case):
+    c, b, w, lin = case
+    per_class = (*c.n, *c.var)
+    exp, var = expected_background_counts(b, c.binning)
+    ref = per_class_background(b, c.binning)
+    for got, want in zip((*exp, *var), ref):
+        assert np.array_equal(got, want)
+
+    out, syst = subtract_background(c, b)
+    ref, ref_syst = per_class_subtraction(*per_class, b, c.binning)
+    for got, want in zip((*out.n, *out.var), ref):
+        assert np.array_equal(got, want)
+    assert np.array_equal(syst, ref_syst)
+    assert out.overflow == c.overflow
+
+    out = mistag_correct_counts(c, w)
+    for got, want in zip((*out.n, *out.var), per_class_mistag(*per_class, w)):
+        assert np.array_equal(got, want)
+
+    positive = BinnedCounts(c.binning, np.abs(c.n) + 1.0, c.var)
+    spec = asymmetry(positive)
+    a, err = per_class_asymmetry(*positive.n, *positive.var)
+    assert np.array_equal(spec.a, a) and np.array_equal(spec.stat_err, err)
+
+    x, cov = dsvd_unfold(c, lin)
+    y, var_y = stacked(c)
+    ref_cov = lin * var_y @ lin.T
+    assert np.array_equal(x.n.reshape(-1), lin @ y)
+    assert np.array_equal(cov, ref_cov)
+    assert np.array_equal(x.var.reshape(-1), np.diag(ref_cov))

@@ -150,7 +150,7 @@ class TestChain:
         counts_file = tmp_path / "spectrum.counts.csv"
         assert counts_file.is_file()
         counts = read_counts(counts_file)
-        assert counts.n_of.sum() + counts.n_sf.sum() == pytest.approx(
+        assert counts.n[0].sum() + counts.n[1].sum() == pytest.approx(
             7815.0, rel=0.05)
         assert main(["unfold", "--config", str(cfg_path), str(counts_file),
                      "--out", str(unfolded)]) == EXIT_OK
@@ -206,7 +206,7 @@ class TestChain:
         counts = read_counts(tmp_path / "spectrum.counts.csv")
         assert log["negative_bins"] == [
             k + 1 for k in range(counts.binning.n_bins)
-            if counts.n_of[k] < 0 or counts.n_sf[k] < 0]
+            if counts.n[0, k] < 0 or counts.n[1, k] < 0]
 
     def test_analyze_missing_events_file(self, tmp_path, cfg_path):
         assert main(["analyze", "--config", str(cfg_path),

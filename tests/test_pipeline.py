@@ -24,8 +24,8 @@ def _smear_per_variant(cfg, delta_um, n_replicas):
     up = float(np.sqrt(s ** 2 + delta_um ** 2))
     dn = float(np.sqrt(max(s ** 2 - delta_um ** 2, 0.0)))
     nominal = unfolding_map(*build_training_responses(cfg), cfg.unfold)
-    variants = [unfolding_map(*build_training_responses(
-        cfg, detector=replace(cfg.detector, extra_smear_sigma=v)), cfg.unfold)
+    variants = [unfolding_map(*train_responses(
+        cfg, [replace(cfg.detector, extra_smear_sigma=v)])[0], cfg.unfold)
         for v in (up, dn)]
     shifts = []
     for variant in variants:
@@ -82,6 +82,13 @@ def test_smear_systematic_matches_per_variant_loop():
     ref = _smear_per_variant(CFG, 35.0, 3)
     assert np.all(ref > 0)
     np.testing.assert_array_equal(got, ref)
+
+
+def test_smear_systematic_is_zero_without_a_smear_shift():
+    # at delta 0 both variants train the nominal detector, so their maps
+    # are the nominal one and every shift is exactly zero
+    got = smear_systematic(CFG, delta_um=0.0, n_replicas=2)
+    np.testing.assert_array_equal(got, np.zeros(CFG.binning.n_bins))
 
 
 def _assert_same_responses(pair, ref):

@@ -188,7 +188,8 @@ class TestBackgrounds:
                                      stream_rng(2, k))["category"]
             assert np.sum(cat == signal) == len(sig)
             totals.append(np.sum(cat != signal))
-        assert np.mean(totals) == pytest.approx(b.total(), rel=0.05)
+        assert np.mean(totals) == pytest.approx(
+            sum(y.n_of + y.n_sf for y in b.yields.values()), rel=0.05)
 
     def test_empty_config_is_noop(self):
         sig = make_signal_events(GenModel.QM, P, 50, DetectorConfig(),
@@ -310,10 +311,11 @@ def _format_case(kind):
         return (partial(write_spectrum, s), read_spectrum, write_spectrum,
                 ref)
     if kind == "counts":
-        c = BinnedCounts(binning, numbers(), numbers(), numbers(), numbers())
+        c = BinnedCounts(binning, [numbers(), numbers()],
+                         [numbers(), numbers()])
         ref = _cell_by_cell(
             ["bin", "lo_ps", "hi_ps", "n_of", "var_of", "n_sf", "var_sf"],
-            (bin_cells(i, c.n_of[i], c.var_of[i], c.n_sf[i], c.var_sf[i])
+            (bin_cells(i, c.n[0, i], c.var[0, i], c.n[1, i], c.var[1, i])
              for i in range(nb)))
         return (partial(write_counts, c), read_counts, write_counts, ref)
     if kind == "response":

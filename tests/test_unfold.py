@@ -62,15 +62,13 @@ class TestMixing:
         eff = 0.7
         r = identity_response(eff=eff)
         cfg = UnfoldConfig(rank_of=NB, rank_sf=NB)
-        counts = BinnedCounts(Binning(), RNG.uniform(0, 100, NB),
-                              RNG.uniform(0, 100, NB))
+        counts = BinnedCounts(Binning(), [RNG.uniform(0, 100, NB),
+                                          RNG.uniform(0, 100, NB)])
         x, cov = dsvd_unfold(counts, unfolding_map(r, r, cfg))
-        np.testing.assert_allclose(x.n_of, counts.n_of / eff, atol=1e-10)
-        np.testing.assert_allclose(x.n_sf, counts.n_sf / eff, atol=1e-10)
+        np.testing.assert_allclose(x.n[0], counts.n[0] / eff, atol=1e-10)
+        np.testing.assert_allclose(x.n[1], counts.n[1] / eff, atol=1e-10)
         np.testing.assert_allclose(
-            cov,
-            np.diag(np.concatenate([counts.var_of, counts.var_sf])) / eff ** 2,
-            atol=1e-10)
+            cov, np.diag(counts.var.reshape(-1)) / eff ** 2, atol=1e-10)
 
     def test_zero_mixing_identity(self):
         cfg = UnfoldConfig(mix_s=0.0, mix_o=0.0)
@@ -81,14 +79,14 @@ class TestMixing:
         np.testing.assert_array_equal(of_m.truth_totals, r_of.truth_totals)
         np.testing.assert_array_equal(sf_m.m, r_sf.m)
         np.testing.assert_array_equal(sf_m.truth_totals, r_sf.truth_totals)
-        counts = BinnedCounts(Binning(), RNG.uniform(50, 500, NB),
-                              RNG.uniform(50, 500, NB))
+        counts = BinnedCounts(Binning(), [RNG.uniform(50, 500, NB),
+                                          RNG.uniform(50, 500, NB)])
         x, cov = dsvd_unfold(counts, unfolding_map(r_of, r_sf, cfg))
         np.testing.assert_allclose(
-            x.n_of, truncated_solver(r_of, cfg.rank_of) @ counts.n_of,
+            x.n[0], truncated_solver(r_of, cfg.rank_of) @ counts.n[0],
             rtol=1e-12)
         np.testing.assert_allclose(
-            x.n_sf, truncated_solver(r_sf, cfg.rank_sf) @ counts.n_sf,
+            x.n[1], truncated_solver(r_sf, cfg.rank_sf) @ counts.n[1],
             rtol=1e-12)
         np.testing.assert_array_equal(cov[:NB, NB:], np.zeros((NB, NB)))
 
@@ -113,12 +111,12 @@ class TestMixing:
         var_of = RNG.uniform(20, 600, NB)
         var_sf = RNG.uniform(20, 600, NB)
         x, cov = dsvd_unfold(
-            BinnedCounts(Binning(), of, sf, var_of, var_sf),
+            BinnedCounts(Binning(), [of, sf], [var_of, var_sf]),
             unfolding_map(identity_response(eff=e_of),
                           identity_response(eff=e_sf), cfg))
         of_b, sf_b = demix(of, sf)
-        np.testing.assert_allclose(x.n_of, of_b, rtol=1e-10)
-        np.testing.assert_allclose(x.n_sf, sf_b, rtol=1e-10)
+        np.testing.assert_allclose(x.n[0], of_b, rtol=1e-10)
+        np.testing.assert_allclose(x.n[1], sf_b, rtol=1e-10)
         (j_oo, j_so), (j_os, j_ss) = demix(1.0, 0.0), demix(0.0, 1.0)
         np.testing.assert_allclose(np.diag(cov)[:NB],
                                    j_oo ** 2 * var_of + j_os ** 2 * var_sf,
@@ -161,10 +159,10 @@ class TestTruncatedSolver:
         # data matching the folded a-priori is returned as the scaled
         # a-priori regardless of truncation
         r = random_response(np.random.default_rng(12))
-        y = 0.37 * (r.efficiency_normalized @ r.apriori)
+        y = 0.37 * (r.efficiency_normalized @ r.truth_totals)
         for rank in (2, 5, 8, NB):
             x = truncated_solver(r, rank) @ y
-            np.testing.assert_allclose(x, 0.37 * r.apriori, rtol=1e-9)
+            np.testing.assert_allclose(x, 0.37 * r.truth_totals, rtol=1e-9)
 
     def test_linearity_preserved(self):
         # the normalization matching is itself linear, so the map is a
@@ -208,22 +206,21 @@ class TestTruncatedSolver:
 
 
 def measured_from_truth(r_of, r_sf, x_of, x_sf):
-    return BinnedCounts(Binning(),
-                        r_of.efficiency_normalized @ x_of,
-                        r_sf.efficiency_normalized @ x_sf,
-                        var_of=np.ones(NB), var_sf=np.ones(NB))
+    return BinnedCounts(Binning(), [r_of.efficiency_normalized @ x_of,
+                                    r_sf.efficiency_normalized @ x_sf],
+                        np.ones((2, NB)))
 
 
 class TestDsvdUnfold:
     def test_identity_response(self):
         r = identity_response()
-        counts = BinnedCounts(Binning(), RNG.uniform(50, 500, NB),
-                              RNG.uniform(50, 500, NB))
+        counts = BinnedCounts(Binning(), [RNG.uniform(50, 500, NB),
+                                          RNG.uniform(50, 500, NB)])
         cfg = UnfoldConfig(rank_of=NB, rank_sf=NB, mix_s=0.0, mix_o=0.0)
         x, cov = dsvd_unfold(counts, unfolding_map(r, r, cfg))
-        np.testing.assert_allclose(x.n_of, counts.n_of, rtol=1e-9)
-        np.testing.assert_allclose(x.n_sf, counts.n_sf, rtol=1e-9)
-        np.testing.assert_allclose(cov[:NB, :NB], np.diag(counts.var_of),
+        np.testing.assert_allclose(x.n[0], counts.n[0], rtol=1e-9)
+        np.testing.assert_allclose(x.n[1], counts.n[1], rtol=1e-9)
+        np.testing.assert_allclose(cov[:NB, :NB], np.diag(counts.var[0]),
                                    atol=1e-7)
         np.testing.assert_allclose(cov[:NB, NB:], np.zeros((NB, NB)),
                                    atol=1e-9)
@@ -236,8 +233,8 @@ class TestDsvdUnfold:
         counts = measured_from_truth(r_of, r_sf, x_of, x_sf)
         cfg = UnfoldConfig(rank_of=NB, rank_sf=NB, mix_s=0.0, mix_o=0.0)
         x, *_ = dsvd_unfold(counts, unfolding_map(r_of, r_sf, cfg))
-        np.testing.assert_allclose(x.n_of, x_of, rtol=1e-8)
-        np.testing.assert_allclose(x.n_sf, x_sf, rtol=1e-8)
+        np.testing.assert_allclose(x.n[0], x_of, rtol=1e-8)
+        np.testing.assert_allclose(x.n[1], x_sf, rtol=1e-8)
 
     def test_noiseless_closure_full_rank_with_mixing(self):
         # mixing commutes with folding when both classes share the same
@@ -251,14 +248,14 @@ class TestDsvdUnfold:
         counts = measured_from_truth(r_of, r_sf, x_of, x_sf)
         cfg = UnfoldConfig(rank_of=NB, rank_sf=NB)
         x, *_ = dsvd_unfold(counts, unfolding_map(r_of, r_sf, cfg))
-        np.testing.assert_allclose(x.n_of, x_of, rtol=1e-8)
-        np.testing.assert_allclose(x.n_sf, x_sf, rtol=1e-8)
+        np.testing.assert_allclose(x.n[0], x_of, rtol=1e-8)
+        np.testing.assert_allclose(x.n[1], x_sf, rtol=1e-8)
 
     def test_covariance_symmetric_psd(self):
         r_of = random_response(np.random.default_rng(23), "OF")
         r_sf = random_response(np.random.default_rng(24), "SF")
-        counts = BinnedCounts(Binning(), RNG.uniform(50, 500, NB),
-                              RNG.uniform(50, 500, NB))
+        counts = BinnedCounts(Binning(), [RNG.uniform(50, 500, NB),
+                                          RNG.uniform(50, 500, NB)])
         _, cov = dsvd_unfold(counts,
                              unfolding_map(r_of, r_sf, UnfoldConfig()))
         np.testing.assert_allclose(cov, cov.T, atol=1e-9)
@@ -273,10 +270,10 @@ class TestDsvdUnfold:
         cfg = UnfoldConfig()
 
         def unfold(y, var):
-            x, cov = dsvd_unfold(BinnedCounts(Binning(), y[:NB], y[NB:],
-                                              var[:NB], var[NB:]),
+            x, cov = dsvd_unfold(BinnedCounts(Binning(), y.reshape(2, NB),
+                                              var.reshape(2, NB)),
                                  unfolding_map(r_of, r_sf, cfg))
-            return np.concatenate([x.n_of, x.n_sf]), cov
+            return x.n.reshape(-1), cov
 
         ones = np.ones(2 * NB)
         lin = np.column_stack([unfold(e, ones)[0] for e in np.eye(2 * NB)])
@@ -303,22 +300,23 @@ class TestDsvdUnfold:
             truncated_solver(r_sf, 5)
         cfg = UnfoldConfig()
         _, sf_m = mix_responses(r_of, r_sf, cfg)
-        assert sf_m.apriori[0] == pytest.approx(
+        assert sf_m.truth_totals[0] == pytest.approx(
             cfg.mix_o * r_of.truth_totals[0])
         of = np.full(NB, 100.0)
         sf = np.full(NB, 100.0)
         sf[0] = 0.0
-        x, cov = dsvd_unfold(BinnedCounts(Binning(), of, sf),
+        x, cov = dsvd_unfold(BinnedCounts(Binning(), [of, sf]),
                              unfolding_map(r_of, r_sf, cfg))
-        assert np.all(np.isfinite(x.n_of)) and np.all(np.isfinite(x.n_sf))
+        assert np.all(np.isfinite(x.n[0])) and np.all(np.isfinite(x.n[1]))
         assert np.all(np.isfinite(cov))
 
 
 class TestUnfoldedAsymmetry:
     def test_values_and_errors(self):
-        x = BinnedCounts(Binning(), np.full(NB, 300.0), np.full(NB, 100.0))
+        x = BinnedCounts(Binning(), [np.full(NB, 300.0), np.full(NB, 100.0)])
         cov = np.diag(np.full(2 * NB, 4.0))
-        a, cov_a = unfolded_asymmetry(x, cov, debias=False)
+        _, cov_a = unfolded_asymmetry(x, cov)
+        a = (x.n[0] - x.n[1]) / (x.n[0] + x.n[1])   # the raw ratio
         np.testing.assert_allclose(a, 0.5, atol=1e-12)
         # da = (2 sf dof - 2 of dsf)/tot^2; var = 4 (sf^2+of^2) var / tot^4
         expect = 4.0 * (300.0 ** 2 + 100.0 ** 2) * 4.0 / 400.0 ** 4
@@ -331,10 +329,10 @@ class TestUnfoldedAsymmetry:
         of = rng.normal(of0, sig, 400000)
         sf = rng.normal(sf0, sig, 400000)
         mc_mean = np.mean((of - sf) / (of + sf))
-        x = BinnedCounts(Binning(), np.full(NB, of0), np.full(NB, sf0))
+        x = BinnedCounts(Binning(), [np.full(NB, of0), np.full(NB, sf0)])
         cov = np.diag(np.full(2 * NB, sig ** 2))
-        a_raw, _ = unfolded_asymmetry(x, cov, debias=False)
-        a_cor, _ = unfolded_asymmetry(x, cov, debias=True)
+        a_raw = (x.n[0] - x.n[1]) / (x.n[0] + x.n[1])
+        a_cor, _ = unfolded_asymmetry(x, cov)
         # the correction moves the estimate toward the true ratio by
         # approximately the observed expectation bias
         truth = (of0 - sf0) / (of0 + sf0)
