@@ -23,7 +23,6 @@ __all__ = [
     "subtract_background",
     "asymmetry",
     "WRONG_TAG_ERROR",
-    "BOOTSTRAP_SEED",
     "mistag_correct_counts",
     "mistag_systematic",
     "write_spectrum",
@@ -34,8 +33,6 @@ __all__ = [
 
 DEFAULT_EDGES = (0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 9.0, 13.0, 20.0)
 WRONG_TAG_ERROR = 0.005   # uncertainty on the mistag fraction
-BOOTSTRAP_SEED = 20060207  # degenerate-bin bootstrap: fixed seed
-BOOTSTRAP_DRAWS = 10000    # and number of draws
 
 
 @dataclass(frozen=True)
@@ -105,6 +102,8 @@ class BinnedCounts:
         if self.var.shape != self.n.shape:
             raise ValueError(f"variances of shape {self.var.shape} do not "
                              f"match the counts' {self.n.shape}")
+        if np.any(self.var < 0):
+            raise ValueError("negative variance")
 
     @property
     def negative_bins(self) -> np.ndarray:
@@ -202,8 +201,11 @@ def asymmetry(c: BinnedCounts) -> AsymmetrySpectrum:
     """(OF - SF) / (OF + SF) per bin with propagated statistical errors.
 
     For raw Poisson counts the error reduces to the binomial formula
-    2 sqrt(n_of n_sf / n^3). Degenerate bins (one class empty) get a
-    bootstrap error instead of the spuriously zero binomial one.
+    2 sqrt(n_of n_sf / n^3). A degenerate bin (a class empty or subtracted
+    below zero), where that is spuriously zero, gets the binomial width
+    2 sqrt(p (1 - p) / n) of n = max(round(n_of + n_sf), 1) trials at
+    p = n_of / (n_of + n_sf) clipped to [1/(n+2), 1 - 1/(n+2)] by the rule
+    of succession.
     """
     n_of, n_sf = c.n
     tot = n_of + n_sf
@@ -213,17 +215,10 @@ def asymmetry(c: BinnedCounts) -> AsymmetrySpectrum:
     a = (n_of - n_sf) / tot
     # linear propagation of var(n_of), var(n_sf) through the ratio
     err = 2.0 / tot ** 2 * np.sqrt((c.n[::-1] ** 2 * c.var).sum(axis=0))
-    degenerate = (c.n <= 0).any(axis=0)
-    if np.any(degenerate):
-        rng = np.random.default_rng(BOOTSTRAP_SEED)
-        for i in np.flatnonzero(degenerate):
-            n = max(int(round(tot[i])), 1)
-            # rule-of-succession clip keeps the bootstrap spread non-zero
-            # when one class is empty or was subtracted below zero
-            p_lo = 1.0 / (n + 2.0)
-            p_of = min(max(n_of[i] / tot[i], p_lo), 1.0 - p_lo)
-            draws = rng.binomial(n, p_of, size=BOOTSTRAP_DRAWS)
-            err[i] = np.std(2.0 * draws / n - 1.0)
+    n = np.maximum(np.round(tot), 1.0)
+    p = np.clip(n_of / tot, 1.0 / (n + 2.0), 1.0 - 1.0 / (n + 2.0))
+    err = np.where((c.n <= 0).any(axis=0), 2.0 * np.sqrt(p * (1.0 - p) / n),
+                   err)
     return AsymmetrySpectrum(c.binning, a, err)
 
 
@@ -240,8 +235,6 @@ def mistag_correct_counts(c: BinnedCounts, w: float) -> BinnedCounts:
     the OF+SF sum is preserved.
     """
     d = _dilution(w)
-    if w == 0.0:
-        return c
     n = ((1.0 - w) * c.n - w * c.n[::-1]) / d
     var = ((1.0 - w) ** 2 * c.var + w ** 2 * c.var[::-1]) / d ** 2
     return BinnedCounts(c.binning, n, var, c.overflow)
@@ -302,11 +295,11 @@ def write_counts(c: BinnedCounts, path) -> None:
 
 
 def read_counts(path) -> BinnedCounts:
-    """Counts from a file written by `write_counts`; rejects negative
-    variances."""
+    """Counts from a file written by `write_counts`."""
     _, rows = read_table(path, _COUNTS)
-    n, var = (np.array([rows[k + "_of"], rows[k + "_sf"]])
-              for k in ("n", "var"))
-    if np.any(var < 0):
-        raise ValueError(f"{path}: negative variance")
-    return BinnedCounts(Binning(_edges(rows, path)), n, var)
+    n, var = ([rows[k + "_of"], rows[k + "_sf"]] for k in ("n", "var"))
+    binning = Binning(_edges(rows, path))
+    try:
+        return BinnedCounts(binning, n, var)
+    except ValueError as e:     # a negative variance
+        raise ValueError(f"{path}: {e}") from None

@@ -45,6 +45,9 @@ class ResponseMatrix:
         self.truth_totals = np.asarray(self.truth_totals, dtype=float)
         if self.m.shape != (nb, nb):
             raise ValueError(f"response must be {nb}x{nb}, got {self.m.shape}")
+        if self.truth_totals.shape != (nb,):
+            raise ValueError(f"truth totals of shape {self.truth_totals.shape}"
+                             f" do not match the {nb} bins")
         if np.any(self.m < 0):
             raise ValueError("response entries must be non-negative")
         if np.any(self.m.sum(axis=0) > self.truth_totals + 1e-9):
@@ -224,11 +227,16 @@ def recorded_edges(binning: Binning) -> str:
     return ",".join("%.9g" % e for e in binning.array)
 
 
+def _digest(edges: np.ndarray) -> str:
+    """The `binning=` digest of a response file: of the edges as recorded,
+    so that a response read back keeps it."""
+    return hashlib.sha256(edges.tobytes()).hexdigest()[:12]
+
+
 def write_response(resp: ResponseMatrix, path) -> None:
     edges = recorded_edges(resp.binning)
-    # the digest of the edges as recorded, which a response read back keeps
-    bh = hashlib.sha256(np.array(edges.split(","), float).tobytes())
-    preamble = [f"# class={resp.cls} binning={bh.hexdigest()[:12]} "
+    preamble = [f"# class={resp.cls} "
+                f"binning={_digest(np.array(edges.split(','), float))} "
                 f"edges={edges}",
                 "# truth_totals=" + ",".join("%.9g" % t
                                              for t in resp.truth_totals)]
@@ -237,13 +245,17 @@ def write_response(resp: ResponseMatrix, path) -> None:
 
 def read_response(path) -> ResponseMatrix:
     (head, totals), m = read_table(path, float, header=False, preamble=2)
-    if not (head.startswith("# class=") and " edges=" in head
-            and totals.startswith("# truth_totals=")):
+    if not (head.startswith("# class=") and " binning=" in head
+            and " edges=" in head and totals.startswith("# truth_totals=")):
         raise ValueError(f"not a response file: {path}")
     cls = head.split("class=")[1].split()[0]
     if cls not in ("OF", "SF"):
         raise ValueError(f"{path}: unknown response class {cls!r}")
-    edges = finite(head.split("edges=")[1].split(","), f"{path}: edges")
+    recorded = head.split("edges=")[1]
+    edges = finite(recorded.split(","), f"{path}: edges")
+    if head.split("binning=")[1].split()[0] != _digest(edges):
+        raise ValueError(f"{path}: the binning digest does not match the "
+                         f"recorded edges {recorded}")
     totals = finite(totals.split("truth_totals=")[1].split(","),
                     f"{path}: truth_totals")
     return ResponseMatrix(Binning(tuple(edges)), m, totals, cls=cls)

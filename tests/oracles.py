@@ -1,7 +1,8 @@
 """Test oracles: quadrature for the t_min-marginalized model curves, the
 band and PS draws from the per-edge joint formulas, response training on
-the event record, the count formulas written out once per class, and the
-unfolding built and applied in one call."""
+the event record, the count formulas written out once per class, the
+degenerate-bin bootstrap, and the unfolding built and applied in one
+call."""
 
 import numpy as np
 from scipy import integrate
@@ -139,6 +140,17 @@ def per_class_asymmetry(n_of, n_sf, v_of, v_sf):
     tot = n_of + n_sf
     return ((n_of - n_sf) / tot,
             2.0 / tot ** 2 * np.sqrt(n_sf ** 2 * v_of + n_of ** 2 * v_sf))
+
+
+def bootstrap_error(n_of, tot, draws, seed=20060207):
+    """The spread of 2k/n - 1 over `draws` binomial draws k ~ B(n, p), with
+    n = max(round(tot), 1) and p = n_of / tot clipped to [1/(n+2),
+    1 - 1/(n+2)]: a sampled estimate of the degenerate-bin error."""
+    rng = np.random.default_rng(seed)
+    n = max(int(round(tot)), 1)
+    p_lo = 1.0 / (n + 2.0)
+    p_of = min(max(n_of / tot, p_lo), 1.0 - p_lo)
+    return np.std(2.0 * rng.binomial(n, p_of, size=draws) / n - 1.0)
 
 
 def stacked(measured):

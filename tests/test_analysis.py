@@ -21,8 +21,9 @@ from flavourasym.toygen import (BACKGROUND_CATEGORIES, BackgroundConfig,
                                 DetectorConfig, GenModel, make_signal_events,
                                 stream_rng)
 from flavourasym.unfold import dsvd_unfold
-from oracles import (per_class_asymmetry, per_class_background,
-                     per_class_mistag, per_class_subtraction, stacked)
+from oracles import (bootstrap_error, per_class_asymmetry,
+                     per_class_background, per_class_mistag,
+                     per_class_subtraction, stacked)
 
 TWO_BIN = Binning((0.0, 1.0, 2.0))
 
@@ -48,6 +49,13 @@ class TestBinnedCounts:
             BinnedCounts(Binning(), [n_of, n_sf], [5.0])
         with pytest.raises(ValueError, match="variances of shape"):
             BinnedCounts(Binning(), [n_of, n_sf], [n_of])
+
+    def test_negative_variance_refused(self):
+        # it would reach the square root of the asymmetry's error
+        with pytest.raises(ValueError, match="negative variance"):
+            BinnedCounts(Binning((0.0, 1.0)), [[3.4], [-0.6]])
+        with pytest.raises(ValueError, match="negative variance"):
+            counts_2([3.0, 4.0], [5.0, 6.0], var=[[3.0, 4.0], [5.0, -1e-300]])
 
     def test_swapped_rows_swap_the_classes(self):
         c = counts_2([75.0, 50.0], [25.0, 50.0])
@@ -88,24 +96,35 @@ class TestAsymmetry:
         with pytest.raises(ValueError, match="empty bin"):
             asymmetry(counts_2([0.0, 10.0], [0.0, 10.0]))
 
-    def test_degenerate_bin_bootstrap(self):
-        # one empty class: binomial error is spuriously 0, bootstrap is not
-        spec = asymmetry(counts_2([40.0, 10.0], [0.0, 10.0]))
-        assert spec.a[0] == pytest.approx(1.0)
-        assert spec.stat_err[0] > 0.0
+    @pytest.mark.parametrize("n_of, n_sf, n, p", [
+        (40.0, 0.0, 40, 41.0 / 42.0), (0.0, 25.0, 25, 1.0 / 27.0),
+        (30.4, -2.3, 28, 29.0 / 30.0), (-0.6, 7.4, 7, 1.0 / 9.0),
+        (7.6, 0.0, 8, 9.0 / 10.0), (0.3, 0.0, 1, 2.0 / 3.0),
+    ], ids=["of_only", "sf_only", "sf_negative", "of_negative",
+            "non_integer", "below_half"])
+    def test_degenerate_bin_closed_form(self, n_of, n_sf, n, p):
+        # one class empty or below zero: the propagated error would be 0,
+        # so the bin gets the binomial width of n = max(round(tot), 1)
+        # trials at the rule-of-succession p; the other bin keeps the
+        # propagated error
+        spec = asymmetry(counts_2([n_of, 60.0], [n_sf, 40.0],
+                                  var=np.abs([[n_of, 60.0], [n_sf, 40.0]])))
+        assert spec.a[0] == pytest.approx((n_of - n_sf) / (n_of + n_sf),
+                                          rel=1e-12)
+        assert spec.stat_err[0] == pytest.approx(
+            2.0 * np.sqrt(p * (1.0 - p) / n), rel=1e-12)
+        assert spec.stat_err[1] == 2.0 / 100.0 ** 2 * np.sqrt(
+            40.0 ** 2 * 60.0 + 60.0 ** 2 * 40.0)
 
-    def test_bootstrap_error_scale(self):
-        # bootstrap spread for n=40 all-OF should be near the rule-of-
-        # succession binomial width
-        spec = asymmetry(counts_2([40.0, 10.0], [0.0, 10.0]))
-        n, p = 40, 41.0 / 42.0
-        expected = 2.0 * np.sqrt(p * (1.0 - p) / n)
-        assert spec.stat_err[0] == pytest.approx(expected, rel=0.2)
-
-    def test_bootstrap_deterministic(self):
-        a = asymmetry(counts_2([40.0, 10.0], [0.0, 10.0]))
-        b = asymmetry(counts_2([40.0, 10.0], [0.0, 10.0]))
-        assert a.stat_err[0] == b.stat_err[0]
+    @pytest.mark.parametrize("n_of, n_sf", [(40.0, 0.0), (0.0, 3.0),
+                                            (12.2, -1.5), (0.3, 0.0)],
+                             ids=["of_only", "sf_only", "sf_negative",
+                                  "below_half"])
+    def test_degenerate_bin_matches_bootstrap_oracle(self, n_of, n_sf):
+        spec = asymmetry(counts_2([n_of, 10.0], [n_sf, 10.0],
+                                  var=np.abs([[n_of, 10.0], [n_sf, 10.0]])))
+        assert spec.stat_err[0] == pytest.approx(
+            bootstrap_error(n_of, n_of + n_sf, draws=1_000_000), rel=0.01)
 
 
 class TestSubtraction:
@@ -173,8 +192,11 @@ class TestMistag:
         assert out.a[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_w_identity(self):
-        c = counts_2([700.0, 90.0], [300.0, 110.0])
-        assert mistag_correct_counts(c, 0.0) is c
+        c = counts_2([700.0, 90.0], [300.0, 110.0], var=[[690.0, 95.0],
+                                                          [310.0, 100.0]])
+        out = mistag_correct_counts(c, 0.0)
+        np.testing.assert_array_equal(out.n, c.n)
+        np.testing.assert_array_equal(out.var, c.var)
 
     def test_count_level_equivalence(self):
         # the corrected asymmetry is the observed one over (1 - 2w), and

@@ -456,6 +456,31 @@ class TestSavedResponses:
                             bad) == EXIT_VALIDATION
         assert "edges 0,0.6,1," in capsys.readouterr().err
 
+    def test_one_truth_total(self, small_chain, capsys):
+        # read as given, the one total was broadcast to every truth bin
+        d, _ = small_chain
+        lines = (d / "unfolded.resp_sf.csv").read_text().splitlines()
+        assert lines[1].startswith("# truth_totals=")
+        lines[1] = "# truth_totals=1e9"
+        bad = d / "one_total.resp_sf.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert self._unfold(d, d / "unfolded.resp_of.csv",
+                            bad) == EXIT_VALIDATION
+        assert "truth totals of shape (1,)" in capsys.readouterr().err
+
+    def test_digest_differs_from_the_edges(self, small_chain, capsys):
+        d, _ = small_chain
+        lines = (d / "unfolded.resp_of.csv").read_text().splitlines()
+        digest = lines[0].split("binning=")[1].split()[0]
+        lines[0] = lines[0].replace(digest, "0" * len(digest))
+        bad = d / "other_digest.resp_of.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert self._unfold(d, bad,
+                            d / "unfolded.resp_sf.csv") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "other_digest.resp_of.csv" in err
+        assert "binning digest does not match the recorded edges 0,0.5," in err
+
     def test_config_edges_differ_from_the_counts(self, small_chain, tmp_path,
                                                  capsys):
         # responses trained on the config's edges would unfold counts

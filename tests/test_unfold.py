@@ -46,6 +46,12 @@ class TestResponseMatrix:
         with pytest.raises(ValueError):
             ResponseMatrix(Binning(), np.eye(NB - 1), np.ones(NB - 1))
 
+    def test_truth_totals_shape_checked(self):
+        # one total would broadcast to every truth bin
+        for totals in ([5.0], np.full(NB - 1, 5.0), np.full((1, NB), 5.0)):
+            with pytest.raises(ValueError, match="truth totals of shape"):
+                ResponseMatrix(Binning(), np.eye(NB), totals)
+
     def test_doubling_statistics_invariant(self):
         r = random_response(np.random.default_rng(5))
         r2 = ResponseMatrix(r.binning, 2.0 * r.m, 2.0 * r.truth_totals)
