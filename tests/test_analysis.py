@@ -96,6 +96,21 @@ class TestAsymmetry:
         with pytest.raises(ValueError, match="empty bin"):
             asymmetry(counts_2([0.0, 10.0], [0.0, 10.0]))
 
+    def test_degenerate_bin_bootstrap(self):
+        # one empty class: the propagated binomial error is spuriously 0,
+        # the degenerate-bin width (the bootstrap's spread) is not
+        spec = asymmetry(counts_2([40.0, 10.0], [0.0, 10.0]))
+        assert spec.a[0] == pytest.approx(1.0)
+        assert spec.stat_err[0] > 0.0
+
+    def test_bootstrap_error_scale(self):
+        # n=40 all-OF: the error is near the rule-of-succession binomial
+        # width that the bootstrap in tests/oracles.py samples
+        spec = asymmetry(counts_2([40.0, 10.0], [0.0, 10.0]))
+        n, p = 40, 41.0 / 42.0
+        expected = 2.0 * np.sqrt(p * (1.0 - p) / n)
+        assert spec.stat_err[0] == pytest.approx(expected, rel=0.2)
+
     @pytest.mark.parametrize("n_of, n_sf, n, p", [
         (40.0, 0.0, 40, 41.0 / 42.0), (0.0, 25.0, 25, 1.0 / 27.0),
         (30.4, -2.3, 28, 29.0 / 30.0), (-0.6, 7.4, 7, 1.0 / 9.0),
