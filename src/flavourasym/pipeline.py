@@ -20,8 +20,9 @@ from .models import ModelParams
 from .toygen import (BackgroundConfig, DetectorConfig, GenModel,
                      generate_ensemble, make_signal_events, response_sample,
                      stream_rng)
-from .unfold import (UnfoldConfig, bias_correct, build_response, dsvd_unfold,
-                     unfolded_asymmetry, unfolding_map)
+from .unfold import (UnfoldConfig, bias_correct, dsvd_unfold,
+                     response_histogram, response_pair, unfolded_asymmetry,
+                     unfolding_map)
 
 __all__ = [
     "PipelineConfig",
@@ -91,14 +92,19 @@ def train_responses(cfg: PipelineConfig, detectors):
     Truth flavour indexes the matrices: the measured counts are
     mistag-corrected before unfolding, so the response must not fold the
     tag flip back in. The detectors share the truth pairs and the standard
-    normals, so each pair equals a training on that detector alone.
+    normals, so each pair equals a training on that detector alone. The
+    sample comes in blocks; each detector's integer counts are summed over
+    them and turned into matrices once.
     """
-    dt_true, cls_true, dt_recs = response_sample(
-        GenModel.QM, cfg.params, cfg.n_response_mc,
-        [d.total_sigma for d in detectors],
-        stream_rng(cfg.seed, RESPONSE_STREAM))
-    return [build_response(dt_true, dt_rec, cls_true, cfg.binning)
-            for dt_rec in dt_recs]
+    n = cfg.binning.n_bins + 2
+    counts = np.zeros((len(detectors), 2, n, n), dtype=np.intp)
+    for dt_true, cls_true, dt_recs in response_sample(
+            GenModel.QM, cfg.params, cfg.n_response_mc,
+            [d.total_sigma for d in detectors],
+            stream_rng(cfg.seed, RESPONSE_STREAM)):
+        for c, dt_rec in zip(counts, dt_recs):
+            c += response_histogram(dt_true, dt_rec, cls_true, cfg.binning)
+    return [response_pair(c, cfg.binning) for c in counts]
 
 
 def build_training_responses(cfg: PipelineConfig):

@@ -43,6 +43,7 @@ C_UM_PER_PS = 299.792458  # speed of light in micrometres per picosecond
 BETA_GAMMA = 0.425        # boost of the producing resonance along z
 _DZ_PER_PS = BETA_GAMMA * C_UM_PER_PS   # um of vertex separation per ps
 DT_RANGE = (0.0, 20.0)    # analysis window in ps
+_BLOCK = 1 << 16          # pairs per block of the work after the draws
 
 
 class GenModel(enum.Enum):
@@ -165,9 +166,9 @@ class BackgroundConfig:
             CategoryYield(254.0, 1.5, 16.0, 0.5)))))
 
 
-def _joint_asymmetry(model: GenModel, t1, t2, dt, p: ModelParams,
-                     rng: np.random.Generator):
-    """A_model(t1, t2) of each pair, given dt = |t1 - t2|."""
+def _joint_asymmetry(model: GenModel, t1, t2, dt, p: ModelParams, pick):
+    """A_model(t1, t2) of each pair, given dt = |t1 - t2| and, for
+    DECOHERED, `pick`: True where the pair decays as SD."""
     if model is GenModel.QM:
         return np.cos(p.dm * dt)
     if model is GenModel.SD:
@@ -178,28 +179,38 @@ def _joint_asymmetry(model: GenModel, t1, t2, dt, p: ModelParams,
     if model is GenModel.DECOHERED:
         a_qm = np.cos(p.dm * dt)
         a_sd = np.cos(p.dm * t1) * np.cos(p.dm * t2)
-        pick_sd = rng.random(np.shape(dt)) < p.zeta
-        return np.where(pick_sd, a_sd, a_qm)
+        return np.where(pick, a_sd, a_qm)
     raise ValueError(f"unknown generation model {model}")
 
 
 def sample_pair(model: GenModel, p: ModelParams, rng: np.random.Generator,
                 size: int = 1):
-    """Draw (t1, t2, dt = |t1 - t2|, is_of) for `size` pairs under the
-    given model.
+    """Draw (t1, t2, is_of) for `size` pairs under the given model.
 
     The pair time density factorizes as exp(-(t1+t2)/tau)/tau^2; the flavour
     class is Bernoulli with OF probability (1 + A_model(t1, t2)) / 2.
+
+    The draws come in a fixed order: all of t1, all of t2, for DECOHERED
+    the SD picks of all pairs, then the class uniforms. The rest runs in
+    blocks of _BLOCK pairs that draw their uniforms in turn, which gives
+    the numbers of one draw of the whole: only t1, t2, the picks and is_of
+    span all pairs, and no result depends on the block size.
     """
     t1 = rng.exponential(p.tau, size)
     t2 = rng.exponential(p.tau, size)
-    dt = np.abs(t1 - t2)
-    a = _joint_asymmetry(model, t1, t2, dt, p, rng)
-    if np.any(np.abs(a) > 1.0 + 1e-9):
-        raise ArithmeticError(
-            "model asymmetry escaped [-1, 1]; generation envelope violated")
-    is_of = rng.random(size) < (1.0 + a) / 2.0
-    return t1, t2, dt, is_of
+    pick = (rng.random(size) < p.zeta if model is GenModel.DECOHERED
+            else None)
+    is_of = np.empty(size, dtype=bool)
+    for i in range(0, size, _BLOCK):
+        s = slice(i, i + _BLOCK)
+        b1, b2 = t1[s], t2[s]
+        a = _joint_asymmetry(model, b1, b2, np.abs(b1 - b2), p,
+                             None if pick is None else pick[s])
+        if np.any(np.abs(a) > 1.0 + 1e-9):
+            raise ArithmeticError("model asymmetry escaped [-1, 1]; "
+                                  "generation envelope violated")
+        is_of[s] = rng.random(len(a)) < (1.0 + a) / 2.0
+    return t1, t2, is_of
 
 
 def _smear(dt_true, sigma: float, z):
@@ -232,18 +243,25 @@ def apply_detector(events: np.ndarray, d: DetectorConfig,
 
 def response_sample(model: GenModel, p: ModelParams, n: int, sigmas,
                     rng: np.random.Generator):
-    """Columns of a response-training sample: (dt_true, cls_true codes,
-    [dt_rec for each resolution in `sigmas`]).
+    """Columns of a response-training sample, one block of _BLOCK pairs at
+    a time: yields (dt_true, cls_true codes, [dt_rec for each resolution
+    in `sigmas`]) per block.
 
     The draws are those of `make_signal_events` in its order, so each dt_rec
-    equals that of a signal sample generated alone at that resolution: the
-    pairs, then one standard-normal vector shared by every resolution (none
-    when all are 0). The mistag flips, drawn last there, are not drawn;
-    nothing that trains on the true class reads them.
+    equals that of a signal sample generated alone at that resolution: all
+    the pairs, then one standard-normal vector shared by every resolution
+    (none when all are 0), drawn block by block. The mistag flips, drawn
+    last there, are not drawn; nothing that trains on the true class reads
+    them. Only t1, t2 and the classes span the whole sample.
     """
-    _, _, dt, is_of = sample_pair(model, p, rng, n)
-    z = rng.standard_normal(n) if max(sigmas) > 0 else None
-    return dt, (~is_of).view(np.int8), [_smear(dt, s, z)[1] for s in sigmas]
+    t1, t2, is_of = sample_pair(model, p, rng, n)
+    smeared = max(sigmas) > 0
+    for i in range(0, n, _BLOCK):
+        s = slice(i, i + _BLOCK)
+        dt = np.abs(t1[s] - t2[s])
+        z = rng.standard_normal(len(dt)) if smeared else None
+        yield (dt, (~is_of[s]).view(np.int8),
+               [_smear(dt, sigma, z)[1] for sigma in sigmas])
 
 
 def _join(parts) -> np.ndarray:
@@ -259,8 +277,8 @@ def make_signal_events(model: GenModel, p: ModelParams, n: int,
     """Generate `n` signal pairs and run them through the detector model;
     their `stream` field is 0."""
     ev = np.zeros(n, dtype=EVENT_DTYPE)
-    ev["t1_ps"], ev["t2_ps"], ev["dt_true_ps"], is_of = sample_pair(
-        model, p, rng, n)
+    t1, t2, is_of = sample_pair(model, p, rng, n)
+    ev["t1_ps"], ev["t2_ps"], ev["dt_true_ps"] = t1, t2, np.abs(t1 - t2)
     ev["cls_true"] = ~is_of                 # code 1, SF, where not OF
     ev["index"] = np.arange(n)
     return apply_detector(ev, d, rng)

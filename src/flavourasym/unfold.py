@@ -19,6 +19,8 @@ from .toygen import CLASS_NAMES
 __all__ = [
     "ResponseMatrix",
     "UnfoldConfig",
+    "response_histogram",
+    "response_pair",
     "build_response",
     "mix_responses",
     "unfolding_map",
@@ -76,30 +78,45 @@ class UnfoldConfig:
             raise ValueError("mix_s * mix_o must be below 1 for de-mixing")
 
 
-def build_response(dt_true, dt_rec, cls, binning: Binning):
-    """(OF, SF) migration matrices from MC columns: true and reconstructed
-    dt and the class code (an index into CLASS_NAMES) that selects the
-    matrix.
+def response_histogram(dt_true, dt_rec, cls, binning: Binning) -> np.ndarray:
+    """Integer training counts h[class, reco, truth] of a block of MC
+    columns: true and reconstructed dt and the class code (an index into
+    CLASS_NAMES). Index k + 1 on each axis is bin k; 0 and n_bins + 1 are
+    out of range. Blocks add up: `response_pair` turns the sum into the
+    (OF, SF) matrices.
 
     Binned as `np.histogram` bins the truth totals and `np.histogram2d` the
     migrations: the last bin includes its upper edge, except that an event
-    with dt_true on that edge counts in the totals only.
+    with dt_true on that edge counts in the totals only. Such an event goes
+    to the last truth bin at reco index 0, a row the migrations leave out.
     """
     n = binning.n_bins + 2
-    # index k + 1 is bin k; 0 and n - 1 are out of range. The flat
-    # (class, reco, truth) index is formed in intp, in place.
+    reco = binning.index(dt_rec, closed=True)
+    reco[dt_true == binning.array[-1]] = 0
+    # the flat (class, reco, truth) index is formed in intp, in place
     flat = cls.astype(np.intp)
     flat *= n
-    flat += binning.index(dt_rec, closed=True)
+    flat += reco
     flat *= n
-    flat += binning.index(dt_true)
-    h = np.bincount(flat, minlength=2 * n * n).reshape(2, n, n)
+    flat += binning.index(dt_true, closed=True)
+    return np.bincount(flat, minlength=2 * n * n).reshape(2, n, n)
+
+
+def response_pair(h: np.ndarray, binning: Binning):
+    """(OF, SF) migration matrices from the counts of `response_histogram`:
+    the in-range (reco, truth) cells and, per truth bin, every event of
+    that truth bin."""
     totals = h.sum(axis=1)[:, 1:-1]
-    totals[:, -1] += np.bincount(cls[dt_true == binning.array[-1]],
-                                 minlength=2)
     return tuple(ResponseMatrix(binning, h[c, 1:-1, 1:-1].astype(float),
                                 totals[c].astype(float), cls=label)
                  for c, label in enumerate(CLASS_NAMES))
+
+
+def build_response(dt_true, dt_rec, cls, binning: Binning):
+    """(OF, SF) migration matrices from MC columns binned in one
+    `response_histogram`."""
+    return response_pair(response_histogram(dt_true, dt_rec, cls, binning),
+                         binning)
 
 
 def mix_responses(r_of: ResponseMatrix, r_sf: ResponseMatrix,
@@ -258,4 +275,7 @@ def read_response(path) -> ResponseMatrix:
                          f"recorded edges {recorded}")
     totals = finite(totals.split("truth_totals=")[1].split(","),
                     f"{path}: truth_totals")
-    return ResponseMatrix(Binning(tuple(edges)), m, totals, cls=cls)
+    try:
+        return ResponseMatrix(Binning(tuple(edges)), m, totals, cls=cls)
+    except ValueError as e:   # the edges, a shape or the counts
+        raise ValueError(f"{path}: {e}") from None

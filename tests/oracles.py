@@ -1,8 +1,8 @@
 """Test oracles: quadrature for the t_min-marginalized model curves, the
-band and PS draws from the per-edge joint formulas, response training on
-the event record, the count formulas written out once per class, the
-degenerate-bin bootstrap, and the unfolding built and applied in one
-call."""
+band and PS draws from the per-edge joint formulas, the pair sampler on
+full columns, response training on the event record, the count formulas
+written out once per class, the degenerate-bin bootstrap, and the
+unfolding built and applied in one call."""
 
 import numpy as np
 from scipy import integrate
@@ -10,9 +10,11 @@ from scipy import integrate
 from flavourasym.analysis import BinnedCounts
 # e^(-2*40) ~ 1e-35 at the reach bounds the truncation error far below the
 # 1e-9 target
-from flavourasym.models import _UMAX_LIFETIMES, MarginalGrid
+from flavourasym.models import (_UMAX_LIFETIMES, MarginalGrid, ModelParams,
+                               _ps_joint)
 from flavourasym.pipeline import RESPONSE_STREAM
-from flavourasym.toygen import GenModel, make_signal_events, stream_rng
+from flavourasym.toygen import (EVENT_DTYPE, GenModel, apply_detector,
+                                stream_rng)
 from flavourasym.unfold import mix_responses, truncated_solver
 
 _QUAD_ABS_TOL = 1e-10
@@ -90,12 +92,62 @@ def histogram_responses(dt_true, dt_rec, cls, binning):
     return out
 
 
+def one_shot_joint_asymmetry(model: GenModel, t1, t2, dt, p: ModelParams,
+                             rng: np.random.Generator):
+    """A_model(t1, t2) of each pair, given dt = |t1 - t2|; DECOHERED draws
+    its SD picks from `rng` here."""
+    if model is GenModel.QM:
+        return np.cos(p.dm * dt)
+    if model is GenModel.SD:
+        return np.cos(p.dm * t1) * np.cos(p.dm * t2)
+    if model in (GenModel.PS_BOUNDARY_MAX, GenModel.PS_BOUNDARY_MIN):
+        return _ps_joint(np.minimum(t1, t2), dt, p.dm,
+                         model is GenModel.PS_BOUNDARY_MAX)
+    if model is GenModel.DECOHERED:
+        a_qm = np.cos(p.dm * dt)
+        a_sd = np.cos(p.dm * t1) * np.cos(p.dm * t2)
+        pick_sd = rng.random(np.shape(dt)) < p.zeta
+        return np.where(pick_sd, a_sd, a_qm)
+    raise ValueError(f"unknown generation model {model}")
+
+
+def one_shot_sample_pair(model: GenModel, p: ModelParams,
+                         rng: np.random.Generator, size: int = 1):
+    """Draw (t1, t2, dt = |t1 - t2|, is_of) for `size` pairs under the
+    given model, each step on full columns: the reference for the blocks
+    of `toygen.sample_pair`.
+
+    The pair time density factorizes as exp(-(t1+t2)/tau)/tau^2; the flavour
+    class is Bernoulli with OF probability (1 + A_model(t1, t2)) / 2.
+    """
+    t1 = rng.exponential(p.tau, size)
+    t2 = rng.exponential(p.tau, size)
+    dt = np.abs(t1 - t2)
+    a = one_shot_joint_asymmetry(model, t1, t2, dt, p, rng)
+    if np.any(np.abs(a) > 1.0 + 1e-9):
+        raise ArithmeticError(
+            "model asymmetry escaped [-1, 1]; generation envelope violated")
+    is_of = rng.random(size) < (1.0 + a) / 2.0
+    return t1, t2, dt, is_of
+
+
+def signal_record(model, p, n, d, rng):
+    """`n` signal events drawn by `one_shot_sample_pair`, then run through
+    `toygen.apply_detector`."""
+    ev = np.zeros(n, dtype=EVENT_DTYPE)
+    t1, t2, dt, is_of = one_shot_sample_pair(model, p, rng, n)
+    ev["t1_ps"], ev["t2_ps"], ev["dt_true_ps"] = t1, t2, dt
+    ev["cls_true"] = ~is_of
+    ev["index"] = np.arange(n)
+    return apply_detector(ev, d, rng)
+
+
 def record_responses(cfg, detector):
-    """Response training on the event record: a full `make_signal_events`
-    QM sample from the response stream, binned by `histogram_responses`
-    on its true class."""
-    mc = make_signal_events(GenModel.QM, cfg.params, cfg.n_response_mc,
-                            detector, stream_rng(cfg.seed, RESPONSE_STREAM))
+    """Response training on the event record: a full `signal_record` QM
+    sample from the response stream, binned by `histogram_responses` on
+    its true class."""
+    mc = signal_record(GenModel.QM, cfg.params, cfg.n_response_mc,
+                       detector, stream_rng(cfg.seed, RESPONSE_STREAM))
     return histogram_responses(mc["dt_true_ps"], mc["dt_rec_ps"],
                                mc["cls_true"], cfg.binning)
 

@@ -21,6 +21,7 @@ from flavourasym.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
 from flavourasym.fitkit import BinPredictor
 from flavourasym.pipeline import PipelineConfig
 from flavourasym.toygen import CLS_OF, read_events, write_events
+from flavourasym.unfold import _digest
 
 
 @pytest.fixture()
@@ -466,7 +467,54 @@ class TestSavedResponses:
         bad.write_text("\n".join(lines) + "\n")
         assert self._unfold(d, d / "unfolded.resp_of.csv",
                             bad) == EXIT_VALIDATION
-        assert "truth totals of shape (1,)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "one_total.resp_sf.csv: truth totals of shape (1,)" in err
+
+    @staticmethod
+    def _sf_lines(d):
+        return (d / "unfolded.resp_sf.csv").read_text().splitlines()
+
+    @staticmethod
+    def _written(d, name, lines):
+        bad = d / name
+        bad.write_text("\n".join(lines) + "\n")
+        return bad
+
+    def test_negative_entry(self, small_chain, capsys):
+        d, _ = small_chain
+        lines = self._sf_lines(d)
+        lines[2] = "-1" + lines[2][lines[2].index(","):]
+        bad = self._written(d, "negative.resp_sf.csv", lines)
+        assert self._unfold(d, d / "unfolded.resp_of.csv",
+                            bad) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "negative.resp_sf.csv: response entries must be" in err
+
+    def test_efficiency_above_one(self, small_chain, capsys):
+        # a truth total below the migrations of its column
+        d, _ = small_chain
+        lines = self._sf_lines(d)
+        totals = lines[1].split(",")
+        totals[3] = "1"
+        lines[1] = ",".join(totals)
+        bad = self._written(d, "efficiency.resp_sf.csv", lines)
+        assert self._unfold(d, d / "unfolded.resp_of.csv",
+                            bad) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "efficiency.resp_sf.csv: column sums exceed" in err
+
+    def test_edges_not_increasing(self, small_chain, capsys):
+        # recorded edges out of order, under the digest of those edges
+        d, _ = small_chain
+        lines = self._sf_lines(d)
+        edges = lines[0].split("edges=")[1].replace("0,0.5,1,", "0,1,0.5,")
+        digest = _digest(np.array(edges.split(","), float))
+        lines[0] = f"# class=SF binning={digest} edges={edges}"
+        bad = self._written(d, "unordered.resp_sf.csv", lines)
+        assert self._unfold(d, d / "unfolded.resp_of.csv",
+                            bad) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "unordered.resp_sf.csv: bin edges must be strictly" in err
 
     def test_digest_differs_from_the_edges(self, small_chain, capsys):
         d, _ = small_chain

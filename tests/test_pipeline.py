@@ -1,6 +1,8 @@
-"""Pipeline tests: response training, the split replica steps, one
-unfolding map per response pair, and the smear systematic."""
+"""Pipeline tests: response training and its peak memory, the split
+replica steps, one unfolding map per response pair, and the smear
+systematic."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -119,3 +121,19 @@ def test_columnar_training_matches_record_training(binning):
     _assert_same_responses(build_training_responses(cfg), refs[0])
     # alone, the zero-smear detector draws no normals at all
     _assert_same_responses(train_responses(cfg, dets[2:3])[0], refs[2])
+
+
+def test_training_peak_memory():
+    """Only t1, t2 and the classes span the training sample; every other
+    column lives one block at a time. tracemalloc counts numpy's buffers,
+    so the bound holds on any machine (about 49 B per event with every
+    column whole)."""
+    n = 1_000_000
+    cfg = replace(CFG, n_response_mc=n)
+    tracemalloc.start()
+    try:
+        build_training_responses(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 24.0

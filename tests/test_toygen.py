@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from oracles import ps_sample_pair
+from oracles import one_shot_sample_pair, ps_sample_pair, signal_record
 
 from flavourasym._table import read_table, write_table
 from flavourasym.analysis import (AsymmetrySpectrum, BinnedCounts, Binning,
@@ -17,9 +17,9 @@ from flavourasym.analysis import (AsymmetrySpectrum, BinnedCounts, Binning,
 from flavourasym.cli import EXIT_OK, main
 from flavourasym.fitkit import BinPredictor
 from flavourasym.models import ModelParams, curve_rows
-from flavourasym.toygen import (BETA_GAMMA, C_UM_PER_PS, CATEGORY_CODE,
-                                CLASS_NAMES, CLS_OF, EVENT_DTYPE,
-                                BackgroundConfig, BackgroundShape,
+from flavourasym.toygen import (_BLOCK, BETA_GAMMA, C_UM_PER_PS,
+                                CATEGORY_CODE, CLASS_NAMES, CLS_OF,
+                                EVENT_DTYPE, BackgroundConfig, BackgroundShape,
                                 CategoryYield, DetectorConfig, EventCategory,
                                 GenModel, apply_detector, generate_ensemble,
                                 inject_backgrounds, make_signal_events,
@@ -71,7 +71,7 @@ class TestDeterminism:
 class TestSampling:
     def test_exponential_marginals(self):
         rng = stream_rng(3, 0)
-        t1, t2, _, _ = sample_pair(GenModel.QM, P, rng, size=200000)
+        t1, t2, _ = sample_pair(GenModel.QM, P, rng, size=200000)
         assert t1.mean() == pytest.approx(P.tau, rel=0.02)
         assert t2.mean() == pytest.approx(P.tau, rel=0.02)
         assert np.all(t1 >= 0) and np.all(t2 >= 0)
@@ -93,7 +93,7 @@ class TestSampling:
     def test_sd_of_fraction_at_small_times(self):
         # SD pairs with both decays immediate are almost always OF
         rng = stream_rng(13, 0)
-        t1, t2, _, is_of = sample_pair(GenModel.SD, P, rng, size=100000)
+        t1, t2, is_of = sample_pair(GenModel.SD, P, rng, size=100000)
         early = (t1 < 0.2) & (t2 < 0.2)
         assert is_of[early].mean() > 0.95
 
@@ -130,7 +130,7 @@ class TestDetector:
         d = DetectorConfig()
         ev = make_signal_events(GenModel.QM, P, 10000, d, stream_rng(4, 0))
         rng = stream_rng(4, 0)
-        t1, t2, _, _ = sample_pair(GenModel.QM, P, rng, 10000)
+        t1, t2, _ = sample_pair(GenModel.QM, P, rng, 10000)
         dz = (BETA_GAMMA * C_UM_PER_PS * np.abs(t1 - t2)
               + rng.normal(0.0, d.total_sigma, 10000))
         np.testing.assert_array_equal(ev["dz_rec_um"], dz)
@@ -241,20 +241,47 @@ class TestEnvelope:
             got = sample_pair(model, P, stream_rng(6, 0), 100000)
             t1, t2, is_of, a = ps_sample_pair(upper, P, stream_rng(6, 0),
                                               100000)
-            for g, w in zip(got, (t1, t2, np.abs(t1 - t2), is_of)):
+            for g, w in zip(got, (t1, t2, is_of)):
                 np.testing.assert_array_equal(g, w)
             np.testing.assert_array_equal(
-                _joint_asymmetry(model, t1, t2, got[2], P, None), a)
+                _joint_asymmetry(model, t1, t2, np.abs(t1 - t2), P, None), a)
 
     def test_decohered_interpolates(self):
         p = ModelParams(zeta=0.5)
         *_, is_of = sample_pair(GenModel.DECOHERED, p, stream_rng(7, 0),
                                 200000)
         # OF fraction lies between the pure-model values
-        of_qm = sample_pair(GenModel.QM, P, stream_rng(7, 1), 200000)[3].mean()
-        of_sd = sample_pair(GenModel.SD, P, stream_rng(7, 2), 200000)[3].mean()
+        of_qm = sample_pair(GenModel.QM, P, stream_rng(7, 1), 200000)[2].mean()
+        of_sd = sample_pair(GenModel.SD, P, stream_rng(7, 2), 200000)[2].mean()
         lo, hi = sorted((of_qm, of_sd))
         assert lo - 0.01 <= is_of.mean() <= hi + 0.01
+
+
+class TestBlocks:
+    """The block loop of `sample_pair` keeps the one-shot draw order: all
+    of t1, all of t2, all the DECOHERED picks, then the class uniforms."""
+
+    @pytest.mark.parametrize("model", list(GenModel), ids=lambda m: m.value)
+    @pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                      2 * _BLOCK + 3])
+    def test_sample_pair_matches_one_shot_draws(self, model, size):
+        p = ModelParams(zeta=0.3)
+        rng, ref_rng = stream_rng(8, 0), stream_rng(8, 0)
+        t1, t2, is_of = sample_pair(model, p, rng, size)
+        r1, r2, _, r_of = one_shot_sample_pair(model, p, ref_rng, size)
+        for got, want in ((t1, r1), (t2, r2), (is_of, r_of)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        # and the stream is left where the one-shot draws leave it
+        np.testing.assert_array_equal(rng.random(3), ref_rng.random(3))
+
+    @pytest.mark.parametrize("model", list(GenModel), ids=lambda m: m.value)
+    def test_signal_events_match_one_shot_record(self, model):
+        p, n = ModelParams(zeta=0.3), 2 * _BLOCK + 3
+        got = make_signal_events(model, p, n, DetectorConfig(),
+                                 stream_rng(9, 0))
+        want = signal_record(model, p, n, DetectorConfig(), stream_rng(9, 0))
+        assert got.tobytes() == want.tobytes()
 
 
 FILE_FORMATS = ["events", "spectrum", "counts", "response", "curves"]

@@ -402,7 +402,7 @@ class TestBuildResponse:
         # truth dt exactly reconstructed -> purely diagonal migration
         from flavourasym.models import ModelParams
         from flavourasym.toygen import GenModel, response_sample, stream_rng
-        dt_true, cls, [dt_rec] = response_sample(
+        [(dt_true, cls, [dt_rec])] = response_sample(
             GenModel.QM, ModelParams(), 20000, [0.0], stream_rng(55, 0))
         r_of, r_sf = build_response(dt_true, dt_rec, cls, Binning())
         for r in (r_of, r_sf):
