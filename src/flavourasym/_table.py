@@ -3,20 +3,23 @@ behind the event, spectrum, counts, response and curve files.
 
 A file format is one numpy dtype: a structured dtype's field names are the
 header and each field's kind fixes its cell format (float %.9g, int %d,
-name %s); a plain float dtype is a 2-d table with no header. Every reader
-failure is a ValueError naming the file, so the command line reports it as
-a validation error (exit code 2).
+name %s); a plain float dtype is a 2-d table with no header. The writer
+prints those formats with numpy: each column becomes a matrix of cells
+padded with NUL bytes, the rows are joined and the NULs stripped, and every
+cell reads byte for byte what Python's `%` prints. Every reader failure is
+a ValueError naming the file, so the command line reports it as a
+validation error (exit code 2).
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from itertools import chain
+from itertools import islice
 
 import numpy as np
 
 CHUNK_ROWS = 8192
-_CELL = {"f": "%.9g", "i": "%d", "U": "%s"}
 # loadtxt's message for a row of the wrong width: expected, found, data row
 # counted from 1
 _WIDTH = re.compile(r"(\d+) (?:columns but|to) (\d+) (?:were found )?"
@@ -25,41 +28,205 @@ _WIDTH = re.compile(r"(\d+) (?:columns but|to) (\d+) (?:were found )?"
 _CONVERT = re.compile(r"(.*) at row (\d+), (column \d+)\.", re.S)
 
 
-def _located(msg: str) -> str:
+def _located(msg: str, before: int = 0) -> str:
     """loadtxt's parse error with its row given as the data row counted
-    from 1."""
+    from 1, in a file where `before` data rows precede what loadtxt read."""
     w = _WIDTH.search(msg)
     if w:
-        return f"data row {w[3]} has {w[2]} fields, expected {w[1]}"
+        return (f"data row {int(w[3]) + before} has {w[2]} fields, "
+                f"expected {w[1]}")
     c = _CONVERT.fullmatch(msg)
-    return f"data row {int(c[2]) + 1}, {c[3]}: {c[1]}" if c else msg
+    return (f"data row {int(c[2]) + 1 + before}, {c[3]}: {c[1]}" if c
+            else msg)
 
 
-def _finite(rows) -> bool:
-    """Whether every float in a structured or a 2-d array is finite."""
-    cols = [rows[n] for n in rows.dtype.names] if rows.dtype.names else [rows]
-    return all(np.all(np.isfinite(c)) for c in cols if c.dtype.kind == "f")
+def _columns(rows) -> tuple:
+    """(header names, columns) of a structured array or of a mapping of
+    names to equal-length columns; (None, columns) of a 2-d array."""
+    if isinstance(rows, np.ndarray):
+        if rows.dtype.names is None:
+            return None, list(rows.T)
+        rows = {n: rows[n] for n in rows.dtype.names}
+    return list(rows), [np.asarray(c) for c in rows.values()]
+
+
+def _finite(columns) -> bool:
+    """Whether every float in the columns is finite."""
+    return all(np.all(np.isfinite(c)) for c in columns if c.dtype.kind == "f")
+
+
+_WIDE = 16          # the widest %.9g cell, "-1.23456789e-305"
+_POW0 = 310         # the row of 10**0 in the power table
+_EXP0 = 330         # the row of exponent 0 in the exponent tables
+# Each number cell is gathered from a source row of six 4-byte words: NUL
+# '0' '.' 'e'; the sign (NUL if positive); three words of three of the 9
+# significant digits and a NUL; the exponent's sign and digits (hundreds
+# NUL below 100). These are the byte positions in that row.
+_NUL, _ZERO, _POINT, _E, _SIGN = 0, 1, 2, 3, 4
+_DIGIT = (8, 9, 10, 12, 13, 14, 16, 17, 18)
+_EXPONENT = (20, 21, 22, 23)
+_SOURCE = 24
+
+
+def _words(byte_rows) -> np.ndarray:
+    """Rows of 4 bytes as one 4-byte word each."""
+    return np.ascontiguousarray(byte_rows, np.uint8).view(np.uint32)[:, 0]
+
+
+def _layout(e, s: int) -> list:
+    """Source positions of the bytes of a cell with s significant digits:
+    %f at decimal exponent e, or %e if e is None."""
+    d = list(_DIGIT)
+    if e is None:
+        body = d[:1] + ([_POINT] + d[1:s] if s > 1 else []) + [_E, *_EXPONENT]
+    elif e < 0:
+        body = [_ZERO, _POINT] + [_ZERO] * (-e - 1) + d[:s]
+    else:
+        body = d[:e + 1] + ([_POINT] + d[e + 1:s] if s > e + 1 else [])
+    return [_SIGN] + body
+
+
+@functools.cache
+def _number_tables() -> dict:
+    """The lookup tables of `_number_cells`, built on the first write.
+
+    Layout (e + 4)·9 + s − 1 is %f at decimal exponent e in −4..8 with s
+    significant digits, 117 + s − 1 is %e with s digits, and 126 is zero.
+    """
+    bodies = [_layout(e, s) for e in [*range(-4, 9), None]
+              for s in range(1, 10)] + [[_SIGN, _ZERO]]
+    layout = np.full((len(bodies), _WIDE), _NUL, np.intp)
+    for i, body in enumerate(bodies):
+        layout[i, :len(body)] = body
+    k = np.arange(1000)
+    e = np.arange(-_EXP0, _EXP0 + 1)
+    a = np.abs(e)
+    zero = ord("0")
+    return {
+        # 10**k for k in -_POW0.._POW0, each correctly rounded
+        "pow10": np.array([float("1e%d" % k)
+                           for k in range(-_POW0, _POW0 + 1)]),
+        "digits": _words(np.stack([k // 100 + zero, k // 10 % 10 + zero,
+                                   k % 10 + zero, 0 * k], axis=1)),
+        # trailing zeros of 0..999 written with three digits
+        "zeros": np.where(k % 10, 0, np.where(k % 100, 1, np.where(k, 2, 3))),
+        "exponent": _words(np.stack([np.where(e < 0, ord("-"), ord("+")),
+                                     np.where(a >= 100, a // 100 + zero, 0),
+                                     a // 10 % 10 + zero, a % 10 + zero],
+                                    axis=1)),
+        # the layout of 9 significant digits at each exponent
+        "layout9": np.where((e >= -4) & (e <= 8), (e + 4) * 9 + 8, 125),
+        "layout": layout,
+        "length": (layout != _NUL).sum(axis=1),
+        "head": _words([[0, zero, ord("."), ord("e")]])[0],
+        "sign": _words([[0, 0, 0, 0], [ord("-"), 0, 0, 0]]),
+    }
+
+
+def _number_cells(x, values, fmt: str, fallback=None) -> np.ndarray:
+    """The %.9g cells of up to CHUNK_ROWS finite floats x, one NUL-padded
+    row each, as narrow as the chunk allows. The 9 digits are y =
+    |x|·10**(8−e) rounded, with e = floor(log10|x|) and the power taken
+    from a correctly rounded table, so y is off by at most about 2·2**−53
+    relative, under 2.3e-7 absolute. Rounding y in float is therefore exact
+    unless its fraction lies within 1e-6 of ½: such cells, those where
+    10**(8−e) would not be a normal float, and those marked in `fallback`
+    get `fmt % v` on `values`. log10 is one off only within a few ulps of a
+    power of ten, where y rounds to 1e8 (e one high: the cell is that
+    power) or to 1e9, which the carry takes to the next exponent."""
+    t = _number_tables()
+    ax = np.abs(x)
+    zero = ax == 0
+    fast = ax >= 1e-299
+    if fallback is not None:
+        fast &= ~fallback
+    a = np.where(fast, ax, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    y = a * t["pow10"][_POW0 + 8 - e]
+    n = np.rint(y)
+    slow = (np.abs(y - np.floor(y) - 0.5) <= 1e-6) | ~(fast | zero)
+    carry = n >= 1e9
+    n[carry] = 1e8
+    e += carry
+    n = n.astype(np.intp)
+    q = n // 1000
+    hi = q // 1000
+    mid, lo = q - 1000 * hi, n - 1000 * q
+    zeros = t["zeros"]
+    key = t["layout9"][_EXP0 + e] - np.where(
+        lo, zeros[lo], np.where(mid, 3 + zeros[mid], 6 + zeros[hi]))
+    key[zero] = 126
+    src = np.empty((len(x), _SOURCE // 4), np.uint32)
+    src[:, 0] = t["head"]
+    neg = np.signbit(x)
+    src[:, 1] = t["sign"][neg.view(np.uint8)]
+    src[:, 2] = t["digits"][hi]
+    src[:, 3] = t["digits"][mid]
+    src[:, 4] = t["digits"][lo]
+    src[:, 5] = t["exponent"][_EXP0 + e]
+    # no column for the sign unless a cell is negative, none past the
+    # longest cell
+    first = 0 if neg.any() else 1
+    width = t["length"][key].max() - first
+    at = np.take(t["layout"][:, first:first + width], key, axis=0)
+    at += _SOURCE * np.arange(len(x))[:, None]     # each cell's source row
+    cells = np.take(src.view(np.uint8).reshape(-1), at)
+    if slow.any():
+        text = np.array([fmt % v for v in values[slow].tolist()], dtype="S")
+        w = text.itemsize
+        if w > width:
+            cells = np.pad(cells, ((0, 0), (0, w - width)))
+        cells[slow] = 0
+        cells[slow, :w] = text.view(np.uint8).reshape(-1, w)
+    return cells
+
+
+def _name_cells(col) -> np.ndarray:
+    """The %s cells of a str column: ASCII cast from its code points, any
+    other text encoded as UTF-8."""
+    col = np.ascontiguousarray(col)
+    code = col.view(np.uint32).reshape(len(col), col.itemsize // 4)
+    if code.size and code.max() >= 128:
+        text = np.char.encode(col, "utf-8")
+        return text.view(np.uint8).reshape(len(col), text.itemsize)
+    return code.astype(np.uint8)
+
+
+def _int_cells(col) -> np.ndarray:
+    """The %d cells of an int column: below 10**9 in magnitude an int's %d
+    is the %.9g of its float."""
+    v = col.astype(np.int64)
+    return _number_cells(v.astype(float), col, "%d",
+                         (v >= 10 ** 9) | (v <= -10 ** 9))
+
+
+def _float_cells(col) -> np.ndarray:
+    """The %.9g cells of a float column."""
+    return _number_cells(col.astype(float, copy=False), col, "%.9g")
+
+
+_CELLS = {"f": _float_cells, "i": _int_cells, "U": _name_cells}
 
 
 def write_table(path, rows, header=True, preamble=()) -> None:
-    """Write a structured (or 2-d) array, one line per row, each chunk of
-    rows as one `%` on a repeated row format. A non-finite number is a
-    failed computation, not a result: it raises ArithmeticError before the
-    file is opened."""
-    if not _finite(rows):
+    """Write a structured array or a mapping of names to columns (the names
+    are the header), or a 2-d array with `header=False`, one line per row.
+    Each chunk of rows is a matrix of NUL-padded cells joined by commas,
+    written with its NULs stripped. A non-finite number is a failed
+    computation, not a result: it raises ArithmeticError before the file is
+    opened."""
+    names, cols = _columns(rows)
+    if not _finite(cols):
         raise ArithmeticError(f"non-finite value in the output for {path}")
-    dt = rows.dtype
-    cells = [_CELL[dt[n].kind] for n in dt.names] if dt.names else [
-        _CELL[dt.kind]] * rows.shape[1]
-    row_fmt = ",".join(cells) + "\n"
-    with open(path, "w") as f:
-        for line in preamble:
-            f.write(line + "\n")
-        if header:
-            f.write(",".join(dt.names) + "\n")
-        for s in range(0, len(rows), CHUNK_ROWS):
-            chunk = rows[s:s + CHUNK_ROWS].tolist()
-            f.write(row_fmt * len(chunk) % tuple(chain.from_iterable(chunk)))
+    lines = [*preamble] + ([",".join(names)] if header else [])
+    with open(path, "wb") as f:
+        f.write("".join(line + "\n" for line in lines).encode())
+        for s in range(0, len(cols[0]), CHUNK_ROWS):
+            cells = [_CELLS[c.dtype.kind](c[s:s + CHUNK_ROWS]) for c in cols]
+            comma = np.full((len(cells[0]), 1), ord(","), np.uint8)
+            block = np.hstack([m for c in cells for m in (c, comma)])
+            block[:, -1] = ord("\n")
+            f.write(block.tobytes().translate(None, b"\0"))
 
 
 def finite(values, what: str) -> np.ndarray:
@@ -73,6 +240,35 @@ def finite(values, what: str) -> np.ndarray:
     return out
 
 
+def _head(f, path, dtype, header: bool, extra: bool, preamble: int) -> tuple:
+    """The preamble lines and the row dtype of an open table, read up to its
+    first data line; see `read_table`."""
+    dtype = np.dtype(dtype)
+    pre = [f.readline().rstrip("\n") for _ in range(preamble)]
+    if header:
+        fields = f.readline().strip().split(",")
+        named = fields[len(dtype.names):] if extra else []
+        if (fields[:len(dtype.names)] != list(dtype.names)
+                or (not extra and len(fields) != len(dtype.names))
+                or not all(named) or len(set(fields)) != len(fields)):
+            raise ValueError(f"unexpected header in {path}: {fields}")
+        dtype = np.dtype(dtype.descr + [(n, "f8") for n in named])
+    return pre, dtype
+
+
+def _parse(lines, path, dtype, ndmin: int, before: int = 0) -> np.ndarray:
+    """The rows of data lines holding at least one row; `before` data rows
+    precede them in the file, for the row an error names."""
+    try:
+        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                          ndmin=ndmin)
+    except ValueError as e:
+        raise ValueError(f"{path}: {_located(str(e), before)}") from None
+    if not _finite(_columns(rows)[1]):
+        raise ValueError(f"{path}: non-finite value")
+    return rows
+
+
 def read_table(path, dtype, *, header=True, extra: bool = False,
                preamble: int = 0) -> tuple:
     """The preamble lines and the rows, typed by `dtype` (with no header, a
@@ -80,26 +276,26 @@ def read_table(path, dtype, *, header=True, extra: bool = False,
     (with `extra`, further distinct names of float columns may follow it),
     the fields per row, at least one row, integers that fit their field and
     finite floats."""
-    dtype = np.dtype(dtype)
     with open(path) as f:
-        pre = [f.readline().rstrip("\n") for _ in range(preamble)]
-        if header:
-            fields = f.readline().strip().split(",")
-            named = fields[len(dtype.names):] if extra else []
-            if (fields[:len(dtype.names)] != list(dtype.names)
-                    or (not extra and len(fields) != len(dtype.names))
-                    or not all(named) or len(set(fields)) != len(fields)):
-                raise ValueError(f"unexpected header in {path}: {fields}")
-            dtype = np.dtype(dtype.descr + [(n, "f8") for n in named])
+        pre, dtype = _head(f, path, dtype, header, extra, preamble)
         start = f.tell()
         if not any(line.strip() for line in f):    # loadtxt only warns
             raise ValueError(f"{path}: no data rows")
         f.seek(start)
-        try:
-            rows = np.loadtxt(f, dtype=dtype, delimiter=",", comments=None,
-                              ndmin=1 if header else 2)
-        except ValueError as e:
-            raise ValueError(f"{path}: {_located(str(e))}") from None
-    if not _finite(rows):
-        raise ValueError(f"{path}: non-finite value")
-    return pre, rows
+        return pre, _parse(f, path, dtype, 1 if header else 2)
+
+
+def read_chunks(path, dtype):
+    """The rows of a table with a header, as `read_table` checks and types
+    them, in chunks of at most CHUNK_ROWS rows: reading a large file this
+    way holds one chunk of the file's records at a time, not all of them."""
+    with open(path) as f:
+        _, dtype = _head(f, path, dtype, True, False, 0)
+        n = 0
+        while lines := list(islice(f, CHUNK_ROWS)):
+            if any(line.strip() for line in lines):  # loadtxt only warns
+                rows = _parse(lines, path, dtype, 1, n)
+                n += len(rows)
+                yield rows
+    if not n:
+        raise ValueError(f"{path}: no data rows")

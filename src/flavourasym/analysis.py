@@ -210,7 +210,8 @@ def asymmetry(c: BinnedCounts) -> AsymmetrySpectrum:
     n_of, n_sf = c.n
     tot = n_of + n_sf
     if np.any(tot <= 0):
-        bad = int(np.flatnonzero(tot <= 0)[0])
+        # numbered from 1, as the spectrum and counts files number bins
+        bad = int(np.flatnonzero(tot <= 0)[0]) + 1
         raise ValueError(f"empty bin {bad}: cannot form an asymmetry")
     a = (n_of - n_sf) / tot
     # linear propagation of var(n_of), var(n_sf) through the ratio

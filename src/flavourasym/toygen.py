@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._table import read_table, write_table
+from ._table import read_chunks, write_table
 from .models import ModelParams, _ps_joint
 
 __all__ = [
@@ -346,16 +346,23 @@ _FILE_DTYPE = np.dtype([(c, f"U{_WIDTH[c]}" if c in _NAMES else EVENT_DTYPE[c])
 
 def write_events(events: np.ndarray, path) -> None:
     """Events as CSV, one row per event, with the codes written as names."""
-    write_table(path, np.rec.fromarrays(
-        [np.array(_NAMES[c])[events[c]] if c in _NAMES else events[c]
-         for c in EVENT_DTYPE.names], dtype=_FILE_DTYPE))
+    write_table(path, {c: np.array(_NAMES[c])[events[c]] if c in _NAMES
+                       else events[c] for c in EVENT_DTYPE.names})
 
 
 def read_events(path) -> np.ndarray:
     """Events from a file written by `write_events`; rejects malformed rows,
     non-finite numbers, integers out of their field's range, unknown class
-    codes and unknown categories."""
-    _, rows = read_table(path, _FILE_DTYPE)
+    codes and unknown categories. The file is read one chunk of rows at a
+    time, so of its records, which hold the names as wide strings, only one
+    chunk is held at once; a refusal of unknown names shows those of the
+    first chunk that has any."""
+    return np.concatenate([_coded(path, rows)
+                           for rows in read_chunks(path, _FILE_DTYPE)])
+
+
+def _coded(path, rows) -> np.ndarray:
+    """Records of the file's dtype as events, the names as codes."""
     ev = np.empty(len(rows), dtype=EVENT_DTYPE)
     for j, c in enumerate(EVENT_DTYPE.names):
         if c not in _NAMES:

@@ -93,7 +93,8 @@ class TestAsymmetry:
                 2.0 * np.sqrt(n_of * n_sf / n ** 3), rel=1e-12)
 
     def test_empty_bin_raises(self):
-        with pytest.raises(ValueError, match="empty bin"):
+        # the first bin is bin 1, as the spectrum files number it
+        with pytest.raises(ValueError, match="empty bin 1:"):
             asymmetry(counts_2([0.0, 10.0], [0.0, 10.0]))
 
     def test_degenerate_bin_bootstrap(self):

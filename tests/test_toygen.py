@@ -4,13 +4,18 @@ detector effects, and background injection."""
 import contextlib
 import hashlib
 import io
+import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from oracles import one_shot_sample_pair, ps_sample_pair, signal_record
 
-from flavourasym._table import read_table, write_table
+from flavourasym._table import (CHUNK_ROWS, _float_cells, _int_cells,
+                                _number_cells, read_table, write_table)
 from flavourasym.analysis import (AsymmetrySpectrum, BinnedCounts, Binning,
                                   asymmetry, bin_events, read_counts,
                                   read_spectrum, write_counts, write_spectrum)
@@ -465,3 +470,144 @@ class TestEventIO:
         path.write_text("nope\n1,2\n")
         with pytest.raises(ValueError):
             read_events(path)
+
+    @staticmethod
+    def _tiled(tmp_path, n, blank=0):
+        """(an events file of n data rows, the rows of a 5-event file in
+        turn, after `blank` empty lines; the 5 events read back)."""
+        path = tmp_path / "events.csv"
+        write_events(generate_ensemble(GenModel.QM, P, DetectorConfig(),
+                                       BackgroundConfig(), 5,
+                                       master_seed=3), path)
+        five = read_events(path)
+        head, *rows = path.read_text().splitlines()
+        lines = [head] + [""] * blank + [rows[i % 5] for i in range(n)]
+        path.write_text("\n".join(lines) + "\n")
+        return path, five
+
+    @pytest.mark.parametrize("n, blank", [
+        (CHUNK_ROWS, 0), (CHUNK_ROWS + 1, 0), (2 * CHUNK_ROWS, 0),
+        (3, CHUNK_ROWS), (CHUNK_ROWS, 7)])
+    def test_read_in_chunks(self, tmp_path, n, blank):
+        # a chunk that ends the file exactly, a chunk of empty lines only
+        # and one that ends in empty lines are read without a warning
+        path, five = self._tiled(tmp_path, n, blank)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = read_events(path)
+        np.testing.assert_array_equal(back, np.resize(five, n))
+
+    @pytest.mark.parametrize("blank", [0, 3])
+    def test_errors_count_data_rows_across_chunks(self, tmp_path, blank):
+        # empty lines are not data rows, in the first chunk or later
+        path, _ = self._tiled(tmp_path, CHUNK_ROWS + 5, blank)
+        lines = path.read_text().splitlines()
+        row = CHUNK_ROWS + 2
+        lines[blank + row] += ",0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"data row {row} has 11 "
+                           "fields, expected 10"):
+            read_events(path)
+        fields = lines[blank + row].split(",")[:-1]
+        fields[9] = "4294967297"
+        lines[blank + row] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"data row {row}, column 10: "):
+            read_events(path)
+
+    def test_read_peak_memory(self, tmp_path):
+        """The file's records (names as wide strings) live one chunk at a
+        time: the peak is about the events twice, 102 B per event, where
+        reading the whole file at once peaks at 212 B. tracemalloc counts
+        numpy's buffers, so the bound holds on any machine."""
+        n = 8 * CHUNK_ROWS
+        path, _ = self._tiled(tmp_path, n)
+        tracemalloc.start()
+        try:
+            read_events(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 150.0
+
+    def test_empty_lines_only_rejected(self, tmp_path):
+        path, _ = self._tiled(tmp_path, 0, CHUNK_ROWS + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no data rows"):
+                read_events(path)
+
+
+def _texts(cells):
+    """The text of each row of NUL-padded cells."""
+    return [row.tobytes().replace(b"\0", b"").decode() for row in cells]
+
+
+_POWERS = [float("1e%d" % k) for k in range(-20, 21)]
+EDGE_FLOATS = [
+    0.0, 5e-324, 2.2250738585072014e-308, np.finfo(float).max,
+    1e-5, 9.999999995e-5, 1e-4, 999999999.5, 999999999.4999999, 12345678.25,
+    0.5, 100.0, *_POWERS, *np.nextafter(_POWERS, 0.0).tolist(),
+    *np.nextafter(_POWERS, np.inf).tolist()]
+
+
+class TestTableWriter:
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=64))
+    def test_float_cells_are_percent_9g(self, values):
+        # subnormals and both signs included
+        assert _texts(_float_cells(np.array(values))) == [
+            "%.9g" % v for v in values]
+
+    def test_edge_floats_and_their_fallback(self):
+        values = EDGE_FLOATS + [-v for v in EDGE_FLOATS]
+        x = np.array(values)
+        assert _texts(_float_cells(x)) == ["%.9g" % v for v in values]
+        # a marked fallback format shows which cells Python's `%` wrote:
+        # the exact ties and the subnormals are among them
+        texts = _texts(_number_cells(x, x, "<%.9g>"))
+        slow = [v for v, t in zip(values, texts) if t == "<%.9g>" % v]
+        assert {12345678.25, 999999999.5, 5e-324} <= set(slow)
+        assert all(t == "%.9g" % v for v, t in zip(values, texts)
+                   if v not in slow)
+
+    @pytest.mark.parametrize("dtype", ["i1", "i4", "i8"])
+    def test_int_cells_are_percent_d(self, dtype):
+        info = np.iinfo(dtype)
+        values = [info.min, info.min + 1, -1, 0, 1, info.max - 1, info.max]
+        if info.max > 10 ** 9:
+            values += [s * (10 ** 9 + d) for s in (1, -1) for d in (-1, 0, 1)]
+        assert _texts(_int_cells(np.array(values, dtype))) == [
+            "%d" % v for v in values]
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS,
+                                   CHUNK_ROWS + 1])
+    def test_chunk_boundaries(self, tmp_path, n, assert_same_lines):
+        # the last row is the only negative and the widest, so the chunks
+        # that lack it are laid out narrower than the one that has it
+        rng = np.random.default_rng(n)
+        rows = np.zeros(n, [("x", "f8"), ("k", "i4"), ("name", "U6")])
+        rows["x"] = rng.uniform(0.0, 20.0, n)
+        rows["k"] = rng.integers(0, 10 ** 6, n)
+        rows["name"] = np.array(["OF", "signal"])[rng.integers(0, 2, n)]
+        if n:
+            rows[-1] = (-1.23456789e-300, -2 ** 31, "SF")
+        path = tmp_path / "table.csv"
+        write_table(path, rows)
+        assert_same_lines(path.read_text(), _cell_by_cell(
+            rows.dtype.names, (["%.9g" % x, "%d" % k, name]
+                               for x, k, name in rows.tolist())))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused_before_the_file_exists(self, tmp_path, bad):
+        x = np.ones(CHUNK_ROWS + 1)
+        x[-1] = bad
+        path = tmp_path / "table.csv"
+        with pytest.raises(ArithmeticError):
+            write_table(path, {"x": x})
+        assert not path.exists()
+
+    def test_non_ascii_names_written_as_utf8(self, tmp_path):
+        path = tmp_path / "names.csv"
+        write_table(path, {"name": np.array(["Δt", "OF"]), "k": [1, 2]})
+        assert path.read_bytes() == "name,k\nΔt,1\nOF,2\n".encode()
