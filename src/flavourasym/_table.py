@@ -1,14 +1,16 @@
 """Comma-separated tables: the one writer and the one validating reader
 behind the event, spectrum, counts, response and curve files.
 
-A file format is one numpy dtype: a structured dtype's field names are the
-header and each field's kind fixes its cell format (float %.9g, int %d,
-name %s); a plain float dtype is a 2-d table with no header. The writer
-prints those formats with numpy: each column becomes a matrix of cells
-padded with NUL bytes, the rows are joined and the NULs stripped, and every
-cell reads byte for byte what Python's `%` prints. Every reader failure is
-a ValueError naming the file, so the command line reports it as a
-validation error (exit code 2).
+A file format is one numpy dtype, and this is the only module that spells
+one: a structured dtype's field names are the header and each field's kind
+fixes its cell format (float %.9g, int %d); a code column (`code_field`)
+holds int8 codes that the file spells as the names they index; a plain
+float dtype is a 2-d table with no header. The writer prints those formats
+with numpy: each column becomes a matrix of cells padded with NUL bytes,
+the rows are joined and the NULs stripped, and every cell reads byte for
+byte what Python's `%` prints. Every reader failure is a ValueError naming
+the file, so the command line reports it as a validation error (exit code
+2).
 """
 
 from __future__ import annotations
@@ -40,19 +42,30 @@ def _located(msg: str, before: int = 0) -> str:
             else msg)
 
 
-def _columns(rows) -> tuple:
-    """(header names, columns) of a structured array or of a mapping of
-    names to equal-length columns; (None, columns) of a 2-d array."""
-    if isinstance(rows, np.ndarray):
-        if rows.dtype.names is None:
-            return None, list(rows.T)
-        rows = {n: rows[n] for n in rows.dtype.names}
-    return list(rows), [np.asarray(c) for c in rows.values()]
+def code_field(names) -> np.dtype:
+    """The dtype of a code column: int8 codes, each written to the file as
+    the name it indexes in `names` and read back from it. The names ride in
+    the dtype's metadata, which `dtype.descr` drops."""
+    return np.dtype("i1", metadata={"names": tuple(names)})
 
 
-def _finite(columns) -> bool:
-    """Whether every float in the columns is finite."""
-    return all(np.all(np.isfinite(c)) for c in columns if c.dtype.kind == "f")
+def _names(field: np.dtype):
+    """The names of a code column's codes; None for any other column."""
+    return (field.metadata or {}).get("names")
+
+
+def _columns(rows) -> list:
+    """(column, the names of its codes or None) of each column of a
+    structured array or of a 2-d array."""
+    if rows.dtype.names is None:
+        return [(c, None) for c in rows.T]
+    return [(rows[c], _names(rows.dtype[c])) for c in rows.dtype.names]
+
+
+def _finite(rows) -> bool:
+    """Whether every float in the rows is finite."""
+    return all(np.all(np.isfinite(c)) for c, _ in _columns(rows)
+               if c.dtype.kind == "f")
 
 
 _WIDE = 16          # the widest %.9g cell, "-1.23456789e-305"
@@ -181,17 +194,6 @@ def _number_cells(x, values, fmt: str, fallback=None) -> np.ndarray:
     return cells
 
 
-def _name_cells(col) -> np.ndarray:
-    """The %s cells of a str column: ASCII cast from its code points, any
-    other text encoded as UTF-8."""
-    col = np.ascontiguousarray(col)
-    code = col.view(np.uint32).reshape(len(col), col.itemsize // 4)
-    if code.size and code.max() >= 128:
-        text = np.char.encode(col, "utf-8")
-        return text.view(np.uint8).reshape(len(col), text.itemsize)
-    return code.astype(np.uint8)
-
-
 def _int_cells(col) -> np.ndarray:
     """The %d cells of an int column: below 10**9 in magnitude an int's %d
     is the %.9g of its float."""
@@ -205,24 +207,29 @@ def _float_cells(col) -> np.ndarray:
     return _number_cells(col.astype(float, copy=False), col, "%.9g")
 
 
-_CELLS = {"f": _float_cells, "i": _int_cells, "U": _name_cells}
+def _cells(col, names) -> np.ndarray:
+    """The cells of a column: a code column's names (UTF-8) or its
+    numbers."""
+    if names is not None:
+        text = np.array([n.encode() for n in names])
+        return text.view(np.uint8).reshape(len(names), text.itemsize)[col]
+    return (_float_cells if col.dtype.kind == "f" else _int_cells)(col)
 
 
 def write_table(path, rows, header=True, preamble=()) -> None:
-    """Write a structured array or a mapping of names to columns (the names
-    are the header), or a 2-d array with `header=False`, one line per row.
-    Each chunk of rows is a matrix of NUL-padded cells joined by commas,
-    written with its NULs stripped. A non-finite number is a failed
-    computation, not a result: it raises ArithmeticError before the file is
-    opened."""
-    names, cols = _columns(rows)
-    if not _finite(cols):
+    """Write a structured array (its field names are the header), or a 2-d
+    array with `header=False`, one line per row. Each chunk of rows is a
+    matrix of NUL-padded cells joined by commas, written with its NULs
+    stripped. A non-finite number is a failed computation, not a result: it
+    raises ArithmeticError before the file is opened."""
+    if not _finite(rows):
         raise ArithmeticError(f"non-finite value in the output for {path}")
-    lines = [*preamble] + ([",".join(names)] if header else [])
+    cols = _columns(rows)
+    lines = [*preamble] + ([",".join(rows.dtype.names)] if header else [])
     with open(path, "wb") as f:
         f.write("".join(line + "\n" for line in lines).encode())
-        for s in range(0, len(cols[0]), CHUNK_ROWS):
-            cells = [_CELLS[c.dtype.kind](c[s:s + CHUNK_ROWS]) for c in cols]
+        for s in range(0, len(rows), CHUNK_ROWS):
+            cells = [_cells(c[s:s + CHUNK_ROWS], names) for c, names in cols]
             comma = np.full((len(cells[0]), 1), ord(","), np.uint8)
             block = np.hstack([m for c in cells for m in (c, comma)])
             block[:, -1] = ord("\n")
@@ -240,62 +247,79 @@ def finite(values, what: str) -> np.ndarray:
     return out
 
 
-def _head(f, path, dtype, header: bool, extra: bool, preamble: int) -> tuple:
-    """The preamble lines and the row dtype of an open table, read up to its
-    first data line; see `read_table`."""
-    dtype = np.dtype(dtype)
-    pre = [f.readline().rstrip("\n") for _ in range(preamble)]
-    if header:
-        fields = f.readline().strip().split(",")
-        named = fields[len(dtype.names):] if extra else []
-        if (fields[:len(dtype.names)] != list(dtype.names)
-                or (not extra and len(fields) != len(dtype.names))
-                or not all(named) or len(set(fields)) != len(fields)):
-            raise ValueError(f"unexpected header in {path}: {fields}")
-        dtype = np.dtype(dtype.descr + [(n, "f8") for n in named])
-    return pre, dtype
-
-
-def _parse(lines, path, dtype, ndmin: int, before: int = 0) -> np.ndarray:
-    """The rows of data lines holding at least one row; `before` data rows
-    precede them in the file, for the row an error names."""
-    try:
-        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
-                          ndmin=ndmin)
-    except ValueError as e:
-        raise ValueError(f"{path}: {_located(str(e), before)}") from None
-    if not _finite(_columns(rows)[1]):
-        raise ValueError(f"{path}: non-finite value")
-    return rows
+def _decoded(path, j: int, text, names) -> np.ndarray:
+    """The codes of column j's cells `text`. They are read as strings one
+    character wider than the longest name, since loadtxt cuts a string to
+    its field's width: a name with one character more is read whole and
+    refused, not cut to that name."""
+    is_name = text == np.array(names)[:, None]      # (names, rows)
+    known = is_name.any(axis=0)
+    if not known.all():
+        width = text.dtype.itemsize // 4
+        bad = sorted(set(text[~known].tolist()))[:3]
+        shown = [v + "..." if len(v) == width else v for v in bad]
+        note = (f" ('...': a value that fills all {width} characters"
+                " of its field may have been cut)" if shown != bad else "")
+        raise ValueError(f"{path}: column {j + 1}: unknown values "
+                         f"{shown}{note}")
+    return is_name.argmax(axis=0)
 
 
 def read_table(path, dtype, *, header=True, extra: bool = False,
                preamble: int = 0) -> tuple:
     """The preamble lines and the rows, typed by `dtype` (with no header, a
-    2-d array), of a table written by `write_table`. Checks the exact header
-    (with `extra`, further distinct names of float columns may follow it),
-    the fields per row, at least one row, integers that fit their field and
-    finite floats."""
-    with open(path) as f:
-        pre, dtype = _head(f, path, dtype, header, extra, preamble)
-        start = f.tell()
-        if not any(line.strip() for line in f):    # loadtxt only warns
-            raise ValueError(f"{path}: no data rows")
-        f.seek(start)
-        return pre, _parse(f, path, dtype, 1 if header else 2)
+    2-d array), of a table written by `write_table`. Checks UTF-8 text, the
+    exact header (with `extra`, further distinct names of float columns may
+    follow it), the fields per row, at least one row, integers that fit
+    their field, known names in code columns and finite floats.
 
-
-def read_chunks(path, dtype):
-    """The rows of a table with a header, as `read_table` checks and types
-    them, in chunks of at most CHUNK_ROWS rows: reading a large file this
-    way holds one chunk of the file's records at a time, not all of them."""
-    with open(path) as f:
-        _, dtype = _head(f, path, dtype, True, False, 0)
-        n = 0
-        while lines := list(islice(f, CHUNK_ROWS)):
-            if any(line.strip() for line in lines):  # loadtxt only warns
-                rows = _parse(lines, path, dtype, 1, n)
+    The file is parsed one chunk of CHUNK_ROWS lines at a time, so of a
+    large file's parsed text (the names of code columns as wide strings)
+    only one chunk is held at once. An error names the data row counted
+    from 1 across chunks; unknown names are those of the first chunk that
+    has any."""
+    dtype, chunks, n = np.dtype(dtype), [], 0
+    try:
+        with open(path, encoding="utf-8") as f:
+            pre = [f.readline().rstrip("\n") for _ in range(preamble)]
+            if header:
+                fields = f.readline().strip().split(",")
+                named = fields[len(dtype.names):] if extra else []
+                if (fields[:len(dtype.names)] != list(dtype.names)
+                        or (not extra and len(fields) != len(dtype.names))
+                        or not all(named) or len(set(fields)) != len(fields)):
+                    raise ValueError(f"unexpected header in {path}: {fields}")
+                dtype = np.dtype([(c, dtype[c]) for c in dtype.names]
+                                 + [(c, "f8") for c in named])
+            names = [_names(dtype[c]) for c in dtype.names or ()]
+            # loadtxt reads a code column's cells as strings
+            text = np.dtype([(c, f"U{max(map(len, v)) + 1}" if v else dtype[c])
+                             for c, v in zip(dtype.names, names)]
+                            ) if any(names) else dtype
+            while lines := list(islice(f, CHUNK_ROWS)):
+                if not any(line.strip() for line in lines):  # loadtxt warns
+                    continue
+                try:
+                    rows = np.loadtxt(lines, dtype=text, delimiter=",",
+                                      comments=None, ndmin=1 if header else 2)
+                except ValueError as e:
+                    raise ValueError(f"{path}: {_located(str(e), n)}") from None
+                if not _finite(rows):
+                    raise ValueError(f"{path}: non-finite value")
+                if chunks and rows.shape[1:] != chunks[0].shape[1:]:
+                    raise ValueError(f"{path}: data row {n + 1} has "
+                                     f"{rows.shape[1]} fields, expected "
+                                     f"{chunks[0].shape[1]}")
+                if any(names):
+                    out = np.empty(len(rows), dtype)
+                    for j, (c, v) in enumerate(zip(dtype.names, names)):
+                        out[c] = rows[c] if v is None else _decoded(
+                            path, j, rows[c], v)
+                    rows = out
+                chunks.append(rows)
                 n += len(rows)
-                yield rows
-    if not n:
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
+    if not chunks:
         raise ValueError(f"{path}: no data rows")
+    return pre, chunks[0] if len(chunks) == 1 else np.concatenate(chunks)

@@ -1,7 +1,8 @@
 """Command-line pipeline driver.
 
 Subcommands: curves, generate, analyze, unfold, fit, reproduce.
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation error, 3 numerical failure or out
+of memory.
 """
 
 from __future__ import annotations
@@ -354,6 +355,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except ArithmeticError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as e:    # numpy names the array it could not allocate
+        print(f"out of memory: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -54,6 +54,12 @@ class PipelineConfig:
     n_response_mc: int = 400000
     seed: int = 1
 
+    def __post_init__(self):
+        for name in ("n_signal", "n_response_mc", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, "
+                                 f"got {getattr(self, name)}")
+
     @classmethod
     def paper_scale(cls, seed: int = 1, **over):
         return cls(backgrounds=BackgroundConfig.paper_scale(), seed=seed,

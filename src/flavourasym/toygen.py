@@ -2,8 +2,8 @@
 
 Events are kept in a numpy structured array whose fields match the event-file
 columns. The flavour classes and the category are small integer codes in
-memory and strings only in the file: `write_events` maps the codes to their
-names and `read_events` maps validated names back.
+memory and names only in the file: their fields are code columns, which the
+table layer writes as names and reads back as codes.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._table import read_chunks, write_table
+from ._table import code_field, read_table, write_table
 from .models import ModelParams, _ps_joint
 
 __all__ = [
@@ -74,11 +74,11 @@ EVENT_DTYPE = np.dtype([
     ("t1_ps", "f8"),
     ("t2_ps", "f8"),
     ("dt_true_ps", "f8"),
-    ("cls_true", "i1"),
+    ("cls_true", code_field(CLASS_NAMES)),
     ("dz_rec_um", "f8"),
     ("dt_rec_ps", "f8"),
-    ("cls_assigned", "i1"),
-    ("category", "i1"),
+    ("cls_assigned", code_field(CLASS_NAMES)),
+    ("category", code_field(c.value for c in EventCategory)),
     ("stream", "i4"),
     ("index", "i4"),
 ])
@@ -334,49 +334,13 @@ def generate_ensemble(model: GenModel, p: ModelParams, d: DetectorConfig,
                               stream=1)
 
 
-# the file strings of the code columns, indexed by code
-_NAMES = {"cls_true": CLASS_NAMES, "cls_assigned": CLASS_NAMES,
-          "category": tuple(c.value for c in EventCategory)}
-# The file's record: a name field is one character wider than its longest
-# name, since loadtxt cuts a string to the field width ("signalX": "signal")
-_WIDTH = {c: max(map(len, names)) + 1 for c, names in _NAMES.items()}
-_FILE_DTYPE = np.dtype([(c, f"U{_WIDTH[c]}" if c in _NAMES else EVENT_DTYPE[c])
-                        for c in EVENT_DTYPE.names])
-
-
 def write_events(events: np.ndarray, path) -> None:
     """Events as CSV, one row per event, with the codes written as names."""
-    write_table(path, {c: np.array(_NAMES[c])[events[c]] if c in _NAMES
-                       else events[c] for c in EVENT_DTYPE.names})
+    write_table(path, events)
 
 
 def read_events(path) -> np.ndarray:
     """Events from a file written by `write_events`; rejects malformed rows,
     non-finite numbers, integers out of their field's range, unknown class
-    codes and unknown categories. The file is read one chunk of rows at a
-    time, so of its records, which hold the names as wide strings, only one
-    chunk is held at once; a refusal of unknown names shows those of the
-    first chunk that has any."""
-    return np.concatenate([_coded(path, rows)
-                           for rows in read_chunks(path, _FILE_DTYPE)])
-
-
-def _coded(path, rows) -> np.ndarray:
-    """Records of the file's dtype as events, the names as codes."""
-    ev = np.empty(len(rows), dtype=EVENT_DTYPE)
-    for j, c in enumerate(EVENT_DTYPE.names):
-        if c not in _NAMES:
-            ev[c] = rows[c]
-            continue
-        is_name = rows[c] == np.array(_NAMES[c])[:, None]   # (names, rows)
-        known = is_name.any(axis=0)
-        if not known.all():
-            # a value that fills its field may have been cut by loadtxt
-            bad = sorted(set(rows[c][~known].tolist()))[:3]
-            shown = [v + "..." if len(v) == _WIDTH[c] else v for v in bad]
-            note = (f" ('...': a value that fills all {_WIDTH[c]} characters"
-                    " of its field may have been cut)" if shown != bad else "")
-            raise ValueError(f"{path}: column {j + 1}: unknown values "
-                             f"{shown}{note}")
-        ev[c] = is_name.argmax(axis=0)
-    return ev
+    codes and unknown categories."""
+    return read_table(path, EVENT_DTYPE)[1]

@@ -49,6 +49,14 @@ class TestInitConfig:
         log = json.loads((tmp_path / "events.csv.log").read_text())
         assert log["inputs"]["seed"] == 0
 
+    def test_negative_seed_refused(self, tmp_path, capsys):
+        # the config it would write is one every later command refuses
+        path = tmp_path / "run.cfg"
+        assert main(["init-config", "--out", str(path),
+                     "--seed", "-1"]) == EXIT_VALIDATION
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_flags_a_command_does_not_read_are_rejected(self, tmp_path):
         assert main(["reproduce", "--out",
                      str(tmp_path / "x")]) == EXIT_VALIDATION
@@ -100,6 +108,13 @@ class TestGenerate:
 
     def test_missing_config(self):
         assert main(["generate"]) == EXIT_VALIDATION
+
+    def test_negative_seed_flag_refused(self, tmp_path, cfg_path, capsys):
+        out = tmp_path / "events.csv"
+        assert main(["generate", "--config", str(cfg_path), "--seed", "-2",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert "seed must be non-negative, got -2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_multi_stream_config_is_exit_2(self, tmp_path, cfg_path, capsys):
         text = cfg_path.read_text().replace("seed = 3\n",
@@ -330,6 +345,16 @@ class TestMalformedInputs:
         bad.write_text("\n".join(lines) + "\n")
         assert main(_command(d, "response", str(bad))) == EXIT_NUMERICAL
         assert "overflow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["events", "spectrum", "counts",
+                                      "response"])
+    def test_non_utf8_file_named(self, small_chain, kind, capsys):
+        d, files = small_chain
+        bad = d / f"latin.{kind}.csv"
+        bad.write_bytes(b"\xff" + files[kind].read_bytes())
+        assert main(_command(d, kind, str(bad))) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"error: {bad}: 'utf-8' codec can't decode byte 0xff" in err
 
     @staticmethod
     def _analyze_edited(tmp_path, cfg_path, column, value):
@@ -632,6 +657,27 @@ class TestExitCodes:
               "--out", str(spectrum)])
         assert main(["unfold", "--config", str(cfg_path),
                      str(tmp_path / "spectrum.counts.csv")]) == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("command, allocation", [
+        (["curves"], "curve_rows"),
+        (["generate", "--config", "CFG"], "generate_ensemble")])
+    def test_out_of_memory_is_exit_3(self, tmp_path, cfg_path, monkeypatch,
+                                     capsys, command, allocation):
+        # the failing allocation is faked: a test that asked for the 149 GiB
+        # grid or the 4.6 TiB of events would be killed on a host that
+        # overcommits memory
+        import flavourasym.cli as cli
+
+        def unable(*a, **k):
+            raise MemoryError("Unable to allocate 149. GiB for an array")
+
+        monkeypatch.setattr(cli, allocation, unable)
+        out = tmp_path / "out.csv"
+        argv = [str(cfg_path) if a == "CFG" else a for a in command]
+        assert main(argv + ["--out", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == "out of memory: Unable to allocate 149. GiB for an array\n"
+        assert not out.exists()
 
     def test_usage_errors_are_returned_not_raised(self, capsys):
         assert main(["fit"]) == EXIT_VALIDATION

@@ -97,6 +97,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="dm"):
             load_config(write_cfg(tmp_path, text))
 
+    @pytest.mark.parametrize("key", ["seed", "n_signal", "n_response_mc"])
+    def test_negative_run_count_names_the_field(self, tmp_path, key):
+        text = MINIMAL.replace("seed = 11", f"seed = 11\n{key} = -3"
+                               if key != "seed" else "seed = -3")
+        with pytest.raises(ValueError,
+                           match=f"^{key} must be non-negative, got -3$"):
+            load_config(write_cfg(tmp_path, text))
+
     def test_background_line_parsing(self, tmp_path):
         text = MINIMAL.replace(
             "[backgrounds]\n",

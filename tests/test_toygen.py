@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from oracles import one_shot_sample_pair, ps_sample_pair, signal_record
 
 from flavourasym._table import (CHUNK_ROWS, _float_cells, _int_cells,
-                                _number_cells, read_table, write_table)
+                                _number_cells, code_field, read_table,
+                                write_table)
 from flavourasym.analysis import (AsymmetrySpectrum, BinnedCounts, Binning,
                                   asymmetry, bin_events, read_counts,
                                   read_spectrum, write_counts, write_spectrum)
@@ -586,28 +587,75 @@ class TestTableWriter:
         # the last row is the only negative and the widest, so the chunks
         # that lack it are laid out narrower than the one that has it
         rng = np.random.default_rng(n)
-        rows = np.zeros(n, [("x", "f8"), ("k", "i4"), ("name", "U6")])
+        names = ("OF", "signal", "SF")
+        rows = np.zeros(n, [("x", "f8"), ("k", "i4"),
+                            ("name", code_field(names))])
         rows["x"] = rng.uniform(0.0, 20.0, n)
         rows["k"] = rng.integers(0, 10 ** 6, n)
-        rows["name"] = np.array(["OF", "signal"])[rng.integers(0, 2, n)]
+        rows["name"] = rng.integers(0, 2, n)
         if n:
-            rows[-1] = (-1.23456789e-300, -2 ** 31, "SF")
+            rows[-1] = (-1.23456789e-300, -2 ** 31, 2)
         path = tmp_path / "table.csv"
         write_table(path, rows)
         assert_same_lines(path.read_text(), _cell_by_cell(
-            rows.dtype.names, (["%.9g" % x, "%d" % k, name]
-                               for x, k, name in rows.tolist())))
+            rows.dtype.names, (["%.9g" % x, "%d" % k, names[c]]
+                               for x, k, c in rows.tolist())))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_refused_before_the_file_exists(self, tmp_path, bad):
-        x = np.ones(CHUNK_ROWS + 1)
-        x[-1] = bad
+        rows = np.ones(CHUNK_ROWS + 1, [("x", "f8")])
+        rows["x"][-1] = bad
         path = tmp_path / "table.csv"
         with pytest.raises(ArithmeticError):
-            write_table(path, {"x": x})
+            write_table(path, rows)
         assert not path.exists()
 
     def test_non_ascii_names_written_as_utf8(self, tmp_path):
         path = tmp_path / "names.csv"
-        write_table(path, {"name": np.array(["Δt", "OF"]), "k": [1, 2]})
+        dtype = [("name", code_field(["OF", "Δt"])), ("k", "i4")]
+        rows = np.array([(1, 1), (0, 2)], dtype)
+        write_table(path, rows)
         assert path.read_bytes() == "name,k\nΔt,1\nOF,2\n".encode()
+        np.testing.assert_array_equal(read_table(path, dtype)[1], rows)
+
+
+class TestTableReader:
+    """The one reader, on a headerless table with a preamble (the layout of
+    a response file) longer than one chunk."""
+
+    @staticmethod
+    def _long(tmp_path, n=CHUNK_ROWS + 5):
+        # 6 decimals: the %.9g cells read back exactly
+        rows = np.round(np.random.default_rng(n).uniform(-1.0, 1.0, (n, 3)), 6)
+        path = tmp_path / "long.csv"
+        write_table(path, rows, header=False, preamble=["# a", "# b"])
+        return path, rows
+
+    def test_read_back_equal_across_chunks(self, tmp_path):
+        path, rows = self._long(tmp_path)
+        pre, back = read_table(path, float, header=False, preamble=2)
+        assert pre == ["# a", "# b"]
+        np.testing.assert_array_equal(back, rows)
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda line: line + ",0", "has 4 fields, expected 3"),
+        (lambda line: "x" + line, ", column 1: could not convert")])
+    def test_error_in_second_chunk_names_its_data_row(self, tmp_path, edit,
+                                                      error):
+        path, _ = self._long(tmp_path)
+        lines = path.read_text().splitlines()
+        row = CHUNK_ROWS + 3
+        lines[1 + row] = edit(lines[1 + row])   # after the 2 preamble lines
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"data row {row}\\b.*{error}"):
+            read_table(path, float, header=False, preamble=2)
+
+    def test_second_chunk_of_another_width_refused(self, tmp_path):
+        path, _ = self._long(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[2 + CHUNK_ROWS:] = [line + ",0" for line in
+                                  lines[2 + CHUNK_ROWS:]]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"data row {CHUNK_ROWS + 1} has "
+                           "4 fields, expected 3"):
+            read_table(path, float, header=False, preamble=2)
