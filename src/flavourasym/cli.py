@@ -217,7 +217,9 @@ def cmd_fit(args):
     for m in models:
         if m not in ("QM", "SD", "PS", "DECOHERED"):
             raise ConfigError(f"unknown fit model {m!r}")
-    # as in cmd_unfold: a finite but huge input overflows in the fits
+    # as in cmd_unfold: a finite but huge input overflows in the fits; the
+    # report reads every fit's error and flags, which are computed on first
+    # read, so they too are computed inside this block
     with np.errstate(over="raise", invalid="raise"):
         fits, report = _fit_report(spectrum, models, cfg)
     print(report)

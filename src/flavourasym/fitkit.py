@@ -4,7 +4,7 @@ chi-square model discrimination."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -43,24 +43,44 @@ class Constraint:
         return ((dm - self.mean) / self.sigma) ** 2
 
 
-@dataclass
 class FitResult:
-    model: str
-    theta_hat: float
-    theta_err: float
-    chi2: float
-    dof: int
-    residuals: np.ndarray
-    flags: list = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
+    """A fit's estimate, its error and flags, chi-square, dof and pulls.
 
-    def __post_init__(self):
-        if self.theta_err <= 0:
-            raise ValueError("theta_err must be positive")
-        if self.chi2 < 0:
+    `theta_err` is the error, or a function that returns the error and the
+    flags it raises. Such a function is called the first time `theta_err`
+    or `flags` is read, and its flags follow those given: a fit whose
+    error nobody reads pays only for its minimum.
+    """
+
+    def __init__(self, model: str, theta_hat: float, theta_err, chi2: float,
+                 dof: int, residuals: np.ndarray, flags: list | None = None,
+                 extra: dict | None = None):
+        self.model, self.theta_hat, self.chi2 = model, theta_hat, chi2
+        self.dof, self.residuals = dof, residuals
+        self.extra = {} if extra is None else extra
+        self._err, self._flags = theta_err, [] if flags is None else flags
+        if not callable(theta_err):
+            _ = self._error             # a given error is checked here
+        if chi2 < 0:
             raise ValueError("chi2 must be non-negative")
-        if not np.isfinite(self.chi2):
-            raise ArithmeticError(f"{self.model} fit: chi-square is not finite")
+        if not np.isfinite(chi2):
+            raise ArithmeticError(f"{model} fit: chi-square is not finite")
+
+    @cached_property
+    def _error(self) -> tuple:
+        """(theta_err, flags): the computed flags follow the given ones."""
+        err, more = self._err() if callable(self._err) else (self._err, [])
+        if err <= 0:
+            raise ValueError("theta_err must be positive")
+        return err, self._flags + more
+
+    @property
+    def theta_err(self) -> float:
+        return self._error[0]
+
+    @property
+    def flags(self) -> list:
+        return self._error[1]
 
 
 class BinPredictor:
@@ -168,11 +188,17 @@ def _fit_dm(fun) -> tuple:
 
 def fit_model(spectrum: AsymmetrySpectrum, model: str, c: Constraint,
               predictor: BinPredictor) -> FitResult:
-    """One-parameter dm fit of a model curve (or band) to a spectrum."""
+    """One-parameter dm fit of a model curve (or band) to a spectrum. The
+    dm error, the chi2_min + 1 interval, is computed when first read."""
     fun = lambda dm: chi2(spectrum, model, dm, c, predictor)
     dm_hat, c2, flags = _fit_dm(fun)
-    err = _one_sigma_interval(fun, dm_hat, c2, *DM_SEARCH, "dm", flags)
-    return FitResult(model=model, theta_hat=dm_hat, theta_err=err,
+
+    def error():
+        more = []
+        return _one_sigma_interval(fun, dm_hat, c2, *DM_SEARCH, "dm",
+                                   more), more
+
+    return FitResult(model=model, theta_hat=dm_hat, theta_err=error,
                      chi2=c2, dof=spectrum.binning.n_bins,
                      residuals=_pulls(spectrum, model, dm_hat, predictor),
                      flags=flags)
@@ -184,8 +210,10 @@ def fit_zeta(spectrum: AsymmetrySpectrum, c: Constraint,
 
     The curve QM + zeta (SD - QM) is linear in zeta, so dm is fitted with
     zeta solved exactly at each dm. zeta may float below zero; its error
-    comes from the profile chi-square crossing chi2_min + 1. n_bins points
-    and the dm constraint, less two parameters, leave n_bins - 1 dof."""
+    comes from the profile chi-square crossing chi2_min + 1, and is
+    computed, with the probe of the profile's flatness, when first read.
+    n_bins points and the dm constraint, less two parameters, leave
+    n_bins - 1 dof."""
     c2 = lambda dm, z: chi2(spectrum, "DECOHERED", dm, c, predictor, z)
     profile = lambda z: minimize_bounded(lambda dm: c2(dm, z), DM_SEARCH,
                                          DM_XTOL)[1]
@@ -197,11 +225,15 @@ def fit_zeta(spectrum: AsymmetrySpectrum, c: Constraint,
 
     dm_hat, c2_min, flags = _fit_dm(lambda dm: c2(dm, zeta_hat(dm)))
     z_hat = zeta_hat(dm_hat)
-    if profile(z_hat + 0.5) - c2_min < 0.05:
-        flags.append("zeta profile is nearly flat")
-    err = _one_sigma_interval(profile, z_hat, c2_min, z_hat - 1.0,
-                              z_hat + 1.0, "zeta", flags)
-    return FitResult(model="DECOHERED", theta_hat=z_hat, theta_err=err,
+
+    def error():
+        more = []
+        if profile(z_hat + 0.5) - c2_min < 0.05:
+            more.append("zeta profile is nearly flat")
+        return _one_sigma_interval(profile, z_hat, c2_min, z_hat - 1.0,
+                                   z_hat + 1.0, "zeta", more), more
+
+    return FitResult(model="DECOHERED", theta_hat=z_hat, theta_err=error,
                      chi2=c2_min, dof=spectrum.binning.n_bins - 1,
                      residuals=_pulls(spectrum, "DECOHERED", dm_hat,
                                       predictor, z_hat),

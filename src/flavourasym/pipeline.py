@@ -17,7 +17,7 @@ from .fitkit import BinPredictor, Constraint, fit_model, significance
 from .models import ModelParams
 # make_signal_events is not called here; perfbench/tests looks the name up
 # on this module
-from .toygen import (BackgroundConfig, DetectorConfig, GenModel,
+from .toygen import (EVENT_DTYPE, BackgroundConfig, DetectorConfig, GenModel,
                      generate_ensemble, make_signal_events, response_sample,
                      stream_rng)
 from .unfold import (UnfoldConfig, bias_correct, dsvd_unfold,
@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 RESPONSE_STREAM = 900000    # stream of the response-training sample
+# a replica's records: the only fields that `corrected_counts` reads
+_REPLICA_DTYPE = np.dtype([(n, EVENT_DTYPE[n])
+                           for n in ("dt_rec_ps", "cls_assigned")])
 
 
 @dataclass(frozen=True)
@@ -119,10 +122,13 @@ def build_training_responses(cfg: PipelineConfig):
 
 
 def replica_counts(model: GenModel, cfg: PipelineConfig, replica_seed: int):
-    """One pseudo-experiment's corrected counts: generate and analyze."""
+    """One pseudo-experiment's corrected counts: generate and analyze. The
+    events are records of the two fields the analysis reads; their values
+    are those of the full records."""
     events = generate_ensemble(model, cfg.params, cfg.detector,
                                cfg.backgrounds, cfg.n_signal,
-                               master_seed=cfg.seed * 1000003 + replica_seed)
+                               master_seed=cfg.seed * 1000003 + replica_seed,
+                               dtype=_REPLICA_DTYPE)
     counts, _ = corrected_counts(events, cfg)
     return counts
 

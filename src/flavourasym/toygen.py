@@ -1,7 +1,8 @@
 """Seeded toy generation of B-pair decays with detector response and backgrounds.
 
 Events are kept in a numpy structured array whose fields match the event-file
-columns. The flavour classes and the category are small integer codes in
+columns; `generate_ensemble` can fill records of only some of those fields,
+with the values the full records hold. The flavour classes and the category are small integer codes in
 memory and names only in the file: their fields are code columns, which the
 table layer writes as names and reads back as codes.
 """
@@ -226,19 +227,35 @@ def _smear(dt_true, sigma: float, z):
     return dz, np.abs(dz) / _DZ_PER_PS
 
 
+def _put(events: np.ndarray, **columns) -> None:
+    """Write each column to the field of its name, where `events` has one."""
+    for name, col in columns.items():
+        if name in events.dtype.fields:
+            events[name] = col
+
+
+def _detect(events: np.ndarray, dt_true, cls_true, d: DetectorConfig,
+            rng: np.random.Generator) -> np.ndarray:
+    """The detector draws of `apply_detector` on the truth columns given,
+    into the fields of `events` that hold them: the standard normals (none
+    when d.total_sigma is 0), then the mistag uniforms, drawn at any
+    mistag fraction."""
+    n = len(events)
+    z = rng.standard_normal(n) if d.total_sigma > 0 else None
+    dz, dt_rec = _smear(dt_true, d.total_sigma, z)
+    flip = rng.random(n) < d.mistag_fraction
+    _put(events, dz_rec_um=dz, dt_rec_ps=dt_rec,
+         cls_assigned=cls_true ^ flip)          # swaps codes 0, 1
+    return events
+
+
 def apply_detector(events: np.ndarray, d: DetectorConfig,
                    rng: np.random.Generator) -> np.ndarray:
     """Fill dz_rec/dt_rec and the assigned class from the truth fields.
 
     Works in place: `events` itself is filled and returned.
     """
-    n = len(events)
-    z = rng.standard_normal(n) if d.total_sigma > 0 else None
-    events["dz_rec_um"], events["dt_rec_ps"] = _smear(
-        events["dt_true_ps"], d.total_sigma, z)
-    flip = rng.random(n) < d.mistag_fraction
-    events["cls_assigned"] = events["cls_true"] ^ flip  # swaps codes 0, 1
-    return events
+    return _detect(events, events["dt_true_ps"], events["cls_true"], d, rng)
 
 
 def response_sample(model: GenModel, p: ModelParams, n: int, sigmas,
@@ -264,32 +281,34 @@ def response_sample(model: GenModel, p: ModelParams, n: int, sigmas,
                [_smear(dt, sigma, z)[1] for sigma in sigmas])
 
 
-def _join(parts) -> np.ndarray:
-    """Concatenate event records as raw bytes: numpy's field-by-field
+def _join(parts, dtype: np.dtype) -> np.ndarray:
+    """Concatenate records of `dtype` as raw bytes: numpy's field-by-field
     structured concatenate is about 20 times slower for the same bytes."""
-    return np.concatenate([np.ascontiguousarray(p, dtype=EVENT_DTYPE)
-                           .view(np.uint8) for p in parts]).view(EVENT_DTYPE)
+    return np.concatenate([np.ascontiguousarray(p, dtype=dtype)
+                           .view(np.uint8) for p in parts]).view(dtype)
 
 
-def make_signal_events(model: GenModel, p: ModelParams, n: int,
-                       d: DetectorConfig,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Generate `n` signal pairs and run them through the detector model;
-    their `stream` field is 0."""
-    ev = np.zeros(n, dtype=EVENT_DTYPE)
+def _signal(model: GenModel, p: ModelParams, n: int, d: DetectorConfig,
+            rng: np.random.Generator, dtype: np.dtype) -> np.ndarray:
+    """`n` signal records of `dtype`, drawn as `make_signal_events` draws
+    them."""
+    ev = np.zeros(n, dtype=dtype)
     t1, t2, is_of = sample_pair(model, p, rng, n)
-    ev["t1_ps"], ev["t2_ps"], ev["dt_true_ps"] = t1, t2, np.abs(t1 - t2)
-    ev["cls_true"] = ~is_of                 # code 1, SF, where not OF
-    ev["index"] = np.arange(n)
-    return apply_detector(ev, d, rng)
+    dt, cls = np.abs(t1 - t2), (~is_of).view(np.int8)  # code 1, SF, if not OF
+    _put(ev, t1_ps=t1, t2_ps=t2, dt_true_ps=dt, cls_true=cls,
+         index=np.arange(n))
+    return _detect(ev, dt, cls, d, rng)
 
 
-def inject_backgrounds(signal: np.ndarray, b: BackgroundConfig,
-                       d: DetectorConfig, rng: np.random.Generator,
-                       stream: int = 0) -> np.ndarray:
-    """Append background events with configured yields, shapes and OF/SF split."""
-    parts = [signal]
-    next_index = int(signal["index"].max()) + 1 if len(signal) else 0
+def _backgrounds(b: BackgroundConfig, d: DetectorConfig,
+                 rng: np.random.Generator, dtype: np.dtype, stream: int,
+                 next_index: int) -> list:
+    """The background records of `dtype`, one array per category that has
+    events, drawn as `inject_backgrounds` draws them."""
+    # backgrounds see the same vertex resolution but are never retagged;
+    # their mistag uniforms are drawn all the same
+    untagged = DetectorConfig(d.resolution_sigma, d.extra_smear_sigma, 0.0)
+    parts = []
     for cat in BACKGROUND_CATEGORIES:
         y = b.yields.get(cat)
         if y is None or (y.n_of + y.n_sf) == 0:
@@ -298,20 +317,32 @@ def inject_backgrounds(signal: np.ndarray, b: BackgroundConfig,
         n = int(round(mean)) if b.fixed_counts else int(rng.poisson(mean))
         if n == 0:
             continue
-        ev = np.zeros(n, dtype=EVENT_DTYPE)
+        ev = np.zeros(n, dtype=dtype)
         dt = y.shape.sample(n, rng)
-        ev["t1_ps"] = dt
-        ev["dt_true_ps"] = dt
-        is_of = rng.random(n) < y.n_of / mean
-        ev["cls_true"] = ~is_of
-        ev["category"] = CATEGORY_CODE[cat]
-        ev["stream"] = stream
-        ev["index"] = np.arange(next_index, next_index + n)
+        cls = (~(rng.random(n) < y.n_of / mean)).view(np.int8)
+        _put(ev, t1_ps=dt, dt_true_ps=dt, cls_true=cls,
+             category=CATEGORY_CODE[cat], stream=stream,
+             index=np.arange(next_index, next_index + n))
         next_index += n
-        # backgrounds see the same vertex resolution but are never retagged
-        parts.append(apply_detector(ev, DetectorConfig(
-            d.resolution_sigma, d.extra_smear_sigma, 0.0), rng))
-    return _join(parts) if len(parts) > 1 else signal
+        parts.append(_detect(ev, dt, cls, untagged, rng))
+    return parts
+
+
+def make_signal_events(model: GenModel, p: ModelParams, n: int,
+                       d: DetectorConfig,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Generate `n` signal pairs and run them through the detector model;
+    their `stream` field is 0."""
+    return _signal(model, p, n, d, rng, EVENT_DTYPE)
+
+
+def inject_backgrounds(signal: np.ndarray, b: BackgroundConfig,
+                       d: DetectorConfig, rng: np.random.Generator,
+                       stream: int = 0) -> np.ndarray:
+    """Append background events with configured yields, shapes and OF/SF split."""
+    next_index = int(signal["index"].max()) + 1 if len(signal) else 0
+    parts = _backgrounds(b, d, rng, EVENT_DTYPE, stream, next_index)
+    return _join([signal, *parts], EVENT_DTYPE) if parts else signal
 
 
 def stream_rng(master_seed: int, stream: int) -> np.random.Generator:
@@ -320,18 +351,33 @@ def stream_rng(master_seed: int, stream: int) -> np.random.Generator:
         np.random.SeedSequence([int(master_seed), int(stream)])))
 
 
+def _record_dtype(dtype) -> np.dtype:
+    """`dtype` if its fields are fields of EVENT_DTYPE, with their types."""
+    dtype = np.dtype(dtype)
+    if not dtype.names or any(
+            n not in EVENT_DTYPE.fields or dtype[n] != EVENT_DTYPE[n]
+            or dtype[n].metadata != EVENT_DTYPE[n].metadata
+            for n in dtype.names):
+        raise ValueError(f"event records take fields of EVENT_DTYPE with "
+                         f"their types, not {dtype}")
+    return dtype
+
+
 def generate_ensemble(model: GenModel, p: ModelParams, d: DetectorConfig,
-                      b: BackgroundConfig, n_signal: int,
-                      master_seed: int) -> np.ndarray:
+                      b: BackgroundConfig, n_signal: int, master_seed: int,
+                      dtype=EVENT_DTYPE) -> np.ndarray:
     """Deterministic generation; identical inputs give identical events.
 
     Signal draws from stream 0 of the master seed and backgrounds from
     stream 1, so signal events do not move when the background
-    configuration changes."""
-    signal = make_signal_events(model, p, n_signal, d,
-                                stream_rng(master_seed, 0))
-    return inject_backgrounds(signal, b, d, stream_rng(master_seed, 1),
-                              stream=1)
+    configuration changes. The records are of `dtype`, whose fields are
+    some or all of EVENT_DTYPE's: the draws are the same whichever fields
+    are kept, so each kept field holds the values of the full record."""
+    dtype = _record_dtype(dtype)
+    signal = _signal(model, p, n_signal, d, stream_rng(master_seed, 0), dtype)
+    parts = _backgrounds(b, d, stream_rng(master_seed, 1), dtype, stream=1,
+                         next_index=n_signal)
+    return _join([signal, *parts], dtype) if parts else signal
 
 
 def write_events(events: np.ndarray, path) -> None:

@@ -679,6 +679,23 @@ class TestExitCodes:
         assert err == "out of memory: Unable to allocate 149. GiB for an array\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["QM", "DECOHERED"])
+    def test_fit_error_overflow_is_exit_3(self, tmp_path, monkeypatch,
+                                          capsys, model):
+        # the fits compute their errors when first read; fit reads them
+        # all where an overflow is a numerical failure
+        from flavourasym import fitkit
+
+        def overflow(*a, **k):
+            return np.float64(1e308) * 10.0
+
+        monkeypatch.setattr(fitkit, "_one_sigma_interval", overflow)
+        out = tmp_path / "fit.txt"
+        assert main(["fit", str(fixture_path()), "--models", model,
+                     "--out", str(out)]) == EXIT_NUMERICAL
+        assert "numerical failure: overflow" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_errors_are_returned_not_raised(self, capsys):
         assert main(["fit"]) == EXIT_VALIDATION
         assert "usage:" in capsys.readouterr().err

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from flavourasym import fitkit
-from flavourasym.analysis import AsymmetrySpectrum, Binning
+from flavourasym.analysis import AsymmetrySpectrum, Binning, read_spectrum
+from flavourasym.cli import fixture_path
 from flavourasym.fitkit import (BinPredictor, Constraint, FitResult, chi2,
                                 fit_model, fit_zeta, significance)
 from flavourasym.models import MarginalGrid, ModelParams, asym_qm
@@ -166,6 +167,114 @@ class TestSignificance:
     def test_equal_fits(self):
         a = FitResult("QM", 0.5, 0.01, 5.0, 11, np.array([]))
         assert significance(a, a) == 0.0
+
+
+def eager_errors(spectrum, model, c, fit):
+    """(theta_err, flags) as the fits computed them with their minimum:
+    the minimum's flag, the zeta profile's, then the interval's."""
+    dm = fit.extra.get("dm", fit.theta_hat)
+    lo, hi = fitkit.DM_SEARCH
+    flags = (["minimum at the edge of the search interval"]
+             if min(dm - lo, hi - dm) < 5 * fitkit.DM_XTOL else [])
+    if model == "DECOHERED":
+        fun = lambda z: fitkit.minimize_bounded(
+            lambda m: chi2(spectrum, model, m, c, PRED, z), fitkit.DM_SEARCH,
+            fitkit.DM_XTOL)[1]
+        if fun(fit.theta_hat + 0.5) - fit.chi2 < 0.05:
+            flags.append("zeta profile is nearly flat")
+        lo, hi, label = fit.theta_hat - 1.0, fit.theta_hat + 1.0, "zeta"
+    else:
+        fun = lambda m: chi2(spectrum, model, m, c, PRED)
+        label = "dm"
+    return fitkit._one_sigma_interval(fun, fit.theta_hat, fit.chi2, lo, hi,
+                                      label, flags), flags
+
+
+def _fit(spectrum, model, c):
+    return (fit_zeta(spectrum, c, PRED) if model == "DECOHERED"
+            else fit_model(spectrum, model, c, PRED))
+
+
+LOOSE = Constraint(0.496, 10.0)
+ERROR_CASES = {
+    # no flags
+    "fixture": (lambda: read_spectrum(fixture_path()), C),
+    # dm: the edge flag, then the interval's; zeta: the edge flag
+    "edge": (lambda: exact_spectrum("QM", dm=0.95, err=0.01), LOOSE),
+    # dm: two missing crossings and an asymmetric interval; zeta: the flat
+    # profile's flag, then two missing crossings
+    "flat": (lambda: exact_spectrum("QM", dm=0.5, err=5.0), LOOSE),
+}
+
+
+class TestErrorOnRead:
+    """The error and flags of a fit are computed when first read, with the
+    values and flag order of a fit that computes them with its minimum."""
+
+    @pytest.mark.parametrize("case", sorted(ERROR_CASES))
+    @pytest.mark.parametrize("model", ["QM", "SD", "PS", "DECOHERED"])
+    def test_read_gives_the_eager_values(self, case, model):
+        make, c = ERROR_CASES[case]
+        spec = make()
+        fit = _fit(spec, model, c)
+        err, flags = eager_errors(spec, model, c, fit)
+        assert fit.flags == flags
+        assert fit.theta_err == err
+        assert fit.flags is fit.flags       # computed once
+
+    def test_significance_searches_no_interval(self, monkeypatch):
+        spec = read_spectrum(fixture_path())
+
+        def refuse(*a, **k):
+            raise AssertionError("an interval was searched")
+
+        monkeypatch.setattr(fitkit, "brentq", refuse)
+        qm, sd = (fit_model(spec, m, C, PRED) for m in ("QM", "SD"))
+        sig = significance(qm, sd)
+        assert sig == pytest.approx(13.0, abs=0.5)
+        with pytest.raises(AssertionError, match="interval"):
+            qm.theta_err
+        monkeypatch.undo()
+        for fit in (qm, sd):
+            assert (fit.theta_err, fit.flags) == eager_errors(
+                spec, fit.model, C, fit)
+
+    def test_zeta_fit_probes_its_profile_on_read(self, monkeypatch):
+        spec = read_spectrum(fixture_path())
+        calls = []
+        counted = lambda *a: calls.append(a) or chi2(*a)
+        monkeypatch.setattr(fitkit, "chi2", counted)
+        fit = fit_zeta(spec, C, PRED)
+        n_fit = len(calls)
+        assert fit.chi2 > 0 and len(calls) == n_fit
+        # the probe at zeta_hat + 0.5 and the profile's crossings
+        fit.flags
+        n_err = len(calls) - n_fit
+        assert n_err > 0
+        fit.theta_err
+        assert len(calls) - n_fit == n_err
+
+    def test_given_error_is_checked_when_made(self):
+        fit = FitResult("QM", 0.5, 0.01, 5.0, 11, np.array([]))
+        assert (fit.theta_err, fit.flags) == (0.01, [])
+        for err in (0.0, -0.01):
+            with pytest.raises(ValueError, match="positive"):
+                FitResult("QM", 0.5, err, 5.0, 11, np.array([]))
+
+    @pytest.mark.parametrize("err", [0.0, -0.01])
+    def test_non_positive_computed_error_raises_on_read(self, err):
+        fit = FitResult("QM", 0.5, lambda: (err, ["x"]), 5.0, 11,
+                        np.array([]), flags=["edge"])
+        assert significance(fit, fit) == 0.0
+        for attr in ("theta_err", "flags"):
+            with pytest.raises(ValueError, match="positive"):
+                getattr(fit, attr)
+
+    def test_computed_flags_follow_the_given_ones(self):
+        fit = FitResult("QM", 0.5, lambda: (0.02, ["interval"]), 5.0, 11,
+                        np.array([]), flags=["minimum"])
+        assert fit.flags == ["minimum", "interval"]
+        assert fit.theta_err == 0.02
 
 
 class TestFitZeta:

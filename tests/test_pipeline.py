@@ -8,13 +8,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flavourasym import unfold
+from flavourasym import pipeline, toygen, unfold
 from flavourasym.analysis import Binning
+from flavourasym.models import ModelParams
 from flavourasym.pipeline import (PipelineConfig, build_training_responses,
                                   replica_counts, run_ensemble, run_replica,
                                   smear_systematic, train_responses,
                                   unfold_replica)
-from flavourasym.toygen import DetectorConfig, GenModel
+from flavourasym.toygen import (EVENT_DTYPE, BackgroundConfig, DetectorConfig,
+                                GenModel)
 from flavourasym.unfold import unfolded_asymmetry, unfolding_map
 from oracles import one_shot_unfold, record_responses
 
@@ -61,6 +63,47 @@ def test_prebuilt_map_unfolds_as_the_one_shot_path():
                                                        CFG.unfold))
         np.testing.assert_array_equal(a, a1)
         np.testing.assert_array_equal(cov, cov1)
+
+
+_DECO = replace(CFG, params=ModelParams(zeta=0.3))
+REPLICA_CASES = {m.value: (m, _DECO) for m in GenModel} | {
+    "no_smear": (GenModel.QM, replace(CFG, detector=DetectorConfig(
+        resolution_sigma=0.0, extra_smear_sigma=0.0))),
+    "fixed_counts": (GenModel.QM, replace(CFG, backgrounds=replace(
+        CFG.backgrounds, fixed_counts=True))),
+    "no_backgrounds": (GenModel.SD, replace(CFG,
+                                            backgrounds=BackgroundConfig())),
+}
+
+
+@pytest.mark.parametrize("case", list(REPLICA_CASES))
+def test_replica_records_count_as_full_records(case, monkeypatch):
+    """A replica's two-field records give the counts of the full event
+    records, bit for bit."""
+    model, cfg = REPLICA_CASES[case]
+    made = []
+
+    def generate(*args, **kw):
+        made.append(toygen.generate_ensemble(*args, **kw))
+        return made[-1]
+
+    monkeypatch.setattr(pipeline, "generate_ensemble", generate)
+    replicas = [replica_counts(model, cfg, r) for r in range(2)]
+    assert [ev.dtype.names for ev in made] == [("dt_rec_ps",
+                                                "cls_assigned")] * 2
+    assert all(ev.itemsize == 9 for ev in made)
+
+    def full_records(*args, dtype, **kw):
+        return generate(*args, **kw)
+
+    monkeypatch.setattr(pipeline, "generate_ensemble", full_records)
+    for r, got in enumerate(replicas):
+        want = replica_counts(model, cfg, r)
+        assert made[-1].dtype == EVENT_DTYPE
+        assert len(made[-1]) == len(made[r])
+        for a, b in ((got.n, want.n), (got.var, want.var)):
+            assert a.dtype == b.dtype and np.all(a == b)
+        assert got.overflow == want.overflow
 
 
 def test_truncated_solver_runs_twice_per_response_pair(monkeypatch):

@@ -6,6 +6,7 @@ import hashlib
 import io
 import tracemalloc
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -72,6 +73,64 @@ class TestDeterminism:
         b = stream_rng(7, 1).random(100)
         assert not np.array_equal(a, b)
         np.testing.assert_array_equal(a, stream_rng(7, 0).random(100))
+
+
+# sha256 of the full event records and of their file, pinned so that the
+# generator keeps its draws and the file its bytes
+PINNED_EVENTS = {
+    "qm_paper_scale": (
+        GenModel.QM, P, BackgroundConfig.paper_scale(), 11, 3749,
+        "220ced03bfd1884783a2b8a43a48dada386b559339550e3507f567b244bf009c",
+        "317c48397c88d06eb4d550f295a6f61023db1798ad9acb9ab5c55440040244d5"),
+    "decohered_fixed_counts": (
+        GenModel.DECOHERED, ModelParams(zeta=0.3),
+        replace(BackgroundConfig.paper_scale(), fixed_counts=True), 12, 3751,
+        "ae41dc9d654c2e625347dccf378d8e9e0e9e669a3df833a150c36cafa83c8e6d",
+        "c8b2e92a86150e3f84479c5c3aa30d2516b7dfb1dcfeb83cb5abf683e91e6ac8"),
+}
+
+
+def _sub_dtype(*names):
+    return np.dtype([(n, EVENT_DTYPE[n]) for n in names])
+
+
+class TestRecordFields:
+    @pytest.mark.parametrize("case", list(PINNED_EVENTS))
+    def test_full_records_keep_their_bytes(self, tmp_path, case):
+        model, p, b, seed, n, records, file = PINNED_EVENTS[case]
+        ev = generate_ensemble(model, p, DetectorConfig(), b, 3000,
+                               master_seed=seed)
+        write_events(ev, tmp_path / "events.csv")
+        assert len(ev) == n
+        assert hashlib.sha256(ev.tobytes()).hexdigest() == records
+        assert hashlib.sha256(
+            (tmp_path / "events.csv").read_bytes()).hexdigest() == file
+
+    @pytest.mark.parametrize("case", list(PINNED_EVENTS))
+    @pytest.mark.parametrize("names", [
+        ("dt_rec_ps", "cls_assigned"), ("cls_assigned", "dt_rec_ps"),
+        ("index", "category", "stream"), EVENT_DTYPE.names[::-1]])
+    def test_field_subset_holds_the_full_records_values(self, case, names):
+        model, p, b, seed, *_ = PINNED_EVENTS[case]
+        full = generate_ensemble(model, p, DetectorConfig(), b, 3000,
+                                 master_seed=seed)
+        dtype = _sub_dtype(*names)
+        ev = generate_ensemble(model, p, DetectorConfig(), b, 3000,
+                               master_seed=seed, dtype=dtype)
+        assert ev.dtype == dtype and ev.dtype.itemsize == dtype.itemsize
+        for name in names:
+            assert ev[name].tobytes() == full[name].tobytes()
+
+    @pytest.mark.parametrize("dtype", [
+        _sub_dtype("dt_rec_ps").descr + [("weight", "f8")],
+        [("dt_rec_ps", "f4")],
+        [("cls_assigned", "i1")],     # a code column without its names
+        "f8"])
+    def test_other_fields_refused(self, dtype):
+        with pytest.raises(ValueError, match="fields of EVENT_DTYPE"):
+            generate_ensemble(GenModel.QM, P, DetectorConfig(),
+                              BackgroundConfig(), 10, master_seed=1,
+                              dtype=dtype)
 
 
 class TestSampling:
@@ -143,6 +202,16 @@ class TestDetector:
         np.testing.assert_array_equal(
             ev["dt_rec_ps"], np.abs(dz) / (BETA_GAMMA * C_UM_PER_PS))
 
+    def test_no_normals_drawn_at_zero_sigma(self):
+        # the mistag uniforms follow the pairs' draws directly
+        d = DetectorConfig(resolution_sigma=0.0, extra_smear_sigma=0.0,
+                           mistag_fraction=0.2)
+        ev = make_signal_events(GenModel.QM, P, 1000, d, stream_rng(3, 0))
+        rng = stream_rng(3, 0)
+        *_, is_of = sample_pair(GenModel.QM, P, rng, 1000)
+        np.testing.assert_array_equal(
+            ev["cls_assigned"], ~is_of ^ (rng.random(1000) < 0.2))
+
     def test_folding_non_negative(self):
         ev = make_signal_events(GenModel.QM, P, 50000, DetectorConfig(),
                                 stream_rng(8, 0))
@@ -196,6 +265,29 @@ class TestBackgrounds:
             totals.append(np.sum(cat != signal))
         assert np.mean(totals) == pytest.approx(
             sum(y.n_of + y.n_sf for y in b.yields.values()), rel=0.05)
+
+    @pytest.mark.parametrize("sigma", [0.0, 100.0])
+    def test_background_draw_sequence(self, sigma):
+        # per category: the dt shape, the class uniforms, the normals (none
+        # at sigma 0), then the mistag uniforms, drawn although w is 0
+        b = BackgroundConfig(yields={
+            EventCategory.DSTAR_FAKE: CategoryYield(30.0, 20.0),
+            EventCategory.DSS_CHARGED: CategoryYield(10.0, 40.0),
+        }, fixed_counts=True)
+        d = DetectorConfig(resolution_sigma=sigma, extra_smear_sigma=0.0)
+        ev = generate_ensemble(GenModel.QM, P, d, b, 0, master_seed=4)
+        rng = stream_rng(4, 1)
+        for cat, y in b.yields.items():
+            got = ev[ev["category"] == CATEGORY_CODE[cat]]
+            np.testing.assert_array_equal(got["dt_true_ps"],
+                                          y.shape.sample(50, rng))
+            np.testing.assert_array_equal(
+                got["cls_true"], rng.random(50) >= y.n_of / 50)
+            if sigma > 0:
+                rng.standard_normal(50)
+            rng.random(50)
+            np.testing.assert_array_equal(got["cls_assigned"],
+                                          got["cls_true"])
 
     def test_empty_config_is_noop(self):
         sig = make_signal_events(GenModel.QM, P, 50, DetectorConfig(),
