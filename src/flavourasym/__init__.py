@@ -19,9 +19,9 @@ from .pipeline import PipelineConfig, analyze_counts, run_ensemble
 from .toygen import (BackgroundConfig, BackgroundShape, CategoryYield,
                      DetectorConfig, EventCategory, GenModel,
                      generate_ensemble, read_events, write_events)
-from .unfold import (ResponseMatrix, UnfoldConfig, bias_correct,
-                     build_response, dsvd_unfold, read_response,
-                     unfolded_asymmetry, unfolding_map, write_response)
+from .unfold import (ResponseMatrix, UnfoldConfig, bias_correct, dsvd_unfold,
+                     read_response, unfolded_asymmetry, unfolding_map,
+                     write_response)
 
 __all__ = [
     "__version__",
@@ -33,7 +33,7 @@ __all__ = [
     "Binning", "BinnedCounts", "AsymmetrySpectrum", "bin_events",
     "subtract_background", "asymmetry", "mistag_correct_counts",
     "write_spectrum", "read_spectrum",
-    "ResponseMatrix", "UnfoldConfig", "build_response", "unfolding_map",
+    "ResponseMatrix", "UnfoldConfig", "unfolding_map",
     "dsvd_unfold",
     "unfolded_asymmetry", "bias_correct", "write_response", "read_response",
     "Constraint", "FitResult", "BinPredictor", "chi2", "fit_model",

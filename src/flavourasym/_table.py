@@ -68,17 +68,14 @@ def _finite(rows) -> bool:
                if c.dtype.kind == "f")
 
 
-_WIDE = 16          # the widest %.9g cell, "-1.23456789e-305"
+_WIDE = 15          # the widest fixed-form %.9g cell, "-0.000123456789"
 _POW0 = 310         # the row of 10**0 in the power table
-_EXP0 = 330         # the row of exponent 0 in the exponent tables
-# Each number cell is gathered from a source row of six 4-byte words: NUL
-# '0' '.' 'e'; the sign (NUL if positive); three words of three of the 9
-# significant digits and a NUL; the exponent's sign and digits (hundreds
-# NUL below 100). These are the byte positions in that row.
-_NUL, _ZERO, _POINT, _E, _SIGN = 0, 1, 2, 3, 4
+# Each number cell is gathered from a source row of five 4-byte words: NUL
+# '0' '.' NUL; the sign (NUL if positive); three words of three of the 9
+# significant digits and a NUL. These are the byte positions in that row.
+_NUL, _ZERO, _POINT, _SIGN = 0, 1, 2, 4
 _DIGIT = (8, 9, 10, 12, 13, 14, 16, 17, 18)
-_EXPONENT = (20, 21, 22, 23)
-_SOURCE = 24
+_SOURCE = 20
 
 
 def _words(byte_rows) -> np.ndarray:
@@ -86,13 +83,11 @@ def _words(byte_rows) -> np.ndarray:
     return np.ascontiguousarray(byte_rows, np.uint8).view(np.uint32)[:, 0]
 
 
-def _layout(e, s: int) -> list:
-    """Source positions of the bytes of a cell with s significant digits:
-    %f at decimal exponent e, or %e if e is None."""
+def _layout(e: int, s: int) -> list:
+    """Source positions of the bytes of a cell with s significant digits
+    at decimal exponent e, in %f form."""
     d = list(_DIGIT)
-    if e is None:
-        body = d[:1] + ([_POINT] + d[1:s] if s > 1 else []) + [_E, *_EXPONENT]
-    elif e < 0:
+    if e < 0:
         body = [_ZERO, _POINT] + [_ZERO] * (-e - 1) + d[:s]
     else:
         body = d[:e + 1] + ([_POINT] + d[e + 1:s] if s > e + 1 else [])
@@ -104,16 +99,14 @@ def _number_tables() -> dict:
     """The lookup tables of `_number_cells`, built on the first write.
 
     Layout (e + 4)·9 + s − 1 is %f at decimal exponent e in −4..8 with s
-    significant digits, 117 + s − 1 is %e with s digits, and 126 is zero.
+    significant digits, and 117 is zero.
     """
-    bodies = [_layout(e, s) for e in [*range(-4, 9), None]
+    bodies = [_layout(e, s) for e in range(-4, 9)
               for s in range(1, 10)] + [[_SIGN, _ZERO]]
     layout = np.full((len(bodies), _WIDE), _NUL, np.intp)
     for i, body in enumerate(bodies):
         layout[i, :len(body)] = body
     k = np.arange(1000)
-    e = np.arange(-_EXP0, _EXP0 + 1)
-    a = np.abs(e)
     zero = ord("0")
     return {
         # 10**k for k in -_POW0.._POW0, each correctly rounded
@@ -123,15 +116,9 @@ def _number_tables() -> dict:
                                    k % 10 + zero, 0 * k], axis=1)),
         # trailing zeros of 0..999 written with three digits
         "zeros": np.where(k % 10, 0, np.where(k % 100, 1, np.where(k, 2, 3))),
-        "exponent": _words(np.stack([np.where(e < 0, ord("-"), ord("+")),
-                                     np.where(a >= 100, a // 100 + zero, 0),
-                                     a // 10 % 10 + zero, a % 10 + zero],
-                                    axis=1)),
-        # the layout of 9 significant digits at each exponent
-        "layout9": np.where((e >= -4) & (e <= 8), (e + 4) * 9 + 8, 125),
         "layout": layout,
         "length": (layout != _NUL).sum(axis=1),
-        "head": _words([[0, zero, ord("."), ord("e")]])[0],
+        "head": _words([[0, zero, ord("."), 0]])[0],
         "sign": _words([[0, 0, 0, 0], [ord("-"), 0, 0, 0]]),
     }
 
@@ -142,11 +129,12 @@ def _number_cells(x, values, fmt: str, fallback=None) -> np.ndarray:
     |x|·10**(8−e) rounded, with e = floor(log10|x|) and the power taken
     from a correctly rounded table, so y is off by at most about 2·2**−53
     relative, under 2.3e-7 absolute. Rounding y in float is therefore exact
-    unless its fraction lies within 1e-6 of ½: such cells, those where
-    10**(8−e) would not be a normal float, and those marked in `fallback`
-    get `fmt % v` on `values`. log10 is one off only within a few ulps of a
-    power of ten, where y rounds to 1e8 (e one high: the cell is that
-    power) or to 1e9, which the carry takes to the next exponent."""
+    unless its fraction lies within 1e-6 of ½: such cells, those that %.9g
+    writes in exponent form (e outside −4..8), those where 10**(8−e) would
+    not be a normal float, and those marked in `fallback` get `fmt % v` on
+    `values`. log10 is one off only within a few ulps of a power of ten,
+    where y rounds to 1e8 (e one high: the cell is that power) or to 1e9,
+    which the carry takes to the next exponent."""
     t = _number_tables()
     ax = np.abs(x)
     zero = ax == 0
@@ -157,18 +145,20 @@ def _number_cells(x, values, fmt: str, fallback=None) -> np.ndarray:
     e = np.floor(np.log10(a)).astype(np.intp)
     y = a * t["pow10"][_POW0 + 8 - e]
     n = np.rint(y)
-    slow = (np.abs(y - np.floor(y) - 0.5) <= 1e-6) | ~(fast | zero)
     carry = n >= 1e9
     n[carry] = 1e8
     e += carry
+    slow = ((np.abs(y - np.floor(y) - 0.5) <= 1e-6) | ~(fast | zero)
+            | (e < -4) | (e > 8))
     n = n.astype(np.intp)
     q = n // 1000
     hi = q // 1000
     mid, lo = q - 1000 * hi, n - 1000 * q
     zeros = t["zeros"]
-    key = t["layout9"][_EXP0 + e] - np.where(
+    # the layout of 9 significant digits at e, less the trailing zeros
+    key = (np.clip(e, -4, 8) + 4) * 9 + 8 - np.where(
         lo, zeros[lo], np.where(mid, 3 + zeros[mid], 6 + zeros[hi]))
-    key[zero] = 126
+    key[zero] = 117
     src = np.empty((len(x), _SOURCE // 4), np.uint32)
     src[:, 0] = t["head"]
     neg = np.signbit(x)
@@ -176,7 +166,6 @@ def _number_cells(x, values, fmt: str, fallback=None) -> np.ndarray:
     src[:, 2] = t["digits"][hi]
     src[:, 3] = t["digits"][mid]
     src[:, 4] = t["digits"][lo]
-    src[:, 5] = t["exponent"][_EXP0 + e]
     # no column for the sign unless a cell is negative, none past the
     # longest cell
     first = 0 if neg.any() else 1

@@ -56,11 +56,11 @@ class Binning:
     def array(self) -> np.ndarray:
         return np.asarray(self.edges, dtype=float)
 
-    def index(self, x, closed: bool = False) -> np.ndarray:
-        """The number of edges <= x for each value: 0 below the range, k + 1
-        in bin k, and n_bins + 1 above the range and for NaN, as
-        `np.searchsorted(edges, x, side="right")` counts them. With `closed`
-        a value on the last edge is in the last bin, as `np.histogram` bins it.
+    def index(self, x) -> np.ndarray:
+        """The number of edges <= x for each value, as `np.searchsorted(
+        edges, x, side="right")` counts them, but with a value on the last
+        edge in the last bin, as `np.histogram` bins it: 0 below the range,
+        k + 1 in bin k, and n_bins + 1 above the range and for NaN.
 
         One comparison per edge, added without branches into the smallest
         unsigned integer that holds the edge count: O(n * edges). On one
@@ -73,7 +73,7 @@ class Binning:
         below = np.zeros(x.shape, dtype=np.min_scalar_type(len(e)))
         for edge in e[:-1]:
             below += x < edge
-        below += (x <= e[-1]) if closed else (x < e[-1])
+        below += x <= e[-1]
         return len(e) - below
 
 
@@ -163,7 +163,7 @@ def bin_events(dt, cls, binning: Binning) -> BinnedCounts:
     as `np.histogram` bins them; the events it leaves out of the bins (below,
     above, NaN) count as overflow."""
     n = binning.n_bins + 2
-    h = np.bincount((cls != CLS_OF) * n + binning.index(dt, closed=True),
+    h = np.bincount((cls != CLS_OF) * n + binning.index(dt),
                     minlength=2 * n).reshape(2, n)
     return BinnedCounts(binning, h[:, 1:-1],
                         overflow=tuple((h[:, 0] + h[:, -1]).tolist()))

@@ -48,9 +48,8 @@ _SECTIONS = {
 }
 
 
-# keys read outside the table; [run] replicas, which older templates
-# wrote, is accepted and ignored so that those configs still load
-_OTHER_KEYS = {"model": {"name"}, "run": {"replicas"}, "binning": {"edges"},
+# keys read outside the table
+_OTHER_KEYS = {"model": {"name"}, "binning": {"edges"},
                "backgrounds": {cat.value for cat in BACKGROUND_CATEGORIES}}
 
 

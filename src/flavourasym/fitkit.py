@@ -36,8 +36,11 @@ class Constraint:
     sigma: float = 0.014
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("constraint sigma must be positive")
+        if not -np.inf < self.mean < np.inf:
+            raise ValueError(f"constraint mean must be finite, got {self.mean}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"constraint sigma must be positive and finite, "
+                             f"got {self.sigma}")
 
     def term(self, dm: float) -> float:
         return ((dm - self.mean) / self.sigma) ** 2

@@ -34,10 +34,10 @@ class ModelParams:
     zeta: float = 0.0
 
     def __post_init__(self):
-        if not self.dm > 0:
-            raise ValueError(f"dm must be positive, got {self.dm}")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.dm < np.inf:
+            raise ValueError(f"dm must be positive and finite, got {self.dm}")
+        if not 0 < self.tau < np.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if not 0.0 <= self.zeta <= 1.0:
             raise ValueError(f"zeta must lie in [0, 1], got {self.zeta}")
 

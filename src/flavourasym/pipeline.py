@@ -31,7 +31,6 @@ __all__ = [
     "train_responses",
     "build_training_responses",
     "replica_counts",
-    "unfold_replica",
     "run_replica",
     "run_ensemble",
     "ensemble_pulls",
@@ -133,17 +132,12 @@ def replica_counts(model: GenModel, cfg: PipelineConfig, replica_seed: int):
     return counts
 
 
-def unfold_replica(counts, lin: np.ndarray):
-    """Unfold corrected counts through the map `lin` of `unfolding_map` and
-    form the asymmetry and its covariance."""
-    return unfolded_asymmetry(*dsvd_unfold(counts, lin))
-
-
 def run_replica(model: GenModel, cfg: PipelineConfig, lin: np.ndarray,
                 replica_seed: int):
     """One pseudo-experiment: generate, analyze, unfold through `lin`, form
     the asymmetry."""
-    return unfold_replica(replica_counts(model, cfg, replica_seed), lin)
+    return unfolded_asymmetry(*dsvd_unfold(
+        replica_counts(model, cfg, replica_seed), lin))
 
 
 def run_ensemble(models, n_replicas: int, cfg: PipelineConfig):
@@ -227,9 +221,9 @@ def smear_systematic(cfg: PipelineConfig, delta_um: float = 35.0,
     diffs = [[] for _ in variants]
     for r in range(n_replicas):
         counts = replica_counts(GenModel.QM, cfg, r)
-        a_nom, _ = unfold_replica(counts, nominal)
+        a_nom, _ = unfolded_asymmetry(*dsvd_unfold(counts, nominal))
         for d, lin in zip(diffs, variants):
-            a_var, _ = unfold_replica(counts, lin)
+            a_var, _ = unfolded_asymmetry(*dsvd_unfold(counts, lin))
             d.append(a_var - a_nom)
     shifts = [np.abs(np.mean(d, axis=0)) for d in diffs]
     return np.max(shifts, axis=0)

@@ -31,9 +31,7 @@ __all__ = [
     "CATEGORY_CODE",
     "EVENT_DTYPE",
     "sample_pair",
-    "apply_detector",
     "response_sample",
-    "inject_backgrounds",
     "make_signal_events",
     "generate_ensemble",
     "write_events",
@@ -94,8 +92,10 @@ class DetectorConfig:
     mistag_fraction: float = 0.015
 
     def __post_init__(self):
-        if self.resolution_sigma < 0 or self.extra_smear_sigma < 0:
-            raise ValueError("smearing sigmas must be non-negative")
+        for name in ("resolution_sigma", "extra_smear_sigma"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {getattr(self, name)}")
         if not 0.0 <= self.mistag_fraction < 0.5:
             raise ValueError("mistag fraction must lie in [0, 0.5)")
 
@@ -114,8 +114,9 @@ class BackgroundShape:
     def __post_init__(self):
         if self.kind not in ("exp", "flat"):
             raise ValueError(f"unknown shape kind {self.kind!r}")
-        if self.kind == "exp" and self.tau_eff <= 0:
-            raise ValueError("tau_eff must be positive")
+        if self.kind == "exp" and not 0 < self.tau_eff < np.inf:
+            raise ValueError(f"tau_eff must be positive and finite, "
+                             f"got {self.tau_eff}")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         lo, hi = DT_RANGE
@@ -147,8 +148,10 @@ class CategoryYield:
     shape: BackgroundShape = field(default_factory=BackgroundShape)
 
     def __post_init__(self):
-        if self.n_of < 0 or self.n_sf < 0:
-            raise ValueError("background yields must be non-negative")
+        if not (0 <= self.n_of < np.inf and 0 <= self.n_sf < np.inf):
+            raise ValueError(f"background yields must be finite and "
+                             f"non-negative, got n_of {self.n_of}, "
+                             f"n_sf {self.n_sf}")
 
 
 @dataclass(frozen=True)
@@ -207,7 +210,7 @@ def sample_pair(model: GenModel, p: ModelParams, rng: np.random.Generator,
         b1, b2 = t1[s], t2[s]
         a = _joint_asymmetry(model, b1, b2, np.abs(b1 - b2), p,
                              None if pick is None else pick[s])
-        if np.any(np.abs(a) > 1.0 + 1e-9):
+        if not np.all(np.abs(a) <= 1.0 + 1e-9):    # NaN fails it too
             raise ArithmeticError("model asymmetry escaped [-1, 1]; "
                                   "generation envelope violated")
         is_of[s] = rng.random(len(a)) < (1.0 + a) / 2.0
@@ -236,10 +239,10 @@ def _put(events: np.ndarray, **columns) -> None:
 
 def _detect(events: np.ndarray, dt_true, cls_true, d: DetectorConfig,
             rng: np.random.Generator) -> np.ndarray:
-    """The detector draws of `apply_detector` on the truth columns given,
-    into the fields of `events` that hold them: the standard normals (none
-    when d.total_sigma is 0), then the mistag uniforms, drawn at any
-    mistag fraction."""
+    """Fill dz_rec/dt_rec and the assigned class from the truth columns
+    given, into the fields of `events` that hold them, and return `events`.
+    The draws: the standard normals (none when d.total_sigma is 0), then
+    the mistag uniforms, drawn at any mistag fraction."""
     n = len(events)
     z = rng.standard_normal(n) if d.total_sigma > 0 else None
     dz, dt_rec = _smear(dt_true, d.total_sigma, z)
@@ -247,15 +250,6 @@ def _detect(events: np.ndarray, dt_true, cls_true, d: DetectorConfig,
     _put(events, dz_rec_um=dz, dt_rec_ps=dt_rec,
          cls_assigned=cls_true ^ flip)          # swaps codes 0, 1
     return events
-
-
-def apply_detector(events: np.ndarray, d: DetectorConfig,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Fill dz_rec/dt_rec and the assigned class from the truth fields.
-
-    Works in place: `events` itself is filled and returned.
-    """
-    return _detect(events, events["dt_true_ps"], events["cls_true"], d, rng)
 
 
 def response_sample(model: GenModel, p: ModelParams, n: int, sigmas,
@@ -301,10 +295,10 @@ def _signal(model: GenModel, p: ModelParams, n: int, d: DetectorConfig,
 
 
 def _backgrounds(b: BackgroundConfig, d: DetectorConfig,
-                 rng: np.random.Generator, dtype: np.dtype, stream: int,
+                 rng: np.random.Generator, dtype: np.dtype,
                  next_index: int) -> list:
     """The background records of `dtype`, one array per category that has
-    events, drawn as `inject_backgrounds` draws them."""
+    events, indexed on from `next_index`; their `stream` field is 1."""
     # backgrounds see the same vertex resolution but are never retagged;
     # their mistag uniforms are drawn all the same
     untagged = DetectorConfig(d.resolution_sigma, d.extra_smear_sigma, 0.0)
@@ -321,7 +315,7 @@ def _backgrounds(b: BackgroundConfig, d: DetectorConfig,
         dt = y.shape.sample(n, rng)
         cls = (~(rng.random(n) < y.n_of / mean)).view(np.int8)
         _put(ev, t1_ps=dt, dt_true_ps=dt, cls_true=cls,
-             category=CATEGORY_CODE[cat], stream=stream,
+             category=CATEGORY_CODE[cat], stream=1,
              index=np.arange(next_index, next_index + n))
         next_index += n
         parts.append(_detect(ev, dt, cls, untagged, rng))
@@ -334,15 +328,6 @@ def make_signal_events(model: GenModel, p: ModelParams, n: int,
     """Generate `n` signal pairs and run them through the detector model;
     their `stream` field is 0."""
     return _signal(model, p, n, d, rng, EVENT_DTYPE)
-
-
-def inject_backgrounds(signal: np.ndarray, b: BackgroundConfig,
-                       d: DetectorConfig, rng: np.random.Generator,
-                       stream: int = 0) -> np.ndarray:
-    """Append background events with configured yields, shapes and OF/SF split."""
-    next_index = int(signal["index"].max()) + 1 if len(signal) else 0
-    parts = _backgrounds(b, d, rng, EVENT_DTYPE, stream, next_index)
-    return _join([signal, *parts], EVENT_DTYPE) if parts else signal
 
 
 def stream_rng(master_seed: int, stream: int) -> np.random.Generator:
@@ -375,7 +360,7 @@ def generate_ensemble(model: GenModel, p: ModelParams, d: DetectorConfig,
     are kept, so each kept field holds the values of the full record."""
     dtype = _record_dtype(dtype)
     signal = _signal(model, p, n_signal, d, stream_rng(master_seed, 0), dtype)
-    parts = _backgrounds(b, d, stream_rng(master_seed, 1), dtype, stream=1,
+    parts = _backgrounds(b, d, stream_rng(master_seed, 1), dtype,
                          next_index=n_signal)
     return _join([signal, *parts], dtype) if parts else signal
 

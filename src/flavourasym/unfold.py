@@ -21,7 +21,6 @@ __all__ = [
     "UnfoldConfig",
     "response_histogram",
     "response_pair",
-    "build_response",
     "mix_responses",
     "unfolding_map",
     "dsvd_unfold",
@@ -91,14 +90,14 @@ def response_histogram(dt_true, dt_rec, cls, binning: Binning) -> np.ndarray:
     to the last truth bin at reco index 0, a row the migrations leave out.
     """
     n = binning.n_bins + 2
-    reco = binning.index(dt_rec, closed=True)
+    reco = binning.index(dt_rec)
     reco[dt_true == binning.array[-1]] = 0
     # the flat (class, reco, truth) index is formed in intp, in place
     flat = cls.astype(np.intp)
     flat *= n
     flat += reco
     flat *= n
-    flat += binning.index(dt_true, closed=True)
+    flat += binning.index(dt_true)
     return np.bincount(flat, minlength=2 * n * n).reshape(2, n, n)
 
 
@@ -110,13 +109,6 @@ def response_pair(h: np.ndarray, binning: Binning):
     return tuple(ResponseMatrix(binning, h[c, 1:-1, 1:-1].astype(float),
                                 totals[c].astype(float), cls=label)
                  for c, label in enumerate(CLASS_NAMES))
-
-
-def build_response(dt_true, dt_rec, cls, binning: Binning):
-    """(OF, SF) migration matrices from MC columns binned in one
-    `response_histogram`."""
-    return response_pair(response_histogram(dt_true, dt_rec, cls, binning),
-                         binning)
 
 
 def mix_responses(r_of: ResponseMatrix, r_sf: ResponseMatrix,

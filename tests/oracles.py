@@ -13,8 +13,7 @@ from flavourasym.analysis import BinnedCounts
 from flavourasym.models import (_UMAX_LIFETIMES, MarginalGrid, ModelParams,
                                _ps_joint)
 from flavourasym.pipeline import RESPONSE_STREAM
-from flavourasym.toygen import (EVENT_DTYPE, GenModel, apply_detector,
-                                stream_rng)
+from flavourasym.toygen import EVENT_DTYPE, GenModel, _detect, stream_rng
 from flavourasym.unfold import mix_responses, truncated_solver
 
 _QUAD_ABS_TOL = 1e-10
@@ -133,13 +132,13 @@ def one_shot_sample_pair(model: GenModel, p: ModelParams,
 
 def signal_record(model, p, n, d, rng):
     """`n` signal events drawn by `one_shot_sample_pair`, then run through
-    `toygen.apply_detector`."""
+    the detector model (`toygen._detect`) on their truth fields."""
     ev = np.zeros(n, dtype=EVENT_DTYPE)
     t1, t2, dt, is_of = one_shot_sample_pair(model, p, rng, n)
     ev["t1_ps"], ev["t2_ps"], ev["dt_true_ps"] = t1, t2, dt
     ev["cls_true"] = ~is_of
     ev["index"] = np.arange(n)
-    return apply_detector(ev, d, rng)
+    return _detect(ev, ev["dt_true_ps"], ev["cls_true"], d, rng)
 
 
 def record_responses(cfg, detector):

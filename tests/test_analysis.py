@@ -305,11 +305,13 @@ def edges_and_values(draw):
 @given(case=edges_and_values())
 @settings(max_examples=200, deadline=None)
 def test_index_is_searchsorted_and_closed_bins_are_histogram(case):
+    # searchsorted's count, except that the last edge is in the last bin
     binning, x = case
     e = binning.array
-    np.testing.assert_array_equal(binning.index(x),
-                                  np.searchsorted(e, x, side="right"))
-    bins = np.bincount(binning.index(x, closed=True), minlength=len(e) + 1)
+    want = np.searchsorted(e, x, side="right")
+    want[x == e[-1]] = len(e) - 1
+    np.testing.assert_array_equal(binning.index(x), want)
+    bins = np.bincount(binning.index(x), minlength=len(e) + 1)
     np.testing.assert_array_equal(bins[1:-1], np.histogram(x, e)[0])
 
 
@@ -317,8 +319,7 @@ def test_index_counts_past_a_byte_of_edges():
     binning = Binning(tuple(np.arange(300.0)))
     x = np.array([-1.0, 0.0, 254.5, 255.0, 298.5, 299.0, 1e9, np.nan])
     np.testing.assert_array_equal(binning.index(x),
-                                  [0, 1, 255, 256, 299, 300, 300, 300])
-    assert binning.index(x, closed=True)[5] == 299
+                                  [0, 1, 255, 256, 299, 299, 300, 300])
 
 
 @given(case=edges_and_values(), data=st.data())

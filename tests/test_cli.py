@@ -82,6 +82,17 @@ class TestCurves:
         assert main(["curves", "--out", str(sink)]) == EXIT_OK
         assert not (tmp_path / "sink.log").exists()
 
+    @pytest.mark.parametrize("flag", ["--tau", "--dm"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_parameter_is_exit_2(self, tmp_path, capsys, flag,
+                                            value):
+        out = tmp_path / "c.csv"
+        assert main(["curves", "--out", str(out), flag,
+                     value]) == EXIT_VALIDATION
+        assert (f"{flag[2:]} must be positive and finite, got {value}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_bad_step_is_validation_error(self, tmp_path):
         out = tmp_path / "c.csv"
         assert main(["curves", "--out", str(out),
@@ -141,7 +152,12 @@ class TestGenerate:
          "[backgrounds] dstar_fake: could not convert"),
         (("126 54 6 4 exp", "126 54 6 4 gauss"),
          "[backgrounds] dstar_fake: unknown shape kind"),
-    ], ids=["nan_edge", "inf_edge", "tau_eff", "shape_kind"])
+        # dm = inf used to write a file in which every signal event was SF
+        (("dm = 0.507", "dm = inf"), "dm must be positive and finite"),
+        (("constraint_mean = 0.496", "constraint_mean = nan"),
+         "constraint mean must be finite"),
+    ], ids=["nan_edge", "inf_edge", "tau_eff", "shape_kind", "inf_dm",
+            "nan_constraint_mean"])
     def test_bad_config_is_exit_2_naming_the_line(self, tmp_path, cfg_path,
                                                   edit, message, capsys):
         text = cfg_path.read_text()

@@ -75,6 +75,35 @@ class TestLoadConfig:
             load_config(write_cfg(tmp_path, text))
         assert str(e.value) == message
 
+    @pytest.mark.parametrize("section, line, message", [
+        ("model", "dm = inf", "dm must be positive and finite, got inf"),
+        ("model", "tau = nan", "tau must be positive and finite, got nan"),
+        ("detector", "resolution_um = inf",
+         "resolution_sigma must be finite and non-negative, got inf"),
+        ("detector", "extra_smear_um = nan",
+         "extra_smear_sigma must be finite and non-negative, got nan"),
+        ("fit", "constraint_mean = nan",
+         "constraint mean must be finite, got nan"),
+        ("fit", "constraint_mean = -inf",
+         "constraint mean must be finite, got -inf"),
+        ("fit", "constraint_sigma = inf",
+         "constraint sigma must be positive and finite, got inf"),
+        ("backgrounds", "dstar_fake = inf 54",
+         "[backgrounds] dstar_fake: background yields must be finite and "
+         "non-negative, got n_of inf, n_sf 54.0"),
+        ("backgrounds", "dstar_fake = 126 54 6 4 exp inf",
+         "[backgrounds] dstar_fake: tau_eff must be positive and finite, "
+         "got inf"),
+    ])
+    def test_non_finite_physics_input_names_the_field(self, tmp_path,
+                                                      section, line, message):
+        head = f"[{section}]\n"
+        text = (MINIMAL.replace(head, head + line + "\n") if head in MINIMAL
+                else MINIMAL + "\n" + head + line + "\n")
+        with pytest.raises(ValueError) as e:
+            load_config(write_cfg(tmp_path, text))
+        assert str(e.value) == message
+
     def test_seed_is_mandatory(self, tmp_path):
         text = MINIMAL.replace("seed = 11\n", "")
         with pytest.raises(ConfigError, match="seed"):
@@ -124,11 +153,11 @@ class TestLoadConfig:
     def test_template_has_no_replica_count(self):
         assert "replicas" not in default_config_text()
 
-    def test_old_replicas_key_still_loads(self, tmp_path):
+    def test_replicas_key_is_refused(self, tmp_path):
+        # older templates wrote it; it is refused like any other unknown key
         text = MINIMAL.replace("seed = 11\n", "seed = 11\nreplicas = 300\n")
-        run = load_config(write_cfg(tmp_path, text))
-        assert run.pipeline.seed == 11
-        assert not hasattr(run, "replicas")
+        with pytest.raises(ConfigError, match=r"^\[run\] replicas: unknown key$"):
+            load_config(write_cfg(tmp_path, text))
 
     def test_bad_binning_diagnostic(self, tmp_path):
         text = MINIMAL + "\n[binning]\nedges = 0 5 5 20\n"

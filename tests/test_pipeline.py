@@ -13,11 +13,10 @@ from flavourasym.analysis import Binning
 from flavourasym.models import ModelParams
 from flavourasym.pipeline import (PipelineConfig, build_training_responses,
                                   replica_counts, run_ensemble, run_replica,
-                                  smear_systematic, train_responses,
-                                  unfold_replica)
+                                  smear_systematic, train_responses)
 from flavourasym.toygen import (EVENT_DTYPE, BackgroundConfig, DetectorConfig,
                                 GenModel)
-from flavourasym.unfold import unfolded_asymmetry, unfolding_map
+from flavourasym.unfold import dsvd_unfold, unfolded_asymmetry, unfolding_map
 from oracles import one_shot_unfold, record_responses
 
 
@@ -48,7 +47,8 @@ CFG = PipelineConfig.paper_scale(seed=7, n_response_mc=100_000)
 def test_run_replica_composes_the_two_steps():
     lin = unfolding_map(*build_training_responses(CFG), CFG.unfold)
     a, cov = run_replica(GenModel.SD, CFG, lin, 2)
-    a2, cov2 = unfold_replica(replica_counts(GenModel.SD, CFG, 2), lin)
+    a2, cov2 = unfolded_asymmetry(*dsvd_unfold(
+        replica_counts(GenModel.SD, CFG, 2), lin))
     np.testing.assert_array_equal(a, a2)
     np.testing.assert_array_equal(cov, cov2)
 
@@ -58,7 +58,7 @@ def test_prebuilt_map_unfolds_as_the_one_shot_path():
     lin = unfolding_map(*resp, CFG.unfold)
     for r in range(3):
         counts = replica_counts(GenModel.QM, CFG, r)
-        a, cov = unfold_replica(counts, lin)
+        a, cov = unfolded_asymmetry(*dsvd_unfold(counts, lin))
         a1, cov1 = unfolded_asymmetry(*one_shot_unfold(counts, *resp,
                                                        CFG.unfold))
         np.testing.assert_array_equal(a, a1)

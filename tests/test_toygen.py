@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from oracles import one_shot_sample_pair, ps_sample_pair, signal_record
 
+from flavourasym import toygen
 from flavourasym._table import (CHUNK_ROWS, _float_cells, _int_cells,
                                 _number_cells, code_field, read_table,
                                 write_table)
@@ -28,10 +29,10 @@ from flavourasym.toygen import (_BLOCK, BETA_GAMMA, C_UM_PER_PS,
                                 CATEGORY_CODE, CLASS_NAMES, CLS_OF,
                                 EVENT_DTYPE, BackgroundConfig, BackgroundShape,
                                 CategoryYield, DetectorConfig, EventCategory,
-                                GenModel, apply_detector, generate_ensemble,
-                                inject_backgrounds, make_signal_events,
-                                _joint_asymmetry, read_events, sample_pair,
-                                stream_rng, write_events)
+                                GenModel, generate_ensemble,
+                                make_signal_events, _joint_asymmetry,
+                                read_events, sample_pair, stream_rng,
+                                write_events)
 from flavourasym.unfold import ResponseMatrix, read_response, write_response
 
 P = ModelParams()
@@ -171,14 +172,6 @@ class TestDetector:
                                    atol=1e-12)
         np.testing.assert_array_equal(ev["cls_assigned"], ev["cls_true"])
 
-    def test_apply_detector_fills_in_place(self):
-        ev = make_signal_events(GenModel.QM, P, 100, NO_SMEAR,
-                                stream_rng(3, 0))
-        d = DetectorConfig(mistag_fraction=0.4)
-        assert apply_detector(ev, d, stream_rng(3, 1)) is ev
-        assert np.any(ev["dt_rec_ps"] != ev["dt_true_ps"])
-        assert np.any(ev["cls_assigned"] != ev["cls_true"])
-
     def test_smearing_width(self):
         d = DetectorConfig()  # 100 and 46 um combine to ~110 um
         assert d.total_sigma == pytest.approx(np.hypot(100.0, 46.0))
@@ -244,24 +237,25 @@ class TestBackgrounds:
         b = BackgroundConfig(yields={
             EventCategory.WRONG_COMBINATION: CategoryYield(78.0, 237.0),
         }, fixed_counts=True)
-        sig = make_signal_events(GenModel.QM, P, 100, DetectorConfig(),
-                                 stream_rng(1, 0))
-        ev = inject_backgrounds(sig, b, DetectorConfig(), stream_rng(1, 1))
-        n = np.sum(ev["category"]
-                   == CATEGORY_CODE[EventCategory.WRONG_COMBINATION])
-        assert n == 315
-        assert len(ev) == 100 + 315
+        for seed in (1, 2):
+            ev = generate_ensemble(GenModel.QM, P, DetectorConfig(), b, 100,
+                                   master_seed=seed)
+            n = np.sum(ev["category"]
+                       == CATEGORY_CODE[EventCategory.WRONG_COMBINATION])
+            assert n == 315
+            assert len(ev) == 100 + 315
+            # indexed on from the signal, in the background stream
+            np.testing.assert_array_equal(ev["index"], np.arange(415))
+            np.testing.assert_array_equal(ev["stream"][100:], 1)
 
     def test_poisson_counts_scale(self):
         b = BackgroundConfig.paper_scale()
-        sig = make_signal_events(GenModel.QM, P, 10, DetectorConfig(),
-                                 stream_rng(2, 0))
         signal = CATEGORY_CODE[EventCategory.SIGNAL]
         totals = []
         for k in range(1, 30):
-            cat = inject_backgrounds(sig, b, DetectorConfig(),
-                                     stream_rng(2, k))["category"]
-            assert np.sum(cat == signal) == len(sig)
+            cat = generate_ensemble(GenModel.QM, P, DetectorConfig(), b, 10,
+                                    master_seed=k)["category"]
+            assert np.sum(cat == signal) == 10
             totals.append(np.sum(cat != signal))
         assert np.mean(totals) == pytest.approx(
             sum(y.n_of + y.n_sf for y in b.yields.values()), rel=0.05)
@@ -290,11 +284,16 @@ class TestBackgrounds:
                                           got["cls_true"])
 
     def test_empty_config_is_noop(self):
+        # no background configured, or none left after rounding: the
+        # events are the signal sample alone
         sig = make_signal_events(GenModel.QM, P, 50, DetectorConfig(),
                                  stream_rng(9, 0))
-        out = inject_backgrounds(sig, BackgroundConfig(), DetectorConfig(),
-                                 stream_rng(9, 1))
-        assert out is sig
+        for b in (BackgroundConfig(), BackgroundConfig(yields={
+                EventCategory.DSTAR_FAKE: CategoryYield(0.2, 0.2)},
+                fixed_counts=True)):
+            out = generate_ensemble(GenModel.QM, P, DetectorConfig(), b, 50,
+                                    master_seed=9)
+            assert out.tobytes() == sig.tobytes()
 
     def test_shape_fractions_normalize(self):
         edges = Binning().array
@@ -315,10 +314,9 @@ class TestBackgrounds:
         b = BackgroundConfig(yields={
             EventCategory.DSS_CHARGED: CategoryYield(1000.0, 0.0),
         }, fixed_counts=True)
-        sig = make_signal_events(GenModel.QM, P, 10, DetectorConfig(),
-                                 stream_rng(5, 0))
-        ev = inject_backgrounds(sig, b, DetectorConfig(mistag_fraction=0.4),
-                                stream_rng(5, 1))
+        ev = generate_ensemble(GenModel.QM, P,
+                               DetectorConfig(mistag_fraction=0.4), b, 10,
+                               master_seed=5)
         bkg = ev[ev["category"] == CATEGORY_CODE[EventCategory.DSS_CHARGED]]
         assert len(bkg) == 1000
         np.testing.assert_array_equal(bkg["cls_assigned"], bkg["cls_true"])
@@ -326,6 +324,13 @@ class TestBackgrounds:
 
 
 class TestEnvelope:
+    def test_nan_asymmetry_is_refused(self, monkeypatch):
+        # a NaN fails the envelope check instead of making every pair SF
+        monkeypatch.setattr(toygen, "_joint_asymmetry",
+                            lambda *args: np.full(len(args[1]), np.nan))
+        with pytest.raises(ArithmeticError, match="envelope"):
+            sample_pair(GenModel.QM, P, stream_rng(6, 0), 100)
+
     def test_ps_boundary_models_generate(self):
         for model in (GenModel.PS_BOUNDARY_MAX, GenModel.PS_BOUNDARY_MIN):
             *_, is_of = sample_pair(model, P, stream_rng(6, 0), 10000)
@@ -639,7 +644,8 @@ def _texts(cells):
 _POWERS = [float("1e%d" % k) for k in range(-20, 21)]
 EDGE_FLOATS = [
     0.0, 5e-324, 2.2250738585072014e-308, np.finfo(float).max,
-    1e-5, 9.999999995e-5, 1e-4, 999999999.5, 999999999.4999999, 12345678.25,
+    1e-5, 9.999999994e-05, 9.999999995e-5, 1e-4, 999999999.4, 999999999.5,
+    999999999.4999999, 12345678.25,
     0.5, 100.0, *_POWERS, *np.nextafter(_POWERS, 0.0).tolist(),
     *np.nextafter(_POWERS, np.inf).tolist()]
 
@@ -657,10 +663,15 @@ class TestTableWriter:
         x = np.array(values)
         assert _texts(_float_cells(x)) == ["%.9g" % v for v in values]
         # a marked fallback format shows which cells Python's `%` wrote:
-        # the exact ties and the subnormals are among them
+        # the exact ties, the subnormals and every cell in exponent form
+        # are among them, on either side of the switch from fixed form
         texts = _texts(_number_cells(x, x, "<%.9g>"))
         slow = [v for v, t in zip(values, texts) if t == "<%.9g>" % v]
         assert {12345678.25, 999999999.5, 5e-324} <= set(slow)
+        assert {v for v in values if "e" in "%.9g" % v} <= set(slow)
+        assert "%.9g" % 9.999999994e-05 == "9.99999999e-05"
+        assert "%.9g" % 999999999.4 == "999999999"
+        assert 999999999.4 not in slow
         assert all(t == "%.9g" % v for v, t in zip(values, texts)
                    if v not in slow)
 

@@ -6,10 +6,11 @@ import pytest
 
 from flavourasym.analysis import BinnedCounts, Binning
 from flavourasym.unfold import (ResponseMatrix, UnfoldConfig, bias_correct,
-                                build_response, dsvd_unfold, mix_responses,
-                                read_response, recorded_edges,
-                                truncated_solver, unfolded_asymmetry,
-                                unfolding_map, write_response)
+                                dsvd_unfold, mix_responses, read_response,
+                                recorded_edges, response_histogram,
+                                response_pair, truncated_solver,
+                                unfolded_asymmetry, unfolding_map,
+                                write_response)
 
 NB = Binning().n_bins
 RNG = np.random.default_rng(202)
@@ -404,7 +405,8 @@ class TestBuildResponse:
         from flavourasym.toygen import GenModel, response_sample, stream_rng
         [(dt_true, cls, [dt_rec])] = response_sample(
             GenModel.QM, ModelParams(), 20000, [0.0], stream_rng(55, 0))
-        r_of, r_sf = build_response(dt_true, dt_rec, cls, Binning())
+        r_of, r_sf = response_pair(
+            response_histogram(dt_true, dt_rec, cls, Binning()), Binning())
         for r in (r_of, r_sf):
             off = r.m - np.diag(np.diag(r.m))
             assert np.all(off == 0)
@@ -420,14 +422,15 @@ class TestBuildResponse:
         t, r = (g.ravel() for g in np.meshgrid(vals, vals))
         dt_true, dt_rec = np.tile(t, 2), np.tile(r, 2)
         cls = np.repeat(np.array([0, 1], dtype=np.int8), len(t))
-        for resp, (m, totals) in zip(build_response(dt_true, dt_rec, cls, b),
-                                     histogram_responses(dt_true, dt_rec,
-                                                         cls, b)):
+        for resp, (m, totals) in zip(
+                response_pair(response_histogram(dt_true, dt_rec, cls, b), b),
+                histogram_responses(dt_true, dt_rec, cls, b)):
             np.testing.assert_array_equal(resp.m, m)
             np.testing.assert_array_equal(resp.truth_totals, totals)
         # an event with dt_true == 20.0 counts in the last total only; one
         # with dt_rec == 20.0 migrates into the last reco bin
         one = np.array([20.0, 5.0]), np.array([5.0, 20.0])
-        r_of, _ = build_response(*one, np.zeros(2, dtype=np.int8), b)
+        r_of, _ = response_pair(
+            response_histogram(*one, np.zeros(2, dtype=np.int8), b), b)
         assert r_of.truth_totals[-1] == 1 and r_of.m[:, -1].sum() == 0
         assert r_of.m.sum() == r_of.m[-1, list(e).index(5.0)] == 1
