@@ -1,16 +1,16 @@
 """Comma-separated tables: the one writer and the one validating reader
 behind the event, spectrum, counts, response and curve files.
 
-A file format is one numpy dtype, and this is the only module that spells
-one: a structured dtype's field names are the header and each field's kind
-fixes its cell format (float %.9g, int %d); a code column (`code_field`)
-holds int8 codes that the file spells as the names they index; a plain
-float dtype is a 2-d table with no header. The writer prints those formats
-with numpy: each column becomes a matrix of cells padded with NUL bytes,
-the rows are joined and the NULs stripped, and every cell reads byte for
-byte what Python's `%` prints. Every reader failure is a ValueError naming
-the file, so the command line reports it as a validation error (exit code
-2).
+A file's rows are one numpy dtype, and this is the only module that spells
+their cells: a structured dtype's field names are the header and each
+field's kind fixes its cell format (float %.9g, int %d); a code column
+(`code_field`) holds int8 codes that the file spells as the names they
+index; a plain float dtype is a 2-d table with no header. The writer
+prints those formats with numpy: each column becomes a matrix of cells
+padded with NUL bytes, the rows are joined and the NULs stripped, and
+every cell reads byte for byte what Python's `%` prints. Every reader
+failure is a ValueError naming the file, so the command line reports it
+as a validation error (exit code 2).
 """
 
 from __future__ import annotations
@@ -123,24 +123,23 @@ def _number_tables() -> dict:
     }
 
 
-def _number_cells(x, values, fmt: str, fallback=None) -> np.ndarray:
-    """The %.9g cells of up to CHUNK_ROWS finite floats x, one NUL-padded
-    row each, as narrow as the chunk allows. The 9 digits are y =
+def _number_cells(x, values, fmt: str) -> np.ndarray:
+    """The cells of up to CHUNK_ROWS finite floats x, one NUL-padded row
+    each, as narrow as the chunk allows: %.9g of x, which for an int x
+    below 10**9 in magnitude is its %d. The 9 digits are y =
     |x|·10**(8−e) rounded, with e = floor(log10|x|) and the power taken
     from a correctly rounded table, so y is off by at most about 2·2**−53
     relative, under 2.3e-7 absolute. Rounding y in float is therefore exact
     unless its fraction lies within 1e-6 of ½: such cells, those that %.9g
-    writes in exponent form (e outside −4..8), those where 10**(8−e) would
-    not be a normal float, and those marked in `fallback` get `fmt % v` on
-    `values`. log10 is one off only within a few ulps of a power of ten,
-    where y rounds to 1e8 (e one high: the cell is that power) or to 1e9,
-    which the carry takes to the next exponent."""
+    writes in exponent form (e outside −4..8, as is every int of 10**9 or
+    more in magnitude) and those where 10**(8−e) would not be a normal
+    float get `fmt % v` on `values`. log10 is one off only within a few
+    ulps of a power of ten, where y rounds to 1e8 (e one high: the cell is
+    that power) or to 1e9, which the carry takes to the next exponent."""
     t = _number_tables()
     ax = np.abs(x)
     zero = ax == 0
     fast = ax >= 1e-299
-    if fallback is not None:
-        fast &= ~fallback
     a = np.where(fast, ax, 1.0)
     e = np.floor(np.log10(a)).astype(np.intp)
     y = a * t["pow10"][_POW0 + 8 - e]
@@ -183,26 +182,14 @@ def _number_cells(x, values, fmt: str, fallback=None) -> np.ndarray:
     return cells
 
 
-def _int_cells(col) -> np.ndarray:
-    """The %d cells of an int column: below 10**9 in magnitude an int's %d
-    is the %.9g of its float."""
-    v = col.astype(np.int64)
-    return _number_cells(v.astype(float), col, "%d",
-                         (v >= 10 ** 9) | (v <= -10 ** 9))
-
-
-def _float_cells(col) -> np.ndarray:
-    """The %.9g cells of a float column."""
-    return _number_cells(col.astype(float, copy=False), col, "%.9g")
-
-
 def _cells(col, names) -> np.ndarray:
-    """The cells of a column: a code column's names (UTF-8) or its
-    numbers."""
+    """The cells of a column: a code column's names (UTF-8), a float
+    column's %.9g or an int column's %d."""
     if names is not None:
         text = np.array([n.encode() for n in names])
         return text.view(np.uint8).reshape(len(names), text.itemsize)[col]
-    return (_float_cells if col.dtype.kind == "f" else _int_cells)(col)
+    return _number_cells(col.astype(float, copy=False), col,
+                         "%.9g" if col.dtype.kind == "f" else "%d")
 
 
 def write_table(path, rows, header=True, preamble=()) -> None:

@@ -11,7 +11,7 @@ import numpy as np
 
 from ._minimize import brentq, minimize_bounded
 from .analysis import AsymmetrySpectrum, Binning
-from .models import MarginalGrid, ModelParams, asym_sd_marginal
+from .models import MarginalGrid, ModelParams, _leggauss, asym_sd_marginal
 
 __all__ = [
     "Constraint",
@@ -49,21 +49,16 @@ class Constraint:
 class FitResult:
     """A fit's estimate, its error and flags, chi-square, dof and pulls.
 
-    `theta_err` is the error, or a function that returns the error and the
-    flags it raises. Such a function is called the first time `theta_err`
-    or `flags` is read, and its flags follow those given: a fit whose
-    error nobody reads pays only for its minimum.
+    `error` returns (theta_err, flags). It is called the first time
+    `theta_err` or `flags` is read: a fit whose error nobody reads pays
+    only for its minimum.
     """
 
-    def __init__(self, model: str, theta_hat: float, theta_err, chi2: float,
-                 dof: int, residuals: np.ndarray, flags: list | None = None,
-                 extra: dict | None = None):
+    def __init__(self, model: str, theta_hat: float, error, chi2: float,
+                 dof: int, residuals: np.ndarray, extra: dict | None = None):
         self.model, self.theta_hat, self.chi2 = model, theta_hat, chi2
-        self.dof, self.residuals = dof, residuals
+        self.dof, self.residuals, self._err = dof, residuals, error
         self.extra = {} if extra is None else extra
-        self._err, self._flags = theta_err, [] if flags is None else flags
-        if not callable(theta_err):
-            _ = self._error             # a given error is checked here
         if chi2 < 0:
             raise ValueError("chi2 must be non-negative")
         if not np.isfinite(chi2):
@@ -71,11 +66,10 @@ class FitResult:
 
     @cached_property
     def _error(self) -> tuple:
-        """(theta_err, flags): the computed flags follow the given ones."""
-        err, more = self._err() if callable(self._err) else (self._err, [])
+        err, flags = self._err()
         if err <= 0:
             raise ValueError("theta_err must be positive")
-        return err, self._flags + more
+        return err, flags
 
     @property
     def theta_err(self) -> float:
@@ -97,7 +91,7 @@ class BinPredictor:
         self.binning = binning
         self.tau = tau
         edges = binning.array
-        x, w = np.polynomial.legendre.leggauss(BIN_NODES)
+        x, w = _leggauss(BIN_NODES)
         half = 0.5 * (edges[1:, None] - edges[:-1, None])
         mid = 0.5 * (edges[1:, None] + edges[:-1, None])
         self._t = mid + half * x                       # (bins, nodes)
@@ -159,9 +153,9 @@ def chi2(spectrum: AsymmetrySpectrum, model: str, dm: float, c: Constraint,
                  + c.term(dm))
 
 
-def _one_sigma_interval(fun, x_hat, f_min, lo, hi, label, flags):
-    """Half-width of the fun = f_min + 1 interval around x_hat."""
-    target = f_min + 1.0
+def _one_sigma_interval(fun, x_hat, f_min, lo, hi, label) -> tuple:
+    """(half-width, flags) of the fun = f_min + 1 interval around x_hat."""
+    target, flags = f_min + 1.0, []
     try:
         x_lo = brentq(lambda x: fun(x) - target, lo, x_hat, xtol=1e-7)
     except ValueError:
@@ -177,7 +171,7 @@ def _one_sigma_interval(fun, x_hat, f_min, lo, hi, label, flags):
     if mean > 0 and abs(below - above) > 0.2 * mean:
         flags.append(f"{label}: asymmetric interval "
                      f"(-{below:.4g} / +{above:.4g})")
-    return mean
+    return mean, flags
 
 
 def _fit_dm(fun) -> tuple:
@@ -197,14 +191,12 @@ def fit_model(spectrum: AsymmetrySpectrum, model: str, c: Constraint,
     dm_hat, c2, flags = _fit_dm(fun)
 
     def error():
-        more = []
-        return _one_sigma_interval(fun, dm_hat, c2, *DM_SEARCH, "dm",
-                                   more), more
+        err, more = _one_sigma_interval(fun, dm_hat, c2, *DM_SEARCH, "dm")
+        return err, flags + more
 
-    return FitResult(model=model, theta_hat=dm_hat, theta_err=error,
+    return FitResult(model=model, theta_hat=dm_hat, error=error,
                      chi2=c2, dof=spectrum.binning.n_bins,
-                     residuals=_pulls(spectrum, model, dm_hat, predictor),
-                     flags=flags)
+                     residuals=_pulls(spectrum, model, dm_hat, predictor))
 
 
 def fit_zeta(spectrum: AsymmetrySpectrum, c: Constraint,
@@ -230,17 +222,17 @@ def fit_zeta(spectrum: AsymmetrySpectrum, c: Constraint,
     z_hat = zeta_hat(dm_hat)
 
     def error():
-        more = []
-        if profile(z_hat + 0.5) - c2_min < 0.05:
-            more.append("zeta profile is nearly flat")
-        return _one_sigma_interval(profile, z_hat, c2_min, z_hat - 1.0,
-                                   z_hat + 1.0, "zeta", more), more
+        flat = (["zeta profile is nearly flat"]
+                if profile(z_hat + 0.5) - c2_min < 0.05 else [])
+        err, more = _one_sigma_interval(profile, z_hat, c2_min, z_hat - 1.0,
+                                        z_hat + 1.0, "zeta")
+        return err, flags + flat + more
 
-    return FitResult(model="DECOHERED", theta_hat=z_hat, theta_err=error,
+    return FitResult(model="DECOHERED", theta_hat=z_hat, error=error,
                      chi2=c2_min, dof=spectrum.binning.n_bins - 1,
                      residuals=_pulls(spectrum, "DECOHERED", dm_hat,
                                       predictor, z_hat),
-                     flags=flags, extra={"dm": dm_hat})
+                     extra={"dm": dm_hat})
 
 
 def significance(fit_a: FitResult, fit_b: FitResult) -> float:

@@ -6,6 +6,7 @@ All times are in picoseconds; asymmetries are dimensionless and lie in
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +116,14 @@ def ps_band_edges(dt, p: ModelParams):
     return lower, upper
 
 
+@functools.cache
+def _leggauss(n: int) -> tuple:
+    """The n-node Gauss-Legendre rule (x, w), built once and read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 class MarginalGrid:
     """Fixed-node Gauss-Legendre average of the band edges over t_min.
 
@@ -138,7 +147,7 @@ class MarginalGrid:
 
     def __init__(self, tau: float):
         half = _UMAX_LIFETIMES * tau / 2.0
-        x, w = np.polynomial.legendre.leggauss(_TMIN_NODES)
+        x, w = _leggauss(_TMIN_NODES)
         self.u = half * (x + 1.0)
         wn = half * w * np.exp(-2.0 * self.u / tau)
         self.w = wn / wn.sum()

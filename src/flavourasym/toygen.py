@@ -148,10 +148,10 @@ class CategoryYield:
     shape: BackgroundShape = field(default_factory=BackgroundShape)
 
     def __post_init__(self):
-        if not (0 <= self.n_of < np.inf and 0 <= self.n_sf < np.inf):
-            raise ValueError(f"background yields must be finite and "
-                             f"non-negative, got n_of {self.n_of}, "
-                             f"n_sf {self.n_sf}")
+        for name in ("n_of", "n_sf", "n_of_err", "n_sf_err"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

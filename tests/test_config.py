@@ -89,11 +89,20 @@ class TestLoadConfig:
         ("fit", "constraint_sigma = inf",
          "constraint sigma must be positive and finite, got inf"),
         ("backgrounds", "dstar_fake = inf 54",
-         "[backgrounds] dstar_fake: background yields must be finite and "
-         "non-negative, got n_of inf, n_sf 54.0"),
+         "[backgrounds] dstar_fake: n_of must be finite and non-negative, "
+         "got inf"),
         ("backgrounds", "dstar_fake = 126 54 6 4 exp inf",
          "[backgrounds] dstar_fake: tau_eff must be positive and finite, "
          "got inf"),
+        ("backgrounds", "dstar_fake = 126 54 inf 4 exp",
+         "[backgrounds] dstar_fake: n_of_err must be finite and "
+         "non-negative, got inf"),
+        ("backgrounds", "dstar_fake = 126 54 6 nan",
+         "[backgrounds] dstar_fake: n_sf_err must be finite and "
+         "non-negative, got nan"),
+        ("backgrounds", "dstar_fake = 126 54 -6 4",
+         "[backgrounds] dstar_fake: n_of_err must be finite and "
+         "non-negative, got -6.0"),
     ])
     def test_non_finite_physics_input_names_the_field(self, tmp_path,
                                                       section, line, message):

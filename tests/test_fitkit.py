@@ -4,7 +4,7 @@ significances."""
 import numpy as np
 import pytest
 
-from flavourasym import fitkit
+from flavourasym import fitkit, models
 from flavourasym.analysis import AsymmetrySpectrum, Binning, read_spectrum
 from flavourasym.cli import fixture_path
 from flavourasym.fitkit import (BinPredictor, Constraint, FitResult, chi2,
@@ -86,6 +86,36 @@ class TestBinPredictor:
         np.testing.assert_allclose(pred.predict("DECOHERED", 0.507, 1.0),
                                    pred.predict("SD", 0.507), atol=1e-12)
 
+    def test_rules_are_built_once_and_read_only(self, monkeypatch):
+        # two predictors and their t_min grids share one rule per node count
+        fresh = np.polynomial.legendre.leggauss
+        built = []
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda n: built.append(n) or fresh(n))
+        models._leggauss.cache_clear()
+        a, b = BinPredictor(Binning()), BinPredictor(Binning())
+        for pred in (a, b):
+            pred.band(0.507)
+        assert built == [fitkit.BIN_NODES, models._TMIN_NODES]
+        assert a._grid is not b._grid
+        for n in built:
+            for rule in models._leggauss(n):
+                with pytest.raises(ValueError, match="read-only"):
+                    rule[0] = 0.0
+
+    def test_cached_rules_predict_as_fresh_ones(self, monkeypatch):
+        cached = BinPredictor(Binning())
+        cached.band(0.507)                  # its grid too, before the patch
+        for mod in (fitkit, models):
+            monkeypatch.setattr(mod, "_leggauss",
+                                np.polynomial.legendre.leggauss)
+        fresh = BinPredictor(Binning())
+        for model in ("QM", "SD", "DECOHERED", "PS_BOUNDARY_MIN",
+                      "PS_BOUNDARY_MAX"):
+            np.testing.assert_array_equal(
+                cached.predict(model, 0.507, 0.3),
+                fresh.predict(model, 0.507, 0.3))
+
 
 def exact_spectrum(model="QM", dm=0.507, err=0.02):
     pred = BinPredictor(Binning())
@@ -159,13 +189,13 @@ class TestFitModel:
 
 class TestSignificance:
     def test_antisymmetry(self):
-        a = FitResult("QM", 0.5, 0.01, 5.0, 11, np.array([]))
-        b = FitResult("SD", 0.5, 0.01, 30.0, 11, np.array([]))
+        a = FitResult("QM", 0.5, lambda: (0.01, []), 5.0, 11, np.array([]))
+        b = FitResult("SD", 0.5, lambda: (0.01, []), 30.0, 11, np.array([]))
         assert significance(a, b) == pytest.approx(5.0)
         assert significance(b, a) == pytest.approx(-5.0)
 
     def test_equal_fits(self):
-        a = FitResult("QM", 0.5, 0.01, 5.0, 11, np.array([]))
+        a = FitResult("QM", 0.5, lambda: (0.01, []), 5.0, 11, np.array([]))
         assert significance(a, a) == 0.0
 
 
@@ -186,8 +216,9 @@ def eager_errors(spectrum, model, c, fit):
     else:
         fun = lambda m: chi2(spectrum, model, m, c, PRED)
         label = "dm"
-    return fitkit._one_sigma_interval(fun, fit.theta_hat, fit.chi2, lo, hi,
-                                      label, flags), flags
+    err, more = fitkit._one_sigma_interval(fun, fit.theta_hat, fit.chi2, lo,
+                                           hi, label)
+    return err, flags + more
 
 
 def _fit(spectrum, model, c):
@@ -254,27 +285,14 @@ class TestErrorOnRead:
         fit.theta_err
         assert len(calls) - n_fit == n_err
 
-    def test_given_error_is_checked_when_made(self):
-        fit = FitResult("QM", 0.5, 0.01, 5.0, 11, np.array([]))
-        assert (fit.theta_err, fit.flags) == (0.01, [])
-        for err in (0.0, -0.01):
-            with pytest.raises(ValueError, match="positive"):
-                FitResult("QM", 0.5, err, 5.0, 11, np.array([]))
-
     @pytest.mark.parametrize("err", [0.0, -0.01])
     def test_non_positive_computed_error_raises_on_read(self, err):
         fit = FitResult("QM", 0.5, lambda: (err, ["x"]), 5.0, 11,
-                        np.array([]), flags=["edge"])
+                        np.array([]))
         assert significance(fit, fit) == 0.0
         for attr in ("theta_err", "flags"):
             with pytest.raises(ValueError, match="positive"):
                 getattr(fit, attr)
-
-    def test_computed_flags_follow_the_given_ones(self):
-        fit = FitResult("QM", 0.5, lambda: (0.02, ["interval"]), 5.0, 11,
-                        np.array([]), flags=["minimum"])
-        assert fit.flags == ["minimum", "interval"]
-        assert fit.theta_err == 0.02
 
 
 class TestFitZeta:

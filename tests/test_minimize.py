@@ -158,9 +158,9 @@ def nelder_mead_zeta_fit(spectrum):
     flags = []
     if profile(z_hat + 0.5) - c2_min < 0.05:
         flags.append("zeta profile is nearly flat")
-    err = fitkit._one_sigma_interval(profile, z_hat, c2_min, z_hat - 1.0,
-                                     z_hat + 1.0, "zeta", flags)
-    return dm_hat, z_hat, err, c2_min, flags
+    err, more = fitkit._one_sigma_interval(profile, z_hat, c2_min,
+                                           z_hat - 1.0, z_hat + 1.0, "zeta")
+    return dm_hat, z_hat, err, c2_min, flags + more
 
 
 def test_zeta_fit_as_nelder_mead(spectrum):

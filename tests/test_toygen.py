@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 from oracles import one_shot_sample_pair, ps_sample_pair, signal_record
 
 from flavourasym import toygen
-from flavourasym._table import (CHUNK_ROWS, _float_cells, _int_cells,
-                                _number_cells, code_field, read_table,
-                                write_table)
+from flavourasym._table import (CHUNK_ROWS, _cells, _number_cells,
+                                code_field, read_table, write_table)
 from flavourasym.analysis import (AsymmetrySpectrum, BinnedCounts, Binning,
                                   asymmetry, bin_events, read_counts,
                                   read_spectrum, write_counts, write_spectrum)
@@ -655,13 +654,13 @@ class TestTableWriter:
                     min_size=1, max_size=64))
     def test_float_cells_are_percent_9g(self, values):
         # subnormals and both signs included
-        assert _texts(_float_cells(np.array(values))) == [
+        assert _texts(_cells(np.array(values), None)) == [
             "%.9g" % v for v in values]
 
     def test_edge_floats_and_their_fallback(self):
         values = EDGE_FLOATS + [-v for v in EDGE_FLOATS]
         x = np.array(values)
-        assert _texts(_float_cells(x)) == ["%.9g" % v for v in values]
+        assert _texts(_cells(x, None)) == ["%.9g" % v for v in values]
         # a marked fallback format shows which cells Python's `%` wrote:
         # the exact ties, the subnormals and every cell in exponent form
         # are among them, on either side of the switch from fixed form
@@ -681,7 +680,7 @@ class TestTableWriter:
         values = [info.min, info.min + 1, -1, 0, 1, info.max - 1, info.max]
         if info.max > 10 ** 9:
             values += [s * (10 ** 9 + d) for s in (1, -1) for d in (-1, 0, 1)]
-        assert _texts(_int_cells(np.array(values, dtype))) == [
+        assert _texts(_cells(np.array(values, dtype), None)) == [
             "%d" % v for v in values]
 
     @pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS,
