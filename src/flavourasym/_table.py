@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import re
-from itertools import islice
+import warnings
 
 import numpy as np
 
@@ -30,23 +30,23 @@ _WIDTH = re.compile(r"(\d+) (?:columns but|to) (\d+) (?:were found )?"
 _CONVERT = re.compile(r"(.*) at row (\d+), (column \d+)\.", re.S)
 
 
-def _located(msg: str, before: int = 0) -> str:
-    """loadtxt's parse error with its row given as the data row counted
-    from 1, in a file where `before` data rows precede what loadtxt read."""
+def _located(msg: str) -> str:
+    """loadtxt's parse error, its row given as the data row from 1."""
     w = _WIDTH.search(msg)
     if w:
-        return (f"data row {int(w[3]) + before} has {w[2]} fields, "
-                f"expected {w[1]}")
+        return f"data row {w[3]} has {w[2]} fields, expected {w[1]}"
     c = _CONVERT.fullmatch(msg)
-    return (f"data row {int(c[2]) + 1 + before}, {c[3]}: {c[1]}" if c
-            else msg)
+    return f"data row {int(c[2]) + 1}, {c[3]}: {c[1]}" if c else msg
 
 
 def code_field(names) -> np.dtype:
     """The dtype of a code column: int8 codes, each written to the file as
-    the name it indexes in `names` and read back from it. The names ride in
-    the dtype's metadata, which `dtype.descr` drops."""
-    return np.dtype("i1", metadata={"names": tuple(names)})
+    the name it indexes in `names` and read back as bytes, so names are
+    ASCII. They ride in the dtype's metadata, which `dtype.descr` drops."""
+    names = tuple(names)
+    if not "".join(names).isascii():
+        raise ValueError(f"code column names must be ASCII: {names}")
+    return np.dtype("i1", metadata={"names": names})
 
 
 def _names(field: np.dtype):
@@ -183,10 +183,10 @@ def _number_cells(x, values, fmt: str) -> np.ndarray:
 
 
 def _cells(col, names) -> np.ndarray:
-    """The cells of a column: a code column's names (UTF-8), a float
+    """The cells of a column: a code column's names (ASCII), a float
     column's %.9g or an int column's %d."""
     if names is not None:
-        text = np.array([n.encode() for n in names])
+        text = np.array(names, "S")
         return text.view(np.uint8).reshape(len(names), text.itemsize)[col]
     return _number_cells(col.astype(float, copy=False), col,
                          "%.9g" if col.dtype.kind == "f" else "%d")
@@ -224,15 +224,15 @@ def finite(values, what: str) -> np.ndarray:
 
 
 def _decoded(path, j: int, text, names) -> np.ndarray:
-    """The codes of column j's cells `text`. They are read as strings one
-    character wider than the longest name, since loadtxt cuts a string to
-    its field's width: a name with one character more is read whole and
-    refused, not cut to that name."""
-    is_name = text == np.array(names)[:, None]      # (names, rows)
+    """The codes of column j's cells `text`, read as bytes one wider than
+    the longest name since loadtxt cuts a cell to its field's width: a name
+    with one character more is read whole and refused, not cut to that
+    name. Unknown values are shown as the Latin-1 text loadtxt read."""
+    is_name = text == np.array(names, "S")[:, None]     # (names, rows)
     known = is_name.any(axis=0)
     if not known.all():
-        width = text.dtype.itemsize // 4
-        bad = sorted(set(text[~known].tolist()))[:3]
+        width = text.dtype.itemsize
+        bad = sorted(set(np.char.decode(text[~known], "latin-1").tolist()))[:3]
         shown = [v + "..." if len(v) == width else v for v in bad]
         note = (f" ('...': a value that fills all {width} characters"
                 " of its field may have been cut)" if shown != bad else "")
@@ -249,12 +249,10 @@ def read_table(path, dtype, *, header=True, extra: bool = False,
     follow it), the fields per row, at least one row, integers that fit
     their field, known names in code columns and finite floats.
 
-    The file is parsed one chunk of CHUNK_ROWS lines at a time, so of a
-    large file's parsed text (the names of code columns as wide strings)
-    only one chunk is held at once. An error names the data row counted
-    from 1 across chunks; unknown names are those of the first chunk that
-    has any."""
-    dtype, chunks, n = np.dtype(dtype), [], 0
+    The data rows are one `np.loadtxt` call, with each code column's names
+    read as bytes and then mapped to their codes. An error names the data
+    row counted from 1; empty lines are not data rows."""
+    dtype = np.dtype(dtype)
     try:
         with open(path, encoding="utf-8") as f:
             pre = [f.readline().rstrip("\n") for _ in range(preamble)]
@@ -268,34 +266,26 @@ def read_table(path, dtype, *, header=True, extra: bool = False,
                 dtype = np.dtype([(c, dtype[c]) for c in dtype.names]
                                  + [(c, "f8") for c in named])
             names = [_names(dtype[c]) for c in dtype.names or ()]
-            # loadtxt reads a code column's cells as strings
-            text = np.dtype([(c, f"U{max(map(len, v)) + 1}" if v else dtype[c])
+            text = np.dtype([(c, f"S{max(map(len, v)) + 1}" if v else dtype[c])
                              for c, v in zip(dtype.names, names)]
                             ) if any(names) else dtype
-            while lines := list(islice(f, CHUNK_ROWS)):
-                if not any(line.strip() for line in lines):  # loadtxt warns
-                    continue
+            with warnings.catch_warnings():     # no rows: refused below
+                warnings.filterwarnings("ignore", "loadtxt: input contained "
+                                        "no data", UserWarning)
                 try:
-                    rows = np.loadtxt(lines, dtype=text, delimiter=",",
+                    rows = np.loadtxt(f, dtype=text, delimiter=",",
                                       comments=None, ndmin=1 if header else 2)
                 except ValueError as e:
-                    raise ValueError(f"{path}: {_located(str(e), n)}") from None
-                if not _finite(rows):
-                    raise ValueError(f"{path}: non-finite value")
-                if chunks and rows.shape[1:] != chunks[0].shape[1:]:
-                    raise ValueError(f"{path}: data row {n + 1} has "
-                                     f"{rows.shape[1]} fields, expected "
-                                     f"{chunks[0].shape[1]}")
-                if any(names):
-                    out = np.empty(len(rows), dtype)
-                    for j, (c, v) in enumerate(zip(dtype.names, names)):
-                        out[c] = rows[c] if v is None else _decoded(
-                            path, j, rows[c], v)
-                    rows = out
-                chunks.append(rows)
-                n += len(rows)
+                    raise ValueError(f"{path}: {_located(str(e))}") from None
     except UnicodeDecodeError as e:
         raise ValueError(f"{path}: {e}") from None
-    if not chunks:
+    if not len(rows):
         raise ValueError(f"{path}: no data rows")
-    return pre, chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    if not _finite(rows):
+        raise ValueError(f"{path}: non-finite value")
+    if any(names):
+        out = np.empty(len(rows), dtype)
+        for j, (c, v) in enumerate(zip(dtype.names, names)):
+            out[c] = rows[c] if v is None else _decoded(path, j, rows[c], v)
+        rows = out
+    return pre, rows

@@ -212,7 +212,10 @@ def asymmetry(c: BinnedCounts) -> AsymmetrySpectrum:
     if np.any(tot <= 0):
         # numbered from 1, as the spectrum and counts files number bins
         bad = int(np.flatnonzero(tot <= 0)[0]) + 1
-        raise ValueError(f"empty bin {bad}: cannot form an asymmetry")
+        lo, hi = c.binning.array[bad - 1:bad + 1]
+        raise ValueError(f"empty bin {bad}: cannot form an asymmetry in the "
+                         f"window {lo:g}-{hi:g} ps; use a larger [run] "
+                         "n_signal, or wider bins through [binning] edges")
     a = (n_of - n_sf) / tot
     # linear propagation of var(n_of), var(n_sf) through the ratio
     err = 2.0 / tot ** 2 * np.sqrt((c.n[::-1] ** 2 * c.var).sum(axis=0))

@@ -332,8 +332,7 @@ def make_signal_events(model: GenModel, p: ModelParams, n: int,
 
 def stream_rng(master_seed: int, stream: int) -> np.random.Generator:
     """Independent deterministic sub-stream of the master seed."""
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([int(master_seed), int(stream)])))
+    return np.random.default_rng([master_seed, stream])
 
 
 def _record_dtype(dtype) -> np.dtype:

@@ -94,8 +94,13 @@ class TestAsymmetry:
 
     def test_empty_bin_raises(self):
         # the first bin is bin 1, as the spectrum files number it
-        with pytest.raises(ValueError, match="empty bin 1:"):
+        with pytest.raises(ValueError, match="empty bin 1: cannot form an "
+                           "asymmetry in the window 0-1 ps; use a larger "
+                           r"\[run\] n_signal, or wider bins through "
+                           r"\[binning\] edges"):
             asymmetry(counts_2([0.0, 10.0], [0.0, 10.0]))
+        with pytest.raises(ValueError, match="empty bin 2: .* window 1-2 ps"):
+            asymmetry(counts_2([10.0, 0.0], [10.0, 0.0]))
 
     def test_degenerate_bin_bootstrap(self):
         # one empty class: the propagated binomial error is spuriously 0,

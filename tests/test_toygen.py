@@ -552,6 +552,18 @@ class TestEventIO:
             read_events(self._edited(tmp_path, "cls_true", "XX"))
         assert str(e.value).endswith("unknown values ['XX']")
 
+    def test_non_latin1_name_refused_with_its_row(self, tmp_path):
+        path = self._edited(tmp_path, "category", "Δt", row=3)
+        with pytest.raises(ValueError) as e:
+            read_events(path)
+        assert str(e.value).startswith(
+            f"{path}: data row 3, column 8: could not convert string 'Δt'")
+
+    def test_unknown_latin1_name_shown_as_written(self, tmp_path):
+        with pytest.raises(ValueError) as e:
+            read_events(self._edited(tmp_path, "category", "sïgnal"))
+        assert str(e.value).endswith("column 8: unknown values ['sïgnal']")
+
     def test_record_has_no_string_fields(self):
         # numpy compares an integer field with a str elementwise and warns
         # nothing (codes != "signal" is all True), so a string field left
@@ -586,8 +598,8 @@ class TestEventIO:
         (CHUNK_ROWS, 0), (CHUNK_ROWS + 1, 0), (2 * CHUNK_ROWS, 0),
         (3, CHUNK_ROWS), (CHUNK_ROWS, 7)])
     def test_read_in_chunks(self, tmp_path, n, blank):
-        # a chunk that ends the file exactly, a chunk of empty lines only
-        # and one that ends in empty lines are read without a warning
+        # files of one and more of the writer's chunks, and files with a
+        # chunk's worth of empty lines, are read without a warning
         path, five = self._tiled(tmp_path, n, blank)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -596,7 +608,8 @@ class TestEventIO:
 
     @pytest.mark.parametrize("blank", [0, 3])
     def test_errors_count_data_rows_across_chunks(self, tmp_path, blank):
-        # empty lines are not data rows, in the first chunk or later
+        # empty lines are not data rows, before or past the writer's first
+        # chunk
         path, _ = self._tiled(tmp_path, CHUNK_ROWS + 5, blank)
         lines = path.read_text().splitlines()
         row = CHUNK_ROWS + 2
@@ -613,10 +626,11 @@ class TestEventIO:
             read_events(path)
 
     def test_read_peak_memory(self, tmp_path):
-        """The file's records (names as wide strings) live one chunk at a
-        time: the peak is about the events twice, 102 B per event, where
-        reading the whole file at once peaks at 212 B. tracemalloc counts
-        numpy's buffers, so the bound holds on any machine."""
+        """The names are parsed as bytes, so the parsed rows (72 B per
+        event) and the records (51 B) peak together at about 140 B per
+        event, where names parsed as 4-byte characters peak at 212 B.
+        tracemalloc counts numpy's buffers, so the bound holds on any
+        machine."""
         n = 8 * CHUNK_ROWS
         path, _ = self._tiled(tmp_path, n)
         tracemalloc.start()
@@ -712,18 +726,15 @@ class TestTableWriter:
             write_table(path, rows)
         assert not path.exists()
 
-    def test_non_ascii_names_written_as_utf8(self, tmp_path):
-        path = tmp_path / "names.csv"
-        dtype = [("name", code_field(["OF", "Δt"])), ("k", "i4")]
-        rows = np.array([(1, 1), (0, 2)], dtype)
-        write_table(path, rows)
-        assert path.read_bytes() == "name,k\nΔt,1\nOF,2\n".encode()
-        np.testing.assert_array_equal(read_table(path, dtype)[1], rows)
+    def test_non_ascii_names_refused(self):
+        # the reader parses a code column's names as bytes
+        with pytest.raises(ValueError, match="must be ASCII"):
+            code_field(["OF", "Δt"])
 
 
 class TestTableReader:
     """The one reader, on a headerless table with a preamble (the layout of
-    a response file) longer than one chunk."""
+    a response file) longer than one of the writer's chunks."""
 
     @staticmethod
     def _long(tmp_path, n=CHUNK_ROWS + 5):
