@@ -214,9 +214,11 @@ def cmd_fit(args):
     spectrum = read_spectrum(args.spectrum)
     cfg = load_config(args.config).pipeline if args.config else PipelineConfig()
     models = [m.strip().upper() for m in args.models.split(",")]
-    for m in models:
+    for i, m in enumerate(models):
         if m not in ("QM", "SD", "PS", "DECOHERED"):
             raise ConfigError(f"unknown fit model {m!r}")
+        if m in models[:i]:
+            raise ConfigError(f"fit model {m!r} given twice")
     # as in cmd_unfold: a finite but huge input overflows in the fits; the
     # report reads every fit's error and flags, which are computed on first
     # read, so they too are computed inside this block

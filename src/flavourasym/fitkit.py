@@ -159,24 +159,28 @@ def chi2(spectrum: AsymmetrySpectrum, model: str, dm: float, c: Constraint,
                  + c.term(dm))
 
 
-def _one_sigma_interval(fun, x_hat, f_min, lo, hi, label) -> tuple:
-    """(half-width, flags) of the fun = f_min + 1 interval around x_hat."""
-    target, flags = f_min + 1.0, []
-    try:
-        x_lo = brentq(lambda x: fun(x) - target, lo, x_hat, xtol=1e-7)
-    except ValueError:
-        x_lo = lo
-        flags.append(f"{label}: no lower crossing inside the search range")
-    try:
-        x_hi = brentq(lambda x: fun(x) - target, x_hat, hi, xtol=1e-7)
-    except ValueError:
-        x_hi = hi
-        flags.append(f"{label}: no upper crossing inside the search range")
+def _one_sigma_interval(fun, x_hat, f_min, label) -> tuple:
+    """(lower, upper, flags): where fun crosses f_min + 1 below and above
+    x_hat, or the end of DM_SEARCH on a side where it does not."""
+    f = lambda x: fun(x) - (f_min + 1.0)
+    ends, flags = [], []
+    for end, side in zip(DM_SEARCH, ("lower", "upper")):
+        try:
+            ends.append(brentq(f, *sorted((end, x_hat)), xtol=1e-7))
+        except ValueError:
+            ends.append(end)
+            flags.append(f"{label}: no {side} crossing inside the search range")
+    return *ends, flags
+
+
+def _half_width(x_hat, x_lo, x_hi, label, flags) -> tuple:
+    """(half-width, flags) of the interval [x_lo, x_hi] around x_hat:
+    `flags`, and a flag if the interval is asymmetric."""
     below, above = x_hat - x_lo, x_hi - x_hat
     mean = 0.5 * (below + above)
     if mean > 0 and abs(below - above) > 0.2 * mean:
-        flags.append(f"{label}: asymmetric interval "
-                     f"(-{below:.4g} / +{above:.4g})")
+        flags = flags + [f"{label}: asymmetric interval "
+                         f"(-{below:.4g} / +{above:.4g})"]
     return mean, flags
 
 
@@ -197,8 +201,8 @@ def fit_model(spectrum: AsymmetrySpectrum, model: str, c: Constraint,
     dm_hat, c2, flags = _fit_dm(fun)
 
     def error():
-        err, more = _one_sigma_interval(fun, dm_hat, c2, *DM_SEARCH, "dm")
-        return err, flags + more
+        lo, hi, more = _one_sigma_interval(fun, dm_hat, c2, "dm")
+        return _half_width(dm_hat, lo, hi, "dm", flags + more)
 
     return FitResult(model=model, theta_hat=dm_hat, error=error,
                      chi2=c2, dof=spectrum.binning.n_bins,
@@ -209,30 +213,39 @@ def fit_zeta(spectrum: AsymmetrySpectrum, c: Constraint,
              predictor: BinPredictor) -> FitResult:
     """Two-parameter (dm, zeta) fit of the partially decohered curve.
 
-    The curve QM + zeta (SD - QM) is linear in zeta, so dm is fitted with
-    zeta solved exactly at each dm. zeta may float below zero; its error
-    comes from the profile chi-square crossing chi2_min + 1, and is
-    computed, with the probe of the profile's flatness, when first read.
-    n_bins points and the dm constraint, less two parameters, leave
-    n_bins - 1 dof."""
-    c2 = lambda dm, z: chi2(spectrum, "DECOHERED", dm, c, predictor, z)
-    profile = lambda z: minimize_bounded(lambda dm: c2(dm, z), DM_SEARCH,
-                                         DM_XTOL)[1]
-
-    def zeta_hat(dm):
+    The curve QM + zeta (SD - QM) is linear in zeta, so at each dm zeta is
+    solved exactly, and chi2(dm, zeta) = chi2_prof(dm) + (zeta -
+    zeta_hat(dm))^2 sum d^2; dm is fitted on chi2_prof. zeta may float
+    below zero. Its error, computed when first read, is the half-width of
+    the chi2_min + 1 interval: the union, over the dm stretch where
+    chi2_prof <= chi2_min + 1, of zeta_hat(dm) +- sqrt((chi2_min + 1 -
+    chi2_prof(dm)) / sum d^2). n_bins points and the dm constraint, less
+    two parameters, leave n_bins - 1 dof."""
+    def profile(dm):
+        """(zeta_hat, chi2 at (dm, zeta_hat), sum d^2) at dm."""
         r = _pulls(spectrum, "QM", dm, predictor)       # (a - QM) / sigma
         d = r - _pulls(spectrum, "SD", dm, predictor)   # (SD - QM) / sigma
-        return float(r @ d / (d @ d))
+        z = float(r @ d / (d @ d))
+        return z, chi2(spectrum, "DECOHERED", dm, c, predictor, z), d @ d
 
-    dm_hat, c2_min, flags = _fit_dm(lambda dm: c2(dm, zeta_hat(dm)))
-    z_hat = zeta_hat(dm_hat)
+    c2_prof = lambda dm: profile(dm)[1]
+    dm_hat, c2_min, flags = _fit_dm(c2_prof)
+    z_hat = profile(dm_hat)[0]
 
     def error():
-        flat = (["zeta profile is nearly flat"]
-                if profile(z_hat + 0.5) - c2_min < 0.05 else [])
-        err, more = _one_sigma_interval(profile, z_hat, c2_min, z_hat - 1.0,
-                                        z_hat + 1.0, "zeta")
-        return err, flags + flat + more
+        lo, hi, more = _one_sigma_interval(c2_prof, dm_hat, c2_min, "zeta")
+
+        def f(dm, sign):
+            """-sign (zeta_hat + sign sqrt(...)) at dm: its minimum over
+            [lo, hi] is the interval's end on the side of sign."""
+            z, c2, dd = profile(dm)
+            return -sign * z - np.sqrt(max(c2_min + 1.0 - c2, 0.0) / dd)
+
+        # found to 1e-7 in dm, as the crossings are; a stretch may stop at
+        # DM_SEARCH, so its ends are candidates too
+        z_lo, z_hi = (-s * float(min(f(lo, s), f(hi, s), minimize_bounded(
+            lambda dm: f(dm, s), (lo, hi), 1e-7)[1])) for s in (-1.0, 1.0))
+        return _half_width(z_hat, z_lo, z_hi, "zeta", flags + more)
 
     return FitResult(model="DECOHERED", theta_hat=z_hat, error=error,
                      chi2=c2_min, dof=spectrum.binning.n_bins - 1,

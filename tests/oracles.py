@@ -1,13 +1,15 @@
 """Test oracles: quadrature for the t_min-marginalized model curves, the
 band and PS draws from the per-edge joint formulas, the pair sampler on
 full columns, response training on the event record, the count formulas
-written out once per class, the degenerate-bin bootstrap, and the
-unfolding built and applied in one call."""
+written out once per class, the degenerate-bin bootstrap, the unfolding
+built and applied in one call, and the zeta fit's chi2_min + 1 interval
+from a dense scan."""
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 from flavourasym.analysis import BinnedCounts
+from flavourasym.fitkit import DM_SEARCH
 # e^(-2*40) ~ 1e-35 at the reach bounds the truncation error far below the
 # 1e-9 target
 from flavourasym.models import (_UMAX_LIFETIMES, MarginalGrid, ModelParams,
@@ -229,3 +231,60 @@ def one_shot_unfold(measured, resp_of, resp_sf, cfg):
     var = np.diag(cov)
     return BinnedCounts(measured.binning, [x[:nb], x[nb:]],
                         [var[:nb], var[nb:]]), cov
+
+
+def zeta_profile(spectrum, c, predictor, dm):
+    """(zeta_hat, chi2, sum d^2) at dm: the zeta that minimizes chi2(dm, zeta)
+    and the chi2 there, from the QM and SD bin predictions, with r = (a -
+    QM) / sigma and d = (SD - QM) / sigma."""
+    qm = predictor.predict("QM", dm)
+    r = (spectrum.a - qm) / spectrum.total_err
+    d = (predictor.predict("SD", dm) - qm) / spectrum.total_err
+    dd = float(d @ d)
+    z = float(r @ d) / dd
+    return z, float(np.sum((r - z * d) ** 2)) + c.term(dm), dd
+
+
+def zeta_interval(spectrum, c, predictor, level, coarse=701, dense=2001):
+    """(lower, upper) ends of {zeta : min over dm of chi2(dm, zeta) <=
+    level + 1}, over the dm stretch around the profile's minimum in
+    DM_SEARCH where chi2_prof <= level + 1.
+
+    chi2(dm, zeta) = chi2_prof(dm) + (zeta - zeta_hat(dm))^2 sum d^2, so
+    the interval is the union over the stretch of zeta_hat(dm) +-
+    sqrt((level + 1 - chi2_prof(dm)) / sum d^2). A coarse scan finds the
+    minimum's cell and the stretch's crossings, which scipy refines; a
+    dense scan of the stretch finds each end's cell, and scipy's bounded
+    minimization refines it to xatol 1e-12."""
+    target = level + 1.0
+    prof = lambda dm: zeta_profile(spectrum, c, predictor, dm)
+    c2 = lambda dm: prof(dm)[1]
+    grid = np.linspace(*DM_SEARCH, coarse)
+    vals = np.array([c2(dm) for dm in grid])
+    k = int(np.argmin(vals))
+    dm_min = optimize.minimize_scalar(
+        c2, bounds=(grid[max(k - 1, 0)], grid[min(k + 1, coarse - 1)]),
+        method="bounded", options={"xatol": 1e-12}).x
+    above = np.flatnonzero(vals > target)
+    below_k, above_k = above[above < k], above[above > k]
+    lo = (optimize.brentq(lambda x: c2(x) - target, grid[below_k[-1]],
+                          min(grid[below_k[-1] + 1], dm_min), xtol=1e-15)
+          if len(below_k) else DM_SEARCH[0])
+    hi = (optimize.brentq(lambda x: c2(x) - target,
+                          max(grid[above_k[0] - 1], dm_min), grid[above_k[0]],
+                          xtol=1e-15)
+          if len(above_k) else DM_SEARCH[1])
+    stretch = np.linspace(lo, hi, dense)
+    z, chi, dd = np.array([prof(dm) for dm in stretch]).T
+    reach = lambda sign, z, chi, dd: (
+        sign * z + np.sqrt(np.maximum(target - chi, 0.0) / dd))
+    ends = []
+    for sign in (-1.0, 1.0):
+        vals = reach(sign, z, chi, dd)
+        j = int(np.argmax(vals))
+        best = optimize.minimize_scalar(
+            lambda dm: -reach(sign, *prof(dm)),
+            bounds=(stretch[max(j - 1, 0)], stretch[min(j + 1, dense - 1)]),
+            method="bounded", options={"xatol": 1e-12})
+        ends.append(sign * max(vals[j], -best.fun))
+    return tuple(ends)

@@ -32,6 +32,11 @@ def check(name, ok, detail=""):
     assert ok, f"{name}: {detail}"
 
 
+def show(name, values, fmt="+.3f"):
+    """Print a report line of per-bin numbers that no check asserts on."""
+    print(f"[INFO] {name}: per bin: " + " ".join(f"{v:{fmt}}" for v in values))
+
+
 # ---------------------------------------------------------------------------
 # Fixture fits of the published spectrum
 # ---------------------------------------------------------------------------
@@ -191,6 +196,16 @@ class TestUnfolding:
 
     def test_pull_means(self, ensemble):
         _, res, _ = ensemble
+        show("bias correction", res["correction"])
+        show("deconvolution systematic", res["deconvolution_systematic"],
+             ".3f")
+        for m in MODELS:
+            mean = res["unfolded"][m.value].mean(axis=0)
+            show(f"residual bias {m.value}",
+                 mean - res["truth"][m.value] - res["correction"])
+        show("stat-only pull means", np.concatenate(
+            [ensemble_pulls(res, m, False) for m in MODELS]).mean(axis=0),
+             "+.2f")
         pulls = np.concatenate([ensemble_pulls(res, m) for m in MODELS])
         mu = pulls.mean(axis=0)
         detail = " ".join(f"{v:+.2f}" for v in mu)
@@ -208,6 +223,9 @@ class TestUnfolding:
         lower side is checked against the width this error model predicts.
         """
         _, res, _ = ensemble
+        show("stat-only pull widths", np.concatenate(
+            [ensemble_pulls(res, m, False) for m in MODELS]).std(axis=0),
+             ".2f")
         syst = res["deconvolution_systematic"]
         ratios, expected = [], []
         for m in MODELS:
@@ -235,6 +253,8 @@ class TestUnfolding:
     def test_qm_preferred_over_sd(self, ensemble):
         cfg, res, _ = ensemble
         sigs = qm_over_sd_significances(res, cfg)
+        print(f"[INFO] QM-over-SD significance: median "
+              f"{np.median(sigs):.2f}, min {sigs.min():.2f} sigma")
         n_pref = int(np.sum(sigs > 5.0))
         frac = n_pref / len(sigs)
         check("QM preferred over SD at > 5 sigma", frac >= 0.90,

@@ -647,6 +647,17 @@ class TestFit:
         assert main(["fit", str(fixture_path()),
                      "--models", "QM,XX"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("models", ["QM,QM", "QM,SD,qm"])
+    def test_repeated_model(self, tmp_path, capsys, models):
+        # a model given twice would be fitted once but logged twice
+        out = tmp_path / "fit.txt"
+        assert main(["fit", str(fixture_path()), "--models", models,
+                     "--out", str(out)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "fit model 'QM' given twice" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestReproduce:
     def test_report(self, capsys):

@@ -7,10 +7,15 @@ import pytest
 from flavourasym import fitkit, models
 from flavourasym.analysis import AsymmetrySpectrum, Binning, read_spectrum
 from flavourasym.cli import fixture_path
+from flavourasym.config import default_config_text, load_config
 from flavourasym.fitkit import (BinPredictor, Constraint, FitResult, chi2,
                                 fit_model, fit_zeta, significance)
 from flavourasym.models import (MarginalGrid, ModelParams, asym_qm,
                                 asym_sd_marginal)
+from flavourasym.pipeline import analyze_counts, build_training_responses
+from flavourasym.toygen import generate_ensemble
+from flavourasym.unfold import dsvd_unfold, unfolded_asymmetry, unfolding_map
+from oracles import zeta_interval
 
 TAU = 1.53
 C = Constraint()
@@ -224,24 +229,35 @@ class TestSignificance:
 
 def eager_errors(spectrum, model, c, fit):
     """(theta_err, flags) as the fits computed them with their minimum:
-    the minimum's flag, the zeta profile's, then the interval's."""
+    the minimum's flag, then the interval's. zeta's interval is the union,
+    over the dm stretch inside the profile's chi2_min + 1, of
+    zeta_hat(dm) +- sqrt((chi2_min + 1 - chi2_prof(dm)) / sum d^2)."""
     dm = fit.extra.get("dm", fit.theta_hat)
     lo, hi = fitkit.DM_SEARCH
     flags = (["minimum at the edge of the search interval"]
              if min(dm - lo, hi - dm) < 5 * fitkit.DM_XTOL else [])
     if model == "DECOHERED":
-        fun = lambda z: fitkit.minimize_bounded(
-            lambda m: chi2(spectrum, model, m, c, PRED, z), fitkit.DM_SEARCH,
-            fitkit.DM_XTOL)[1]
-        if fun(fit.theta_hat + 0.5) - fit.chi2 < 0.05:
-            flags.append("zeta profile is nearly flat")
-        lo, hi, label = fit.theta_hat - 1.0, fit.theta_hat + 1.0, "zeta"
-    else:
-        fun = lambda m: chi2(spectrum, model, m, c, PRED)
-        label = "dm"
-    err, more = fitkit._one_sigma_interval(fun, fit.theta_hat, fit.chi2, lo,
-                                           hi, label)
-    return err, flags + more
+        def profile(m):
+            r = (spectrum.a - PRED.predict("QM", m)) / spectrum.total_err
+            d = r - (spectrum.a - PRED.predict("SD", m)) / spectrum.total_err
+            z = float(r @ d / (d @ d))
+            return z, chi2(spectrum, model, m, c, PRED, z), d @ d
+
+        lo, hi, more = fitkit._one_sigma_interval(
+            lambda m: profile(m)[1], dm, fit.chi2, "zeta")
+
+        def end(s):
+            def f(m):
+                z, c2, dd = profile(m)
+                return -s * z - np.sqrt(max(fit.chi2 + 1.0 - c2, 0.0) / dd)
+            inner = fitkit.minimize_bounded(f, (lo, hi), 1e-7)[1]
+            return -s * float(min(f(lo), f(hi), inner))
+
+        return fitkit._half_width(fit.theta_hat, end(-1.0), end(1.0), "zeta",
+                                  flags + more)
+    lo, hi, more = fitkit._one_sigma_interval(
+        lambda m: chi2(spectrum, model, m, c, PRED), dm, fit.chi2, "dm")
+    return fitkit._half_width(dm, lo, hi, "dm", flags + more)
 
 
 def _fit(spectrum, model, c):
@@ -255,8 +271,9 @@ ERROR_CASES = {
     "fixture": (lambda: read_spectrum(fixture_path()), C),
     # dm: the edge flag, then the interval's; zeta: the edge flag
     "edge": (lambda: exact_spectrum("QM", dm=0.95, err=0.01), LOOSE),
-    # dm: two missing crossings and an asymmetric interval; zeta: the flat
-    # profile's flag, then two missing crossings
+    # dm: two missing crossings and an asymmetric interval; zeta: two
+    # missing crossings, the dm stretch being all of DM_SEARCH, and an
+    # asymmetric interval
     "flat": (lambda: exact_spectrum("QM", dm=0.5, err=5.0), LOOSE),
 }
 
@@ -301,7 +318,7 @@ class TestErrorOnRead:
         fit = fit_zeta(spec, C, PRED)
         n_fit = len(calls)
         assert fit.chi2 > 0 and len(calls) == n_fit
-        # the probe at zeta_hat + 0.5 and the profile's crossings
+        # the profile's crossings in dm and the interval's two ends
         fit.flags
         n_err = len(calls) - n_fit
         assert n_err > 0
@@ -316,6 +333,19 @@ class TestErrorOnRead:
         for attr in ("theta_err", "flags"):
             with pytest.raises(ValueError, match="positive"):
                 getattr(fit, attr)
+
+
+ZETA_SPECTRA = {
+    "fixture": (lambda: read_spectrum(fixture_path()), C),
+    "pure-qm": (lambda: exact_spectrum("QM", dm=C.mean, err=0.01), C),
+    "injected": (lambda: AsymmetrySpectrum(
+        Binning(), PRED.predict("DECOHERED", C.mean, 0.25),
+        np.full(11, 0.01)), C),
+    # the dm stretch stops at the upper end of DM_SEARCH
+    "search-edge": (lambda: AsymmetrySpectrum(
+        Binning(), PRED.predict("DECOHERED", 0.95, 0.3),
+        np.full(11, 0.01)), LOOSE),
+}
 
 
 class TestFitZeta:
@@ -352,6 +382,37 @@ class TestFitZeta:
         spec = exact_spectrum("QM", dm=C.mean, err=0.01)
         assert fit_model(spec, "QM", C, PRED).dof == 11
         assert fit_zeta(spec, C, PRED).dof == 10
+
+    @pytest.mark.parametrize("case", sorted(ZETA_SPECTRA))
+    def test_error_is_the_exact_interval(self, case):
+        make, c = ZETA_SPECTRA[case]
+        spec = make()
+        fit = fit_zeta(spec, c, PRED)
+        lo, hi = zeta_interval(spec, c, PRED, fit.chi2)
+        assert fit.theta_err == pytest.approx(0.5 * (hi - lo), abs=1e-8)
+
+    def test_seed7_chain_error(self, tmp_path):
+        # the paper-scale chain of `init-config --seed 7`, generate,
+        # analyze and unfold, built in memory. Its zeta profile has a
+        # second dm basin (chi2 ~ 340 near dm = 0.37); the error is the
+        # interval around the fitted basin, about +-0.0757, whose dm
+        # stretch ends inside DM_SEARCH
+        path = tmp_path / "run.cfg"
+        path.write_text(default_config_text(seed=7))
+        run = load_config(path)
+        cfg = run.pipeline
+        events = generate_ensemble(run.model, cfg.params, cfg.detector,
+                                   cfg.backgrounds, cfg.n_signal,
+                                   master_seed=cfg.seed)
+        counts, _ = analyze_counts(events, cfg)
+        lin = unfolding_map(*build_training_responses(cfg), cfg.unfold)
+        a, cov = unfolded_asymmetry(*dsvd_unfold(counts, lin))
+        spec = AsymmetrySpectrum(counts.binning, a, np.sqrt(np.diag(cov)))
+        pred = BinPredictor(spec.binning, cfg.params.tau)
+        fit = fit_zeta(spec, cfg.constraint, pred)
+        lo, hi = zeta_interval(spec, cfg.constraint, pred, fit.chi2)
+        assert fit.theta_err == pytest.approx(0.5 * (hi - lo), abs=1e-3)
+        assert not any("crossing" in f for f in fit.flags)
 
 
 @pytest.fixture(scope="module")

@@ -2,8 +2,9 @@
 evaluated point, root, minimum and Δm fit result must be the same double
 (`==`, no tolerance). The ζ fit, which solves ζ in closed form at each Δm,
 is checked against the scipy Nelder-Mead fit it replaced, within that
-simplex's own tolerance. scipy is the oracle here only; the package does
-not import it."""
+simplex's own tolerance, and its error against the exact interval at the
+simplex's minimum. scipy is the oracle here only; the package does not
+import it."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from flavourasym.analysis import AsymmetrySpectrum, Binning, read_spectrum
 from flavourasym.cli import fixture_path, reproduce_fixture
 from flavourasym.fitkit import (DM_SEARCH, DM_XTOL, BinPredictor, Constraint,
                                 chi2, fit_model, fit_zeta)
+from oracles import zeta_interval
 
 C = Constraint()
 PRED = BinPredictor(Binning())
@@ -145,32 +147,29 @@ def test_brentq_root_at_endpoint(spectrum):
 
 
 def nelder_mead_zeta_fit(spectrum):
-    """(dm, zeta, error, chi2, flags) of the simplex fit over (dm, zeta)
-    that the closed-form zeta replaced, with the same profile error."""
+    """(dm, zeta, error, chi2) of the simplex fit over (dm, zeta) that the
+    closed-form zeta replaced; the error is the half-width of the exact
+    chi2_min + 1 interval at that minimum, from `oracles.zeta_interval`."""
     c2 = lambda dm, z: chi2(spectrum, "DECOHERED", dm, C, PRED, z)
     r = optimize.minimize(lambda p: c2(*p), x0=[C.mean, 0.0],
                           method="Nelder-Mead",
                           options={"xatol": 1e-5, "fatol": 1e-10,
                                    "maxiter": 2000})
     (dm_hat, z_hat), c2_min = (float(v) for v in r.x), float(r.fun)
-    profile = lambda z: scipy_bounded(lambda dm: c2(dm, z), DM_SEARCH,
-                                      DM_XTOL)[1]
-    flags = []
-    if profile(z_hat + 0.5) - c2_min < 0.05:
-        flags.append("zeta profile is nearly flat")
-    err, more = fitkit._one_sigma_interval(profile, z_hat, c2_min,
-                                           z_hat - 1.0, z_hat + 1.0, "zeta")
-    return dm_hat, z_hat, err, c2_min, flags + more
+    lo, hi = zeta_interval(spectrum, C, PRED, c2_min)
+    return dm_hat, z_hat, 0.5 * (hi - lo), c2_min
 
 
 def test_zeta_fit_as_nelder_mead(spectrum):
     fit = fit_zeta(spectrum, C, PRED)
-    dm_hat, z_hat, err, c2_min, flags = nelder_mead_zeta_fit(spectrum)
+    dm_hat, z_hat, err, c2_min = nelder_mead_zeta_fit(spectrum)
     assert fit.theta_hat == pytest.approx(z_hat, abs=2e-5)
     assert fit.extra["dm"] == pytest.approx(dm_hat, abs=2e-5)
     assert fit.chi2 == pytest.approx(c2_min, abs=1e-6)
     assert fit.theta_err == pytest.approx(err, abs=1e-8)
-    assert fit.flags == flags
+    # each spectrum's dm stretch lies inside DM_SEARCH, and each interval
+    # is far from the 20 % asymmetry that is flagged
+    assert fit.flags == []
     # zeta is the minimum of the parabola at the fitted dm
     dm, z = fit.extra["dm"], fit.theta_hat
     at_min = chi2(spectrum, "DECOHERED", dm, C, PRED, z)
