@@ -153,20 +153,26 @@ def _number_tables() -> dict:
     }
 
 
-def _number_cells(x, values, fmt: str) -> np.ndarray:
-    """The cells of up to CHUNK_ROWS finite floats x, one NUL-padded row
-    each, as narrow as the chunk allows: %.9g of x, which for an int x
-    below 10**9 in magnitude is its %d. The 9 digits are y =
-    |x|·10**(8−e) rounded, with e = floor(log10|x|) and the power taken
-    from a correctly rounded table, so y is off by at most about 2·2**−53
-    relative, under 2.3e-7 absolute. Rounding y in float is therefore exact
-    unless its fraction lies within 1e-6 of ½: such cells, those that %.9g
-    writes in exponent form (e outside −4..8, as is every int of 10**9 or
-    more in magnitude) and those where 10**(8−e) would not be a normal
-    float get `fmt % v` on `values`. log10 is one off only within a few
-    ulps of a power of ten, where y rounds to 1e8 (e one high: the cell is
-    that power) or to 1e9, which the carry takes to the next exponent."""
+def _number_cells(columns, fmts) -> list:
+    """The cells of number columns of equal length, up to CHUNK_ROWS cells
+    in all: for each column, one NUL-padded row per cell, as narrow as the
+    column allows. The digits of every column come from one pass of
+    vectorized arithmetic; only the gather of each column's bytes runs
+    column by column. A cell is %.9g of its value x, which for an int x below
+    10**9 in magnitude is its %d. The 9 digits are y = |x|·10**(8−e)
+    rounded, with e = floor(log10|x|) and the power taken from a correctly
+    rounded table, so y is off by at most about 2·2**−53 relative, under
+    2.3e-7 absolute. Rounding y in float is therefore exact unless its
+    fraction lies within 1e-6 of ½: such cells, those that %.9g writes in
+    exponent form (e outside −4..8, as is every int of 10**9 or more in
+    magnitude) and those where 10**(8−e) would not be a normal float get
+    `fmts[j] % v` on column j's own value v. log10 is one off only within
+    a few ulps of a power of ten, where y rounds to 1e8 (e one high: the
+    cell is that power) or to 1e9, which the carry takes to the next
+    exponent."""
     t = _number_tables()
+    shape = (len(columns), len(columns[0]))
+    x = np.array(columns, dtype=float).reshape(-1)
     ax = np.abs(x)
     zero = ax == 0
     fast = ax >= 1e-299
@@ -185,7 +191,7 @@ def _number_cells(x, values, fmt: str) -> np.ndarray:
     mid, lo = q - 1000 * hi, n - 1000 * q
     zeros = t["zeros"]
     # the layout of 9 significant digits at e, less the trailing zeros
-    key = (np.clip(e, -4, 8) + 4) * 9 + 8 - np.where(
+    key = (np.minimum(np.maximum(e, -4), 8) + 4) * 9 + 8 - np.where(
         lo, zeros[lo], np.where(mid, 3 + zeros[mid], 6 + zeros[hi]))
     key[zero] = 117
     src = np.empty((len(x), _SOURCE // 4), np.uint32)
@@ -195,47 +201,65 @@ def _number_cells(x, values, fmt: str) -> np.ndarray:
     src[:, 2] = t["digits"][hi]
     src[:, 3] = t["digits"][mid]
     src[:, 4] = t["digits"][lo]
-    # no column for the sign unless a cell is negative, none past the
-    # longest cell
-    first = 0 if neg.any() else 1
-    width = t["length"][key].max() - first
-    at = np.take(t["layout"][:, first:first + width], key, axis=0)
-    at += _SOURCE * np.arange(len(x))[:, None]     # each cell's source row
-    cells = np.take(src.view(np.uint8).reshape(-1), at)
-    if slow.any():
-        text = np.array([fmt % v for v in values[slow].tolist()], dtype="S")
-        w = text.itemsize
-        if w > width:
-            cells = np.pad(cells, ((0, 0), (0, w - width)))
-        cells[slow] = 0
-        cells[slow, :w] = text.view(np.uint8).reshape(-1, w)
-    return cells
+    source = src.view(np.uint8).reshape(shape[0], -1)
+    key, slow = key.reshape(shape), slow.reshape(shape)
+    # each column's span of layout bytes: none for the sign unless one of
+    # its cells is negative, none past its longest cell
+    spans = zip(np.where(neg.reshape(shape).any(axis=1), 0, 1).tolist(),
+                t["length"][key].max(axis=1).tolist())
+    offset = _SOURCE * np.arange(shape[1])[:, None]    # each cell's source row
+    out = []
+    for c, fmt, k, sl, b, (first, end) in zip(columns, fmts, key, slow,
+                                              source, spans):
+        width = end - first
+        at = t["layout"][:, first:end].take(k, axis=0)
+        at += offset
+        cells = b.take(at)
+        if sl.any():
+            text = np.array([fmt % v for v in c[sl].tolist()], dtype="S")
+            w = text.itemsize
+            if w > width:
+                cells = np.pad(cells, ((0, 0), (0, w - width)))
+            cells[sl] = 0
+            cells[sl, :w] = text.view(np.uint8).reshape(-1, w)
+        out.append(cells)
+    return out
 
 
-def _cells(col, names) -> np.ndarray:
-    """The cells of a column: a code column's names (ASCII), a float
-    column's %.9g or an int column's %d."""
-    if names is not None:
-        text = np.array(names, "S")
-        return text.view(np.uint8).reshape(len(names), text.itemsize)[col]
-    return _number_cells(col.astype(float, copy=False), col,
-                         "%.9g" if col.dtype.kind == "f" else "%d")
+def _fmt(col) -> str:
+    """A number column's format: %.9g for floats, %d for ints."""
+    return "%.9g" if col.dtype.kind == "f" else "%d"
+
+
+def _name_cells(names) -> np.ndarray:
+    """The cell of each code of a code column: its name, NUL-padded."""
+    text = np.array(names, "S")
+    return text.view(np.uint8).reshape(len(names), text.itemsize)
 
 
 def write_table(path, rows, header=True, preamble=()) -> None:
     """Write a structured array (its field names are the header), or a 2-d
     array with `header=False`, one line per row. Each chunk of rows is a
     matrix of NUL-padded cells joined by commas, written with its NULs
-    stripped. A non-finite number is a failed computation, not a result: it
-    raises ArithmeticError before the file is opened."""
+    stripped; a chunk's number columns are one `_number_cells` call, so a
+    chunk has CHUNK_ROWS // (number columns) rows. A non-finite number is a
+    failed computation, not a result: it raises ArithmeticError before the
+    file is opened."""
     if not _finite(rows):
         raise ArithmeticError(f"non-finite value in the output for {path}")
-    cols = _columns(rows)
+    cols = [(c, None if names is None else _name_cells(names))
+            for c, names in _columns(rows)]
+    numbers = [c for c, names in cols if names is None]
+    fmts = [_fmt(c) for c in numbers]
+    step = CHUNK_ROWS // max(len(numbers), 1)
     lines = [*preamble] + ([",".join(rows.dtype.names)] if header else [])
     with open(path, "wb") as f:
         f.write("".join(line + "\n" for line in lines).encode())
-        for s in range(0, len(rows), CHUNK_ROWS):
-            cells = [_cells(c[s:s + CHUNK_ROWS], names) for c, names in cols]
+        for s in range(0, len(rows), step):
+            nums = iter(_number_cells([c[s:s + step] for c in numbers], fmts)
+                        if numbers else ())
+            cells = [next(nums) if names is None else names[c[s:s + step]]
+                     for c, names in cols]
             comma = np.full((len(cells[0]), 1), ord(","), np.uint8)
             block = np.hstack([m for c in cells for m in (c, comma)])
             block[:, -1] = ord("\n")

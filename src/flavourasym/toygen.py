@@ -5,6 +5,11 @@ columns; `generate_ensemble` can fill records of only some of those fields,
 with the values the full records hold. The flavour classes and the category are small integer codes in
 memory and names only in the file: their fields are code columns, which the
 table layer writes as names and reads back as codes.
+
+One routine, `_draw_pairs`, draws every signal pair, in one fixed order
+whatever is kept. Where no time is kept and the model reads only dt (QM
+records without t1_ps and t2_ps, and the response-training sample), dt
+lives in the buffer t1 was drawn into and t2 is never whole.
 """
 
 from __future__ import annotations
@@ -187,33 +192,54 @@ def _joint_asymmetry(model: GenModel, t1, t2, dt, p: ModelParams, pick):
     raise ValueError(f"unknown generation model {model}")
 
 
-def sample_pair(model: GenModel, p: ModelParams, rng: np.random.Generator,
-                size: int = 1):
-    """Draw (t1, t2, is_of) for `size` pairs under the given model.
-
-    The pair time density factorizes as exp(-(t1+t2)/tau)/tau^2; the flavour
-    class is Bernoulli with OF probability (1 + A_model(t1, t2)) / 2.
+def _draw_pairs(model: GenModel, p: ModelParams, rng: np.random.Generator,
+                size: int, times: bool):
+    """(t1, t2, dt = |t1 - t2|, is_of) of `size` pairs under the given
+    model: the one routine that draws pairs, and so owns their order.
 
     The draws come in a fixed order: all of t1, all of t2, for DECOHERED
-    the SD picks of all pairs, then the class uniforms. The rest runs in
-    blocks of _BLOCK pairs that draw their uniforms in turn, which gives
-    the numbers of one draw of the whole: only t1, t2, the picks and is_of
-    span all pairs, and no result depends on the block size.
+    the SD picks of all pairs, then the class uniforms. Work past the time
+    draws runs in blocks of _BLOCK pairs that draw their values in turn;
+    a Generator draws a call of n values one value at a time, so blocks
+    give the numbers of one draw of the whole and no result depends on the
+    block size. With `times` False and QM, whose asymmetry reads only dt,
+    t2 too is drawn a block at a time and folded into t1's buffer as dt;
+    t1 and t2 then come back None, and only dt and is_of span all pairs.
     """
     t1 = rng.exponential(p.tau, size)
-    t2 = rng.exponential(p.tau, size)
+    if times or model is not GenModel.QM:
+        t2 = rng.exponential(p.tau, size)
+        dt = t1 - t2
+        np.abs(dt, out=dt)
+    else:
+        t1, t2, dt = None, None, t1
+        for i in range(0, size, _BLOCK):
+            b = dt[i:i + _BLOCK]
+            np.abs(b - rng.exponential(p.tau, len(b)), out=b)
     pick = (rng.random(size) < p.zeta if model is GenModel.DECOHERED
             else None)
     is_of = np.empty(size, dtype=bool)
     for i in range(0, size, _BLOCK):
         s = slice(i, i + _BLOCK)
-        b1, b2 = t1[s], t2[s]
-        a = _joint_asymmetry(model, b1, b2, np.abs(b1 - b2), p,
-                             None if pick is None else pick[s])
+        b1, b2, b_pick = (None if c is None else c[s] for c in (t1, t2, pick))
+        a = _joint_asymmetry(model, b1, b2, dt[s], p, b_pick)
         if not np.all(np.abs(a) <= 1.0 + 1e-9):    # NaN fails it too
             raise ArithmeticError("model asymmetry escaped [-1, 1]; "
                                   "generation envelope violated")
         is_of[s] = rng.random(len(a)) < (1.0 + a) / 2.0
+    return t1, t2, dt, is_of
+
+
+def sample_pair(model: GenModel, p: ModelParams, rng: np.random.Generator,
+                size: int = 1):
+    """Draw (t1, t2, is_of) for `size` pairs under the given model.
+
+    The pair time density factorizes as exp(-(t1+t2)/tau)/tau^2; the flavour
+    class is Bernoulli with OF probability (1 + A_model(t1, t2)) / 2. The
+    draws are those of `_draw_pairs`, in its order: all of t1, all of t2,
+    for DECOHERED the SD picks of all pairs, then the class uniforms.
+    """
+    t1, t2, _, is_of = _draw_pairs(model, p, rng, size, times=True)
     return t1, t2, is_of
 
 
@@ -263,16 +289,17 @@ def response_sample(model: GenModel, p: ModelParams, n: int, sigmas,
     the pairs, then one standard-normal vector shared by every resolution
     (none when all are 0), drawn block by block. The mistag flips, drawn
     last there, are not drawn; nothing that trains on the true class reads
-    them. Only t1, t2 and the classes span the whole sample.
+    them. No time is kept: each dt_true is a view of the one dt array of
+    `_draw_pairs`, which with the classes is all that spans the sample.
     """
-    t1, t2, is_of = sample_pair(model, p, rng, n)
+    _, _, dt, is_of = _draw_pairs(model, p, rng, n, times=False)
     smeared = max(sigmas) > 0
     for i in range(0, n, _BLOCK):
         s = slice(i, i + _BLOCK)
-        dt = np.abs(t1[s] - t2[s])
-        z = rng.standard_normal(len(dt)) if smeared else None
-        yield (dt, (~is_of[s]).view(np.int8),
-               [_smear(dt, sigma, z)[1] for sigma in sigmas])
+        b = dt[s]
+        z = rng.standard_normal(len(b)) if smeared else None
+        yield b, (~is_of[s]).view(np.int8), [_smear(b, sigma, z)[1]
+                                             for sigma in sigmas]
 
 
 def _join(parts, dtype: np.dtype) -> np.ndarray:
@@ -285,10 +312,11 @@ def _join(parts, dtype: np.dtype) -> np.ndarray:
 def _signal(model: GenModel, p: ModelParams, n: int, d: DetectorConfig,
             rng: np.random.Generator, dtype: np.dtype) -> np.ndarray:
     """`n` signal records of `dtype`, drawn as `make_signal_events` draws
-    them."""
+    them. The times are kept only where `dtype` has a field for one."""
     ev = np.zeros(n, dtype=dtype)
-    t1, t2, is_of = sample_pair(model, p, rng, n)
-    dt, cls = np.abs(t1 - t2), (~is_of).view(np.int8)  # code 1, SF, if not OF
+    t1, t2, dt, is_of = _draw_pairs(
+        model, p, rng, n, times=not {"t1_ps", "t2_ps"}.isdisjoint(dtype.names))
+    cls = (~is_of).view(np.int8)        # code 1, SF, if not OF
     _put(ev, t1_ps=t1, t2_ps=t2, dt_true_ps=dt, cls_true=cls,
          index=np.arange(n))
     return _detect(ev, dt, cls, d, rng)

@@ -167,9 +167,10 @@ def test_columnar_training_matches_record_training(binning):
 
 
 def test_training_peak_memory():
-    """Only t1, t2 and the classes span the training sample; every other
-    column lives one block at a time. tracemalloc counts numpy's buffers,
-    so the bound holds on any machine (about 49 B per event with every
+    """Only dt and the classes span the training sample, 9 B per event:
+    no time is kept, and every other column lives one block at a time.
+    tracemalloc counts numpy's buffers, so the bound holds on any machine
+    (about 12 B per event; 21 B with t1 and t2 whole, 49 B with every
     column whole)."""
     n = 1_000_000
     cfg = replace(CFG, n_response_mc=n)
@@ -179,4 +180,4 @@ def test_training_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n < 24.0
+    assert peak / n < 13.0

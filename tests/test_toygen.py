@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from oracles import one_shot_sample_pair, ps_sample_pair, signal_record
 
 from flavourasym import toygen
-from flavourasym._table import (CHUNK_ROWS, _cells, _number_cells,
+from flavourasym._table import (CHUNK_ROWS, _fmt, _number_cells,
                                 code_field, read_table, write_table)
 from flavourasym.analysis import (AsymmetrySpectrum, BinnedCounts, Binning,
                                   asymmetry, bin_events, read_counts,
@@ -360,8 +360,10 @@ class TestEnvelope:
 
 
 class TestBlocks:
-    """The block loop of `sample_pair` keeps the one-shot draw order: all
-    of t1, all of t2, all the DECOHERED picks, then the class uniforms."""
+    """The block loops of `_draw_pairs` keep the one-shot draw order: all
+    of t1, all of t2, all the DECOHERED picks, then the class uniforms,
+    with the times kept or, for QM, with t2 folded into dt block by
+    block."""
 
     @pytest.mark.parametrize("model", list(GenModel), ids=lambda m: m.value)
     @pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
@@ -375,6 +377,35 @@ class TestBlocks:
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
         # and the stream is left where the one-shot draws leave it
+        np.testing.assert_array_equal(rng.random(3), ref_rng.random(3))
+
+    @pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                      2 * _BLOCK + 3])
+    def test_dt_only_draws_match_one_shot_draws(self, size):
+        rng, ref_rng = stream_rng(8, 0), stream_rng(8, 0)
+        t1, t2, dt, is_of = toygen._draw_pairs(GenModel.QM, P, rng, size,
+                                               times=False)
+        _, _, r_dt, r_of = one_shot_sample_pair(GenModel.QM, P, ref_rng,
+                                                size)
+        assert t1 is None and t2 is None
+        for got, want in ((dt, r_dt), (is_of, r_of)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(rng.random(3), ref_rng.random(3))
+
+    @pytest.mark.parametrize("size", [1, _BLOCK, 2 * _BLOCK + 3])
+    def test_response_sample_is_views_of_the_one_shot_dt(self, size):
+        # with no smearing no normals are drawn: the blocks are the pairs
+        rng, ref_rng = stream_rng(8, 0), stream_rng(8, 0)
+        blocks = list(toygen.response_sample(GenModel.QM, P, size, [0.0],
+                                             rng))
+        _, _, r_dt, r_of = one_shot_sample_pair(GenModel.QM, P, ref_rng,
+                                                size)
+        dts, classes, _ = zip(*blocks)
+        assert all(b.base is dts[0].base for b in dts)
+        np.testing.assert_array_equal(np.concatenate(dts), r_dt)
+        np.testing.assert_array_equal(np.concatenate(classes),
+                                      (~r_of).view(np.int8))
         np.testing.assert_array_equal(rng.random(3), ref_rng.random(3))
 
     @pytest.mark.parametrize("model", list(GenModel), ids=lambda m: m.value)
@@ -504,6 +535,24 @@ class TestEventIO:
         assert_same_lines(again.read_bytes(), path.read_bytes())
         if kind == "events":
             assert "wrong_combination" in ref and ",SF," in ref
+
+    def test_write_peak_memory(self, tmp_path):
+        """A chunk's number columns are formatted in one call of at most
+        CHUNK_ROWS cells, so the writer's temporaries do not grow with the
+        columns: about 15 B per event, below the reader's 140 B. A call of
+        every number column of CHUNK_ROWS rows would hold about 7 times
+        the cells. tracemalloc counts numpy's buffers, so the bound holds
+        on any machine."""
+        ev = generate_ensemble(GenModel.QM, P, DetectorConfig(),
+                               BackgroundConfig.paper_scale(), 100_000,
+                               master_seed=5)
+        tracemalloc.start()
+        try:
+            write_events(ev, tmp_path / "events.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(ev) < 48.0
 
     @staticmethod
     def _edited(tmp_path, column, value, row=2):
@@ -671,6 +720,11 @@ def _texts(cells):
     return [row.tobytes().replace(b"\0", b"").decode() for row in cells]
 
 
+def _cells(col):
+    """The cells the table writer makes of one number column."""
+    return _number_cells([col], [_fmt(col)])[0]
+
+
 _POWERS = [float("1e%d" % k) for k in range(-20, 21)]
 EDGE_FLOATS = [
     0.0, 5e-324, 2.2250738585072014e-308, np.finfo(float).max,
@@ -685,17 +739,17 @@ class TestTableWriter:
                     min_size=1, max_size=64))
     def test_float_cells_are_percent_9g(self, values):
         # subnormals and both signs included
-        assert _texts(_cells(np.array(values), None)) == [
+        assert _texts(_cells(np.array(values))) == [
             "%.9g" % v for v in values]
 
     def test_edge_floats_and_their_fallback(self):
         values = EDGE_FLOATS + [-v for v in EDGE_FLOATS]
         x = np.array(values)
-        assert _texts(_cells(x, None)) == ["%.9g" % v for v in values]
+        assert _texts(_cells(x)) == ["%.9g" % v for v in values]
         # a marked fallback format shows which cells Python's `%` wrote:
         # the exact ties, the subnormals and every cell in exponent form
         # are among them, on either side of the switch from fixed form
-        texts = _texts(_number_cells(x, x, "<%.9g>"))
+        texts = _texts(_number_cells([x], ["<%.9g>"])[0])
         slow = [v for v, t in zip(values, texts) if t == "<%.9g>" % v]
         assert {12345678.25, 999999999.5, 5e-324} <= set(slow)
         assert {v for v in values if "e" in "%.9g" % v} <= set(slow)
@@ -705,13 +759,23 @@ class TestTableWriter:
         assert all(t == "%.9g" % v for v, t in zip(values, texts)
                    if v not in slow)
 
+    def test_each_column_keeps_its_fallback_format(self):
+        # one call on a float and an int column, each with cells that take
+        # the fallback, in the same rows and in others
+        x = np.array([12345678.25, 1.5, -1.23456789e-300, 2.0])
+        k = np.array([-2 ** 31, 7, 10 ** 9, 3], np.int64)
+        got_x, got_k = _number_cells([x, k], ["<%.9g>", "[%d]"])
+        assert _texts(got_x) == ["<12345678.2>", "1.5", "<-1.23456789e-300>",
+                                 "2"]
+        assert _texts(got_k) == ["[-2147483648]", "7", "[1000000000]", "3"]
+
     @pytest.mark.parametrize("dtype", ["i1", "i4", "i8"])
     def test_int_cells_are_percent_d(self, dtype):
         info = np.iinfo(dtype)
         values = [info.min, info.min + 1, -1, 0, 1, info.max - 1, info.max]
         if info.max > 10 ** 9:
             values += [s * (10 ** 9 + d) for s in (1, -1) for d in (-1, 0, 1)]
-        assert _texts(_cells(np.array(values, dtype), None)) == [
+        assert _texts(_cells(np.array(values, dtype))) == [
             "%d" % v for v in values]
 
     @pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS,
