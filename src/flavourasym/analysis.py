@@ -162,8 +162,13 @@ def bin_events(dt, cls, binning: Binning) -> BinnedCounts:
     """OF/SF histograms of events given as dt and class-code columns, binned
     as `np.histogram` bins them; the events it leaves out of the bins (below,
     above, NaN) count as overflow."""
+    return _bin_index(binning.index(dt), cls, binning)
+
+
+def _bin_index(index, cls, binning: Binning) -> BinnedCounts:
+    """`bin_events` of events whose dt are given as their `Binning.index`."""
     n = binning.n_bins + 2
-    h = np.bincount((cls != CLS_OF) * n + binning.index(dt),
+    h = np.bincount((cls != CLS_OF) * n + index,
                     minlength=2 * n).reshape(2, n)
     return BinnedCounts(binning, h[:, 1:-1],
                         overflow=tuple((h[:, 0] + h[:, -1]).tolist()))
@@ -187,7 +192,12 @@ def subtract_background(c: BinnedCounts, b: BackgroundConfig):
     Returns the subtracted counts (variances inflated by the yield errors)
     and the per-bin systematic on the asymmetry from those yield errors.
     """
-    exp, var = expected_background_counts(b, c.binning)
+    return _subtract_expected(c, *expected_background_counts(b, c.binning))
+
+
+def _subtract_expected(c: BinnedCounts, exp, var):
+    """`subtract_background` given the `expected_background_counts` of the
+    backgrounds in c's binning."""
     out = BinnedCounts(c.binning, c.n - exp, c.var + var, c.overflow)
     # effect of 1-sigma yield shifts on the asymmetry, combined in
     # quadrature: |d a / d n_of| = 2 n_sf / tot^2 and |d a / d n_sf| =

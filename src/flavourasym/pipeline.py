@@ -7,12 +7,14 @@ ensembles spawn one child stream per replica.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .analysis import (AsymmetrySpectrum, Binning, asymmetry, bin_events,
-                       mistag_correct_counts, mistag_systematic,
-                       subtract_background)
+from .analysis import (AsymmetrySpectrum, Binning, _bin_index,
+                       _subtract_expected, asymmetry, bin_events,
+                       expected_background_counts, mistag_correct_counts,
+                       mistag_systematic)
 from .fitkit import BinPredictor, Constraint, fit_model, significance
 from .models import ModelParams
 # make_signal_events is not called here; perfbench/tests looks the name up
@@ -67,6 +69,21 @@ class PipelineConfig:
         return cls(backgrounds=BackgroundConfig.paper_scale(), seed=seed,
                    **over)
 
+    @cached_property
+    def expected_background(self):
+        """`expected_background_counts` of the backgrounds in the binning,
+        read-only, computed once per config: every replica subtracts it."""
+        exp, var = expected_background_counts(self.backgrounds, self.binning)
+        exp.flags.writeable = var.flags.writeable = False
+        return exp, var
+
+
+def _correct(raw, cfg: PipelineConfig):
+    """Binned counts background-subtracted, then mistag-corrected, and the
+    per-bin subtraction systematic on the asymmetry."""
+    sub, bkg_syst = _subtract_expected(raw, *cfg.expected_background)
+    return mistag_correct_counts(sub, cfg.detector.mistag_fraction), bkg_syst
+
 
 def corrected_counts(events: np.ndarray, cfg: PipelineConfig):
     """Binned, background-subtracted, mistag-corrected counts.
@@ -75,11 +92,8 @@ def corrected_counts(events: np.ndarray, cfg: PipelineConfig):
     Returns the counts and the per-bin subtraction systematic on the
     asymmetry.
     """
-    raw = bin_events(events["dt_rec_ps"], events["cls_assigned"],
-                     cfg.binning)
-    sub, bkg_syst = subtract_background(raw, cfg.backgrounds)
-    corrected = mistag_correct_counts(sub, cfg.detector.mistag_fraction)
-    return corrected, bkg_syst
+    return _correct(bin_events(events["dt_rec_ps"], events["cls_assigned"],
+                               cfg.binning), cfg)
 
 
 def analyze_counts(events: np.ndarray, cfg: PipelineConfig):
@@ -101,8 +115,9 @@ def train_responses(cfg: PipelineConfig, detectors):
     mistag-corrected before unfolding, so the response must not fold the
     tag flip back in. The detectors share the truth pairs and the standard
     normals, so each pair equals a training on that detector alone. The
-    sample comes in blocks; each detector's integer counts are summed over
-    them and turned into matrices once.
+    sample comes in blocks; each block's truth bins are indexed once for
+    all detectors, each detector's integer counts are summed over the
+    blocks and turned into matrices once.
     """
     n = cfg.binning.n_bins + 2
     counts = np.zeros((len(detectors), 2, n, n), dtype=np.intp)
@@ -110,8 +125,7 @@ def train_responses(cfg: PipelineConfig, detectors):
             GenModel.QM, cfg.params, cfg.n_response_mc,
             [d.total_sigma for d in detectors],
             stream_rng(cfg.seed, RESPONSE_STREAM)):
-        for c, dt_rec in zip(counts, dt_recs):
-            c += response_histogram(dt_true, dt_rec, cls_true, cfg.binning)
+        counts += response_histogram(dt_true, dt_recs, cls_true, cfg.binning)
     return [response_pair(c, cfg.binning) for c in counts]
 
 
@@ -120,45 +134,66 @@ def build_training_responses(cfg: PipelineConfig):
     return train_responses(cfg, [cfg.detector])[0]
 
 
-def replica_counts(model: GenModel, cfg: PipelineConfig, replica_seed: int):
-    """One pseudo-experiment's corrected counts: generate and analyze. The
-    events are records of the two fields the analysis reads; their values
-    are those of the full records."""
-    events = generate_ensemble(model, cfg.params, cfg.detector,
+def replica_counts(model, cfg: PipelineConfig, replica_seed: int):
+    """One pseudo-experiment's corrected counts: generate and analyze.
+
+    `model` is a GenModel, or a tuple of models that share the seed's draws
+    (see `generate_ensemble`), which gives a list of counts, one per model,
+    each equal to that model's replica alone. The seed is generated once,
+    as records of the two fields the analysis reads, whose values are
+    those of the full records; its reco bins are indexed once, and each
+    model bins its own classes."""
+    models = (model,) if isinstance(model, GenModel) else tuple(model)
+    events = generate_ensemble(models, cfg.params, cfg.detector,
                                cfg.backgrounds, cfg.n_signal,
                                master_seed=cfg.seed * 1000003 + replica_seed,
                                dtype=_REPLICA_DTYPE)
-    counts, _ = corrected_counts(events, cfg)
-    return counts
+    index = cfg.binning.index(events["dt_rec_ps"][:, 0])
+    counts = [_correct(_bin_index(index, cls, cfg.binning), cfg)[0]
+              for cls in events["cls_assigned"].T]
+    return counts[0] if isinstance(model, GenModel) else counts
 
 
-def run_replica(model: GenModel, cfg: PipelineConfig, lin: np.ndarray,
+def run_replica(model, cfg: PipelineConfig, lin: np.ndarray,
                 replica_seed: int):
     """One pseudo-experiment: generate, analyze, unfold through `lin`, form
-    the asymmetry."""
-    return unfolded_asymmetry(*dsvd_unfold(
-        replica_counts(model, cfg, replica_seed), lin))
+    the asymmetry. A tuple of models, as `replica_counts` takes, gives a
+    list of (a, cov), one per model, from one generation of the seed."""
+    counts = replica_counts(model, cfg, replica_seed)
+    if isinstance(model, GenModel):
+        return unfolded_asymmetry(*dsvd_unfold(counts, lin))
+    return [unfolded_asymmetry(*dsvd_unfold(c, lin)) for c in counts]
 
 
 def run_ensemble(models, n_replicas: int, cfg: PipelineConfig):
     """Pseudo-experiment ensembles for several models, with bias correction.
 
-    Returns a dict with per-model unfolded asymmetries, per-replica errors,
-    truth vectors, the model-averaged correction, and the residual-bias
-    deconvolution systematic.
+    Each replica seed is generated once for all the models but DECOHERED,
+    which draws more and is generated apart; every model's replicas equal
+    those of its ensemble alone. Returns a dict with per-model unfolded
+    asymmetries, per-replica errors, truth vectors, the model-averaged
+    correction, and the residual-bias deconvolution systematic.
     """
+    models = tuple(models)
+    for i, m in enumerate(models):
+        if m in models[:i]:
+            raise ValueError(f"generation model {m.value} given twice")
     lin = unfolding_map(*build_training_responses(cfg), cfg.unfold)
     p = cfg.params
     pred = BinPredictor(cfg.binning, tau=p.tau)
+    deco = GenModel.DECOHERED
+    groups = [g for g in (tuple(m for m in models if m is not deco),
+                          tuple(m for m in models if m is deco)) if g]
+    rows, errs = ({m: [] for m in models} for _ in range(2))
+    for r in range(n_replicas):
+        for group in groups:
+            for m, (a, cov) in zip(group, run_replica(group, cfg, lin, r)):
+                rows[m].append(a)
+                errs[m].append(np.sqrt(np.diag(cov)))
     unfolded, errors, truths = {}, {}, {}
     for model in models:
-        rows, errs = [], []
-        for r in range(n_replicas):
-            a, cov = run_replica(model, cfg, lin, r)
-            rows.append(a)
-            errs.append(np.sqrt(np.diag(cov)))
-        unfolded[model.value] = np.array(rows)
-        errors[model.value] = np.array(errs)
+        unfolded[model.value] = np.array(rows[model])
+        errors[model.value] = np.array(errs[model])
         truths[model.value] = pred.predict(model.value, p.dm, p.zeta)
     correction, syst = bias_correct(unfolded, truths)
     return {

@@ -192,22 +192,31 @@ def _joint_asymmetry(model: GenModel, t1, t2, dt, p: ModelParams, pick):
     raise ValueError(f"unknown generation model {model}")
 
 
-def _draw_pairs(model: GenModel, p: ModelParams, rng: np.random.Generator,
+def _draw_pairs(models: tuple, p: ModelParams, rng: np.random.Generator,
                 size: int, times: bool):
-    """(t1, t2, dt = |t1 - t2|, is_of) of `size` pairs under the given
-    model: the one routine that draws pairs, and so owns their order.
+    """(t1, t2, dt = |t1 - t2|, is_of) of `size` pairs, with one row of
+    `is_of` per model of `models`: the one routine that draws pairs, and
+    so owns their order.
 
     The draws come in a fixed order: all of t1, all of t2, for DECOHERED
-    the SD picks of all pairs, then the class uniforms. Work past the time
-    draws runs in blocks of _BLOCK pairs that draw their values in turn;
-    a Generator draws a call of n values one value at a time, so blocks
-    give the numbers of one draw of the whole and no result depends on the
-    block size. With `times` False and QM, whose asymmetry reads only dt,
-    t2 too is drawn a block at a time and folded into t1's buffer as dt;
-    t1 and t2 then come back None, and only dt and is_of span all pairs.
+    the SD picks of all pairs, then the class uniforms. The models differ
+    only in the OF probability (1 + A_model) / 2 each compares the uniforms
+    with, so every model but DECOHERED draws the same numbers, and row j
+    holds the classes of models[j] drawn alone. DECOHERED, whose picks
+    come before the uniforms, must come alone. Work past the time draws
+    runs in blocks of _BLOCK pairs that draw their values in turn; a
+    Generator draws a call of n values one value at a time, so blocks give
+    the numbers of one draw of the whole and no result depends on the
+    block size. With `times` False and only QM, whose asymmetry reads only
+    dt, t2 too is drawn a block at a time and folded into t1's buffer as
+    dt; t1 and t2 then come back None, and only dt and is_of span all
+    pairs.
     """
+    if GenModel.DECOHERED in models and len(models) > 1:
+        raise ValueError("DECOHERED draws its SD picks before the class "
+                         "uniforms, so it cannot share another model's draws")
     t1 = rng.exponential(p.tau, size)
-    if times or model is not GenModel.QM:
+    if times or any(m is not GenModel.QM for m in models):
         t2 = rng.exponential(p.tau, size)
         dt = t1 - t2
         np.abs(dt, out=dt)
@@ -216,17 +225,20 @@ def _draw_pairs(model: GenModel, p: ModelParams, rng: np.random.Generator,
         for i in range(0, size, _BLOCK):
             b = dt[i:i + _BLOCK]
             np.abs(b - rng.exponential(p.tau, len(b)), out=b)
-    pick = (rng.random(size) < p.zeta if model is GenModel.DECOHERED
+    pick = (rng.random(size) < p.zeta if GenModel.DECOHERED in models
             else None)
-    is_of = np.empty(size, dtype=bool)
+    is_of = np.empty((len(models), size), dtype=bool)
     for i in range(0, size, _BLOCK):
         s = slice(i, i + _BLOCK)
-        b1, b2, b_pick = (None if c is None else c[s] for c in (t1, t2, pick))
-        a = _joint_asymmetry(model, b1, b2, dt[s], p, b_pick)
-        if not np.all(np.abs(a) <= 1.0 + 1e-9):    # NaN fails it too
-            raise ArithmeticError("model asymmetry escaped [-1, 1]; "
-                                  "generation envelope violated")
-        is_of[s] = rng.random(len(a)) < (1.0 + a) / 2.0
+        b1, b2, b_dt, b_pick = (None if c is None else c[s]
+                                for c in (t1, t2, dt, pick))
+        u = rng.random(len(b_dt))
+        for row, model in zip(is_of, models):
+            a = _joint_asymmetry(model, b1, b2, b_dt, p, b_pick)
+            if not np.all(np.abs(a) <= 1.0 + 1e-9):    # NaN fails it too
+                raise ArithmeticError("model asymmetry escaped [-1, 1]; "
+                                      "generation envelope violated")
+            row[s] = u < (1.0 + a) / 2.0
     return t1, t2, dt, is_of
 
 
@@ -239,8 +251,8 @@ def sample_pair(model: GenModel, p: ModelParams, rng: np.random.Generator,
     draws are those of `_draw_pairs`, in its order: all of t1, all of t2,
     for DECOHERED the SD picks of all pairs, then the class uniforms.
     """
-    t1, t2, _, is_of = _draw_pairs(model, p, rng, size, times=True)
-    return t1, t2, is_of
+    t1, t2, _, is_of = _draw_pairs((model,), p, rng, size, times=True)
+    return t1, t2, is_of[0]
 
 
 def _smear(dt_true, sigma: float, z):
@@ -268,8 +280,9 @@ def _detect(events: np.ndarray, dt_true, cls_true, d: DetectorConfig,
     """Fill dz_rec/dt_rec and the assigned class from the truth columns
     given, into the fields of `events` that hold them, and return `events`.
     The draws: the standard normals (none when d.total_sigma is 0), then
-    the mistag uniforms, drawn at any mistag fraction."""
-    n = len(events)
+    the mistag uniforms, drawn at any mistag fraction. The events may have
+    leading axes, one entry per model; the draws are made once for all."""
+    n = events.shape[-1]
     z = rng.standard_normal(n) if d.total_sigma > 0 else None
     dz, dt_rec = _smear(dt_true, d.total_sigma, z)
     flip = rng.random(n) < d.mistag_fraction
@@ -292,7 +305,7 @@ def response_sample(model: GenModel, p: ModelParams, n: int, sigmas,
     them. No time is kept: each dt_true is a view of the one dt array of
     `_draw_pairs`, which with the classes is all that spans the sample.
     """
-    _, _, dt, is_of = _draw_pairs(model, p, rng, n, times=False)
+    _, _, dt, (is_of,) = _draw_pairs((model,), p, rng, n, times=False)
     smeared = max(sigmas) > 0
     for i in range(0, n, _BLOCK):
         s = slice(i, i + _BLOCK)
@@ -303,19 +316,24 @@ def response_sample(model: GenModel, p: ModelParams, n: int, sigmas,
 
 
 def _join(parts, dtype: np.dtype) -> np.ndarray:
-    """Concatenate records of `dtype` as raw bytes: numpy's field-by-field
+    """Concatenate records of `dtype` along their last axis as raw bytes,
+    each part repeated over the rows of the first: numpy's field-by-field
     structured concatenate is about 20 times slower for the same bytes."""
-    return np.concatenate([np.ascontiguousarray(p, dtype=dtype)
-                           .view(np.uint8) for p in parts]).view(dtype)
+    rows = parts[0].shape[:-1]
+    return np.concatenate(
+        [np.ascontiguousarray(np.broadcast_to(p, rows + p.shape[-1:]),
+                              dtype=dtype).view(np.uint8) for p in parts],
+        axis=-1).view(dtype)
 
 
-def _signal(model: GenModel, p: ModelParams, n: int, d: DetectorConfig,
+def _signal(models: tuple, p: ModelParams, n: int, d: DetectorConfig,
             rng: np.random.Generator, dtype: np.dtype) -> np.ndarray:
-    """`n` signal records of `dtype`, drawn as `make_signal_events` draws
-    them. The times are kept only where `dtype` has a field for one."""
-    ev = np.zeros(n, dtype=dtype)
+    """`n` signal records of `dtype` for each model of `models`, one row
+    per model, drawn as `make_signal_events` draws them. The times are kept
+    only where `dtype` has a field for one."""
+    ev = np.zeros((len(models), n), dtype=dtype)
     t1, t2, dt, is_of = _draw_pairs(
-        model, p, rng, n, times=not {"t1_ps", "t2_ps"}.isdisjoint(dtype.names))
+        models, p, rng, n, times=not {"t1_ps", "t2_ps"}.isdisjoint(dtype.names))
     cls = (~is_of).view(np.int8)        # code 1, SF, if not OF
     _put(ev, t1_ps=t1, t2_ps=t2, dt_true_ps=dt, cls_true=cls,
          index=np.arange(n))
@@ -355,7 +373,7 @@ def make_signal_events(model: GenModel, p: ModelParams, n: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Generate `n` signal pairs and run them through the detector model;
     their `stream` field is 0."""
-    return _signal(model, p, n, d, rng, EVENT_DTYPE)
+    return _signal((model,), p, n, d, rng, EVENT_DTYPE)[0]
 
 
 def stream_rng(master_seed: int, stream: int) -> np.random.Generator:
@@ -375,7 +393,7 @@ def _record_dtype(dtype) -> np.dtype:
     return dtype
 
 
-def generate_ensemble(model: GenModel, p: ModelParams, d: DetectorConfig,
+def generate_ensemble(model, p: ModelParams, d: DetectorConfig,
                       b: BackgroundConfig, n_signal: int, master_seed: int,
                       dtype=EVENT_DTYPE) -> np.ndarray:
     """Deterministic generation; identical inputs give identical events.
@@ -384,12 +402,21 @@ def generate_ensemble(model: GenModel, p: ModelParams, d: DetectorConfig,
     stream 1, so signal events do not move when the background
     configuration changes. The records are of `dtype`, whose fields are
     some or all of EVENT_DTYPE's: the draws are the same whichever fields
-    are kept, so each kept field holds the values of the full record."""
+    are kept, so each kept field holds the values of the full record.
+
+    `model` is a GenModel, or a tuple of them drawn from one seed's draws:
+    the records then have one column per model, shape (events, models),
+    and column j holds the records of models[j] generated alone. The
+    models draw the same numbers, so the columns differ only in cls_true
+    and cls_assigned; DECOHERED draws more and must come alone."""
     dtype = _record_dtype(dtype)
-    signal = _signal(model, p, n_signal, d, stream_rng(master_seed, 0), dtype)
+    models = (model,) if isinstance(model, GenModel) else tuple(model)
+    ev = _signal(models, p, n_signal, d, stream_rng(master_seed, 0), dtype)
     parts = _backgrounds(b, d, stream_rng(master_seed, 1), dtype,
                          next_index=n_signal)
-    return _join([signal, *parts], dtype) if parts else signal
+    if parts:
+        ev = _join([ev, *parts], dtype)
+    return ev[0] if isinstance(model, GenModel) else ev.T
 
 
 def write_events(events: np.ndarray, path) -> None:

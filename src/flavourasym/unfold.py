@@ -8,6 +8,7 @@ and regularization is rank truncation of the resulting linear system.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,17 +89,26 @@ def response_histogram(dt_true, dt_rec, cls, binning: Binning) -> np.ndarray:
     migrations: the last bin includes its upper edge, except that an event
     with dt_true on that edge counts in the totals only. Such an event goes
     to the last truth bin at reco index 0, a row the migrations leave out.
+
+    `dt_rec` may have leading axes, such as one row per detector, over the
+    one dt_true and cls; the counts then have those axes too, and the
+    truth index is formed once for all of them.
     """
     n = binning.n_bins + 2
+    truth = binning.index(dt_true)
     reco = binning.index(dt_rec)
-    reco[dt_true == binning.array[-1]] = 0
-    # the flat (class, reco, truth) index is formed in intp, in place
-    flat = cls.astype(np.intp)
-    flat *= n
-    flat += reco
-    flat *= n
-    flat += binning.index(dt_true)
-    return np.bincount(flat, minlength=2 * n * n).reshape(2, n, n)
+    reco[..., dt_true == binning.array[-1]] = 0
+    lead = reco.shape[:-1]
+    counts = []
+    for row in reco.reshape(math.prod(lead), -1):
+        # the flat (class, reco, truth) index, formed in intp, in place
+        flat = cls.astype(np.intp)
+        flat *= n
+        flat += row
+        flat *= n
+        flat += truth
+        counts.append(np.bincount(flat, minlength=2 * n * n))
+    return np.reshape(counts, lead + (2, n, n))
 
 
 def response_pair(h: np.ndarray, binning: Binning):

@@ -2,21 +2,28 @@
 band and PS draws from the per-edge joint formulas, the pair sampler on
 full columns, response training on the event record, the count formulas
 written out once per class, the degenerate-bin bootstrap, the unfolding
-built and applied in one call, and the zeta fit's chi2_min + 1 interval
-from a dense scan."""
+built and applied in one call, ensembles and the smear systematic with
+every replica generated for one model alone, and the zeta fit's
+chi2_min + 1 interval from a dense scan."""
+
+from dataclasses import replace
 
 import numpy as np
 from scipy import integrate, optimize
 
 from flavourasym.analysis import BinnedCounts
-from flavourasym.fitkit import DM_SEARCH
+from flavourasym.fitkit import DM_SEARCH, BinPredictor
 # e^(-2*40) ~ 1e-35 at the reach bounds the truncation error far below the
 # 1e-9 target
 from flavourasym.models import (_UMAX_LIFETIMES, MarginalGrid, ModelParams,
                                _ps_joint)
-from flavourasym.pipeline import RESPONSE_STREAM
-from flavourasym.toygen import EVENT_DTYPE, GenModel, _detect, stream_rng
-from flavourasym.unfold import mix_responses, truncated_solver
+from flavourasym.pipeline import (RESPONSE_STREAM, build_training_responses,
+                                  corrected_counts, train_responses)
+from flavourasym.toygen import (EVENT_DTYPE, GenModel, _detect,
+                                generate_ensemble, stream_rng)
+from flavourasym.unfold import (bias_correct, dsvd_unfold, mix_responses,
+                                truncated_solver, unfolded_asymmetry,
+                                unfolding_map)
 
 _QUAD_ABS_TOL = 1e-10
 
@@ -231,6 +238,56 @@ def one_shot_unfold(measured, resp_of, resp_sf, cfg):
     var = np.diag(cov)
     return BinnedCounts(measured.binning, [x[:nb], x[nb:]],
                         [var[:nb], var[nb:]]), cov
+
+
+def counts_alone(model, cfg, replica_seed):
+    """One replica's corrected counts, its full event records generated
+    for `model` alone by `generate_ensemble`."""
+    events = generate_ensemble(model, cfg.params, cfg.detector,
+                               cfg.backgrounds, cfg.n_signal,
+                               master_seed=cfg.seed * 1000003 + replica_seed)
+    return corrected_counts(events, cfg)[0]
+
+
+def ensemble_alone(models, n_replicas, cfg):
+    """`pipeline.run_ensemble`'s result with each model's replicas
+    generated alone (`counts_alone`), model by model, then unfolded."""
+    lin = unfolding_map(*build_training_responses(cfg), cfg.unfold)
+    p = cfg.params
+    pred = BinPredictor(cfg.binning, tau=p.tau)
+    unfolded, errors, truths = {}, {}, {}
+    for m in models:
+        a, cov = zip(*(unfolded_asymmetry(*dsvd_unfold(
+            counts_alone(m, cfg, r), lin)) for r in range(n_replicas)))
+        unfolded[m.value] = np.array(a)
+        errors[m.value] = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+        truths[m.value] = pred.predict(m.value, p.dm, p.zeta)
+    correction, syst = bias_correct(unfolded, truths)
+    return {"unfolded": unfolded, "errors": errors, "truth": truths,
+            "correction": correction, "deconvolution_systematic": syst}
+
+
+def smear_alone(cfg, delta_um, n_replicas):
+    """`pipeline.smear_systematic` one variant at a time: each variant
+    trained alone, and each replica generated alone (`counts_alone`) for
+    the nominal and again for the variant unfolding."""
+    s = cfg.detector.extra_smear_sigma
+    up = float(np.sqrt(s ** 2 + delta_um ** 2))
+    dn = float(np.sqrt(max(s ** 2 - delta_um ** 2, 0.0)))
+    nominal = unfolding_map(*build_training_responses(cfg), cfg.unfold)
+    shifts = []
+    for v in (up, dn):
+        variant = unfolding_map(*train_responses(
+            cfg, [replace(cfg.detector, extra_smear_sigma=v)])[0], cfg.unfold)
+        diffs = []
+        for r in range(n_replicas):
+            a_nom, _ = unfolded_asymmetry(*dsvd_unfold(
+                counts_alone(GenModel.QM, cfg, r), nominal))
+            a_var, _ = unfolded_asymmetry(*dsvd_unfold(
+                counts_alone(GenModel.QM, cfg, r), variant))
+            diffs.append(a_var - a_nom)
+        shifts.append(np.abs(np.mean(diffs, axis=0)))
+    return np.max(shifts, axis=0)
 
 
 def zeta_profile(spectrum, c, predictor, dm):

@@ -1,6 +1,6 @@
 """Pipeline tests: response training and its peak memory, the split
-replica steps, one unfolding map per response pair, and the smear
-systematic."""
+replica steps, ensembles whose models share each seed's draws, one
+unfolding map per response pair, and the smear systematic."""
 
 import tracemalloc
 from dataclasses import replace
@@ -9,36 +9,18 @@ import numpy as np
 import pytest
 
 from flavourasym import pipeline, toygen, unfold
-from flavourasym.analysis import Binning
+from flavourasym.analysis import (Binning, bin_events, mistag_correct_counts,
+                                  subtract_background)
 from flavourasym.models import ModelParams
 from flavourasym.pipeline import (PipelineConfig, build_training_responses,
-                                  replica_counts, run_ensemble, run_replica,
-                                  smear_systematic, train_responses)
+                                  corrected_counts, replica_counts,
+                                  run_ensemble, run_replica, smear_systematic,
+                                  train_responses)
 from flavourasym.toygen import (EVENT_DTYPE, BackgroundConfig, DetectorConfig,
                                 GenModel)
 from flavourasym.unfold import dsvd_unfold, unfolded_asymmetry, unfolding_map
-from oracles import one_shot_unfold, record_responses
-
-
-def _smear_per_variant(cfg, delta_um, n_replicas):
-    """Reference: the per-variant loop that regenerated every replica for
-    the nominal and for the variant unfold."""
-    s = cfg.detector.extra_smear_sigma
-    up = float(np.sqrt(s ** 2 + delta_um ** 2))
-    dn = float(np.sqrt(max(s ** 2 - delta_um ** 2, 0.0)))
-    nominal = unfolding_map(*build_training_responses(cfg), cfg.unfold)
-    variants = [unfolding_map(*train_responses(
-        cfg, [replace(cfg.detector, extra_smear_sigma=v)])[0], cfg.unfold)
-        for v in (up, dn)]
-    shifts = []
-    for variant in variants:
-        diffs = []
-        for r in range(n_replicas):
-            a_nom, _ = run_replica(GenModel.QM, cfg, nominal, r)
-            a_var, _ = run_replica(GenModel.QM, cfg, variant, r)
-            diffs.append(a_var - a_nom)
-        shifts.append(np.abs(np.mean(diffs, axis=0)))
-    return np.max(shifts, axis=0)
+from oracles import (ensemble_alone, one_shot_unfold, record_responses,
+                     smear_alone)
 
 
 CFG = PipelineConfig.paper_scale(seed=7, n_response_mc=100_000)
@@ -106,6 +88,58 @@ def test_replica_records_count_as_full_records(case, monkeypatch):
         assert got.overflow == want.overflow
 
 
+_QM_SD_PS = (GenModel.QM, GenModel.SD, GenModel.PS_BOUNDARY_MAX)
+ENSEMBLE_CASES = {
+    "qm_sd_ps_max": (_QM_SD_PS, CFG, 3),
+    "with_decohered": ((GenModel.PS_BOUNDARY_MIN, GenModel.DECOHERED,
+                        GenModel.QM), _DECO, 3),
+    "above_block": (_QM_SD_PS, replace(CFG, n_signal=70_000), 2),
+    "no_smear": (_QM_SD_PS, REPLICA_CASES["no_smear"][1], 3),
+    "fixed_counts": (_QM_SD_PS, REPLICA_CASES["fixed_counts"][1], 3),
+}
+
+
+@pytest.mark.parametrize("case", list(ENSEMBLE_CASES))
+def test_shared_seeds_match_each_model_alone(case):
+    """An ensemble generates each seed once for its models; every output
+    equals that of replicas generated for one model alone, bit for bit,
+    and so does the smear systematic."""
+    models, cfg, n = ENSEMBLE_CASES[case]
+    got, want = run_ensemble(models, n, cfg), ensemble_alone(models, n, cfg)
+    assert got.keys() == want.keys()
+    for key, ref in want.items():
+        if isinstance(ref, dict):
+            assert list(got[key]) == list(ref) == [m.value for m in models]
+            for m, rows in ref.items():
+                assert got[key][m].dtype == rows.dtype
+                np.testing.assert_array_equal(got[key][m], rows)
+        else:
+            np.testing.assert_array_equal(got[key], ref)
+    np.testing.assert_array_equal(
+        smear_systematic(cfg, delta_um=35.0, n_replicas=n),
+        smear_alone(cfg, 35.0, n))
+
+
+def test_corrected_counts_subtract_the_configured_backgrounds():
+    """The expectation a config computes once is that of
+    `subtract_background`."""
+    ev = toygen.generate_ensemble(GenModel.QM, CFG.params, CFG.detector,
+                                  CFG.backgrounds, CFG.n_signal,
+                                  master_seed=5)
+    raw = bin_events(ev["dt_rec_ps"], ev["cls_assigned"], CFG.binning)
+    sub, syst = subtract_background(raw, CFG.backgrounds)
+    want = mistag_correct_counts(sub, CFG.detector.mistag_fraction)
+    got, got_syst = corrected_counts(ev, CFG)
+    for a, b in ((got.n, want.n), (got.var, want.var), (got_syst, syst)):
+        np.testing.assert_array_equal(a, b)
+    assert not CFG.expected_background[0].flags.writeable
+
+
+def test_run_ensemble_refuses_a_repeated_model():
+    with pytest.raises(ValueError, match="QM given twice"):
+        run_ensemble(_QM_SD_PS + (GenModel.QM,), 2, CFG)
+
+
 def test_truncated_solver_runs_twice_per_response_pair(monkeypatch):
     calls = []
     solver = unfold.truncated_solver
@@ -124,7 +158,7 @@ def test_truncated_solver_runs_twice_per_response_pair(monkeypatch):
 
 def test_smear_systematic_matches_per_variant_loop():
     got = smear_systematic(CFG, delta_um=35.0, n_replicas=3)
-    ref = _smear_per_variant(CFG, 35.0, 3)
+    ref = smear_alone(CFG, 35.0, 3)
     assert np.all(ref > 0)
     np.testing.assert_array_equal(got, ref)
 

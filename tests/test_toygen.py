@@ -121,6 +121,29 @@ class TestRecordFields:
         for name in names:
             assert ev[name].tobytes() == full[name].tobytes()
 
+    @pytest.mark.parametrize("dtype", [EVENT_DTYPE,
+                                       _sub_dtype("dt_rec_ps", "cls_assigned")])
+    @pytest.mark.parametrize("models", [
+        (GenModel.SD,), (GenModel.PS_BOUNDARY_MIN, GenModel.QM, GenModel.SD),
+        (GenModel.QM, GenModel.PS_BOUNDARY_MAX)], ids=len)
+    def test_model_columns_hold_each_model_alone(self, models, dtype):
+        """A tuple of models gives one column of records per model, each
+        the records of that model generated alone, bit for bit."""
+        b = BackgroundConfig.paper_scale()
+        ev = generate_ensemble(models, P, DetectorConfig(), b, 3000,
+                               master_seed=11, dtype=dtype)
+        assert ev.dtype == dtype and ev.shape[1] == len(models)
+        for model, column in zip(models, ev.T):
+            alone = generate_ensemble(model, P, DetectorConfig(), b, 3000,
+                                      master_seed=11, dtype=dtype)
+            assert column.tobytes() == alone.tobytes()
+
+    def test_decohered_is_generated_alone(self):
+        with pytest.raises(ValueError, match="DECOHERED"):
+            generate_ensemble((GenModel.DECOHERED, GenModel.SD),
+                              ModelParams(zeta=0.3), DetectorConfig(),
+                              BackgroundConfig(), 10, master_seed=1)
+
     @pytest.mark.parametrize("dtype", [
         _sub_dtype("dt_rec_ps").descr + [("weight", "f8")],
         [("dt_rec_ps", "f4")],
@@ -359,6 +382,10 @@ class TestEnvelope:
         assert lo - 0.01 <= is_of.mean() <= hi + 0.01
 
 
+# every generation model that shares its draws with the others
+SHARED_MODELS = tuple(m for m in GenModel if m is not GenModel.DECOHERED)
+
+
 class TestBlocks:
     """The block loops of `_draw_pairs` keep the one-shot draw order: all
     of t1, all of t2, all the DECOHERED picks, then the class uniforms,
@@ -383,14 +410,33 @@ class TestBlocks:
                                       2 * _BLOCK + 3])
     def test_dt_only_draws_match_one_shot_draws(self, size):
         rng, ref_rng = stream_rng(8, 0), stream_rng(8, 0)
-        t1, t2, dt, is_of = toygen._draw_pairs(GenModel.QM, P, rng, size,
-                                               times=False)
+        t1, t2, dt, (is_of,) = toygen._draw_pairs((GenModel.QM,), P, rng,
+                                                  size, times=False)
         _, _, r_dt, r_of = one_shot_sample_pair(GenModel.QM, P, ref_rng,
                                                 size)
         assert t1 is None and t2 is None
         for got, want in ((dt, r_dt), (is_of, r_of)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(rng.random(3), ref_rng.random(3))
+
+    @pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                      2 * _BLOCK + 3])
+    def test_shared_draws_match_each_model_alone(self, size):
+        """Several models draw one sequence; each row of classes is that
+        model's alone, and the stream ends where one model's draws end.
+        The times are drawn whole, as the models but QM read them, even
+        when the caller keeps none."""
+        rng = stream_rng(8, 0)
+        t1, t2, dt, is_of = toygen._draw_pairs(SHARED_MODELS, P, rng, size,
+                                               times=False)
+        assert is_of.shape == (len(SHARED_MODELS), size)
+        for model, row in zip(SHARED_MODELS, is_of):
+            ref_rng = stream_rng(8, 0)
+            r1, r2, r_dt, r_of = one_shot_sample_pair(model, P, ref_rng, size)
+            for got, want in ((t1, r1), (t2, r2), (dt, r_dt), (row, r_of)):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(rng.random(3), ref_rng.random(3))
 
     @pytest.mark.parametrize("size", [1, _BLOCK, 2 * _BLOCK + 3])
