@@ -11,7 +11,8 @@ import numpy as np
 
 from ._minimize import brentq, minimize_bounded
 from .analysis import AsymmetrySpectrum, Binning
-from .models import MarginalGrid, ModelParams, _leggauss, _sd_from_trig
+from .models import (MarginalGrid, ModelParams, _check_positive, _leggauss,
+                     _sd_from_trig)
 
 __all__ = [
     "Constraint",
@@ -84,12 +85,14 @@ class BinPredictor:
     """Rate-weighted bin averages of the model curves over an analysis binning.
 
     The within-bin weight is the total pair rate exp(-dt/tau), which is
-    common to all models considered.
+    common to all models considered. cos(dm t) and sin(dm t) at the bin
+    nodes are kept for the last dm asked, so the QM, SD and DECOHERED
+    predictions of one dm share them.
     """
 
     def __init__(self, binning: Binning, tau: float = ModelParams().tau):
         self.binning = binning
-        self.tau = tau
+        self.tau = _check_positive("tau", tau)
         edges = binning.array
         x, w = _leggauss(BIN_NODES)
         half = 0.5 * (edges[1:, None] - edges[:-1, None])
@@ -97,6 +100,7 @@ class BinPredictor:
         self._t = mid + half * x                       # (bins, nodes)
         wn = half * w * np.exp(-self._t / tau)
         self._w = wn / wn.sum(axis=1, keepdims=True)
+        self._last = None, None, None                  # dm, cos, sin
 
     @cached_property
     def _grid(self) -> MarginalGrid:
@@ -111,29 +115,38 @@ class BinPredictor:
         """Rate-weighted bin averages of values at the bin nodes."""
         return (values * self._w).sum(axis=1)
 
+    def _trig(self, dm: float, sin: bool) -> tuple:
+        """(cos, sin) of dm t at the bin nodes, each computed once per dm;
+        sin is None unless asked for. The kept (dm, cos, sin) is replaced
+        as one tuple, so it always holds one dm's arrays."""
+        last, c, s = self._last
+        if dm != last:
+            last, c, s = dm, np.cos(_check_positive("dm", dm) * self._t), None
+        if sin and s is None:
+            s = np.sin(dm * self._t)
+        self._last = last, c, s
+        return c, s
+
     def predict(self, model: str, dm: float, zeta: float = 0.0) -> np.ndarray:
         """Bin averages of a point model, or of one edge of the
-        local-realistic band (the generation models PS_BOUNDARY_MAX/MIN).
-        A point model takes one cos(dm t) at the bin nodes and, for SD and
-        DECOHERED, one sin(dm t)."""
-        ModelParams(dm=dm, tau=self.tau)        # validates dm
+        local-realistic band (the generation models PS_BOUNDARY_MAX/MIN)."""
         if model == "PS_BOUNDARY_MAX":
             return self.band(dm)[1]
         if model == "PS_BOUNDARY_MIN":
             return self.band(dm)[0]
         if model not in ("QM", "SD", "DECOHERED"):
             raise ValueError(f"no point prediction for model {model!r}")
-        c = np.cos(dm * self._t)
+        c, s = self._trig(dm, sin=model != "QM")
         if model == "QM":
             return self._binned(c)
-        sd = _sd_from_trig(c, np.sin(dm * self._t), dm * self.tau)
+        sd = _sd_from_trig(c, s, dm * self.tau)
         if model == "SD":
             return self._binned(sd)
         return self._binned((1 - zeta) * c + zeta * sd)
 
     def band(self, dm: float):
         """Per-bin (lower, upper) averages of the local-realistic band."""
-        lower, upper = self._grid.edges(self._t, dm)
+        lower, upper = self._grid.edges(self._t, _check_positive("dm", dm))
         return self._binned(lower), self._binned(upper)
 
 
@@ -155,8 +168,8 @@ def _pulls(spectrum: AsymmetrySpectrum, model: str, dm: float,
 def chi2(spectrum: AsymmetrySpectrum, model: str, dm: float, c: Constraint,
          predictor: BinPredictor, zeta: float = 0.0) -> float:
     """Sum of squared pulls plus the external dm pull."""
-    return float(np.sum(_pulls(spectrum, model, dm, predictor, zeta) ** 2)
-                 + c.term(dm))
+    r = _pulls(spectrum, model, dm, predictor, zeta)
+    return float((r * r).sum() + c.term(dm))
 
 
 def _one_sigma_interval(fun, x_hat, f_min, label) -> tuple:

@@ -1,5 +1,6 @@
 """Test oracles: quadrature for the t_min-marginalized model curves, the
-band and PS draws from the per-edge joint formulas, the pair sampler on
+band and PS draws from the per-edge joint formulas, the band's
+sorted-flip prefix sums as first written, the pair sampler on
 full columns, response training on the event record, the count formulas
 written out once per class, the degenerate-bin bootstrap, the unfolding
 built and applied in one call, ensembles and the smear systematic with
@@ -16,7 +17,7 @@ from flavourasym.fitkit import DM_SEARCH, BinPredictor
 # e^(-2*40) ~ 1e-35 at the reach bounds the truncation error far below the
 # 1e-9 target
 from flavourasym.models import (_UMAX_LIFETIMES, MarginalGrid, ModelParams,
-                               _ps_joint)
+                               _mod_pi, _ps_joint)
 from flavourasym.pipeline import (RESPONSE_STREAM, build_training_responses,
                                   corrected_counts, train_responses)
 from flavourasym.toygen import (EVENT_DTYPE, GenModel, _detect,
@@ -72,6 +73,27 @@ def per_edge_band(predictor, dm):
     return tuple(((joint(grid.u, predictor._t[..., None], dm) * grid.w)
                   .sum(axis=-1) * predictor._w).sum(axis=1)
                  for joint in (ps_lower_joint, ps_upper_joint))
+
+
+def padded_prefix_edges(grid, dt, dm):
+    """`MarginalGrid.edges` as first written: the sorted-flip prefix sums of
+    a stacked (cos, sin) array, padded with a zero column, and the weight
+    sum taken per call. The kernel must give these bits."""
+    theta = dm * grid.u
+    trig = np.stack([np.cos(theta), np.sin(theta)])
+    flip = _mod_pi(theta + 0.5 * np.pi)
+    order = np.argsort(flip)
+    flips = flip[order]
+    terms = (grid.w * np.sign(trig[0]) * trig)[:, order]
+    prefix = np.cumsum(np.pad(terms, ((0, 0), (1, 0))), axis=1)
+    c_k, s_k = prefix[:, -1:] - 2.0 * prefix
+    phi = dm * np.asarray(dt, dtype=float)
+    c, s = np.cos(phi), np.sin(phi)
+    lo = np.searchsorted(flips, _mod_pi(-0.5 * phi))
+    up = np.searchsorted(flips, _mod_pi(0.5 * (np.pi - phi)))
+    sw = grid.w.sum()
+    return (np.abs((1.0 + c) * c_k[lo] - s * s_k[lo]) - sw,
+            sw - np.abs((1.0 - c) * c_k[up] + s * s_k[up]))
 
 
 def ps_sample_pair(upper, p, rng, size):

@@ -145,6 +145,49 @@ class TestBinPredictor:
                 fresh.predict(model, 0.507, 0.3))
 
 
+    @pytest.mark.parametrize("tau", [-1.0, 0.0, np.nan, np.inf])
+    def test_tau_checked_at_construction(self, tau):
+        with pytest.raises(ValueError, match=f"^tau must be positive and "
+                                             f"finite, got {tau}$"):
+            BinPredictor(Binning(), tau=tau)
+
+    @pytest.mark.parametrize("dm", [-0.5, 0.0, np.nan, np.inf])
+    def test_dm_checked_by_every_prediction(self, dm):
+        # also right after a valid dm, whose cos and sin the predictor keeps
+        pred = BinPredictor(Binning())
+        calls = [lambda: pred.band(dm)] + [
+            lambda m=m: pred.predict(m, dm, 0.3)
+            for m in ("QM", "SD", "DECOHERED", "PS_BOUNDARY_MIN",
+                      "PS_BOUNDARY_MAX")]
+        for call in calls:
+            pred.predict("SD", 0.507)
+            with pytest.raises(ValueError, match=f"^dm must be positive and "
+                                                 f"finite, got {dm}$"):
+                call()
+
+    def test_prediction_independent_of_earlier_calls(self):
+        # one predictor through a shuffled sequence of every model, with
+        # repeated and alternating dm and band calls in between, gives the
+        # bits of a fresh predictor for each call
+        calls = [(m, dm, zeta) for dm in (0.2, 0.4515, 0.507, 0.9)
+                 for m, zeta in [("QM", 0.0), ("SD", 0.0),
+                                 ("PS_BOUNDARY_MIN", 0.0),
+                                 ("PS_BOUNDARY_MAX", 0.0), ("band", 0.0)]
+                 + [("DECOHERED", z) for z in (-0.3, 0.0, 0.035, 0.5, 1.0)]]
+        calls = calls * 2
+        np.random.default_rng(30).shuffle(calls)
+        calls += [("QM", 0.507, 0.0), ("DECOHERED", 0.4515, 0.3),
+                  ("SD", 0.507, 0.0), ("DECOHERED", 0.507, 0.3),
+                  ("SD", 0.507, 0.0), ("QM", 0.507, 0.0)]
+        run = lambda pred, m, dm, zeta: (pred.band(dm) if m == "band"
+                                         else (pred.predict(m, dm, zeta),))
+        shared = BinPredictor(Binning())
+        for m, dm, zeta in calls:
+            for got, want in zip(run(shared, m, dm, zeta),
+                                 run(BinPredictor(Binning()), m, dm, zeta)):
+                np.testing.assert_array_equal(got, want)
+
+
 def exact_spectrum(model="QM", dm=0.507, err=0.02):
     pred = BinPredictor(Binning())
     return AsymmetrySpectrum(Binning(), pred.predict(model, dm),
@@ -419,6 +462,21 @@ class TestFitZeta:
 def fits():
     from flavourasym.cli import reproduce_fixture
     return reproduce_fixture()
+
+
+def test_shared_predictor_fits_as_fresh_ones(fits):
+    # the fixture's fits share one predictor; each fit with a predictor of
+    # its own gives the same values, flags and residuals
+    from flavourasym.pipeline import PipelineConfig
+    spec, cfg = read_spectrum(fixture_path()), PipelineConfig()
+    for m, shared in fits[0].items():
+        pred = BinPredictor(spec.binning, cfg.params.tau)
+        alone = (fit_zeta(spec, cfg.constraint, pred) if m == "DECOHERED"
+                 else fit_model(spec, m, cfg.constraint, pred))
+        for f in (lambda f: f.theta_hat, lambda f: f.theta_err,
+                  lambda f: f.chi2, lambda f: f.flags, lambda f: f.extra,
+                  lambda f: f.residuals.tolist()):
+            assert repr(f(shared)) == repr(f(alone)), m
 
 
 class TestFixtureFits:

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from oracles import marginalize, per_edge_band
+from oracles import marginalize, padded_prefix_edges, per_edge_band
 
 from flavourasym.analysis import Binning
 from flavourasym.fitkit import DM_SEARCH, BinPredictor
@@ -161,6 +161,17 @@ class TestPSBand:
                 whole = (_ps_joint(g.u, dt[:, None], dm, upper)
                          * g.w).sum(axis=-1)
                 np.testing.assert_allclose(edge, whole, rtol=0, atol=4e-15)
+
+    def test_kernel_gives_the_padded_prefix_bits(self):
+        # the prefix sums written into one buffer add in the same order as
+        # those of a padded stack, so every edge is the same double
+        pred = BinPredictor(Binning(), tau=P.tau)
+        g = MarginalGrid(P.tau)
+        for dt in (pred._t, np.linspace(0.0, 20.0, 401)):
+            for dm in np.linspace(*DM_SEARCH, 141):
+                for got, want in zip(g.edges(dt, dm),
+                                     padded_prefix_edges(g, dt, dm)):
+                    np.testing.assert_array_equal(got, want)
 
     def test_band_matches_per_edge_path(self):
         # the sorted-flip kernel gives the per-edge path's bin averages to
