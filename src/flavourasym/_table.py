@@ -281,9 +281,14 @@ def _decoded(path, j: int, text, names) -> np.ndarray:
     """The codes of column j's cells `text`, read as bytes one wider than
     the longest name since loadtxt cuts a cell to its field's width: a name
     with one character more is read whole and refused, not cut to that
-    name. Unknown values are shown as the Latin-1 text loadtxt read."""
-    is_name = text == np.array(names, "S")[:, None]     # (names, rows)
-    known = is_name.any(axis=0)
+    name. Each name is matched in one pass over the cells. Unknown values
+    are shown as the Latin-1 text loadtxt read."""
+    codes = np.zeros(len(text), np.int8)
+    known = np.zeros(len(text), bool)
+    for k, name in enumerate(names):
+        is_name = text == name.encode()
+        codes[is_name] = k
+        known |= is_name
     if not known.all():
         width = text.dtype.itemsize
         bad = sorted(set(np.char.decode(text[~known], "latin-1").tolist()))[:3]
@@ -292,7 +297,7 @@ def _decoded(path, j: int, text, names) -> np.ndarray:
                 " of its field may have been cut)" if shown != bad else "")
         raise ValueError(f"{path}: column {j + 1}: unknown values "
                          f"{shown}{note}")
-    return is_name.argmax(axis=0)
+    return codes
 
 
 def read_table(path, dtype, *, header=True, extra: bool = False,
@@ -327,8 +332,13 @@ def read_table(path, dtype, *, header=True, extra: bool = False,
                 warnings.filterwarnings("ignore", "loadtxt: input contained "
                                         "no data", UserWarning)
                 try:
-                    rows = np.loadtxt(f, dtype=text, delimiter=",",
-                                      comments=None, ndmin=1 if header else 2)
+                    # given the path, numpy reads the file in blocks; given
+                    # the open file, it would iterate it line by line
+                    rows = np.loadtxt(path, dtype=text, delimiter=",",
+                                      comments=None,
+                                      skiprows=preamble + header,
+                                      encoding="utf-8",
+                                      ndmin=1 if header else 2)
                 except UnicodeDecodeError:
                     raise               # a ValueError, located below
                 except ValueError as e:

@@ -110,6 +110,12 @@ class BinnedCounts:
         """Indices where subtraction drove a count negative (flagged, not clamped)."""
         return np.flatnonzero((self.n < 0).any(axis=0))
 
+    @property
+    def degenerate_bins(self) -> np.ndarray:
+        """Indices where the OF + SF total is <= 0, so no asymmetry is
+        measured (read as 0 +- 1)."""
+        return np.flatnonzero(self.n.sum(axis=0) <= 0)
+
 
 def _read_only(values) -> np.ndarray:
     a = np.array(values, dtype=float)
@@ -211,26 +217,24 @@ def asymmetry(c: BinnedCounts) -> AsymmetrySpectrum:
     """(OF - SF) / (OF + SF) per bin with propagated statistical errors.
 
     For raw Poisson counts the error reduces to the binomial formula
-    2 sqrt(n_of n_sf / n^3). A degenerate bin (a class empty or subtracted
-    below zero), where that is spuriously zero, gets the binomial width
+    2 sqrt(n_of n_sf / n^3). A bin with a class empty or subtracted below
+    zero, where that is spuriously zero, gets the binomial width
     2 sqrt(p (1 - p) / n) of n = max(round(n_of + n_sf), 1) trials at
     p = n_of / (n_of + n_sf) clipped to [1/(n+2), 1 - 1/(n+2)] by the rule
-    of succession.
+    of succession. A degenerate bin, whose total is <= 0
+    (`BinnedCounts.degenerate_bins`), holds no asymmetry: it is n = 1 trial
+    at p = 1/2, so a = 0 +- 1.
     """
     n_of, n_sf = c.n
-    tot = n_of + n_sf
-    if np.any(tot <= 0):
-        # numbered from 1, as the spectrum and counts files number bins
-        bad = int(np.flatnonzero(tot <= 0)[0]) + 1
-        lo, hi = c.binning.array[bad - 1:bad + 1]
-        raise ValueError(f"empty bin {bad}: cannot form an asymmetry in the "
-                         f"window {lo:g}-{hi:g} ps; use a larger [run] "
-                         "n_signal, or wider bins through [binning] edges")
+    degenerate = n_of + n_sf <= 0
+    tot = np.where(degenerate, 1.0, n_of + n_sf)
     a = (n_of - n_sf) / tot
+    a[degenerate] = 0.0
     # linear propagation of var(n_of), var(n_sf) through the ratio
     err = 2.0 / tot ** 2 * np.sqrt((c.n[::-1] ** 2 * c.var).sum(axis=0))
     n = np.maximum(np.round(tot), 1.0)
     p = np.clip(n_of / tot, 1.0 / (n + 2.0), 1.0 - 1.0 / (n + 2.0))
+    p[degenerate] = 0.5
     err = np.where((c.n <= 0).any(axis=0), 2.0 * np.sqrt(p * (1.0 - p) / n),
                    err)
     return AsymmetrySpectrum(c.binning, a, err)

@@ -117,15 +117,17 @@ def cmd_analyze(args):
     write_spectrum(spec, out)
     counts_out = out.with_suffix(".counts.csv")
     write_counts(counts, counts_out)
-    # the overflow, and the bins the background subtraction or the tag
-    # correction drove negative, numbered as the files' `bin` column
+    # the overflow, the bins the background subtraction or the tag
+    # correction drove negative, and those whose total is <= 0 (read as
+    # 0 +- 1), numbered as the files' `bin` column
     over_of, over_sf = counts.overflow
     _write_log(out, {"config": _sha256(args.config),
                      "events": _sha256(args.events),
                      "n_events": len(events)},
                {"counts_file": str(counts_out),
                 "overflow_of": over_of, "overflow_sf": over_sf,
-                "negative_bins": (counts.negative_bins + 1).tolist()})
+                "negative_bins": (counts.negative_bins + 1).tolist(),
+                "degenerate_bins": (counts.degenerate_bins + 1).tolist()})
     print(f"wrote spectrum to {out} and corrected counts to {counts_out}")
     return EXIT_OK
 

@@ -92,15 +92,23 @@ class TestAsymmetry:
             assert spec.stat_err[0] == pytest.approx(
                 2.0 * np.sqrt(n_of * n_sf / n ** 3), rel=1e-12)
 
-    def test_empty_bin_raises(self):
-        # the first bin is bin 1, as the spectrum files number it
-        with pytest.raises(ValueError, match="empty bin 1: cannot form an "
-                           "asymmetry in the window 0-1 ps; use a larger "
-                           r"\[run\] n_signal, or wider bins through "
-                           r"\[binning\] edges"):
-            asymmetry(counts_2([0.0, 10.0], [0.0, 10.0]))
-        with pytest.raises(ValueError, match="empty bin 2: .* window 1-2 ps"):
-            asymmetry(counts_2([10.0, 0.0], [10.0, 0.0]))
+    @pytest.mark.parametrize("n_of, n_sf", [(0.0, 0.0), (1.5, -2.0),
+                                            (-0.5, 0.0), (0.0, -3.0)],
+                             ids=["empty", "sf_below", "of_negative",
+                                  "sf_negative"])
+    @pytest.mark.parametrize("k", [0, 1], ids=["bin_1", "bin_2"])
+    def test_degenerate_bin_reads_zero_plus_minus_one(self, n_of, n_sf, k):
+        # a bin whose total is <= 0 holds no asymmetry: one trial at
+        # p = 1/2, a = 0 +- 1; the other bin reads as it does alone
+        n = np.array([[75.0, 75.0], [25.0, 25.0]])
+        n[:, k] = n_of, n_sf
+        c = counts_2(*n, var=np.abs(n))
+        spec = asymmetry(c)
+        assert spec.a[k] == 0.0 and spec.stat_err[k] == 1.0
+        np.testing.assert_array_equal(c.degenerate_bins, [k])
+        full = asymmetry(counts_2([75.0, 75.0], [25.0, 25.0]))
+        assert spec.a[1 - k] == full.a[0]
+        assert spec.stat_err[1 - k] == full.stat_err[0]
 
     def test_degenerate_bin_bootstrap(self):
         # one empty class: the propagated binomial error is spuriously 0,

@@ -20,7 +20,8 @@ from flavourasym.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                              fixture_path, main)
 from flavourasym.fitkit import BinPredictor
 from flavourasym.pipeline import PipelineConfig
-from flavourasym.toygen import CLS_OF, read_events, write_events
+from flavourasym.toygen import (CLASS_NAMES, CLS_OF, EVENT_DTYPE,
+                                EventCategory, read_events, write_events)
 from flavourasym.unfold import _digest
 
 
@@ -156,8 +157,11 @@ class TestGenerate:
         (("dm = 0.507", "dm = inf"), "dm must be positive and finite"),
         (("constraint_mean = 0.496", "constraint_mean = nan"),
          "constraint mean must be finite"),
+        # an inf yield error used to load and fail only in analyze (exit 3)
+        (("126 54 6 4 exp", "126 54 inf 4 exp"),
+         "[backgrounds] dstar_fake: n_of_err must be finite"),
     ], ids=["nan_edge", "inf_edge", "tau_eff", "shape_kind", "inf_dm",
-            "nan_constraint_mean"])
+            "nan_constraint_mean", "inf_yield_error"])
     def test_bad_config_is_exit_2_naming_the_line(self, tmp_path, cfg_path,
                                                   edit, message, capsys):
         text = cfg_path.read_text()
@@ -196,6 +200,44 @@ class TestChain:
                      "--out", str(report)]) == EXIT_OK
         text = report.read_text()
         assert "QM" in text and "significance matrix" in text
+
+    @pytest.mark.filterwarnings("error")
+    def test_decohered_generate_repeats_and_chain_runs(self, tmp_path,
+                                                       cfg_path):
+        # DECOHERED draws more than the other models: its events too
+        # repeat to the byte, and analyze and unfold take them
+        text = cfg_path.read_text()
+        assert "name = QM\n" in text and "zeta = 0\n" in text
+        cfg_path.write_text(text.replace("name = QM\n", "name = DECOHERED\n")
+                            .replace("zeta = 0\n", "zeta = 0.3\n"))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for out in (a, b):
+            assert main(["generate", "--config", str(cfg_path),
+                         "--out", str(out)]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+        assert main(["analyze", "--config", str(cfg_path), str(a),
+                     "--out", str(tmp_path / "spectrum.csv")]) == EXIT_OK
+        assert main(["unfold", "--config", str(cfg_path),
+                     str(tmp_path / "spectrum.counts.csv"),
+                     "--out", str(tmp_path / "unfolded.csv")]) == EXIT_OK
+
+    def test_events_match_numpy_savetxt(self, tmp_path, cfg_path):
+        # the table writer's cells against numpy's savetxt, which formats
+        # each cell with Python's `%`, on the events read back
+        events, again = tmp_path / "events.csv", tmp_path / "savetxt.csv"
+        assert main(["generate", "--config", str(cfg_path),
+                     "--out", str(events)]) == EXIT_OK
+        ev = read_events(events)
+        names = {"cls_true": CLASS_NAMES, "cls_assigned": CLASS_NAMES,
+                 "category": [c.value for c in EventCategory]}
+        cols = EVENT_DTYPE.names
+        np.savetxt(again, np.rec.fromarrays(
+            [np.array(names[c])[ev[c]] if c in names else ev[c]
+             for c in cols], names=cols), delimiter=",",
+            header=",".join(cols), comments="",
+            fmt=["%s" if c in names else "%.9g" if EVENT_DTYPE[c].kind == "f"
+                 else "%d" for c in cols])
+        assert events.read_bytes() == again.read_bytes()
 
     def test_unfold_with_saved_responses(self, tmp_path, cfg_path):
         events = tmp_path / "events.csv"
@@ -266,6 +308,28 @@ def chain_files(tmp_path, cfg_path):
     assert main(["analyze", "--config", str(cfg_path), str(events),
                  "--out", str(spectrum)]) == EXIT_OK
     return events, tmp_path / "spectrum.counts.csv", spectrum
+
+
+@pytest.mark.parametrize("seed", [6, 11, 13, 25])
+def test_paper_scale_chain_runs_past_a_degenerate_bin(tmp_path, seed):
+    # at these seeds of the config init-config writes, bin 11's corrected
+    # OF + SF total is <= 0: analyze reads it as 0 +- 1 and lists it in its
+    # sidecar, and the chain runs on to the fits
+    cfg = tmp_path / "run.cfg"
+    assert main(["init-config", "--out", str(cfg),
+                 "--seed", str(seed)]) == EXIT_OK
+    _, counts, spectrum = chain_files(tmp_path, cfg)
+    assert read_counts(counts).n[:, 10].sum() <= 0
+    log = json.loads((tmp_path / "spectrum.csv.log").read_text())
+    assert log["degenerate_bins"] == [11]
+    spec = read_spectrum(spectrum)
+    assert spec.a[10] == 0.0 and spec.stat_err[10] == 1.0
+    unfolded = tmp_path / "unfolded.csv"
+    assert main(["unfold", "--config", str(cfg), str(counts),
+                 "--out", str(unfolded)]) == EXIT_OK
+    assert main(["fit", str(unfolded), "--config", str(cfg), "--models",
+                 "QM,SD,PS,DECOHERED",
+                 "--out", str(tmp_path / "fit.txt")]) == EXIT_OK
 
 
 class TestMalformedInputs:
@@ -635,6 +699,39 @@ class TestFit:
         assert fits["DECOHERED"]["dof"] == n_bins - 1
         # the report itself is unchanged by the sidecar
         assert out.read_text().startswith("QM: dm = 0.5012 +- 0.0078")
+
+    @staticmethod
+    def _per_model(path):
+        """Each model's result line with the indented lines under it."""
+        lines = {}
+        text = path.read_text().split("\nsignificance matrix")[0]
+        for line in text.splitlines():
+            if not line.startswith(" "):
+                model = line.split(":")[0]
+            lines.setdefault(model, []).append(line)
+        return lines
+
+    def test_repeated_and_reversed_fits(self, small_chain):
+        # a repeated fit writes the same bytes; the fits share one
+        # predictor, which keeps the last dm's cos and sin, so fitted in
+        # the reverse order each model's result, flag and residual lines
+        # are the same
+        d, _ = small_chain
+        outs = {}
+        for name, models in [("fit", "QM,SD,PS,DECOHERED"),
+                             ("again", "QM,SD,PS,DECOHERED"),
+                             ("reversed", "DECOHERED,PS,SD,QM")]:
+            outs[name] = d / f"{name}.txt"
+            assert main(["fit", str(d / "unfolded.csv"), "--config",
+                         str(d / "run.cfg"), "--models", models,
+                         "--out", str(outs[name])]) == EXIT_OK
+        assert outs["fit"].read_bytes() == outs["again"].read_bytes()
+        ours, reversed_ = (self._per_model(outs[k])
+                           for k in ("fit", "reversed"))
+        assert list(ours) == ["QM", "SD", "PS", "DECOHERED"]
+        assert list(reversed_) == ["DECOHERED", "PS", "SD", "QM"]
+        for m in ours:
+            assert ours[m] == reversed_[m]
 
     def test_fixture_fit_report(self, tmp_path, capsys):
         assert main(["fit", str(fixture_path()),

@@ -140,6 +140,20 @@ def test_run_ensemble_refuses_a_repeated_model():
         run_ensemble(_QM_SD_PS + (GenModel.QM,), 2, CFG)
 
 
+def test_ensemble_and_smear_systematic_repeat_to_the_bit():
+    # an ensemble, whose models share each seed's draws, and the smear
+    # systematic give the same bits when run again
+    a, b = (run_ensemble(_QM_SD_PS, 5, CFG) for _ in range(2))
+    for key in ("unfolded", "errors", "truth"):
+        assert list(a[key]) == list(b[key]) == [m.value for m in _QM_SD_PS]
+        for m in a[key]:
+            assert a[key][m].tobytes() == b[key][m].tobytes(), (key, m)
+    for key in ("correction", "deconvolution_systematic"):
+        assert a[key].tobytes() == b[key].tobytes(), key
+    assert (smear_systematic(CFG, n_replicas=3).tobytes()
+            == smear_systematic(CFG, n_replicas=3).tobytes())
+
+
 def test_truncated_solver_runs_twice_per_response_pair(monkeypatch):
     calls = []
     solver = unfold.truncated_solver
