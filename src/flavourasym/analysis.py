@@ -3,6 +3,7 @@ mistag correction, and error propagation."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -83,7 +84,8 @@ class BinnedCounts:
     de-integerizes.
 
     `n` and `var`, the propagated variances (Poisson for raw counts), have
-    shape (2, n_bins) with the OF row first, so `n[::-1]` swaps the classes;
+    shape (..., 2, n_bins) with the OF row first, so `n[..., ::-1, :]` swaps
+    the classes; leading axes, such as replicas or models, stack spectra.
     `overflow` holds the (OF, SF) events outside the bins.
     """
 
@@ -94,7 +96,7 @@ class BinnedCounts:
 
     def __post_init__(self):
         self.n = np.asarray(self.n, dtype=float)
-        if self.n.shape != (2, self.binning.n_bins):
+        if self.n.shape[-2:] != (2, self.binning.n_bins):
             raise ValueError(f"counts of shape {self.n.shape} do not match "
                              f"the (2, {self.binning.n_bins}) of the binning")
         self.var = (self.n.copy() if self.var is None
@@ -108,13 +110,13 @@ class BinnedCounts:
     @property
     def negative_bins(self) -> np.ndarray:
         """Indices where subtraction drove a count negative (flagged, not clamped)."""
-        return np.flatnonzero((self.n < 0).any(axis=0))
+        return np.flatnonzero((self.n < 0).any(axis=-2))
 
     @property
     def degenerate_bins(self) -> np.ndarray:
         """Indices where the OF + SF total is <= 0, so no asymmetry is
         measured (read as 0 +- 1)."""
-        return np.flatnonzero(self.n.sum(axis=0) <= 0)
+        return np.flatnonzero(self.n.sum(axis=-2) <= 0)
 
 
 def _read_only(values) -> np.ndarray:
@@ -167,17 +169,17 @@ class AsymmetrySpectrum:
 def bin_events(dt, cls, binning: Binning) -> BinnedCounts:
     """OF/SF histograms of events given as dt and class-code columns, binned
     as `np.histogram` bins them; the events it leaves out of the bins (below,
-    above, NaN) count as overflow."""
-    return _bin_index(binning.index(dt), cls, binning)
-
-
-def _bin_index(index, cls, binning: Binning) -> BinnedCounts:
-    """`bin_events` of events whose dt are given as their `Binning.index`."""
+    above, NaN) count as (OF, SF) overflow. Rows of codes over the one dt
+    column, such as one per model, give a stack from one `bincount`."""
     n = binning.n_bins + 2
-    h = np.bincount((cls != CLS_OF) * n + index,
-                    minlength=2 * n).reshape(2, n)
-    return BinnedCounts(binning, h[:, 1:-1],
-                        overflow=tuple((h[:, 0] + h[:, -1]).tolist()))
+    lead = np.shape(cls)[:-1]
+    rows = np.arange(math.prod(lead)).reshape(lead + (1,))
+    flat = binning.index(dt) + n * (2 * rows + (cls != CLS_OF))
+    h = np.bincount(flat.reshape(-1),
+                    minlength=rows.size * 2 * n).reshape(lead + (2, n))
+    over = h[..., 0] + h[..., -1]
+    return BinnedCounts(binning, h[..., 1:-1],
+                        overflow=tuple(np.moveaxis(over, -1, 0).tolist()))
 
 
 def expected_background_counts(b: BackgroundConfig, binning: Binning):
@@ -208,9 +210,10 @@ def _subtract_expected(c: BinnedCounts, exp, var):
     # effect of 1-sigma yield shifts on the asymmetry, combined in
     # quadrature: |d a / d n_of| = 2 n_sf / tot^2 and |d a / d n_sf| =
     # 2 n_of / tot^2
-    tot = out.n.sum(axis=0)
-    safe = np.where(tot == 0, 1.0, tot)
-    return out, np.hypot(*(2.0 * out.n[::-1] / safe ** 2 * np.sqrt(var)))
+    tot = out.n.sum(axis=-2)
+    safe = np.where(tot == 0, 1.0, tot)[..., None, :]
+    d = 2.0 * out.n[..., ::-1, :] / safe ** 2 * np.sqrt(var)
+    return out, np.hypot(d[..., 0, :], d[..., 1, :])
 
 
 def asymmetry(c: BinnedCounts) -> AsymmetrySpectrum:
@@ -225,17 +228,17 @@ def asymmetry(c: BinnedCounts) -> AsymmetrySpectrum:
     (`BinnedCounts.degenerate_bins`), holds no asymmetry: it is n = 1 trial
     at p = 1/2, so a = 0 +- 1.
     """
-    n_of, n_sf = c.n
+    n_of, n_sf = np.moveaxis(c.n, -2, 0)
     degenerate = n_of + n_sf <= 0
     tot = np.where(degenerate, 1.0, n_of + n_sf)
     a = (n_of - n_sf) / tot
     a[degenerate] = 0.0
     # linear propagation of var(n_of), var(n_sf) through the ratio
-    err = 2.0 / tot ** 2 * np.sqrt((c.n[::-1] ** 2 * c.var).sum(axis=0))
+    err = 2.0 / tot ** 2 * np.sqrt((c.n[..., ::-1, :] ** 2 * c.var).sum(-2))
     n = np.maximum(np.round(tot), 1.0)
     p = np.clip(n_of / tot, 1.0 / (n + 2.0), 1.0 - 1.0 / (n + 2.0))
     p[degenerate] = 0.5
-    err = np.where((c.n <= 0).any(axis=0), 2.0 * np.sqrt(p * (1.0 - p) / n),
+    err = np.where((c.n <= 0).any(axis=-2), 2.0 * np.sqrt(p * (1.0 - p) / n),
                    err)
     return AsymmetrySpectrum(c.binning, a, err)
 
@@ -253,8 +256,8 @@ def mistag_correct_counts(c: BinnedCounts, w: float) -> BinnedCounts:
     the OF+SF sum is preserved.
     """
     d = _dilution(w)
-    n = ((1.0 - w) * c.n - w * c.n[::-1]) / d
-    var = ((1.0 - w) ** 2 * c.var + w ** 2 * c.var[::-1]) / d ** 2
+    n = ((1.0 - w) * c.n - w * c.n[..., ::-1, :]) / d
+    var = ((1.0 - w) ** 2 * c.var + w ** 2 * c.var[..., ::-1, :]) / d ** 2
     return BinnedCounts(c.binning, n, var, c.overflow)
 
 

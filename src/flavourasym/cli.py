@@ -22,7 +22,7 @@ from ._table import write_table
 from .analysis import (AsymmetrySpectrum, read_counts, read_spectrum,
                        write_counts, write_spectrum)
 from .config import ConfigError, default_config_text, load_config
-from .fitkit import BinPredictor, fit_model, fit_zeta, significance
+from .fitkit import BinPredictor, chi2, fit_model, fit_zeta, significance
 from .models import ModelParams, curve_rows
 from .pipeline import PipelineConfig, analyze_counts, build_training_responses
 from .toygen import (BETA_GAMMA, C_UM_PER_PS, generate_ensemble, read_events,
@@ -170,14 +170,16 @@ def cmd_unfold(args):
     # a finite but huge input overflows here; fail as a numerical error
     with np.errstate(over="raise", invalid="raise"):
         lin = unfolding_map(r_of, r_sf, cfg.unfold)
-        a, cov_a = unfolded_asymmetry(*dsvd_unfold(counts, lin))
-        spec = AsymmetrySpectrum(counts.binning, a, np.sqrt(np.diag(cov_a)))
+        a, err = unfolded_asymmetry(*dsvd_unfold(counts, lin))
     out = Path(args.out or "unfolded.csv")
-    write_spectrum(spec, out)
+    write_spectrum(AsymmetrySpectrum(counts.binning, a, err), out)
     inputs["counts"] = _sha256(args.counts)
     inputs["config"] = _sha256(args.config)
-    _write_log(out, inputs, {"rank_of": cfg.unfold.rank_of,
-                             "rank_sf": cfg.unfold.rank_sf})
+    # the input's bins, numbered as analyze numbers them
+    _write_log(out, inputs, {
+        "rank_of": cfg.unfold.rank_of, "rank_sf": cfg.unfold.rank_sf,
+        "negative_bins": (counts.negative_bins + 1).tolist(),
+        "degenerate_bins": (counts.degenerate_bins + 1).tolist()})
     print(f"wrote unfolded spectrum to {out}")
     return EXIT_OK
 
@@ -190,7 +192,37 @@ def _fit_all(spectrum, models, cfg: PipelineConfig) -> dict:
             else fit_model(spectrum, m, c, pred) for m in models}
 
 
+NESTING_MARGIN = 1e-3   # chi2 units
+
+
+def _nesting(spectrum, fits, cfg: PipelineConfig) -> list | None:
+    """The nesting certificate's inequalities that fail, or None when the
+    fits do not hold DECOHERED with QM or SD. DECOHERED contains QM (zeta
+    = 0) and SD (zeta = 1), so at global minima chi2_min(M) <= chi2_M at
+    DECOHERED's dm, for M = QM and SD, and chi2_min(DECOHERED) <= the
+    smaller chi2_min(M); each is checked to NESTING_MARGIN. A failure
+    means that some fit stopped in a local minimum."""
+    point = [m for m in ("QM", "SD") if m in fits]
+    if "DECOHERED" not in fits or not point:
+        return None
+    dec = fits["DECOHERED"]
+    dm = dec.extra["dm"]
+    pred = BinPredictor(spectrum.binning, cfg.params.tau)
+    failed = []
+    for m in point:
+        at = chi2(spectrum, m, dm, cfg.constraint, pred)
+        if fits[m].chi2 > at + NESTING_MARGIN:
+            failed.append(f"chi2_min({m}) = {fits[m].chi2:.2f} > chi2_{m} at "
+                          f"DECOHERED's dm {dm:.4f} = {at:.2f}")
+    best = min(point, key=lambda m: fits[m].chi2)
+    if dec.chi2 > fits[best].chi2 + NESTING_MARGIN:
+        failed.append(f"chi2_min(DECOHERED) = {dec.chi2:.2f} > "
+                      f"chi2_min({best}) = {fits[best].chi2:.2f}")
+    return failed
+
+
 def _fit_report(spectrum, models, cfg):
+    """The fits, the failed nesting checks of `_nesting`, and the report."""
     fits = _fit_all(spectrum, models, cfg)
     lines = []
     for m, f in fits.items():
@@ -209,7 +241,9 @@ def _fit_report(spectrum, models, cfg):
         for a in point:
             row = [f"{significance(fits[a], fits[b]):9.2f}" for b in point]
             lines.append(f"{a:>7s} " + "  ".join(row))
-    return fits, "\n".join(lines)
+    nesting = _nesting(spectrum, fits, cfg)
+    lines += [f"nesting: {f}" for f in nesting or ()]
+    return fits, nesting, "\n".join(lines)
 
 
 def cmd_fit(args):
@@ -225,19 +259,21 @@ def cmd_fit(args):
     # report reads every fit's error and flags, which are computed on first
     # read, so they too are computed inside this block
     with np.errstate(over="raise", invalid="raise"):
-        fits, report = _fit_report(spectrum, models, cfg)
+        fits, nesting, report = _fit_report(spectrum, models, cfg)
     print(report)
     if args.out:
         Path(args.out).write_text(report + "\n")
         inputs = {"spectrum": _sha256(args.spectrum)} | (
             {"config": _sha256(args.config)} if args.config else {})
-        # per model: its parameters, chi2 = sum(pulls**2) + the dm term
+        # per model: its parameters, chi2 = sum(pulls**2) + the dm term;
+        # and the failed nesting checks, null where the certificate does
+        # not apply
         _write_log(args.out, inputs, {
             "models": models, "flags": {m: f.flags for m, f in fits.items()},
             "fits": {m: {"theta_hat": f.theta_hat, "theta_err": f.theta_err,
                          "chi2": f.chi2, "dof": f.dof,
                          "pulls": f.residuals.tolist()} | f.extra
-                     for m, f in fits.items()}})
+                     for m, f in fits.items()}, "nesting": nesting})
     return EXIT_OK
 
 

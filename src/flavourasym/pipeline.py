@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .analysis import (AsymmetrySpectrum, Binning, _bin_index,
+from .analysis import (AsymmetrySpectrum, BinnedCounts, Binning,
                        _subtract_expected, asymmetry, bin_events,
                        expected_background_counts, mistag_correct_counts,
                        mistag_systematic)
@@ -134,35 +134,33 @@ def build_training_responses(cfg: PipelineConfig):
     return train_responses(cfg, [cfg.detector])[0]
 
 
-def replica_counts(model, cfg: PipelineConfig, replica_seed: int):
-    """One pseudo-experiment's corrected counts: generate and analyze.
-
-    `model` is a GenModel, or a tuple of models that share the seed's draws
-    (see `generate_ensemble`), which gives a list of counts, one per model,
-    each equal to that model's replica alone. The seed is generated once,
-    as records of the two fields the analysis reads, whose values are
-    those of the full records; its reco bins are indexed once, and each
-    model bins its own classes."""
-    models = (model,) if isinstance(model, GenModel) else tuple(model)
+def replica_counts(models: tuple, cfg: PipelineConfig, replica_seed: int):
+    """One pseudo-experiment seed's corrected counts for each of `models`,
+    which share the seed's draws (see `generate_ensemble`): a stack of
+    shape (models, 2, n_bins) whose row j equals models[j]'s replica alone.
+    The seed is generated once, as records of the two fields the analysis
+    reads, whose values are those of the full records."""
     events = generate_ensemble(models, cfg.params, cfg.detector,
                                cfg.backgrounds, cfg.n_signal,
                                master_seed=cfg.seed * 1000003 + replica_seed,
                                dtype=_REPLICA_DTYPE)
-    index = cfg.binning.index(events["dt_rec_ps"][:, 0])
-    counts = [_correct(_bin_index(index, cls, cfg.binning), cfg)[0]
-              for cls in events["cls_assigned"].T]
-    return counts[0] if isinstance(model, GenModel) else counts
+    return _correct(bin_events(events["dt_rec_ps"][:, 0],
+                               events["cls_assigned"].T, cfg.binning), cfg)[0]
 
 
-def run_replica(model, cfg: PipelineConfig, lin: np.ndarray,
+def run_replica(models: tuple, cfg: PipelineConfig, lin: np.ndarray,
                 replica_seed: int):
-    """One pseudo-experiment: generate, analyze, unfold through `lin`, form
-    the asymmetry. A tuple of models, as `replica_counts` takes, gives a
-    list of (a, cov), one per model, from one generation of the seed."""
-    counts = replica_counts(model, cfg, replica_seed)
-    if isinstance(model, GenModel):
-        return unfolded_asymmetry(*dsvd_unfold(counts, lin))
-    return [unfolded_asymmetry(*dsvd_unfold(c, lin)) for c in counts]
+    """One pseudo-experiment seed for each of `models`: generate, analyze,
+    unfold through `lin` and form the asymmetry. Returns (a, err), each of
+    shape (models, n_bins)."""
+    return unfolded_asymmetry(*dsvd_unfold(
+        replica_counts(models, cfg, replica_seed), lin))
+
+
+def _check_replicas(n_replicas: int) -> None:
+    """Refuse an ensemble of no replica, whose means would be NaN."""
+    if n_replicas < 1:
+        raise ValueError(f"n_replicas must be at least 1, got {n_replicas}")
 
 
 def run_ensemble(models, n_replicas: int, cfg: PipelineConfig):
@@ -174,6 +172,7 @@ def run_ensemble(models, n_replicas: int, cfg: PipelineConfig):
     asymmetries, per-replica errors, truth vectors, the model-averaged
     correction, and the residual-bias deconvolution systematic.
     """
+    _check_replicas(n_replicas)
     models = tuple(models)
     for i, m in enumerate(models):
         if m in models[:i]:
@@ -187,9 +186,9 @@ def run_ensemble(models, n_replicas: int, cfg: PipelineConfig):
     rows, errs = ({m: [] for m in models} for _ in range(2))
     for r in range(n_replicas):
         for group in groups:
-            for m, (a, cov) in zip(group, run_replica(group, cfg, lin, r)):
+            for m, a, err in zip(group, *run_replica(group, cfg, lin, r)):
                 rows[m].append(a)
-                errs[m].append(np.sqrt(np.diag(cov)))
+                errs[m].append(err)
     unfolded, errors, truths = {}, {}, {}
     for model in models:
         unfolded[model.value] = np.array(rows[model])
@@ -241,24 +240,22 @@ def smear_systematic(cfg: PipelineConfig, delta_um: float = 35.0,
     """Deconvolution systematic from varying the MC-tuning smear term.
 
     The extra smearing is moved to sqrt(s^2 +/- delta^2) in the response
-    training only. Each response pair's unfolding map is built once; each
-    toy is generated once and unfolded through the nominal and each
-    variant's map, and the larger of the two absolute mean per-bin
-    asymmetry shifts is returned.
+    training only. Each response pair's unfolding map is built once; the
+    toys are generated once, as one stack, each map unfolds the stack
+    once, and the larger of the two absolute mean per-bin asymmetry shifts
+    is returned.
     """
+    _check_replicas(n_replicas)
     s = cfg.detector.extra_smear_sigma
     up = float(np.sqrt(s ** 2 + delta_um ** 2))
     dn = float(np.sqrt(max(s ** 2 - delta_um ** 2, 0.0)))
     detectors = [cfg.detector] + [replace(cfg.detector, extra_smear_sigma=v)
                                   for v in (up, dn)]
-    nominal, *variants = [unfolding_map(*pair, cfg.unfold)
-                          for pair in train_responses(cfg, detectors)]
-    diffs = [[] for _ in variants]
-    for r in range(n_replicas):
-        counts = replica_counts(GenModel.QM, cfg, r)
-        a_nom, _ = unfolded_asymmetry(*dsvd_unfold(counts, nominal))
-        for d, lin in zip(diffs, variants):
-            a_var, _ = unfolded_asymmetry(*dsvd_unfold(counts, lin))
-            d.append(a_var - a_nom)
-    shifts = [np.abs(np.mean(d, axis=0)) for d in diffs]
-    return np.max(shifts, axis=0)
+    maps = [unfolding_map(*pair, cfg.unfold)
+            for pair in train_responses(cfg, detectors)]
+    reps = [replica_counts((GenModel.QM,), cfg, r) for r in range(n_replicas)]
+    counts = BinnedCounts(cfg.binning, np.concatenate([c.n for c in reps]),
+                          np.concatenate([c.var for c in reps]))
+    a_nom, *a_var = (unfolded_asymmetry(*dsvd_unfold(counts, lin))[0]
+                     for lin in maps)
+    return np.max([np.abs(np.mean(a - a_nom, axis=0)) for a in a_var], axis=0)

@@ -191,36 +191,38 @@ def unfolding_map(resp_of: ResponseMatrix, resp_sf: ResponseMatrix,
 
 
 def dsvd_unfold(measured: BinnedCounts, lin: np.ndarray):
-    """Unfold an OF/SF pair of measured spectra through the map `lin` of
-    `unfolding_map`.
+    """Unfold OF/SF pairs of measured spectra, one or a stack, through the
+    map `lin` of `unfolding_map`.
 
-    Returns the truth estimate x = L y of the stacked (OF, SF) counts
-    y = `measured.n.reshape(-1)` as BinnedCounts and its 2nb x 2nb
-    covariance L diag(var) L^T, the OF/SF cross term included.
+    Returns x = L y of the stacked (OF, SF) counts y as BinnedCounts, with
+    the variances diag(L diag(v) L^T), and the OF/SF cross term of each
+    bin. Each product-sum is over the last axis, so a stack's rows are
+    those of each spectrum alone, bit for bit.
     """
-    x = lin @ measured.n.reshape(-1)
-    cov = lin * measured.var.reshape(-1) @ lin.T
-    return BinnedCounts(measured.binning, x.reshape(2, -1),
-                        np.diag(cov).reshape(2, -1)), cov
+    shape = measured.n.shape
+    nb = shape[-1]
+    y, v = (c.reshape(shape[:-2] + (1, 2 * nb))
+            for c in (measured.n, measured.var))
+    lv = v * lin
+    x = (y * lin).sum(-1).reshape(shape)
+    var = (lv * lin).sum(-1).reshape(shape)
+    cross = (lv[..., :nb, :] * lin[nb:]).sum(-1)
+    return BinnedCounts(measured.binning, x, var), cross
 
 
-def unfolded_asymmetry(x: BinnedCounts, cov):
-    """Asymmetry of unfolded counts with the full propagated covariance.
-
-    `cov` is the covariance of the stacked (OF, SF) counts. The
-    second-order expectation bias of the ratio, evaluated from it, is
-    subtracted from the central values.
-    """
-    nb = x.binning.n_bins
-    n_of, n_sf = x.n
+def unfolded_asymmetry(x: BinnedCounts, cross):
+    """(a, err) of unfolded counts from their variances and OF/SF cross
+    term (`dsvd_unfold`). The second-order expectation bias of the ratio
+    is subtracted from the central values."""
+    (n_of, n_sf), (v_of, v_sf) = (np.moveaxis(c, -2, 0)
+                                  for c in (x.n, x.var))
     tot = n_of + n_sf
-    var = np.diag(cov)
     a = (n_of - n_sf) / tot - (2.0 / tot ** 3) * (
-        -n_sf * var[:nb] + (n_of - n_sf) * np.diag(cov, nb) + n_of * var[nb:])
+        -n_sf * v_of + (n_of - n_sf) * cross + n_of * v_sf)
     # d a / d n_of = 2 n_sf / tot^2 ; d a / d n_sf = -2 n_of / tot^2
-    g = np.hstack([np.diag(2.0 * n_sf / tot ** 2),
-                   np.diag(-2.0 * n_of / tot ** 2)])
-    return a, g @ cov @ g.T
+    g_of, g_sf = 2.0 * n_sf / tot ** 2, -2.0 * n_of / tot ** 2
+    return a, np.sqrt(g_of ** 2 * v_of + 2.0 * g_of * g_sf * cross
+                      + g_sf ** 2 * v_sf)
 
 
 def bias_correct(unfolded_by_model: dict, truth_by_model: dict):

@@ -3,16 +3,16 @@ band and PS draws from the per-edge joint formulas, the band's
 sorted-flip prefix sums as first written, the pair sampler on
 full columns, response training on the event record, the count formulas
 written out once per class, the degenerate-bin bootstrap, the unfolding
-built and applied in one call, ensembles and the smear systematic with
-every replica generated for one model alone, and the zeta fit's
-chi2_min + 1 interval from a dense scan."""
+built and applied in one call, the unfolding's full covariance as matrix
+products, ensembles and the smear systematic with every replica
+generated for one model alone, and the zeta fit's chi2_min + 1 interval
+from a dense scan."""
 
 from dataclasses import replace
 
 import numpy as np
 from scipy import integrate, optimize
 
-from flavourasym.analysis import BinnedCounts
 from flavourasym.fitkit import DM_SEARCH, BinPredictor
 # e^(-2*40) ~ 1e-35 at the reach bounds the truncation error far below the
 # 1e-9 target
@@ -243,9 +243,9 @@ def stacked(measured):
 
 
 def one_shot_unfold(measured, resp_of, resp_sf, cfg):
-    """(x, cov) of unfolding `measured` straight from a response pair: the
-    mixing, the two truncated solvers and the linear map are built inside
-    the call and applied to the stacked (OF, SF) counts."""
+    """`dsvd_unfold` of `measured` through a map built inside the call
+    straight from a response pair: the mixing, the two truncated solvers
+    and the linear map."""
     nb = measured.binning.n_bins
     eye = np.eye(nb)
     mix = np.block([[eye, cfg.mix_s * eye], [cfg.mix_o * eye, eye]])
@@ -253,13 +253,29 @@ def one_shot_unfold(measured, resp_of, resp_sf, cfg):
     solve = np.zeros((2 * nb, 2 * nb))
     solve[:nb, :nb] = truncated_solver(r_of_m, cfg.rank_of)
     solve[nb:, nb:] = truncated_solver(r_sf_m, cfg.rank_sf)
-    lin = np.linalg.inv(mix) @ solve @ mix
+    return dsvd_unfold(measured, np.linalg.inv(mix) @ solve @ mix)
+
+
+def covariance_unfold(measured, lin):
+    """(x, cov) of one spectrum as matrix products: x = L y and the full
+    2nb x 2nb covariance L diag(var) L^T of the stacked (OF, SF) counts."""
     y, var_y = stacked(measured)
-    x = lin @ y
-    cov = lin * var_y @ lin.T
+    return lin @ y, lin * var_y @ lin.T
+
+
+def covariance_asymmetry(x, cov):
+    """(a, cov_a) of unfolded counts x = (OF, SF) from their full
+    covariance: the second-order debiased ratio and g cov g^T, with g the
+    nb x 2nb Jacobian of the ratio."""
+    nb = len(x) // 2
+    n_of, n_sf = x[:nb], x[nb:]
+    tot = n_of + n_sf
     var = np.diag(cov)
-    return BinnedCounts(measured.binning, [x[:nb], x[nb:]],
-                        [var[:nb], var[nb:]]), cov
+    a = (n_of - n_sf) / tot - (2.0 / tot ** 3) * (
+        -n_sf * var[:nb] + (n_of - n_sf) * np.diag(cov, nb) + n_of * var[nb:])
+    g = np.hstack([np.diag(2.0 * n_sf / tot ** 2),
+                   np.diag(-2.0 * n_of / tot ** 2)])
+    return a, g @ cov @ g.T
 
 
 def counts_alone(model, cfg, replica_seed):
@@ -279,10 +295,10 @@ def ensemble_alone(models, n_replicas, cfg):
     pred = BinPredictor(cfg.binning, tau=p.tau)
     unfolded, errors, truths = {}, {}, {}
     for m in models:
-        a, cov = zip(*(unfolded_asymmetry(*dsvd_unfold(
+        a, err = zip(*(unfolded_asymmetry(*dsvd_unfold(
             counts_alone(m, cfg, r), lin)) for r in range(n_replicas)))
         unfolded[m.value] = np.array(a)
-        errors[m.value] = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+        errors[m.value] = np.array(err)
         truths[m.value] = pred.predict(m.value, p.dm, p.zeta)
     correction, syst = bias_correct(unfolded, truths)
     return {"unfolded": unfolded, "errors": errors, "truth": truths,

@@ -542,9 +542,37 @@ def test_class_axis_formulas_are_the_per_class_ones_bit_for_bit(case):
     a, err = per_class_asymmetry(*positive.n, *positive.var)
     assert np.array_equal(spec.a, a) and np.array_equal(spec.stat_err, err)
 
-    x, cov = dsvd_unfold(c, lin)
+    # each unfolded count, variance and cross term is one row's
+    # product-sum over the stacked (OF, SF) input
+    x, cross = dsvd_unfold(c, lin)
     y, var_y = stacked(c)
-    ref_cov = lin * var_y @ lin.T
-    assert np.array_equal(x.n.reshape(-1), lin @ y)
-    assert np.array_equal(cov, ref_cov)
-    assert np.array_equal(x.var.reshape(-1), np.diag(ref_cov))
+    nb = c.binning.n_bins
+    for i, row in enumerate(lin):
+        assert x.n.reshape(-1)[i] == (y * row).sum()
+        assert x.var.reshape(-1)[i] == (var_y * row * row).sum()
+    for k in range(nb):
+        assert cross[k] == (var_y * lin[k] * lin[nb + k]).sum()
+
+    # in a stack of spectra each row keeps its classes and its bits; the
+    # second row is not the first with its classes swapped, so a swap of
+    # the rows shows
+    rows = [c, BinnedCounts(c.binning, 2.0 * c.n[:, ::-1] + 1.0,
+                            c.var[:, ::-1])]
+    pair = BinnedCounts(c.binning, np.stack([r.n for r in rows]),
+                        np.stack([r.var for r in rows]))
+    sub, syst = subtract_background(pair, b)
+    mis = mistag_correct_counts(pair, w)
+    spec = asymmetry(pair)
+    x, cross = dsvd_unfold(pair, lin)
+    for j, row in enumerate(rows):
+        sub_j, syst_j = subtract_background(row, b)
+        mis_j = mistag_correct_counts(row, w)
+        spec_j = asymmetry(row)
+        x_j, cross_j = dsvd_unfold(row, lin)
+        for got, want in ((sub.n[j], sub_j.n), (sub.var[j], sub_j.var),
+                          (syst[j], syst_j), (mis.n[j], mis_j.n),
+                          (mis.var[j], mis_j.var), (spec.a[j], spec_j.a),
+                          (spec.stat_err[j], spec_j.stat_err),
+                          (x.n[j], x_j.n), (x.var[j], x_j.var),
+                          (cross[j], cross_j)):
+            assert np.array_equal(got, want)

@@ -310,11 +310,18 @@ def chain_files(tmp_path, cfg_path):
     return events, tmp_path / "spectrum.counts.csv", spectrum
 
 
+# the fit whose chi2_min breaks the nesting certificate at each seed: QM
+# stops in the dm ~ 0.37 basin, far above its chi2 at DECOHERED's dm, or
+# DECOHERED stops in the dm ~ 0.35 basin, above SD's chi2_min
+NESTING_BREAKS = {6: "QM", 11: "DECOHERED", 13: "QM", 25: "QM"}
+
+
 @pytest.mark.parametrize("seed", [6, 11, 13, 25])
 def test_paper_scale_chain_runs_past_a_degenerate_bin(tmp_path, seed):
     # at these seeds of the config init-config writes, bin 11's corrected
     # OF + SF total is <= 0: analyze reads it as 0 +- 1 and lists it in its
-    # sidecar, and the chain runs on to the fits
+    # sidecar, so does unfold, and the chain runs on to the fits, which
+    # flag the local minimum the nesting certificate catches
     cfg = tmp_path / "run.cfg"
     assert main(["init-config", "--out", str(cfg),
                  "--seed", str(seed)]) == EXIT_OK
@@ -327,9 +334,16 @@ def test_paper_scale_chain_runs_past_a_degenerate_bin(tmp_path, seed):
     unfolded = tmp_path / "unfolded.csv"
     assert main(["unfold", "--config", str(cfg), str(counts),
                  "--out", str(unfolded)]) == EXIT_OK
+    unfold_log = json.loads((tmp_path / "unfolded.csv.log").read_text())
+    assert unfold_log["degenerate_bins"] == [11]
+    assert unfold_log["negative_bins"] == log["negative_bins"]
+    report = tmp_path / "fit.txt"
     assert main(["fit", str(unfolded), "--config", str(cfg), "--models",
-                 "QM,SD,PS,DECOHERED",
-                 "--out", str(tmp_path / "fit.txt")]) == EXIT_OK
+                 "QM,SD,PS,DECOHERED", "--out", str(report)]) == EXIT_OK
+    nesting = json.loads((tmp_path / "fit.txt.log").read_text())["nesting"]
+    assert [f.split(")")[0] for f in nesting] == [
+        f"chi2_min({NESTING_BREAKS[seed]}"]
+    assert report.read_text().splitlines()[-1] == f"nesting: {nesting[0]}"
 
 
 class TestMalformedInputs:
@@ -679,6 +693,7 @@ class TestFit:
         log = json.loads((tmp_path / "fit.txt.log").read_text())
         assert "config" not in log["inputs"]
         assert log["models"] == ["QM"]
+        assert log["nesting"] is None   # no DECOHERED fit to nest QM in
         assert ("minimum at the edge of the search interval"
                 in log["flags"]["QM"])
 
@@ -699,6 +714,10 @@ class TestFit:
         assert fits["DECOHERED"]["dof"] == n_bins - 1
         # the report itself is unchanged by the sidecar
         assert out.read_text().startswith("QM: dm = 0.5012 +- 0.0078")
+        # the fixture's fits hold the nesting certificate
+        log = json.loads((tmp_path / "fit.txt.log").read_text())
+        assert log["nesting"] == []
+        assert "nesting" not in out.read_text()
 
     @staticmethod
     def _per_model(path):

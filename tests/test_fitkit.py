@@ -449,8 +449,8 @@ class TestFitZeta:
                                    master_seed=cfg.seed)
         counts, _ = analyze_counts(events, cfg)
         lin = unfolding_map(*build_training_responses(cfg), cfg.unfold)
-        a, cov = unfolded_asymmetry(*dsvd_unfold(counts, lin))
-        spec = AsymmetrySpectrum(counts.binning, a, np.sqrt(np.diag(cov)))
+        a, err = unfolded_asymmetry(*dsvd_unfold(counts, lin))
+        spec = AsymmetrySpectrum(counts.binning, a, err)
         pred = BinPredictor(spec.binning, cfg.params.tau)
         fit = fit_zeta(spec, cfg.constraint, pred)
         lo, hi = zeta_interval(spec, cfg.constraint, pred, fit.chi2)

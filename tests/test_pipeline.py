@@ -28,23 +28,24 @@ CFG = PipelineConfig.paper_scale(seed=7, n_response_mc=100_000)
 
 def test_run_replica_composes_the_two_steps():
     lin = unfolding_map(*build_training_responses(CFG), CFG.unfold)
-    a, cov = run_replica(GenModel.SD, CFG, lin, 2)
-    a2, cov2 = unfolded_asymmetry(*dsvd_unfold(
-        replica_counts(GenModel.SD, CFG, 2), lin))
+    a, err = run_replica((GenModel.SD,), CFG, lin, 2)
+    a2, err2 = unfolded_asymmetry(*dsvd_unfold(
+        replica_counts((GenModel.SD,), CFG, 2), lin))
+    assert a.shape == err.shape == (1, CFG.binning.n_bins)
     np.testing.assert_array_equal(a, a2)
-    np.testing.assert_array_equal(cov, cov2)
+    np.testing.assert_array_equal(err, err2)
 
 
 def test_prebuilt_map_unfolds_as_the_one_shot_path():
     resp = build_training_responses(CFG)
     lin = unfolding_map(*resp, CFG.unfold)
     for r in range(3):
-        counts = replica_counts(GenModel.QM, CFG, r)
-        a, cov = unfolded_asymmetry(*dsvd_unfold(counts, lin))
-        a1, cov1 = unfolded_asymmetry(*one_shot_unfold(counts, *resp,
+        counts = replica_counts((GenModel.QM,), CFG, r)
+        a, err = unfolded_asymmetry(*dsvd_unfold(counts, lin))
+        a1, err1 = unfolded_asymmetry(*one_shot_unfold(counts, *resp,
                                                        CFG.unfold))
         np.testing.assert_array_equal(a, a1)
-        np.testing.assert_array_equal(cov, cov1)
+        np.testing.assert_array_equal(err, err1)
 
 
 _DECO = replace(CFG, params=ModelParams(zeta=0.3))
@@ -70,7 +71,7 @@ def test_replica_records_count_as_full_records(case, monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(pipeline, "generate_ensemble", generate)
-    replicas = [replica_counts(model, cfg, r) for r in range(2)]
+    replicas = [replica_counts((model,), cfg, r) for r in range(2)]
     assert [ev.dtype.names for ev in made] == [("dt_rec_ps",
                                                 "cls_assigned")] * 2
     assert all(ev.itemsize == 9 for ev in made)
@@ -80,7 +81,7 @@ def test_replica_records_count_as_full_records(case, monkeypatch):
 
     monkeypatch.setattr(pipeline, "generate_ensemble", full_records)
     for r, got in enumerate(replicas):
-        want = replica_counts(model, cfg, r)
+        want = replica_counts((model,), cfg, r)
         assert made[-1].dtype == EVENT_DTYPE
         assert len(made[-1]) == len(made[r])
         for a, b in ((got.n, want.n), (got.var, want.var)):
@@ -138,6 +139,21 @@ def test_corrected_counts_subtract_the_configured_backgrounds():
 def test_run_ensemble_refuses_a_repeated_model():
     with pytest.raises(ValueError, match="QM given twice"):
         run_ensemble(_QM_SD_PS + (GenModel.QM,), 2, CFG)
+
+
+# no replica used to give NaN means after a "Mean of empty slice" warning
+@pytest.mark.parametrize("n", [0, -3])
+def test_run_ensemble_refuses_no_replica(n):
+    with pytest.raises(ValueError, match=f"n_replicas must be at least 1, "
+                                         f"got {n}$"):
+        run_ensemble(_QM_SD_PS, n, CFG)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_smear_systematic_refuses_no_replica(n):
+    with pytest.raises(ValueError, match=f"n_replicas must be at least 1, "
+                                         f"got {n}$"):
+        smear_systematic(CFG, n_replicas=n)
 
 
 def test_ensemble_and_smear_systematic_repeat_to_the_bit():

@@ -91,6 +91,22 @@ PINNED_EVENTS = {
 }
 
 
+# sha256 of the files downstream of the console-script smoke chain's
+# events (init-config --seed 3, 20 000 events): they come from elementwise
+# and integer arithmetic only, so a slip in the class axis or the binning
+# changes them
+PINNED_CHAIN = {
+    "spectrum.csv":
+        "21bf51789b56c4a401373b3356106dc3a40433a2229888ed70457dbb9d394acd",
+    "spectrum.counts.csv":
+        "7ec6eb74f84bdf6102757385c05d06e5aad7080f3bac516fbb785a210adfb4c6",
+    "unfolded.resp_of.csv":
+        "bcee6d16799f8979504f08cc9394728506e8e761ece8b579b87f738787ac51a8",
+    "unfolded.resp_sf.csv":
+        "4272ffab190e00f65468a3ae4b55cb96c9435e8dc66c0f29628a8853d4ea9efa",
+}
+
+
 def _sub_dtype(*names):
     return np.dtype([(n, EVENT_DTYPE[n]) for n in names])
 
@@ -106,6 +122,25 @@ class TestRecordFields:
         assert hashlib.sha256(ev.tobytes()).hexdigest() == records
         assert hashlib.sha256(
             (tmp_path / "events.csv").read_bytes()).hexdigest() == file
+
+    def test_smoke_chain_files_keep_their_bytes(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        path = lambda name: str(tmp_path / name)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["init-config", "--out", str(cfg),
+                         "--seed", "3"]) == EXIT_OK
+            text = cfg.read_text()
+            assert "n_signal = 7815\n" in text
+            cfg.write_text(text.replace("n_signal = 7815\n",
+                                        "n_signal = 20000\n"))
+            for args in (["generate", "--out", path("events.csv")],
+                         ["analyze", path("events.csv"),
+                          "--out", path("spectrum.csv")],
+                         ["unfold", path("spectrum.counts.csv"),
+                          "--out", path("unfolded.csv")]):
+                assert main(args + ["--config", str(cfg)]) == EXIT_OK
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes())
+                .hexdigest() for name in PINNED_CHAIN} == PINNED_CHAIN
 
     @pytest.mark.parametrize("case", list(PINNED_EVENTS))
     @pytest.mark.parametrize("names", [

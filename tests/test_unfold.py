@@ -1,5 +1,6 @@
 """Unfolding tests: response construction, mixing, the truncated solver,
-covariance propagation, and the ensemble bias correction."""
+variance propagation, stacks of spectra, and the ensemble bias
+correction."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from flavourasym.unfold import (ResponseMatrix, UnfoldConfig, bias_correct,
                                 response_pair, truncated_solver,
                                 unfolded_asymmetry, unfolding_map,
                                 write_response)
+from oracles import covariance_asymmetry, covariance_unfold
 
 NB = Binning().n_bins
 RNG = np.random.default_rng(202)
@@ -71,11 +73,11 @@ class TestMixing:
         cfg = UnfoldConfig(rank_of=NB, rank_sf=NB)
         counts = BinnedCounts(Binning(), [RNG.uniform(0, 100, NB),
                                           RNG.uniform(0, 100, NB)])
-        x, cov = dsvd_unfold(counts, unfolding_map(r, r, cfg))
+        x, cross = dsvd_unfold(counts, unfolding_map(r, r, cfg))
         np.testing.assert_allclose(x.n[0], counts.n[0] / eff, atol=1e-10)
         np.testing.assert_allclose(x.n[1], counts.n[1] / eff, atol=1e-10)
-        np.testing.assert_allclose(
-            cov, np.diag(counts.var.reshape(-1)) / eff ** 2, atol=1e-10)
+        np.testing.assert_allclose(x.var, counts.var / eff ** 2, atol=1e-10)
+        np.testing.assert_allclose(cross, np.zeros(NB), atol=1e-10)
 
     def test_zero_mixing_identity(self):
         cfg = UnfoldConfig(mix_s=0.0, mix_o=0.0)
@@ -88,14 +90,14 @@ class TestMixing:
         np.testing.assert_array_equal(sf_m.truth_totals, r_sf.truth_totals)
         counts = BinnedCounts(Binning(), [RNG.uniform(50, 500, NB),
                                           RNG.uniform(50, 500, NB)])
-        x, cov = dsvd_unfold(counts, unfolding_map(r_of, r_sf, cfg))
+        x, cross = dsvd_unfold(counts, unfolding_map(r_of, r_sf, cfg))
         np.testing.assert_allclose(
             x.n[0], truncated_solver(r_of, cfg.rank_of) @ counts.n[0],
             rtol=1e-12)
         np.testing.assert_allclose(
             x.n[1], truncated_solver(r_sf, cfg.rank_sf) @ counts.n[1],
             rtol=1e-12)
-        np.testing.assert_array_equal(cov[:NB, NB:], np.zeros((NB, NB)))
+        np.testing.assert_array_equal(cross, np.zeros(NB))
 
     def test_jacobian_matches_demix(self):
         # per-class efficiencies make the two full-rank solvers different
@@ -117,7 +119,7 @@ class TestMixing:
         sf = RNG.uniform(50, 500, NB)
         var_of = RNG.uniform(20, 600, NB)
         var_sf = RNG.uniform(20, 600, NB)
-        x, cov = dsvd_unfold(
+        x, cross = dsvd_unfold(
             BinnedCounts(Binning(), [of, sf], [var_of, var_sf]),
             unfolding_map(identity_response(eff=e_of),
                           identity_response(eff=e_sf), cfg))
@@ -125,13 +127,13 @@ class TestMixing:
         np.testing.assert_allclose(x.n[0], of_b, rtol=1e-10)
         np.testing.assert_allclose(x.n[1], sf_b, rtol=1e-10)
         (j_oo, j_so), (j_os, j_ss) = demix(1.0, 0.0), demix(0.0, 1.0)
-        np.testing.assert_allclose(np.diag(cov)[:NB],
+        np.testing.assert_allclose(x.var[0],
                                    j_oo ** 2 * var_of + j_os ** 2 * var_sf,
                                    rtol=1e-10)
-        np.testing.assert_allclose(np.diag(cov)[NB:],
+        np.testing.assert_allclose(x.var[1],
                                    j_so ** 2 * var_of + j_ss ** 2 * var_sf,
                                    rtol=1e-10)
-        np.testing.assert_allclose(np.diag(cov, NB),
+        np.testing.assert_allclose(cross,
                                    j_oo * j_so * var_of + j_os * j_ss * var_sf,
                                    rtol=1e-10)
 
@@ -224,13 +226,11 @@ class TestDsvdUnfold:
         counts = BinnedCounts(Binning(), [RNG.uniform(50, 500, NB),
                                           RNG.uniform(50, 500, NB)])
         cfg = UnfoldConfig(rank_of=NB, rank_sf=NB, mix_s=0.0, mix_o=0.0)
-        x, cov = dsvd_unfold(counts, unfolding_map(r, r, cfg))
+        x, cross = dsvd_unfold(counts, unfolding_map(r, r, cfg))
         np.testing.assert_allclose(x.n[0], counts.n[0], rtol=1e-9)
         np.testing.assert_allclose(x.n[1], counts.n[1], rtol=1e-9)
-        np.testing.assert_allclose(cov[:NB, :NB], np.diag(counts.var[0]),
-                                   atol=1e-7)
-        np.testing.assert_allclose(cov[:NB, NB:], np.zeros((NB, NB)),
-                                   atol=1e-9)
+        np.testing.assert_allclose(x.var[0], counts.var[0], atol=1e-7)
+        np.testing.assert_allclose(cross, np.zeros(NB), atol=1e-9)
 
     def test_noiseless_closure_full_rank_no_mixing(self):
         r_of = random_response(np.random.default_rng(21), "OF")
@@ -258,15 +258,16 @@ class TestDsvdUnfold:
         np.testing.assert_allclose(x.n[0], x_of, rtol=1e-8)
         np.testing.assert_allclose(x.n[1], x_sf, rtol=1e-8)
 
-    def test_covariance_symmetric_psd(self):
+    def test_variances_and_cross_term_bounded(self):
+        # each bin's (OF, SF) covariance is positive semi-definite
         r_of = random_response(np.random.default_rng(23), "OF")
         r_sf = random_response(np.random.default_rng(24), "SF")
         counts = BinnedCounts(Binning(), [RNG.uniform(50, 500, NB),
                                           RNG.uniform(50, 500, NB)])
-        _, cov = dsvd_unfold(counts,
-                             unfolding_map(r_of, r_sf, UnfoldConfig()))
-        np.testing.assert_allclose(cov, cov.T, atol=1e-9)
-        assert np.min(np.linalg.eigvalsh(cov)) > -1e-7 * np.max(cov)
+        x, cross = dsvd_unfold(counts,
+                               unfolding_map(r_of, r_sf, UnfoldConfig()))
+        assert np.all(x.var >= 0)
+        assert np.all(np.abs(cross) <= np.sqrt(x.var[0] * x.var[1]))
 
     def test_exact_linear_propagation(self):
         # the estimator is one linear map L on the stacked (OF, SF) counts:
@@ -277,21 +278,22 @@ class TestDsvdUnfold:
         cfg = UnfoldConfig()
 
         def unfold(y, var):
-            x, cov = dsvd_unfold(BinnedCounts(Binning(), y.reshape(2, NB),
-                                              var.reshape(2, NB)),
-                                 unfolding_map(r_of, r_sf, cfg))
-            return x.n.reshape(-1), cov
+            return dsvd_unfold(BinnedCounts(Binning(), y.reshape(2, NB),
+                                            var.reshape(2, NB)),
+                               unfolding_map(r_of, r_sf, cfg))
 
         ones = np.ones(2 * NB)
-        lin = np.column_stack([unfold(e, ones)[0] for e in np.eye(2 * NB)])
+        lin = np.column_stack([unfold(e, ones)[0].n.reshape(-1)
+                               for e in np.eye(2 * NB)])
         y = RNG.uniform(50, 500, 2 * NB)
         var = RNG.uniform(20, 600, 2 * NB)
-        x, cov = unfold(y, var)
+        x, cross = unfold(y, var)
         expect = lin @ np.diag(var) @ lin.T
-        np.testing.assert_allclose(x, lin @ y, rtol=1e-12)
-        np.testing.assert_allclose(cov, expect, rtol=1e-12,
-                                   atol=1e-12 * np.abs(expect).max())
-        assert np.abs(cov[:NB, NB:]).max() > 1e-3 * np.abs(expect).max()
+        tol = dict(rtol=1e-12, atol=1e-12 * np.abs(expect).max())
+        np.testing.assert_allclose(x.n.reshape(-1), lin @ y, rtol=1e-12)
+        np.testing.assert_allclose(x.var.reshape(-1), np.diag(expect), **tol)
+        np.testing.assert_allclose(cross, np.diag(expect, NB), **tol)
+        assert np.abs(cross).max() > 1e-3 * np.abs(expect).max()
 
     def test_mixing_populates_empty_bin(self):
         # one class empty in a truth bin, the other populated: the mixed
@@ -312,22 +314,22 @@ class TestDsvdUnfold:
         of = np.full(NB, 100.0)
         sf = np.full(NB, 100.0)
         sf[0] = 0.0
-        x, cov = dsvd_unfold(BinnedCounts(Binning(), [of, sf]),
-                             unfolding_map(r_of, r_sf, cfg))
+        x, cross = dsvd_unfold(BinnedCounts(Binning(), [of, sf]),
+                               unfolding_map(r_of, r_sf, cfg))
         assert np.all(np.isfinite(x.n[0])) and np.all(np.isfinite(x.n[1]))
-        assert np.all(np.isfinite(cov))
+        assert np.all(np.isfinite(x.var)) and np.all(np.isfinite(cross))
 
 
 class TestUnfoldedAsymmetry:
     def test_values_and_errors(self):
-        x = BinnedCounts(Binning(), [np.full(NB, 300.0), np.full(NB, 100.0)])
-        cov = np.diag(np.full(2 * NB, 4.0))
-        _, cov_a = unfolded_asymmetry(x, cov)
+        x = BinnedCounts(Binning(), [np.full(NB, 300.0), np.full(NB, 100.0)],
+                         np.full((2, NB), 4.0))
+        _, err = unfolded_asymmetry(x, np.zeros(NB))
         a = (x.n[0] - x.n[1]) / (x.n[0] + x.n[1])   # the raw ratio
         np.testing.assert_allclose(a, 0.5, atol=1e-12)
         # da = (2 sf dof - 2 of dsf)/tot^2; var = 4 (sf^2+of^2) var / tot^4
         expect = 4.0 * (300.0 ** 2 + 100.0 ** 2) * 4.0 / 400.0 ** 4
-        np.testing.assert_allclose(np.diag(cov_a), expect, rtol=1e-12)
+        np.testing.assert_allclose(err ** 2, expect, rtol=1e-12)
 
     def test_debias_second_order(self):
         # Monte-Carlo expectation of the ratio vs the corrected estimate
@@ -336,15 +338,60 @@ class TestUnfoldedAsymmetry:
         of = rng.normal(of0, sig, 400000)
         sf = rng.normal(sf0, sig, 400000)
         mc_mean = np.mean((of - sf) / (of + sf))
-        x = BinnedCounts(Binning(), [np.full(NB, of0), np.full(NB, sf0)])
-        cov = np.diag(np.full(2 * NB, sig ** 2))
+        x = BinnedCounts(Binning(), [np.full(NB, of0), np.full(NB, sf0)],
+                         np.full((2, NB), sig ** 2))
         a_raw = (x.n[0] - x.n[1]) / (x.n[0] + x.n[1])
-        a_cor, _ = unfolded_asymmetry(x, cov)
+        a_cor, _ = unfolded_asymmetry(x, np.zeros(NB))
         # the correction moves the estimate toward the true ratio by
         # approximately the observed expectation bias
         truth = (of0 - sf0) / (of0 + sf0)
         assert abs(a_cor[0] - truth) < abs(mc_mean - truth)
         assert a_raw[0] - a_cor[0] == pytest.approx(mc_mean - truth, rel=0.15)
+
+
+class TestStacks:
+    """Spectra stacked on a leading axis unfold, and form their asymmetry,
+    as each spectrum alone, and as the full-covariance arithmetic."""
+
+    LIN = unfolding_map(random_response(np.random.default_rng(41), "OF"),
+                        random_response(np.random.default_rng(42), "SF"),
+                        UnfoldConfig())
+
+    @staticmethod
+    def spectra(n):
+        n_of, n_sf = np.random.default_rng(n).uniform(50, 500, (2, n, NB))
+        return BinnedCounts(Binning(), np.stack([n_of, n_sf], axis=1))
+
+    @pytest.mark.parametrize("n", [1, 2, 200])
+    def test_each_row_as_its_spectrum_alone(self, n):
+        stack = self.spectra(n)
+        x, cross = dsvd_unfold(stack, self.LIN)
+        a, err = unfolded_asymmetry(x, cross)
+        assert x.n.shape == x.var.shape == (n, 2, NB)
+        assert cross.shape == a.shape == err.shape == (n, NB)
+        for j in range(n):
+            x_j, cross_j = dsvd_unfold(
+                BinnedCounts(Binning(), stack.n[j], stack.var[j]), self.LIN)
+            a_j, err_j = unfolded_asymmetry(x_j, cross_j)
+            for got, want in ((x.n[j], x_j.n), (x.var[j], x_j.var),
+                              (cross[j], cross_j), (a[j], a_j),
+                              (err[j], err_j)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_matches_the_full_covariance(self):
+        for counts in self.spectra(5).n:
+            counts = BinnedCounts(Binning(), counts)
+            x, cross = dsvd_unfold(counts, self.LIN)
+            a, err = unfolded_asymmetry(x, cross)
+            x_ref, cov = covariance_unfold(counts, self.LIN)
+            a_ref, cov_a = covariance_asymmetry(x_ref, cov)
+            tol = dict(rtol=1e-12, atol=1e-12 * np.abs(cov).max())
+            np.testing.assert_allclose(x.n.reshape(-1), x_ref, rtol=1e-12)
+            np.testing.assert_allclose(x.var.reshape(-1), np.diag(cov), **tol)
+            np.testing.assert_allclose(cross, np.diag(cov, NB), **tol)
+            np.testing.assert_allclose(a, a_ref, rtol=1e-12)
+            np.testing.assert_allclose(err, np.sqrt(np.diag(cov_a)),
+                                       rtol=1e-12)
 
 
 class TestBiasCorrect:
