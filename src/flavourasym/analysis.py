@@ -109,14 +109,20 @@ class BinnedCounts:
 
     @property
     def negative_bins(self) -> np.ndarray:
-        """Indices where subtraction drove a count negative (flagged, not clamped)."""
-        return np.flatnonzero((self.n < 0).any(axis=-2))
+        """Indices of the bins where subtraction drove a count of some
+        spectrum of the stack negative (flagged, not clamped)."""
+        return _bins_where((self.n < 0).any(axis=-2))
 
     @property
     def degenerate_bins(self) -> np.ndarray:
-        """Indices where the OF + SF total is <= 0, so no asymmetry is
-        measured (read as 0 +- 1)."""
-        return np.flatnonzero(self.n.sum(axis=-2) <= 0)
+        """Indices of the bins where the OF + SF total of some spectrum of
+        the stack is <= 0, so no asymmetry is measured (read as 0 +- 1)."""
+        return _bins_where(self.n.sum(axis=-2) <= 0)
+
+
+def _bins_where(mask) -> np.ndarray:
+    """Indices of the bins (last axis) where any spectrum of `mask` is True."""
+    return np.flatnonzero(mask.reshape(-1, mask.shape[-1]).any(axis=0))
 
 
 def _read_only(values) -> np.ndarray:
@@ -146,7 +152,7 @@ class AsymmetrySpectrum:
     def syst_err(self) -> np.ndarray:
         if not self.syst_breakdown:
             return _read_only(np.zeros(self.binning.n_bins))
-        stacked = np.vstack(list(self.syst_breakdown.values()))
+        stacked = np.stack(list(self.syst_breakdown.values()))
         with np.errstate(over="ignore"):    # inf, which chi2 rejects
             return _read_only(np.sqrt((stacked ** 2).sum(axis=0)))
 

@@ -186,28 +186,29 @@ def cmd_unfold(args):
 
 def _fit_all(spectrum, models, cfg: PipelineConfig) -> dict:
     """Fits of the named models in order, with the constraint and lifetime
-    of `cfg`, sharing one predictor."""
+    of `cfg`, and the one predictor they share."""
     c, pred = cfg.constraint, BinPredictor(spectrum.binning, cfg.params.tau)
     return {m: fit_zeta(spectrum, c, pred) if m == "DECOHERED"
-            else fit_model(spectrum, m, c, pred) for m in models}
+            else fit_model(spectrum, m, c, pred) for m in models}, pred
 
 
 NESTING_MARGIN = 1e-3   # chi2 units
 
 
-def _nesting(spectrum, fits, cfg: PipelineConfig) -> list | None:
-    """The nesting certificate's inequalities that fail, or None when the
-    fits do not hold DECOHERED with QM or SD. DECOHERED contains QM (zeta
-    = 0) and SD (zeta = 1), so at global minima chi2_min(M) <= chi2_M at
-    DECOHERED's dm, for M = QM and SD, and chi2_min(DECOHERED) <= the
-    smaller chi2_min(M); each is checked to NESTING_MARGIN. A failure
-    means that some fit stopped in a local minimum."""
+def _nesting(spectrum, fits, cfg: PipelineConfig,
+             pred: BinPredictor) -> list | None:
+    """The nesting certificate's inequalities that fail, on the predictor
+    `pred` the fits shared, or None when the fits do not hold DECOHERED
+    with QM or SD. DECOHERED contains QM (zeta = 0) and SD (zeta = 1), so
+    at global minima chi2_min(M) <= chi2_M at DECOHERED's dm, for M = QM
+    and SD, and chi2_min(DECOHERED) <= the smaller chi2_min(M); each is
+    checked to NESTING_MARGIN. A failure means that some fit stopped in a
+    local minimum."""
     point = [m for m in ("QM", "SD") if m in fits]
     if "DECOHERED" not in fits or not point:
         return None
     dec = fits["DECOHERED"]
     dm = dec.extra["dm"]
-    pred = BinPredictor(spectrum.binning, cfg.params.tau)
     failed = []
     for m in point:
         at = chi2(spectrum, m, dm, cfg.constraint, pred)
@@ -223,7 +224,7 @@ def _nesting(spectrum, fits, cfg: PipelineConfig) -> list | None:
 
 def _fit_report(spectrum, models, cfg):
     """The fits, the failed nesting checks of `_nesting`, and the report."""
-    fits = _fit_all(spectrum, models, cfg)
+    fits, pred = _fit_all(spectrum, models, cfg)
     lines = []
     for m, f in fits.items():
         theta = "zeta" if m == "DECOHERED" else "dm"
@@ -241,7 +242,7 @@ def _fit_report(spectrum, models, cfg):
         for a in point:
             row = [f"{significance(fits[a], fits[b]):9.2f}" for b in point]
             lines.append(f"{a:>7s} " + "  ".join(row))
-    nesting = _nesting(spectrum, fits, cfg)
+    nesting = _nesting(spectrum, fits, cfg, pred)
     lines += [f"nesting: {f}" for f in nesting or ()]
     return fits, nesting, "\n".join(lines)
 
@@ -300,8 +301,8 @@ REPRODUCTION_TARGETS = [
 
 def reproduce_fixture():
     """Fit the shipped published-spectrum fixture; values keyed for reporting."""
-    fits = _fit_all(read_spectrum(fixture_path()),
-                    ("QM", "SD", "PS", "DECOHERED"), PipelineConfig())
+    fits, _ = _fit_all(read_spectrum(fixture_path()),
+                       ("QM", "SD", "PS", "DECOHERED"), PipelineConfig())
     values = {}
     for m, f in fits.items():
         values[(m, "theta_hat")] = f.theta_hat

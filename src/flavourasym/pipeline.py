@@ -166,11 +166,11 @@ def _check_replicas(n_replicas: int) -> None:
 def run_ensemble(models, n_replicas: int, cfg: PipelineConfig):
     """Pseudo-experiment ensembles for several models, with bias correction.
 
-    Each replica seed is generated once for all the models but DECOHERED,
-    which draws more and is generated apart; every model's replicas equal
-    those of its ensemble alone. Returns a dict with per-model unfolded
-    asymmetries, per-replica errors, truth vectors, the model-averaged
-    correction, and the residual-bias deconvolution systematic.
+    Each replica seed is generated once for all the models, which draw the
+    same numbers; every model's replicas equal those of its ensemble alone.
+    Returns a dict with per-model unfolded asymmetries, per-replica errors,
+    truth vectors, the model-averaged correction, and the residual-bias
+    deconvolution systematic.
     """
     _check_replicas(n_replicas)
     models = tuple(models)
@@ -180,15 +180,11 @@ def run_ensemble(models, n_replicas: int, cfg: PipelineConfig):
     lin = unfolding_map(*build_training_responses(cfg), cfg.unfold)
     p = cfg.params
     pred = BinPredictor(cfg.binning, tau=p.tau)
-    deco = GenModel.DECOHERED
-    groups = [g for g in (tuple(m for m in models if m is not deco),
-                          tuple(m for m in models if m is deco)) if g]
     rows, errs = ({m: [] for m in models} for _ in range(2))
     for r in range(n_replicas):
-        for group in groups:
-            for m, a, err in zip(group, *run_replica(group, cfg, lin, r)):
-                rows[m].append(a)
-                errs[m].append(err)
+        for m, a, err in zip(models, *run_replica(models, cfg, lin, r)):
+            rows[m].append(a)
+            errs[m].append(err)
     unfolded, errors, truths = {}, {}, {}
     for model in models:
         unfolded[model.value] = np.array(rows[model])

@@ -175,9 +175,9 @@ class BackgroundConfig:
             CategoryYield(254.0, 1.5, 16.0, 0.5)))))
 
 
-def _joint_asymmetry(model: GenModel, t1, t2, dt, p: ModelParams, pick):
-    """A_model(t1, t2) of each pair, given dt = |t1 - t2| and, for
-    DECOHERED, `pick`: True where the pair decays as SD."""
+def _joint_asymmetry(model: GenModel, t1, t2, dt, p: ModelParams):
+    """A_model(t1, t2) of each pair, given dt = |t1 - t2|; DECOHERED's is
+    the mixture (1 - zeta) A_QM + zeta A_SD."""
     if model is GenModel.QM:
         return np.cos(p.dm * dt)
     if model is GenModel.SD:
@@ -186,9 +186,8 @@ def _joint_asymmetry(model: GenModel, t1, t2, dt, p: ModelParams, pick):
         return _ps_joint(np.minimum(t1, t2), dt, p.dm,
                          model is GenModel.PS_BOUNDARY_MAX)
     if model is GenModel.DECOHERED:
-        a_qm = np.cos(p.dm * dt)
-        a_sd = np.cos(p.dm * t1) * np.cos(p.dm * t2)
-        return np.where(pick, a_sd, a_qm)
+        return ((1 - p.zeta) * _joint_asymmetry(GenModel.QM, t1, t2, dt, p)
+                + p.zeta * _joint_asymmetry(GenModel.SD, t1, t2, dt, p))
     raise ValueError(f"unknown generation model {model}")
 
 
@@ -198,23 +197,18 @@ def _draw_pairs(models: tuple, p: ModelParams, rng: np.random.Generator,
     `is_of` per model of `models`: the one routine that draws pairs, and
     so owns their order.
 
-    The draws come in a fixed order: all of t1, all of t2, for DECOHERED
-    the SD picks of all pairs, then the class uniforms. The models differ
-    only in the OF probability (1 + A_model) / 2 each compares the uniforms
-    with, so every model but DECOHERED draws the same numbers, and row j
-    holds the classes of models[j] drawn alone. DECOHERED, whose picks
-    come before the uniforms, must come alone. Work past the time draws
-    runs in blocks of _BLOCK pairs that draw their values in turn; a
-    Generator draws a call of n values one value at a time, so blocks give
-    the numbers of one draw of the whole and no result depends on the
-    block size. With `times` False and only QM, whose asymmetry reads only
-    dt, t2 too is drawn a block at a time and folded into t1's buffer as
-    dt; t1 and t2 then come back None, and only dt and is_of span all
-    pairs.
+    The draws come in a fixed order: all of t1, all of t2, then the class
+    uniforms. The models differ only in the OF probability (1 + A_model) / 2
+    each compares the uniforms with, so every model draws the same numbers,
+    and row j holds the classes of models[j] drawn alone. Work past the
+    time draws runs in blocks of _BLOCK pairs that draw their values in
+    turn; a Generator draws a call of n values one value at a time, so
+    blocks give the numbers of one draw of the whole and no result depends
+    on the block size. With `times` False and only QM, whose asymmetry
+    reads only dt, t2 too is drawn a block at a time and folded into t1's
+    buffer as dt; t1 and t2 then come back None, and only dt and is_of
+    span all pairs.
     """
-    if GenModel.DECOHERED in models and len(models) > 1:
-        raise ValueError("DECOHERED draws its SD picks before the class "
-                         "uniforms, so it cannot share another model's draws")
     t1 = rng.exponential(p.tau, size)
     if times or any(m is not GenModel.QM for m in models):
         t2 = rng.exponential(p.tau, size)
@@ -225,16 +219,13 @@ def _draw_pairs(models: tuple, p: ModelParams, rng: np.random.Generator,
         for i in range(0, size, _BLOCK):
             b = dt[i:i + _BLOCK]
             np.abs(b - rng.exponential(p.tau, len(b)), out=b)
-    pick = (rng.random(size) < p.zeta if GenModel.DECOHERED in models
-            else None)
     is_of = np.empty((len(models), size), dtype=bool)
     for i in range(0, size, _BLOCK):
         s = slice(i, i + _BLOCK)
-        b1, b2, b_dt, b_pick = (None if c is None else c[s]
-                                for c in (t1, t2, dt, pick))
+        b1, b2, b_dt = (None if c is None else c[s] for c in (t1, t2, dt))
         u = rng.random(len(b_dt))
         for row, model in zip(is_of, models):
-            a = _joint_asymmetry(model, b1, b2, b_dt, p, b_pick)
+            a = _joint_asymmetry(model, b1, b2, b_dt, p)
             if not np.all(np.abs(a) <= 1.0 + 1e-9):    # NaN fails it too
                 raise ArithmeticError("model asymmetry escaped [-1, 1]; "
                                       "generation envelope violated")
@@ -249,7 +240,7 @@ def sample_pair(model: GenModel, p: ModelParams, rng: np.random.Generator,
     The pair time density factorizes as exp(-(t1+t2)/tau)/tau^2; the flavour
     class is Bernoulli with OF probability (1 + A_model(t1, t2)) / 2. The
     draws are those of `_draw_pairs`, in its order: all of t1, all of t2,
-    for DECOHERED the SD picks of all pairs, then the class uniforms.
+    then the class uniforms; every model draws the same numbers.
     """
     t1, t2, _, is_of = _draw_pairs((model,), p, rng, size, times=True)
     return t1, t2, is_of[0]
@@ -406,9 +397,9 @@ def generate_ensemble(model, p: ModelParams, d: DetectorConfig,
 
     `model` is a GenModel, or a tuple of them drawn from one seed's draws:
     the records then have one column per model, shape (events, models),
-    and column j holds the records of models[j] generated alone. The
-    models draw the same numbers, so the columns differ only in cls_true
-    and cls_assigned; DECOHERED draws more and must come alone."""
+    and column j holds the records of models[j] generated alone. Every
+    model draws the same numbers, so the columns differ only in cls_true
+    and cls_assigned."""
     dtype = _record_dtype(dtype)
     models = (model,) if isinstance(model, GenModel) else tuple(model)
     ev = _signal(models, p, n_signal, d, stream_rng(master_seed, 0), dtype)

@@ -122,10 +122,9 @@ def histogram_responses(dt_true, dt_rec, cls, binning):
     return out
 
 
-def one_shot_joint_asymmetry(model: GenModel, t1, t2, dt, p: ModelParams,
-                             rng: np.random.Generator):
-    """A_model(t1, t2) of each pair, given dt = |t1 - t2|; DECOHERED draws
-    its SD picks from `rng` here."""
+def one_shot_joint_asymmetry(model: GenModel, t1, t2, dt, p: ModelParams):
+    """A_model(t1, t2) of each pair, given dt = |t1 - t2|; DECOHERED's is
+    the mixture (1 - zeta) A_QM + zeta A_SD."""
     if model is GenModel.QM:
         return np.cos(p.dm * dt)
     if model is GenModel.SD:
@@ -136,8 +135,7 @@ def one_shot_joint_asymmetry(model: GenModel, t1, t2, dt, p: ModelParams,
     if model is GenModel.DECOHERED:
         a_qm = np.cos(p.dm * dt)
         a_sd = np.cos(p.dm * t1) * np.cos(p.dm * t2)
-        pick_sd = rng.random(np.shape(dt)) < p.zeta
-        return np.where(pick_sd, a_sd, a_qm)
+        return (1 - p.zeta) * a_qm + p.zeta * a_sd
     raise ValueError(f"unknown generation model {model}")
 
 
@@ -153,7 +151,7 @@ def one_shot_sample_pair(model: GenModel, p: ModelParams,
     t1 = rng.exponential(p.tau, size)
     t2 = rng.exponential(p.tau, size)
     dt = np.abs(t1 - t2)
-    a = one_shot_joint_asymmetry(model, t1, t2, dt, p, rng)
+    a = one_shot_joint_asymmetry(model, t1, t2, dt, p)
     if np.any(np.abs(a) > 1.0 + 1e-9):
         raise ArithmeticError(
             "model asymmetry escaped [-1, 1]; generation envelope violated")

@@ -62,6 +62,21 @@ class TestBinnedCounts:
         swapped = BinnedCounts(TWO_BIN, c.n[::-1], c.var[::-1])
         np.testing.assert_array_equal(asymmetry(swapped).a, -asymmetry(c).a)
 
+    def test_bin_lists_of_a_stack_are_bin_indices(self):
+        """On a stack, a bin is listed once when any row qualifies: row 0
+        has a negative OF count in bin 3, row 1 a negative total in bin 7
+        (flat positions would read 3 and 18)."""
+        n = np.full((2, 2, 11), 10.0)
+        n[0, 0, 3] = -1.0
+        n[1, :, 7] = -5.0
+        stack = BinnedCounts(Binning(), n, np.ones_like(n))
+        np.testing.assert_array_equal(stack.negative_bins, [3, 7])
+        np.testing.assert_array_equal(stack.degenerate_bins, [7])
+        for row, negative, degenerate in zip(n, ([3], [7]), ([], [7])):
+            alone = BinnedCounts(Binning(), row, np.ones_like(row))
+            np.testing.assert_array_equal(alone.negative_bins, negative)
+            np.testing.assert_array_equal(alone.degenerate_bins, degenerate)
+
 
 class TestBinning:
     def test_defaults(self):
@@ -356,6 +371,23 @@ class TestSystematics:
         np.testing.assert_allclose(spec.syst_err, [0.05, 0.05], atol=1e-15)
         np.testing.assert_allclose(
             spec.total_err, np.hypot([0.1, 0.1], [0.05, 0.05]), atol=1e-15)
+
+    def test_a_stack_takes_each_replica_in_quadrature(self):
+        """Each row of a stack combines its own sources, bit for bit as
+        that spectrum alone."""
+        s1 = np.array([[0.03, 0.04], [0.3, 0.4]])
+        s2 = np.array([[0.04, 0.03], [0.01, 0.2]])
+        stack = AsymmetrySpectrum(TWO_BIN, np.zeros((2, 2)),
+                                  np.full((2, 2), 0.1), {"s1": s1, "s2": s2})
+        assert stack.syst_err.shape == (2, 2)
+        for r1, r2, err in zip(s1, s2, stack.syst_err):
+            alone = AsymmetrySpectrum(TWO_BIN, np.zeros(2), np.full(2, 0.1),
+                                      {"s1": r1, "s2": r2})
+            assert err.tobytes() == alone.syst_err.tobytes()
+        one = asymmetry(BinnedCounts(Binning(), np.full((2, 2, 11), 50.0)))
+        np.testing.assert_array_equal(
+            one.with_syst("x", np.full((2, 11), 0.1)).syst_err,
+            np.full((2, 11), 0.1))
 
     def test_with_syst_is_pure(self):
         spec = AsymmetrySpectrum(TWO_BIN, np.zeros(2), np.ones(2))

@@ -204,8 +204,8 @@ class TestChain:
     @pytest.mark.filterwarnings("error")
     def test_decohered_generate_repeats_and_chain_runs(self, tmp_path,
                                                        cfg_path):
-        # DECOHERED draws more than the other models: its events too
-        # repeat to the byte, and analyze and unfold take them
+        # DECOHERED's events, drawn as every model's, repeat to the byte,
+        # and analyze and unfold take them
         text = cfg_path.read_text()
         assert "name = QM\n" in text and "zeta = 0\n" in text
         cfg_path.write_text(text.replace("name = QM\n", "name = DECOHERED\n")
@@ -220,6 +220,20 @@ class TestChain:
         assert main(["unfold", "--config", str(cfg_path),
                      str(tmp_path / "spectrum.counts.csv"),
                      "--out", str(tmp_path / "unfolded.csv")]) == EXIT_OK
+
+    @pytest.mark.parametrize("zeta, pure", [("0", "QM"), ("1", "SD")])
+    def test_decohered_at_the_ends_writes_the_pure_models_file(
+            self, tmp_path, cfg_path, zeta, pure):
+        # DECOHERED at zeta = 0 writes QM's event file, at zeta = 1 SD's
+        text = cfg_path.read_text()
+        assert "name = QM\n" in text and "zeta = 0\n" in text
+        for name in ("DECOHERED", pure):
+            cfg_path.write_text(text.replace("name = QM\n", f"name = {name}\n")
+                                .replace("zeta = 0\n", f"zeta = {zeta}\n"))
+            assert main(["generate", "--config", str(cfg_path),
+                         "--out", str(tmp_path / f"{name}.csv")]) == EXIT_OK
+        assert ((tmp_path / "DECOHERED.csv").read_bytes()
+                == (tmp_path / f"{pure}.csv").read_bytes())
 
     def test_events_match_numpy_savetxt(self, tmp_path, cfg_path):
         # the table writer's cells against numpy's savetxt, which formats

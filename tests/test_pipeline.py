@@ -121,6 +121,21 @@ def test_shared_seeds_match_each_model_alone(case):
         smear_alone(cfg, 35.0, n))
 
 
+def test_ensemble_draws_each_seed_once(monkeypatch):
+    """Every set of models, DECOHERED among them, is generated and
+    unfolded in one `run_replica` call per seed."""
+    calls = []
+
+    def replica(models, *args):
+        calls.append(models)
+        return run_replica(models, *args)
+
+    monkeypatch.setattr(pipeline, "run_replica", replica)
+    models = (GenModel.QM, GenModel.DECOHERED, GenModel.SD)
+    run_ensemble(models, 3, _DECO)
+    assert calls == [models] * 3
+
+
 def test_corrected_counts_subtract_the_configured_backgrounds():
     """The expectation a config computes once is that of
     `subtract_background`."""

@@ -86,8 +86,8 @@ PINNED_EVENTS = {
     "decohered_fixed_counts": (
         GenModel.DECOHERED, ModelParams(zeta=0.3),
         replace(BackgroundConfig.paper_scale(), fixed_counts=True), 12, 3751,
-        "ae41dc9d654c2e625347dccf378d8e9e0e9e669a3df833a150c36cafa83c8e6d",
-        "c8b2e92a86150e3f84479c5c3aa30d2516b7dfb1dcfeb83cb5abf683e91e6ac8"),
+        "0b6540336d4f4e66496abf07b9be48dd88dc90c13d55a05584ad9edcda59d3cb",
+        "5afbba2ae4da1531bafca16c8ae5178843bdd5323bb4e3965b24bb1042c68e45"),
 }
 
 
@@ -161,24 +161,40 @@ class TestRecordFields:
                                        _sub_dtype("dt_rec_ps", "cls_assigned")])
     @pytest.mark.parametrize("models", [
         (GenModel.SD,), (GenModel.PS_BOUNDARY_MIN, GenModel.QM, GenModel.SD),
-        (GenModel.QM, GenModel.PS_BOUNDARY_MAX)], ids=len)
+        (GenModel.QM, GenModel.PS_BOUNDARY_MAX),
+        (GenModel.DECOHERED, GenModel.SD, GenModel.PS_BOUNDARY_MIN,
+         GenModel.QM)], ids=len)
     def test_model_columns_hold_each_model_alone(self, models, dtype):
         """A tuple of models gives one column of records per model, each
         the records of that model generated alone, bit for bit."""
-        b = BackgroundConfig.paper_scale()
-        ev = generate_ensemble(models, P, DetectorConfig(), b, 3000,
+        b, p = BackgroundConfig.paper_scale(), ModelParams(zeta=0.3)
+        ev = generate_ensemble(models, p, DetectorConfig(), b, 3000,
                                master_seed=11, dtype=dtype)
         assert ev.dtype == dtype and ev.shape[1] == len(models)
         for model, column in zip(models, ev.T):
-            alone = generate_ensemble(model, P, DetectorConfig(), b, 3000,
+            alone = generate_ensemble(model, p, DetectorConfig(), b, 3000,
                                       master_seed=11, dtype=dtype)
             assert column.tobytes() == alone.tobytes()
 
-    def test_decohered_is_generated_alone(self):
-        with pytest.raises(ValueError, match="DECOHERED"):
-            generate_ensemble((GenModel.DECOHERED, GenModel.SD),
-                              ModelParams(zeta=0.3), DetectorConfig(),
-                              BackgroundConfig(), 10, master_seed=1)
+    @pytest.mark.parametrize("dtype", [EVENT_DTYPE,
+                                       _sub_dtype("dt_rec_ps", "cls_assigned")])
+    @pytest.mark.parametrize("zeta, pure", [(0.0, GenModel.QM),
+                                            (1.0, GenModel.SD)])
+    def test_decohered_at_the_ends_is_the_pure_model(self, tmp_path, zeta,
+                                                     pure, dtype):
+        """DECOHERED at zeta = 0 gives QM's records and event file, at
+        zeta = 1 SD's, byte for byte: (1 - zeta) A_QM + zeta A_SD is then
+        one of its terms exactly."""
+        b, p = BackgroundConfig.paper_scale(), ModelParams(zeta=zeta)
+        ev = {m: generate_ensemble(m, p, DetectorConfig(), b, 3000,
+                                   master_seed=12, dtype=dtype)
+              for m in (GenModel.DECOHERED, pure)}
+        assert ev[GenModel.DECOHERED].tobytes() == ev[pure].tobytes()
+        if dtype == EVENT_DTYPE:
+            for m, e in ev.items():
+                write_events(e, tmp_path / f"{m.value}.csv")
+            assert ((tmp_path / "DECOHERED.csv").read_bytes()
+                    == (tmp_path / f"{pure.value}.csv").read_bytes())
 
     @pytest.mark.parametrize("dtype", [
         _sub_dtype("dt_rec_ps").descr + [("weight", "f8")],
@@ -405,7 +421,7 @@ class TestEnvelope:
             for g, w in zip(got, (t1, t2, is_of)):
                 np.testing.assert_array_equal(g, w)
             np.testing.assert_array_equal(
-                _joint_asymmetry(model, t1, t2, np.abs(t1 - t2), P, None), a)
+                _joint_asymmetry(model, t1, t2, np.abs(t1 - t2), P), a)
 
     def test_decohered_interpolates(self):
         p = ModelParams(zeta=0.5)
@@ -417,16 +433,30 @@ class TestEnvelope:
         lo, hi = sorted((of_qm, of_sd))
         assert lo - 0.01 <= is_of.mean() <= hi + 0.01
 
+    def test_decohered_closure_against_the_mixture(self):
+        # the binned truth asymmetry of DECOHERED pairs tracks the bin
+        # averages of (1 - zeta) QM + zeta SD: 5 seeds x 11 bins, 55 dof
+        p, binning = ModelParams(zeta=0.3), Binning()
+        expected = BinPredictor(binning, tau=p.tau).predict(
+            "DECOHERED", p.dm, p.zeta)
+        total = 0.0
+        for seed in range(1, 6):
+            t1, t2, is_of = sample_pair(GenModel.DECOHERED, p,
+                                        stream_rng(seed, 0), 10 ** 6)
+            spec = asymmetry(bin_events(np.abs(t1 - t2),
+                                        (~is_of).view(np.int8), binning))
+            total += np.sum(((spec.a - expected) / spec.stat_err) ** 2)
+        assert total < 90.0
 
-# every generation model that shares its draws with the others
-SHARED_MODELS = tuple(m for m in GenModel if m is not GenModel.DECOHERED)
+
+# every generation model: they all share one draw sequence
+SHARED_MODELS = tuple(GenModel)
 
 
 class TestBlocks:
     """The block loops of `_draw_pairs` keep the one-shot draw order: all
-    of t1, all of t2, all the DECOHERED picks, then the class uniforms,
-    with the times kept or, for QM, with t2 folded into dt block by
-    block."""
+    of t1, all of t2, then the class uniforms, with the times kept or, for
+    QM, with t2 folded into dt block by block."""
 
     @pytest.mark.parametrize("model", list(GenModel), ids=lambda m: m.value)
     @pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
